@@ -10,7 +10,9 @@ operator pushes densities forward:
 Iterating it conserves total mass exactly while flattening the density, so
 the star norm of the iterates decays to zero: the system is "remotely
 infinite" and its Poisson suspension is exact.  Each iterate doubles the
-number of preimage branches, so depth n costs 2^n evaluations per point.
+number of preimage branches: at depth n, one point costs 2^n - 1 node
+expansions (each computes both preimages of a node in one pass) and 2^n
+leaf evaluations of f.
 """
 
 from poisson_orlicz import default_config, run_experiment

@@ -46,29 +46,31 @@ _BOOLE_DEPTH_LIMIT = 14
 
 @dataclass(frozen=True)
 class DynamicalSystem:
-    """A measure-preserving map with explicit inverse-branch maps.
+    """A measure-preserving map with explicit inverse branches.
 
-    ``preimage_maps`` lists the branches of T^{-1} as vectorized pairs
-    (point map, inverse Jacobian map); their Jacobians sum to 1 wherever
-    defined.  ``backward_inflate(w, n)`` returns a window containing every
-    T^{-k}(w) for k <= n.  ``singularities`` are points where the forward
-    map is undefined or discontinuous, used as forced quadrature splits.
+    ``branches`` maps a float array x to one (y, jac) pair of arrays per
+    branch of T^{-1}: T(y) = x and jac = 1/|T'(y)|, the jacs summing to 1
+    wherever defined.  It computes every branch in one pass.  Callers go
+    through ``preimages``, which also takes scalars.
+    ``backward_inflate(w, n)`` returns a window containing every T^{-k}(w)
+    for k <= n.  ``singularities`` are points where the forward map is
+    undefined or discontinuous, used as forced quadrature splits.
     """
 
     kind: str
     params: tuple[float, ...]
     forward: Callable[[np.ndarray], np.ndarray]
-    preimage_maps: tuple[tuple[Callable, Callable], ...]
+    branches: Callable[[np.ndarray], tuple[tuple[np.ndarray, np.ndarray], ...]]
     backward_inflate: Callable[[Window, int], Window]
     singularities: tuple[float, ...] = ()
 
-    def preimages(self, x: float) -> list[tuple[float, float]]:
-        """The points y with T(y) = x, each with 1/|T'(y)|."""
-        out = []
-        for ymap, jmap in self.preimage_maps:
-            arr = np.array([float(x)])
-            out.append((float(ymap(arr)[0]), float(jmap(arr)[0])))
-        return out
+    def preimages(self, x):
+        """The points y with T(y) = x, each with 1/|T'(y)|, one pair per
+        branch: arrays for array x, plain floats for scalar x."""
+        if np.ndim(x) == 0:
+            return tuple((float(y[0]), float(j[0]))
+                         for y, j in self.branches(np.array([float(x)])))
+        return self.branches(np.asarray(x, dtype=float))
 
 
 def make_translation(step: float) -> DynamicalSystem:
@@ -80,11 +82,8 @@ def make_translation(step: float) -> DynamicalSystem:
     def fwd(x):
         return np.asarray(x, dtype=float) + step
 
-    def back(x):
-        return np.asarray(x, dtype=float) - step
-
-    def jac(x):
-        return np.ones(np.asarray(x, dtype=float).shape)
+    def branches(x):
+        return ((x - step, np.ones(x.shape)),)
 
     def inflate(w: Window, n: int) -> Window:
         pieces = []
@@ -96,7 +95,7 @@ def make_translation(step: float) -> DynamicalSystem:
         kind="translation",
         params=(step,),
         forward=fwd,
-        preimage_maps=((back, jac),),
+        branches=branches,
         backward_inflate=inflate,
     )
 
@@ -105,8 +104,10 @@ def make_boole() -> DynamicalSystem:
     """T(x) = x - 1/x, Lebesgue preserving with two preimage branches.
 
     The branches are y+- = (x +- sqrt(x^2 + 4)) / 2 with inverse Jacobian
-    1 / (1 + 1/y^2); y+ y- = -1, which gives a cancellation-free form for
-    the negative branch.  T(0) is undefined and reported as NaN.
+    1 / (1 + 1/y^2).  One pass computes y+ once, in a cancellation-free
+    form for either sign of x, derives y- = -1/y+ from y+ y- = -1, and
+    takes each Jacobian from the y it belongs to.  T(0) is undefined and
+    reported as NaN.
     """
 
     def fwd(x):
@@ -115,22 +116,19 @@ def make_boole() -> DynamicalSystem:
             out = np.where(x == 0.0, np.nan, x - 1.0 / np.where(x == 0.0, 1.0, x))
         return out
 
-    def y_plus(x):
-        x = np.asarray(x, dtype=float)
+    def _jac(y):
+        yy = y * y
+        return yy / (1.0 + yy)
+
+    def _y_plus(x):
+        # its own scope, so d is freed before the four outputs are built
         d = np.sqrt(x * x + 4.0)
         return np.where(x >= 0.0, 0.5 * (x + d), 2.0 / (d - x))
 
-    def y_minus(x):
-        return -1.0 / y_plus(x)
-
-    def _jac_at(y):
-        return y * y / (1.0 + y * y)
-
-    def jac_plus(x):
-        return _jac_at(y_plus(x))
-
-    def jac_minus(x):
-        return _jac_at(y_minus(x))
+    def branches(x):
+        y_plus = _y_plus(x)
+        y_minus = -1.0 / y_plus
+        return ((y_plus, _jac(y_plus)), (y_minus, _jac(y_minus)))
 
     def inflate(w: Window, n: int) -> Window:
         if not w:
@@ -143,7 +141,7 @@ def make_boole() -> DynamicalSystem:
         kind="boole",
         params=(),
         forward=fwd,
-        preimage_maps=((y_plus, jac_plus), (y_minus, jac_minus)),
+        branches=branches,
         backward_inflate=inflate,
         singularities=(0.0,),
     )
@@ -180,13 +178,10 @@ def make_composite(circumference: float = 1.0, angle: float = GOLDEN,
         rotated = c0 + np.mod(x - c0 + angle, length)
         return np.where(_in_circle(x), rotated, _line_shift(x, step))
 
-    def back(x):
-        x = np.asarray(x, dtype=float)
+    def branches(x):
         rotated = c0 + np.mod(x - c0 - angle, length)
-        return np.where(_in_circle(x), rotated, _line_shift(x, -step))
-
-    def jac(x):
-        return np.ones(np.asarray(x, dtype=float).shape)
+        return ((np.where(_in_circle(x), rotated, _line_shift(x, -step)),
+                 np.ones(x.shape)),)
 
     def inflate(w: Window, n: int) -> Window:
         pieces = []
@@ -204,7 +199,7 @@ def make_composite(circumference: float = 1.0, angle: float = GOLDEN,
         kind="composite",
         params=(length, angle, step),
         forward=fwd,
-        preimage_maps=((back, jac),),
+        branches=branches,
         backward_inflate=inflate,
         singularities=(c0, wrap, c1),
     )
@@ -250,18 +245,13 @@ def _pullback_breakpoints(sys: DynamicalSystem, pts, depth: int,
                           cap: int = 20000) -> tuple[float, ...] | None:
     """All branch preimages of ``pts`` down to ``depth``; None when the
     branch tree exceeds ``cap`` points."""
-    level = [float(p) for p in pts]
-    out = set(level)
+    level = np.asarray(pts, dtype=float)
+    out = set(level.tolist())
     for _ in range(int(depth)):
-        nxt = []
-        for p in level:
-            for y, _ in sys.preimages(p):
-                if math.isfinite(y):
-                    nxt.append(y)
-        if len(out) + len(nxt) > cap:
+        level = np.concatenate([y[np.isfinite(y)] for y, _ in sys.preimages(level)])
+        if len(out) + level.size > cap:
             return None
-        out.update(nxt)
-        level = nxt
+        out.update(level.tolist())
     return tuple(sorted(out))
 
 
@@ -309,37 +299,26 @@ def birkhoff(f: TestFunction, sys: DynamicalSystem, n: int,
 # ---------------------------------------------------------------------------
 # Transfer operator
 
-def _branch_sum(f_eval, sys: DynamicalSystem, n: int, prune_tol: float):
+def _branch_sum(f_eval, sys: DynamicalSystem, n: int):
     """Closure evaluating sum over depth-n preimage branches of
-    f(y) * prod(inverse Jacobians)."""
-    maps = sys.preimage_maps
+    f(y) * prod(inverse Jacobians).  The traversal is depth first: the
+    stack holds at most one pending sibling per level, so memory grows
+    with n, not with the 2^n leaves."""
+    preimages = sys.preimages
 
     def _eval(x):
         x = np.asarray(x, dtype=float)
         flat = x.ravel()
         out = np.zeros(flat.shape)
-        stack = [(0, flat, np.ones(flat.shape), None)]  # idx None means all points
+        stack = [(0, flat, np.ones(flat.shape))]
         while stack:
-            level, y, wgt, idx = stack.pop()
+            level, y, wgt = stack.pop()
             if level == n:
                 vals = np.asarray(f_eval(y), dtype=float)
-                contrib = wgt * np.where(np.isnan(vals), 0.0, vals)
-                if idx is None:
-                    out += contrib
-                else:
-                    np.add.at(out, idx, contrib)
+                out += wgt * np.where(np.isnan(vals), 0.0, vals)
                 continue
-            for ymap, jmap in maps:
-                y2 = np.asarray(ymap(y), dtype=float)
-                w2 = wgt * np.asarray(jmap(y), dtype=float)
-                if prune_tol > 0.0:
-                    keep = w2 >= prune_tol
-                    if not np.all(keep):
-                        i2 = np.flatnonzero(keep) if idx is None else idx[keep]
-                        if i2.size:
-                            stack.append((level + 1, y2[keep], w2[keep], i2))
-                        continue
-                stack.append((level + 1, y2, w2, idx))
+            for y2, jac in preimages(y):
+                stack.append((level + 1, y2, wgt * jac))
         return out.reshape(x.shape)
 
     return _eval
@@ -383,27 +362,25 @@ def _forward_window(sys: DynamicalSystem, w: Window, n: int) -> Window:
 
 
 def transfer_apply(f: TestFunction, sys: DynamicalSystem, n: int,
-                   tail_tol: float = 1e-4, prune_tol: float = 0.0) -> TestFunction:
+                   tail_tol: float = 1e-4) -> TestFunction:
     """T-hat^n f: the Jacobian-weighted sum of f over depth-n preimages.
 
     For the two-branch Boole map the support of the image is unbounded, so
     a finite window is grown until the mass it misses, measured through the
     conservation identity int T-hat^n |f| = int |f|, is below ``tail_tol``;
-    the remaining deficit is declared as the L1 tail bound.  ``prune_tol``
-    drops branches of smaller weight; anything dropped only enlarges the
-    declared deficit, never the value.
+    the remaining deficit is declared as the L1 tail bound.
     """
     n = int(n)
     if n < 0:
         raise ValueError("depth must be >= 0")
     if n == 0:
         return f
-    two_branch = len(sys.preimage_maps) > 1
+    two_branch = len(sys.preimages(0.0)) > 1
     if two_branch and n > _BOOLE_DEPTH_LIMIT:
         raise ValueError(f"transfer depth is limited to {_BOOLE_DEPTH_LIMIT} "
                          "for two-branch systems")
 
-    signed_eval = _branch_sum(f.eval, sys, n, prune_tol)
+    signed_eval = _branch_sum(f.eval, sys, n)
     orbit = _forward_orbit(sys, f.breakpoints, n)
 
     if not two_branch:
@@ -424,7 +401,7 @@ def transfer_apply(f: TestFunction, sys: DynamicalSystem, n: int,
     def abs_eval(x, f=f):
         return np.abs(np.asarray(f.eval(x), dtype=float))
 
-    branch_abs = _branch_sum(abs_eval, sys, n, prune_tol)
+    branch_abs = _branch_sum(abs_eval, sys, n)
     total_mass, mass_err = integrate(f, f.support, transform=np.abs, tol=1e-10)
 
     hull = max(max(abs(lo), abs(hi)) for lo, hi in f.support.intervals)

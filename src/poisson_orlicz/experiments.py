@@ -17,6 +17,7 @@ import dataclasses
 import hashlib
 import json
 import math
+import numbers
 import warnings
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
@@ -129,6 +130,19 @@ _CONFIG_KEYS = ("scenario", "system", "function", "depths", "replicates",
                 "expected")
 
 
+def _typed(key: str, value, kind: type):
+    """``value`` of config field ``key``, refused unless it already has
+    JSON type ``kind``: nothing is coerced, and a bool is not an integer."""
+    if kind is int:
+        ok = isinstance(value, numbers.Integral) and not isinstance(value, bool)
+    else:
+        ok = isinstance(value, kind)
+    if not ok:
+        names = {int: "an integer", str: "a string", dict: "a JSON object"}
+        raise ConfigError(f"{key} must be {names[kind]}, got {value!r}")
+    return int(value) if kind is int else kind(value)
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """One experiment: scenario name, system and function specs, depths,
@@ -199,17 +213,22 @@ class ExperimentConfig:
             raise ConfigError(f"missing config keys: {', '.join(missing)}")
         if d["seed"] is None:
             raise ConfigError("seed is required; there is no entropy default")
+        depths = d.get("depths", (1,))
+        if not isinstance(depths, (list, tuple)):
+            raise ConfigError(f"depths must be a list of integers, got {depths!r}")
+        subsequence = d.get("subsequence")
         cfg = cls(
-            scenario=str(d["scenario"]),
-            system=dict(d["system"]),
-            function=dict(d["function"]),
-            depths=tuple(int(x) for x in d.get("depths", (1,))),
-            replicates=int(d.get("replicates", 1000)),
-            seed=int(d["seed"]),
-            subsequence=d.get("subsequence"),
-            subsequence_cap=int(d.get("subsequence_cap", 4096)),
-            tolerances=dict(d.get("tolerances", {})),
-            expected=dict(d.get("expected", {})),
+            scenario=_typed("scenario", d["scenario"], str),
+            system=_typed("system", d["system"], dict),
+            function=_typed("function", d["function"], dict),
+            depths=tuple(_typed("depths entry", x, int) for x in depths),
+            replicates=_typed("replicates", d.get("replicates", 1000), int),
+            seed=_typed("seed", d["seed"], int),
+            subsequence=(None if subsequence is None
+                         else _typed("subsequence", subsequence, str)),
+            subsequence_cap=_typed("subsequence_cap", d.get("subsequence_cap", 4096), int),
+            tolerances=_typed("tolerances", d.get("tolerances", {}), dict),
+            expected=_typed("expected", d.get("expected", {}), dict),
         )
         cfg.validate()
         return cfg
@@ -716,12 +735,9 @@ def run_identity_suite(cfg: ExperimentConfig):
     win_t = (window((-1.0, 1.0)), window((0.0, 2.0)))
     boole = make_boole()
     f_bo = triangular_bump(0.0, 0.5, 1.0)
-    pre_hi = boole.preimages(1.0)
-    pre_lo = boole.preimages(-1.0)
-    win_b = (
-        window((pre_lo[0][0], pre_hi[0][0]), (pre_lo[1][0], pre_hi[1][0])),
-        window((-1.0, 1.0)),
-    )
+    # input window T^{-1}[-1, 1]: one interval per Boole branch
+    (y_plus, _), (y_minus, _) = boole.preimages(np.array([-1.0, 1.0]))
+    win_b = (window(tuple(y_plus), tuple(y_minus)), window((-1.0, 1.0)))
     for name, sys_d, fd, wins, band in (
         ("equivariance_translation", trans, f_eq, win_t, 1e-8),
         ("equivariance_boole", boole, f_bo, win_b, 1e-7),

@@ -490,9 +490,8 @@ def reduced_moment_check(
 def _compose_forward(f: TestFunction, sys, w_in: Window) -> TestFunction:
     """f after the forward map, as a TestFunction on the input window."""
     bps = {float(b) for b in getattr(sys, "singularities", ())}
-    for b in f.breakpoints:
-        for y, _ in sys.preimages(float(b)):
-            bps.add(float(y))
+    for ys, _ in sys.preimages(np.asarray(f.breakpoints, dtype=float)):
+        bps.update(ys.tolist())
 
     def _eval(x, f=f, fwd=sys.forward):
         x = np.asarray(x, dtype=float)

@@ -235,6 +235,32 @@ def test_run_low_replicates_is_config_error(capsys, tmp_path):
     assert "replicates" in err
 
 
+def test_run_null_replicates_is_config_error(capsys, tmp_path):
+    doc = dict(BASE_CONFIG, replicates=None)
+    path = write_config(tmp_path, "null_reps.json", doc)
+    code, out, err = run_cli(capsys, ["run", "--config", path])
+    assert code == 1
+    assert "replicates" in err
+
+
+def test_run_fractional_depth_is_config_error(capsys, tmp_path):
+    doc = dict(BASE_CONFIG, depths=[1.7])
+    path = write_config(tmp_path, "frac_depth.json", doc)
+    code, out, err = run_cli(capsys, ["run", "--config", path])
+    assert code == 1
+    assert "depths" in err
+    assert out == ""
+
+
+def test_run_boolean_seed_is_config_error(capsys, tmp_path):
+    doc = dict(BASE_CONFIG, seed=True)
+    path = write_config(tmp_path, "bool_seed.json", doc)
+    code, out, err = run_cli(capsys, ["run", "--config", path])
+    assert code == 1
+    assert "seed" in err
+    assert out == ""
+
+
 def test_run_tampered_expectation_fails(capsys, tmp_path):
     doc = dict(BASE_CONFIG)
     doc["expected"] = {"star": {"1": 0.95}}

@@ -2,12 +2,14 @@
 transfer operator."""
 
 import math
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
 
 from poisson_orlicz.dynamics import (
     CIRCLE_OFFSET,
+    GOLDEN,
     birkhoff,
     circle_indicator,
     make_boole,
@@ -20,6 +22,7 @@ from poisson_orlicz.measure import (
     function_moments,
     indicator,
     integrate,
+    piecewise_constant,
     triangular_bump,
     window,
 )
@@ -88,11 +91,10 @@ def test_boole_preimage_identity_and_jacobian_sum():
     rng = np.random.default_rng(41)
     xs = rng.uniform(-80.0, 80.0, 1000)
     total = np.zeros(xs.shape)
-    for ymap, jmap in sys.preimage_maps:
-        ys = ymap(xs)
+    for ys, jacs in sys.preimages(xs):
         back = sys.forward(ys)
         assert np.max(np.abs(back - xs)) < 1e-10
-        total += jmap(xs)
+        total += jacs
     assert np.max(np.abs(total - 1.0)) < 1e-12
 
 
@@ -144,7 +146,7 @@ def test_composite_line_part_skips_circle():
     x = np.array([CIRCLE_OFFSET - 0.25])
     out = float(sys.forward(x)[0])
     assert out == CIRCLE_OFFSET + 1.0 + 0.75
-    back = float(sys.preimage_maps[0][0](np.array([out]))[0])
+    [(back, _)] = sys.preimages(out)
     assert back == x[0]
 
 
@@ -155,10 +157,9 @@ def test_composite_preimage_round_trip():
         rng.uniform(-30.0, 30.0, 100),
         CIRCLE_OFFSET + rng.uniform(0.0, 1.0, 100),
     ])
-    ymap, jmap = sys.preimage_maps[0]
-    ys = ymap(pts)
+    [(ys, jacs)] = sys.preimages(pts)
     assert np.max(np.abs(sys.forward(ys) - pts)) < 1e-9
-    assert np.array_equal(jmap(pts), np.ones(pts.shape))
+    assert np.array_equal(jacs, np.ones(pts.shape))
 
 
 def test_composite_birkhoff_of_circle_indicator_is_itself():
@@ -177,6 +178,42 @@ def test_composite_identity_map():
     sys = make_composite(angle=0.0, step=0.0)
     pts = np.array([-3.0, 0.5, CIRCLE_OFFSET + 0.4])
     assert np.array_equal(sys.forward(pts), pts)
+
+
+# ---------------------------------------------------------------------------
+# the preimage interface, on every system
+
+SYSTEMS = {
+    "translation": lambda: make_translation(0.7),
+    "boole": make_boole,
+    "composite": lambda: make_composite(circumference=1.0, angle=0.3, step=1.0),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(SYSTEMS))
+def test_preimages_array_round_trip_and_jacobian_sum(kind):
+    sys = SYSTEMS[kind]()
+    rng = np.random.default_rng(29)
+    xs = np.concatenate([rng.uniform(-40.0, 40.0, 300),
+                         CIRCLE_OFFSET + rng.uniform(0.0, 1.0, 100)])
+    total = np.zeros(xs.shape)
+    for ys, jacs in sys.preimages(xs):
+        assert ys.shape == jacs.shape == xs.shape
+        assert np.max(np.abs(sys.forward(ys) - xs) / np.maximum(1.0, np.abs(xs))) < 1e-14
+        total += jacs
+    assert np.max(np.abs(total - 1.0)) < 1e-14
+
+
+@pytest.mark.parametrize("kind", sorted(SYSTEMS))
+def test_preimages_scalar_returns_floats(kind):
+    sys = SYSTEMS[kind]()
+    for x in (0.0, -2.5, np.float64(3.75), CIRCLE_OFFSET + 0.5):
+        pre = sys.preimages(x)
+        arr = sys.preimages(np.array([x]))
+        assert len(pre) == len(arr) == (2 if kind == "boole" else 1)
+        for (y, j), (ya, ja) in zip(pre, arr):
+            assert type(y) is float and type(j) is float
+            assert y == ya[0] and j == ja[0]
 
 
 # ---------------------------------------------------------------------------
@@ -361,3 +398,79 @@ def test_transfer_translation_duality():
                      breakpoints=f.breakpoints + tuple(b - 1.5 for b in g.breakpoints)),
         f.support, tol=1e-10)
     assert abs(lhs - rhs) < 1e-9 + e1 + e2
+
+
+# ---------------------------------------------------------------------------
+# transfer operator against a brute-force recursion written from the closed
+# forms, independent of the systems' preimage code
+
+def _boole_transfer_brute(f_exact, x, n):
+    """sum over depth-n Boole preimages y of f(y) * prod y^2 / (1 + y^2),
+    with y+- = (x +- sqrt(x^2 + 4)) / 2 taken in 50-digit decimals."""
+    with localcontext() as ctx:
+        ctx.prec = 50
+
+        def rec(x, k):
+            if k == 0:
+                return f_exact(x)
+            d = (x * x + 4).sqrt()
+            return sum(y * y / (1 + y * y) * rec(y, k - 1)
+                       for y in ((x + d) / 2, (x - d) / 2))
+
+        return float(rec(Decimal(float(x)), n))
+
+
+def test_transfer_boole_matches_closed_form_recursion():
+    # f = 1 - (y/20)^2 on [-20, 20]: continuous, and at least 0.6 at every
+    # depth-6 preimage of [-5, 5] (each branch moves |y| by at most 1)
+    def f_exact(y):
+        return 1 - (y / 20) ** 2 if abs(y) <= 20 else Decimal(0)
+
+    def _eval(x):
+        x = np.asarray(x, dtype=float)
+        return np.where(np.abs(x) <= 20.0, 1.0 - (x / 20.0) ** 2, 0.0)
+
+    f = TestFunction(eval=_eval, support=window((-20.0, 20.0)), sup_bound=1.0)
+    sys = make_boole()
+    xs = np.random.default_rng(37).uniform(-5.0, 5.0, 12)
+    for n in range(7):
+        # tail_tol only sizes the declared support, not the pointwise values
+        got = transfer_apply(f, sys, n, tail_tol=1.0).eval(xs)
+        want = np.array([_boole_transfer_brute(f_exact, x, n) for x in xs])
+        assert np.max(np.abs(got - want) / np.abs(want)) < 1e-13, n
+
+
+def test_transfer_composite_with_breakpoints_matches_recursion():
+    length, angle, step = 1.0, GOLDEN, 1.0
+    c0, c1 = CIRCLE_OFFSET, CIRCLE_OFFSET + length
+    sys = make_composite(circumference=length, angle=angle, step=step)
+    line = piecewise_constant((-3.0, -1.0, 0.5, 2.0), (1.0, -2.0, 0.5))
+    circle = piecewise_constant((c0, c0 + 0.5, c1), (3.0, -1.5))
+
+    def _eval(x):
+        return line.eval(x) + circle.eval(x)
+
+    f = TestFunction(eval=_eval, support=window((-3.0, 2.0), (c0, c1)),
+                     sup_bound=3.0, breakpoints=line.breakpoints + circle.breakpoints)
+
+    def back(x):
+        # rotate the circle by -angle; on the line, collapse the circle
+        # segment, shift by -step, then re-insert the segment
+        if c0 <= x < c1:
+            return c0 + (x - c0 - angle) % length
+        u = (x - length if x >= c1 else x) - step
+        return u + length if u >= c0 else u
+
+    rng = np.random.default_rng(43)
+    for n in range(7):
+        g = transfer_apply(f, sys, n)
+        assert set(b + n for b in line.breakpoints) <= set(g.breakpoints)
+        xs = np.concatenate([rng.uniform(-4.0, 10.0, 40),
+                             c0 + rng.uniform(0.0, length, 40),
+                             [b + n for b in line.breakpoints]])
+        want = []
+        for x in xs:
+            for _ in range(n):
+                x = back(x)
+            want.append(float(_eval(np.array([x]))[0]))
+        assert np.array_equal(g.eval(xs), np.array(want)), n
