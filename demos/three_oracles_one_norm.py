@@ -6,7 +6,7 @@ The star norm of a simple function is the mean absolute value of its
 centered Poisson integral.  The package computes it three independent ways:
 
   * exact summation over the joint Poisson law of the atoms,
-  * characteristic-function inversion (a certified quadrature),
+  * characteristic-function inversion (a quadrature with an error estimate),
   * plain Monte Carlo over seeded samples.
 
 Agreement of all three on the same input is the strongest correctness check
@@ -39,5 +39,5 @@ for name, s in panel:
 
 print("\nThe lattice-valued Skellam case is the hard one for the quadrature:")
 print("its characteristic function is periodic, so the inversion integrand")
-print("decays only like 1/t^2 and certified tolerances below ~1e-7 get")
+print("decays only like 1/t^2 and tolerances below ~1e-7 get")
 print("expensive.  The exact oracle has no such difficulty.")

@@ -26,10 +26,8 @@ from .measure import (
     window_union,
 )
 from .orlicz import (
-    NormReport,
     gauge_norm,
     modular,
-    norm_report,
     orlicz_norm_amemiya,
     orlicz_norm_paper,
     young_phi,
@@ -55,7 +53,6 @@ from .poisson import (
     starstar_norm_exact,
 )
 from .dynamics import (
-    BirkhoffAverage,
     DynamicalSystem,
     birkhoff,
     circle_indicator,

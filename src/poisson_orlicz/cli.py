@@ -30,6 +30,7 @@ from .measure import (
 )
 from .orlicz import gauge_norm, orlicz_norm_amemiya, orlicz_norm_paper
 from .poisson import (
+    QuadratureError,
     estimate_star_norm,
     estimate_starstar_norm,
     sample_process,
@@ -39,7 +40,6 @@ from .poisson import (
 )
 from .dynamics import birkhoff, transfer_apply
 from .experiments import (
-    ConfigError,
     ExperimentConfig,
     build_function,
     build_system,
@@ -50,9 +50,6 @@ from .experiments import (
 )
 
 __all__ = ["main", "parse_atoms", "parse_function_spec", "parse_system_spec"]
-
-NORM_NAMES = ("gauge", "orlicz", "amemiya", "star", "starstar", "l1", "l2")
-
 
 class UsageError(Exception):
     """Bad invocation or unusable input; mapped to exit code 1."""
@@ -227,8 +224,7 @@ def cmd_norm(args) -> int:
                          f"choose from {', '.join(NORM_NAMES)}")
 
     if args.atoms is not None:
-        s = SimpleFunction(parse_atoms(args.atoms))
-        f = None
+        g = SimpleFunction(parse_atoms(args.atoms))
     else:
         spec = parse_function_spec(args.function)
         f = build_function(spec)
@@ -241,57 +237,53 @@ def cmd_norm(args) -> int:
             else:
                 f = transfer_apply(f, sys_d, args.depth)
         try:
-            s = piecewise_to_simple(f)
+            g = piecewise_to_simple(f)
         except ValueError:
-            s = None
-
-    lines = []
-    for name in which:
-        if s is not None:
-            value = _simple_norm(name, s)
-            lines.append(f"{name} {value!r}")
-        else:
-            lines.append(_mc_norm_line(name, f, args))
+            g = f
+    lines = [f"{name} {_NORMS[name](g, args)}" for name in which]
     _emit("\n".join(lines) + "\n", args.output)
     return 0
 
 
-def _simple_norm(name: str, s: SimpleFunction) -> float:
-    if name == "gauge":
-        return float(gauge_norm(s))
-    if name == "orlicz":
-        return float(orlicz_norm_paper(s))
-    if name == "amemiya":
-        return float(orlicz_norm_amemiya(s))
-    if name == "star":
+def _moments(g) -> tuple[float, float]:
+    """(l1, l2): exact for a SimpleFunction, by quadrature otherwise."""
+    if isinstance(g, SimpleFunction):
+        l1, l2sq, _ = simple_moments(g)
+    else:
+        (l1, l2sq, _), _ = function_moments(g, tol=1e-9)
+    return float(l1), math.sqrt(l2sq)
+
+
+def _poisson_norm(name: str, g, args) -> str:
+    """star or starstar: the exact oracle on a SimpleFunction (star falls
+    back to Hsu beyond its reach), a seeded Monte Carlo estimate otherwise."""
+    if isinstance(g, SimpleFunction):
+        if name == "starstar":
+            return repr(float(starstar_norm_exact(g)))
         try:
-            return float(star_norm_exact(s))
+            return repr(float(star_norm_exact(g)))
         except ValueError:
-            return float(star_norm_hsu(s, tol=1e-8))
-    if name == "starstar":
-        return float(starstar_norm_exact(s))
-    l1, l2sq, _ = simple_moments(s)
-    return float(l1) if name == "l1" else math.sqrt(l2sq)
-
-
-def _mc_norm_line(name: str, f, args) -> str:
-    if name in ("gauge", "orlicz", "amemiya", "l1", "l2"):
-        if name == "gauge":
-            return f"gauge {float(gauge_norm(f))!r}"
-        if name == "orlicz":
-            return f"orlicz {float(orlicz_norm_paper(f))!r}"
-        if name == "amemiya":
-            return f"amemiya {float(orlicz_norm_amemiya(f))!r}"
-        mom, _ = function_moments(f, tol=1e-9)
-        value = float(mom.l1) if name == "l1" else math.sqrt(mom.l2sq)
-        return f"{name} {value!r}"
+            return repr(float(star_norm_hsu(g, tol=1e-8)))
     if args.seed is None:
         raise UsageError(f"{name} of a non-simple function is a Monte Carlo "
                          "estimate and needs --seed")
     est_fn = estimate_star_norm if name == "star" else estimate_starstar_norm
-    est = est_fn(f, f.support, args.replicates, args.seed)
-    return (f"{name} {est.mean!r} se={est.std_error!r} "
-            f"trunc={est.truncation_bound!r}")
+    est = est_fn(g, g.support, args.replicates, args.seed)
+    return f"{est.mean!r} se={est.std_error!r} trunc={est.truncation_bound!r}"
+
+
+# name -> evaluator(g, args) giving the printed value; g is the input's
+# SimpleFunction when it has an exact atom form, else its TestFunction
+_NORMS = {
+    "gauge": lambda g, args: repr(float(gauge_norm(g))),
+    "orlicz": lambda g, args: repr(float(orlicz_norm_paper(g))),
+    "amemiya": lambda g, args: repr(float(orlicz_norm_amemiya(g))),
+    "star": lambda g, args: _poisson_norm("star", g, args),
+    "starstar": lambda g, args: _poisson_norm("starstar", g, args),
+    "l1": lambda g, args: repr(_moments(g)[0]),
+    "l2": lambda g, args: repr(_moments(g)[1]),
+}
+NORM_NAMES = tuple(_NORMS)
 
 
 # ---------------------------------------------------------------------------
@@ -428,10 +420,8 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (ConfigError, ValueError) as exc:
+    except (UsageError, ValueError, QuadratureError) as exc:
+        # ConfigError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -27,7 +27,6 @@ from .measure import TestFunction, Window, integrate, window, window_translate
 
 __all__ = [
     "DynamicalSystem",
-    "BirkhoffAverage",
     "CIRCLE_OFFSET",
     "GOLDEN",
     "make_translation",
@@ -227,37 +226,24 @@ def circle_indicator(sys: DynamicalSystem, scale: float = 1.0) -> TestFunction:
 # ---------------------------------------------------------------------------
 # Birkhoff averages
 
-@dataclass(frozen=True)
-class BirkhoffAverage(TestFunction):
-    """(1/n) sum_{k} base(T^{p_k} x) as an evaluable TestFunction.
-
-    ``powers`` defaults to (1, ..., n); a strictly increasing subsequence
-    of exponents gives subsequence averages.
-    """
-
-    base: TestFunction | None = None
-    system: DynamicalSystem | None = None
-    depth: int = 0
-    powers: tuple[int, ...] = ()
-
-
-def _pullback_breakpoints(sys: DynamicalSystem, pts, depth: int,
-                          cap: int = 20000) -> tuple[float, ...] | None:
+def _pullback_breakpoints(sys: DynamicalSystem, pts, depth: int) -> tuple[float, ...] | None:
     """All branch preimages of ``pts`` down to ``depth``; None when the
-    branch tree exceeds ``cap`` points."""
+    branch tree exceeds 20000 points."""
     level = np.asarray(pts, dtype=float)
     out = set(level.tolist())
     for _ in range(int(depth)):
         level = np.concatenate([y[np.isfinite(y)] for y, _ in sys.preimages(level)])
-        if len(out) + level.size > cap:
+        if len(out) + level.size > 20000:
             return None
         out.update(level.tolist())
     return tuple(sorted(out))
 
 
 def birkhoff(f: TestFunction, sys: DynamicalSystem, n: int,
-             subsequence=None) -> BirkhoffAverage:
-    """The depth-n Birkhoff average of f along T (or along a subsequence)."""
+             subsequence=None) -> TestFunction:
+    """The depth-n Birkhoff average (1/n) sum_k f(T^{p_k} x) as a
+    TestFunction.  The exponents p_k are (1, ..., n) by default; a strictly
+    increasing ``subsequence`` of n exponents gives subsequence averages."""
     n = int(n)
     if n < 1:
         raise ValueError("depth must be >= 1")
@@ -282,17 +268,13 @@ def birkhoff(f: TestFunction, sys: DynamicalSystem, n: int,
         return acc / count
 
     bps = _pullback_breakpoints(sys, f.breakpoints, kmax)
-    return BirkhoffAverage(
+    return TestFunction(
         eval=_eval,
         support=sys.backward_inflate(f.support, kmax),
         sup_bound=f.sup_bound,
         l1_tail_bound=f.l1_tail_bound,
         l2_tail_bound=f.l2_tail_bound,
         breakpoints=bps if bps is not None else (),
-        base=f,
-        system=sys,
-        depth=n,
-        powers=powers,
     )
 
 

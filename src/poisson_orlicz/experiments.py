@@ -6,6 +6,13 @@ Monte Carlo star-norm estimate, the deterministic norm columns, and a tuple
 of pass/fail verdicts with numeric margins.  A margin is the slack left in
 the inequality being checked: nonnegative means pass.
 
+The per-depth scenarios (birkhoff_decay, blum_hanson, transfer_decay,
+starstar_ergodic, invariant_vector) share one row builder, ``_depth_rows``.
+A scenario hands it the derived function g_n, the sampling window, the
+centre (which selects E|N(g) - centre| over the star norm) and its own
+verdicts; the builder runs the Monte Carlo estimate and the norm columns
+and adds the expected_star and slope verdicts itself.
+
 Everything downstream of the seed is deterministic: rerunning a config with
 the same seed reproduces every row bit for bit, and the JSON/CSV writers
 emit canonical text so outputs can be compared byte-wise.
@@ -37,7 +44,6 @@ from .dynamics import (
 from .measure import (
     SimpleFunction,
     TestFunction,
-    Window,
     function_moments,
     indicator,
     integrate,
@@ -51,6 +57,7 @@ from .measure import (
 )
 from .orlicz import gauge_norm, orlicz_norm_paper
 from .poisson import (
+    _QUAD_TOL,
     MCEstimate,
     _estimate_abs,
     _philox,
@@ -133,14 +140,16 @@ _CONFIG_KEYS = ("scenario", "system", "function", "depths", "replicates",
 def _typed(key: str, value, kind: type):
     """``value`` of config field ``key``, refused unless it already has
     JSON type ``kind``: nothing is coerced, and a bool is not an integer."""
-    if kind is int:
-        ok = isinstance(value, numbers.Integral) and not isinstance(value, bool)
+    if kind in (int, float):
+        numeric = numbers.Integral if kind is int else numbers.Real
+        ok = isinstance(value, numeric) and not isinstance(value, bool)
     else:
         ok = isinstance(value, kind)
     if not ok:
-        names = {int: "an integer", str: "a string", dict: "a JSON object"}
+        names = {int: "an integer", float: "a number", str: "a string",
+                 dict: "a JSON object"}
         raise ConfigError(f"{key} must be {names[kind]}, got {value!r}")
-    return int(value) if kind is int else kind(value)
+    return kind(value)
 
 
 @dataclass(frozen=True)
@@ -186,6 +195,16 @@ class ExperimentConfig:
             raise ConfigError(f"subsequence must be one of {names}")
         if int(self.subsequence_cap) < 1:
             raise ConfigError("subsequence_cap must be positive")
+        for key, value in self.tolerances.items():
+            _typed(f"tolerances.{key}", value, float)
+        for key, value in _typed("expected.star", self.expected.get("star", {}),
+                                 dict).items():
+            _typed(f"expected.star.{key}", value, float)
+        if "slope" in self.expected:
+            slope = _typed("expected.slope", self.expected["slope"], dict)
+            _typed("expected.slope.value", slope.get("value"), float)
+            _typed("expected.slope.tol", slope.get("tol", 0.1), float)
+            _typed("expected.slope.min_depth", slope.get("min_depth", 8), int)
 
     def to_dict(self) -> dict:
         return {
@@ -263,17 +282,15 @@ def build_system(spec: dict) -> DynamicalSystem:
     if not isinstance(spec, dict) or "kind" not in spec:
         raise ConfigError("system spec needs a 'kind' field")
     kind = spec["kind"]
+    num = lambda key, default: _typed(f"system.{key}", spec.get(key, default), float)
     try:
         if kind == "translation":
-            return make_translation(float(spec.get("step", 1.0)))
+            return make_translation(num("step", 1.0))
         if kind == "boole":
             return make_boole()
         if kind == "composite":
-            return make_composite(
-                circumference=float(spec.get("circumference", 1.0)),
-                angle=float(spec.get("angle", GOLDEN)),
-                step=float(spec.get("step", 1.0)),
-            )
+            return make_composite(circumference=num("circumference", 1.0),
+                                  angle=num("angle", GOLDEN), step=num("step", 1.0))
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     raise ConfigError(f"unknown system kind {kind!r}")
@@ -326,24 +343,9 @@ def build_function(spec: dict, sys: DynamicalSystem | None = None) -> TestFuncti
 # ---------------------------------------------------------------------------
 # norm columns
 
-def _merge_atoms(s: SimpleFunction) -> SimpleFunction:
-    """Combine cells carrying the same value; the law of N(f) only sees the
-    total mass at each value."""
-    masses: dict[float, float] = {}
-    for v, m in s.atoms:
-        masses[v] = masses.get(v, 0.0) + m
-    return SimpleFunction(tuple(sorted(masses.items())))
-
-
-def _simple_or_none(g: TestFunction) -> SimpleFunction | None:
-    try:
-        return _merge_atoms(piecewise_to_simple(g))
-    except ValueError:
-        return None
-
-
-def _discretize(g: TestFunction, cells: int = 1200) -> SimpleFunction:
-    """Midpoint piecewise-constant surrogate on a breakpoint-aligned grid.
+def _discretize(g: TestFunction) -> SimpleFunction:
+    """Midpoint piecewise-constant surrogate on a breakpoint-aligned grid of
+    about 1200 cells.
 
     The grid covers the part of the support within a core radius around the
     breakpoint hull; far tails are left out, so norms of the surrogate are
@@ -361,7 +363,7 @@ def _discretize(g: TestFunction, cells: int = 1200) -> SimpleFunction:
     for lo, hi in core.intervals:
         edges = [lo] + [b for b in bps if lo < b < hi] + [hi]
         for a, b in zip(edges, edges[1:]):
-            k = max(1, int(round(cells * (b - a) / total)))
+            k = max(1, int(round(1200 * (b - a) / total)))
             grid = np.linspace(a, b, k + 1)
             vals = np.asarray(g.eval(0.5 * (grid[:-1] + grid[1:])), dtype=float)
             for v, m in zip(vals, np.diff(grid)):
@@ -372,7 +374,10 @@ def _discretize(g: TestFunction, cells: int = 1200) -> SimpleFunction:
 
 def _norm_columns(g: TestFunction):
     """(gauge, orlicz, l1, l2, source, simple-or-None) for a row function."""
-    s = _simple_or_none(g)
+    try:
+        s = piecewise_to_simple(g)
+    except ValueError:
+        s = None
     if s is not None:
         l1, l2sq, _ = simple_moments(s)
         return (float(gauge_norm(s)), float(orlicz_norm_paper(s)),
@@ -386,43 +391,56 @@ def _norm_columns(g: TestFunction):
 # ---------------------------------------------------------------------------
 # verdict helpers
 
-def _exact_star_verdict(est: MCEstimate, s: SimpleFunction | None,
-                        sigma: float) -> Verdict | None:
+def _band_verdict(vid: str, est: MCEstimate, target: float, sigma: float,
+                  slack: float = 0.0) -> Verdict:
+    """The estimate within sigma standard errors plus its truncation bound
+    (and ``slack``) of ``target``."""
+    band = sigma * est.std_error + est.truncation_bound + slack + 1e-9
+    return _verdict(vid, band - abs(est.mean - target))
+
+
+def _oracle_verdict(vid: str, est: MCEstimate, oracle, s: SimpleFunction | None,
+                    sigma: float) -> Verdict | None:
+    """The estimate against oracle(s); none when the row has no simple form
+    or the oracle refuses it."""
     if s is None:
         return None
     try:
-        target = star_norm_exact(s)
+        target = oracle(s)
     except ValueError:
         return None
-    band = sigma * est.std_error + est.truncation_bound + 1e-9
-    return _verdict("exact_oracle", band - abs(est.mean - target))
+    return _band_verdict(vid, est, target, sigma)
 
 
 def _expected_star_verdict(cfg: ExperimentConfig, n: int,
                            est: MCEstimate) -> Verdict | None:
-    targets = cfg.expected.get("star")
-    if not isinstance(targets, dict) or str(n) not in targets:
+    targets = cfg.expected.get("star", {})
+    if str(n) not in targets:
         return None
-    target = float(targets[str(n)])
-    band = cfg.tol("sigma", 3.0) * est.std_error + est.truncation_bound + 1e-9
-    return _verdict("expected_star", band - abs(est.mean - target))
+    return _band_verdict("expected_star", est, float(targets[str(n)]),
+                         cfg.tol("sigma", 3.0))
 
 
-def _nonincreasing_verdict(prev: MCEstimate | None, est: MCEstimate) -> Verdict:
-    if prev is None:
+def _nonincreasing_verdict(rows: list[ExperimentRow], est: MCEstimate) -> Verdict:
+    if not rows:
         return _verdict("star_nonincreasing", 0.0)
+    prev = rows[-1].star
     band = 2.0 * (prev.std_error + est.std_error) \
         + prev.truncation_bound + est.truncation_bound
     return _verdict("star_nonincreasing", prev.mean + band - est.mean)
 
 
-def _l1_verdict(l1: float, l1_first: float, band: float) -> Verdict:
-    return _verdict("l1_constant", band - abs(l1 - l1_first))
+def _constant_l1_verdict(vid: str, band: float, rows: list[ExperimentRow],
+                         row: ExperimentRow) -> Verdict:
+    """The row's L1 column within ``band`` of the first row's."""
+    first = rows[0].l1 if rows else row.l1
+    return _verdict(vid, band - abs(row.l1 - first))
 
 
 def _slope_verdict(rows: list[ExperimentRow], spec: dict) -> Verdict | None:
-    """Least-squares log-log slope of the star column over the deeper rows."""
-    min_depth = int(spec.get("min_depth", 8))
+    """Least-squares log-log slope of the star column over the rows at
+    depth >= max(min_depth, 1)."""
+    min_depth = max(int(spec.get("min_depth", 8)), 1)
     pts = [(math.log(r.n), math.log(r.star.mean)) for r in rows
            if r.n >= min_depth and r.star.mean > 0]
     if len(pts) < 2:
@@ -435,56 +453,74 @@ def _slope_verdict(rows: list[ExperimentRow], spec: dict) -> Verdict | None:
     return _verdict("slope", tol - abs(slope - float(spec["value"])))
 
 
-def _append_verdict(row: ExperimentRow, v: Verdict) -> ExperimentRow:
-    return dataclasses.replace(row, verdicts=row.verdicts + (v,))
+# ---------------------------------------------------------------------------
+# the per-depth row builder
+
+def _depth_rows(cfg: ExperimentConfig, derive: Callable[[int], TestFunction],
+                checks, window_of=None, center: float | None = None,
+                quad_tol: float = _QUAD_TOL):
+    """Rows and summary of a per-depth scenario.
+
+    For each depth n: g = derive(n); the Monte Carlo estimate over
+    window_of(g, n) (default: g's support) of the star norm, or of
+    E|N(g) - center| when ``center`` is given; the norm columns; then the
+    verdicts checks(row, s, rows) -- s the row's simple form or None, rows
+    the rows so far -- followed by expected_star.  The slope verdict, when
+    expected, goes on the last row.
+    """
+    chash = cfg.config_hash()
+    rows: list[ExperimentRow] = []
+    for n in cfg.depths:
+        n = int(n)
+        g = derive(n)
+        w = g.support if window_of is None else window_of(g, n)
+        seed = _row_seed(cfg.seed, n)
+        if center is None:
+            est = estimate_star_norm(g, w, cfg.replicates, seed, quad_tol=quad_tol)
+        else:
+            est = _estimate_abs(g, w, cfg.replicates, seed, center=center,
+                                quad_tol=quad_tol)
+        gauge, orl, l1, l2, source, s = _norm_columns(g)
+        row = ExperimentRow(n, est, gauge, orl, l1, l2, (), cfg.seed, chash, source)
+        verdicts = (*checks(row, s, rows), _expected_star_verdict(cfg, n, est))
+        rows.append(dataclasses.replace(
+            row, verdicts=tuple(v for v in verdicts if v is not None)))
+    if "slope" in cfg.expected:
+        sv = _slope_verdict(rows, cfg.expected["slope"])
+        if sv is not None:
+            rows[-1] = dataclasses.replace(rows[-1], verdicts=rows[-1].verdicts + (sv,))
+    return rows, _summarize(cfg, rows)
 
 
 # ---------------------------------------------------------------------------
 # scenario runners
 
-def _average_rows(cfg: ExperimentConfig, powers_of: Callable[[int], tuple],
-                  scenario: str):
-    """Shared driver for the two Birkhoff-average scenarios."""
+def _system_and_function(cfg: ExperimentConfig, kinds: tuple[str, ...]):
+    """The config's system, refused unless its kind is one of ``kinds``, and
+    its function built on it."""
     sys = build_system(cfg.system)
-    if sys.kind == "composite":
-        raise ConfigError(f"{scenario} does not admit the composite system")
-    f = build_function(cfg.function, sys)
-    chash = cfg.config_hash()
+    if sys.kind not in kinds:
+        raise ConfigError(f"{cfg.scenario} runs on the {' or '.join(kinds)} "
+                          "system only")
+    return sys, build_function(cfg.function, sys)
+
+
+def _average_decay_rows(cfg: ExperimentConfig, subsequence: Callable[[int], tuple | None]):
+    """Rows of Birkhoff averages g_n, along subsequence(n) when not None."""
+    sys, f = _system_and_function(cfg, ("translation", "boole"))
     sigma = cfg.tol("sigma", 3.0)
-    rows: list[ExperimentRow] = []
-    prev = None
-    l1_first = None
-    for n in cfg.depths:
-        n = int(n)
-        g = birkhoff(f, sys, n, subsequence=powers_of(n))
-        est = estimate_star_norm(g, g.support, cfg.replicates,
-                                 _row_seed(cfg.seed, n))
-        gauge, orl, l1, l2, source, s = _norm_columns(g)
-        if l1_first is None:
-            l1_first = l1
-        verdicts = [
-            _l1_verdict(l1, l1_first, cfg.tol("l1_band", 1e-6)),
-            _nonincreasing_verdict(prev, est),
-        ]
-        for v in (_exact_star_verdict(est, s, sigma),
-                  _expected_star_verdict(cfg, n, est)):
-            if v is not None:
-                verdicts.append(v)
-        rows.append(ExperimentRow(n, est, gauge, orl, l1, l2,
-                                  tuple(verdicts), cfg.seed, chash, source))
-        prev = est
-    if "slope" in cfg.expected:
-        sv = _slope_verdict(rows, cfg.expected["slope"])
-        if sv is not None:
-            rows[-1] = _append_verdict(rows[-1], sv)
-    return rows
+    return _depth_rows(
+        cfg, lambda n: birkhoff(f, sys, n, subsequence=subsequence(n)),
+        lambda row, s, rows: (
+            _constant_l1_verdict("l1_constant", cfg.tol("l1_band", 1e-6), rows, row),
+            _nonincreasing_verdict(rows, row.star),
+            _oracle_verdict("exact_oracle", row.star, star_norm_exact, s, sigma)))
 
 
 def run_birkhoff_decay(cfg: ExperimentConfig):
     """Star norm of depth-n Birkhoff averages against the L1 column."""
     cfg.validate()
-    rows = _average_rows(cfg, lambda n: None, "birkhoff_decay")
-    return rows, _summarize(cfg, rows)
+    return _average_decay_rows(cfg, lambda n: None)
 
 
 def run_blum_hanson(cfg: ExperimentConfig):
@@ -502,49 +538,29 @@ def run_blum_hanson(cfg: ExperimentConfig):
         if not kept:
             raise ConfigError("every requested depth overflows the subsequence cap")
         cfg = dataclasses.replace(cfg, depths=kept)
-    rows = _average_rows(
-        cfg, lambda n: tuple(formula(k) for k in range(1, int(n) + 1)),
-        "blum_hanson")
-    return rows, _summarize(cfg, rows)
+    return _average_decay_rows(
+        cfg, lambda n: tuple(formula(k) for k in range(1, n + 1)))
 
 
 def run_transfer_decay(cfg: ExperimentConfig):
     """Star norm of transfer-operator iterates under the Boole map."""
     cfg.validate()
-    sys = build_system(cfg.system)
-    if sys.kind != "boole":
-        raise ConfigError("transfer_decay runs on the Boole system only")
-    f = build_function(cfg.function, sys)
-    chash = cfg.config_hash()
+    sys, f = _system_and_function(cfg, ("boole",))
     sigma = cfg.tol("sigma", 3.0)
     tail_tol = cfg.tol("tail", 1e-4)
-    mc_quad = cfg.tol("mc_quad", 1e-6)
     mass_band = cfg.tol("mass_band", 2.0 * tail_tol + 1e-5)
-    rows: list[ExperimentRow] = []
-    prev = None
-    l1_first = None
-    for n in cfg.depths:
-        n = int(n)
-        g = transfer_apply(f, sys, n, tail_tol=tail_tol)
+
+    def mc_window(g, n):
         r_mc = cfg.tol("mc_radius", 50.0) + n
-        w_mc = window_intersect(g.support, window((-r_mc, r_mc)))
-        est = estimate_star_norm(g, w_mc, cfg.replicates,
-                                 _row_seed(cfg.seed, n), quad_tol=mc_quad)
-        gauge, orl, l1, l2, source, s = _norm_columns(g)
-        if l1_first is None:
-            l1_first = l1
-        verdicts = [
-            _verdict("mass_conserved", mass_band - abs(l1 - l1_first)),
-            _nonincreasing_verdict(prev, est),
-        ]
-        for v in (_exact_star_verdict(est, s, sigma),
-                  _expected_star_verdict(cfg, n, est)):
-            if v is not None:
-                verdicts.append(v)
-        rows.append(ExperimentRow(n, est, gauge, orl, l1, l2,
-                                  tuple(verdicts), cfg.seed, chash, source))
-        prev = est
-    return rows, _summarize(cfg, rows)
+        return window_intersect(g.support, window((-r_mc, r_mc)))
+
+    return _depth_rows(
+        cfg, lambda n: transfer_apply(f, sys, n, tail_tol=tail_tol),
+        lambda row, s, rows: (
+            _constant_l1_verdict("mass_conserved", mass_band, rows, row),
+            _nonincreasing_verdict(rows, row.star),
+            _oracle_verdict("exact_oracle", row.star, star_norm_exact, s, sigma)),
+        window_of=mc_window, quad_tol=cfg.tol("mc_quad", 1e-6))
 
 
 def run_urbanik_scan(cfg: ExperimentConfig):
@@ -554,17 +570,26 @@ def run_urbanik_scan(cfg: ExperimentConfig):
     spec = cfg.function
     if spec.get("shape") != "random_atoms":
         raise ConfigError("urbanik_scan needs the random_atoms generator spec")
-    samples = int(spec.get("samples", 200))
-    max_atoms = int(spec.get("max_atoms", 5))
-    v_lo, v_hi = (float(x) for x in spec.get("value_range", (0.05, 5.0)))
-    m_lo, m_hi = (float(x) for x in spec.get("mass_range", (0.01, 10.0)))
+    samples = _typed("function.samples", spec.get("samples", 200), int)
+    max_atoms = _typed("function.max_atoms", spec.get("max_atoms", 5), int)
+
+    def pair(key, default):
+        lo_hi = spec.get(key, default)
+        if not isinstance(lo_hi, (list, tuple)) or len(lo_hi) != 2:
+            raise ConfigError(f"function.{key} must be a [lo, hi] pair, got {lo_hi!r}")
+        return (_typed(f"function.{key} entry", x, float) for x in lo_hi)
+
+    v_lo, v_hi = pair("value_range", (0.05, 5.0))
+    m_lo, m_hi = pair("mass_range", (0.01, 10.0))
     if not (0 < v_lo < v_hi) or not (0 < m_lo < m_hi):
         raise ConfigError("value_range and mass_range must be positive and ordered")
     if max_atoms < 1 or max_atoms > 5:
         raise ConfigError("max_atoms must be between 1 and 5")
+    if samples < 1:
+        raise ConfigError("function.samples must be at least 1")
     rng = _philox(cfg.seed, _SCAN_STREAM)
     chash = cfg.config_hash()
-    scale = float(spec.get("homogeneity_scale", 4.0))
+    scale = _typed("function.homogeneity_scale", spec.get("homogeneity_scale", 4.0), float)
     rows: list[ExperimentRow] = []
     ratios_gauge: list[float] = []
     ratios_orlicz: list[float] = []
@@ -610,71 +635,35 @@ def run_starstar_ergodic(cfg: ExperimentConfig):
     """E|N(g_n) - int f| for Birkhoff averages g_n: the uncentered distance
     to the constant the averages converge to on the suspension."""
     cfg.validate()
-    sys = build_system(cfg.system)
-    if sys.kind == "composite":
-        raise ConfigError("starstar_ergodic does not admit the composite system")
-    f = build_function(cfg.function, sys)
-    center, _ = integrate(f, f.support, tol=1e-10)
-    chash = cfg.config_hash()
+    sys, f = _system_and_function(cfg, ("translation", "boole"))
+    center = float(integrate(f, f.support, tol=1e-10)[0])
     sigma = cfg.tol("sigma", 3.0)
-    rows: list[ExperimentRow] = []
-    prev = None
-    for n in cfg.depths:
-        n = int(n)
-        g = birkhoff(f, sys, n)
-        est = _estimate_abs(g, g.support, cfg.replicates,
-                            _row_seed(cfg.seed, n), center=float(center))
-        gauge, orl, l1, l2, source, s = _norm_columns(g)
-        verdicts = [_nonincreasing_verdict(prev, est)]
-        if s is not None:
-            try:
-                target = abs_moment_exact(s, center=float(center))
-            except ValueError:
-                target = None
-            if target is not None:
-                band = sigma * est.std_error + est.truncation_bound + 1e-9
-                verdicts.append(_verdict("center_oracle",
-                                         band - abs(est.mean - target)))
-        v = _expected_star_verdict(cfg, n, est)
-        if v is not None:
-            verdicts.append(v)
-        rows.append(ExperimentRow(n, est, gauge, orl, l1, l2,
-                                  tuple(verdicts), cfg.seed, chash, source))
-        prev = est
-    return rows, _summarize(cfg, rows)
+    return _depth_rows(
+        cfg, lambda n: birkhoff(f, sys, n),
+        lambda row, s, rows: (
+            _nonincreasing_verdict(rows, row.star),
+            _oracle_verdict("center_oracle", row.star,
+                            lambda t: abs_moment_exact(t, center=center), s, sigma)),
+        center=center)
 
 
 def run_invariant_vector(cfg: ExperimentConfig):
     """Birkhoff averages over the composite system: the star column stays at
     the exact norm of the invariant circle component."""
     cfg.validate()
-    sys = build_system(cfg.system)
-    if sys.kind != "composite":
-        raise ConfigError("invariant_vector needs the composite system")
-    f = build_function(cfg.function, sys)
+    sys, f = _system_and_function(cfg, ("composite",))
     length = sys.params[0]
     scale = float(cfg.function.get("scale", 1.0))
     target = star_norm_exact(SimpleFunction(((scale, length),)))
     target_l2sq = scale * scale * length
-    chash = cfg.config_hash()
     sigma = cfg.tol("sigma", 3.0)
-    rows: list[ExperimentRow] = []
-    for n in cfg.depths:
-        n = int(n)
-        g = birkhoff(f, sys, n)
-        est = estimate_star_norm(g, g.support, cfg.replicates,
-                                 _row_seed(cfg.seed, n))
-        gauge, orl, l1, l2, source, s = _norm_columns(g)
+
+    def checks(row, s, rows):
         # the transient part of the average is controlled by its L2 norm
-        drift = math.sqrt(max(l2 * l2 - target_l2sq, 0.0))
-        band = sigma * est.std_error + est.truncation_bound + drift + 1e-9
-        verdicts = [_verdict("at_invariant_level", band - abs(est.mean - target))]
-        v = _expected_star_verdict(cfg, n, est)
-        if v is not None:
-            verdicts.append(v)
-        rows.append(ExperimentRow(n, est, gauge, orl, l1, l2,
-                                  tuple(verdicts), cfg.seed, chash, source))
-    return rows, _summarize(cfg, rows)
+        drift = math.sqrt(max(row.l2 * row.l2 - target_l2sq, 0.0))
+        return (_band_verdict("at_invariant_level", row.star, target, sigma, drift),)
+
+    return _depth_rows(cfg, lambda n: birkhoff(f, sys, n), checks)
 
 
 def run_identity_suite(cfg: ExperimentConfig):
@@ -687,18 +676,14 @@ def run_identity_suite(cfg: ExperimentConfig):
     w = window((0.0, 2.0))
 
     # Mecke: constant, position-dependent, and count-coupled weights
-    lhs, rhs = mecke_check(lambda x, s: 1.0, w, R_mecke, seed + 1)
-    checks.append(_verdict("mecke_constant",
-                           4.0 * (lhs.std_error + rhs.std_error) + 1e-9
-                           - abs(lhs.mean - rhs.mean)))
-    lhs, rhs = mecke_check(lambda x, s: x, w, R_mecke, seed + 2)
-    checks.append(_verdict("mecke_position",
-                           4.0 * (lhs.std_error + rhs.std_error) + 1e-9
-                           - abs(lhs.mean - rhs.mean)))
-    lhs, rhs = mecke_check(lambda x, s: x * len(s.points), w, R_mecke, seed + 3)
-    checks.append(_verdict("mecke_count_coupled",
-                           4.0 * (lhs.std_error + rhs.std_error) + 1e-9
-                           - abs(lhs.mean - rhs.mean)))
+    for i, (name, phi) in enumerate((
+        ("mecke_constant", lambda x, s: 1.0),
+        ("mecke_position", lambda x, s: x),
+        ("mecke_count_coupled", lambda x, s: x * len(s.points)),
+    ), start=1):
+        lhs, rhs = mecke_check(phi, w, R_mecke, seed + i)
+        checks.append(_verdict(name, 4.0 * (lhs.std_error + rhs.std_error) + 1e-9
+                               - abs(lhs.mean - rhs.mean)))
 
     # difference operator: adding a point moves the integral by exactly f(x)
     fns = (
@@ -738,26 +723,16 @@ def run_identity_suite(cfg: ExperimentConfig):
     # input window T^{-1}[-1, 1]: one interval per Boole branch
     (y_plus, _), (y_minus, _) = boole.preimages(np.array([-1.0, 1.0]))
     win_b = (window(tuple(y_plus), tuple(y_minus)), window((-1.0, 1.0)))
-    for name, sys_d, fd, wins, band in (
-        ("equivariance_translation", trans, f_eq, win_t, 1e-8),
-        ("equivariance_boole", boole, f_bo, win_b, 1e-7),
-    ):
-        worst = 0.0
-        for t in range(10):
-            s = sample_process(wins[0], seed + 7, t)
-            l, r = equivariance_check(fd, sys_d, s, wins)
-            worst = max(worst, abs(l - r))
-        checks.append(_verdict(name, band - worst))
-    for name, sys_d, fd, wins, band in (
-        ("coboundary_translation", trans, f_eq, win_t, 1e-8),
-        ("coboundary_boole", boole, f_bo, win_b, 1e-7),
-    ):
-        worst = 0.0
-        for t in range(10):
-            s = sample_process(wins[0], seed + 8, t)
-            l, r = coboundary_check(fd, sys_d, s, wins)
-            worst = max(worst, abs(l - r))
-        checks.append(_verdict(name, band - worst))
+    for name, check, offset in (("equivariance", equivariance_check, 7),
+                                ("coboundary", coboundary_check, 8)):
+        for kind, sys_d, fd, wins, band in (("translation", trans, f_eq, win_t, 1e-8),
+                                            ("boole", boole, f_bo, win_b, 1e-7)):
+            worst = 0.0
+            for t in range(10):
+                s = sample_process(wins[0], seed + offset, t)
+                l, r = check(fd, sys_d, s, wins)
+                worst = max(worst, abs(l - r))
+            checks.append(_verdict(f"{name}_{kind}", band - worst))
 
     # uncentered norm identities
     f_pos = piecewise_constant((0.0, 0.6, 1.4), (0.8, 1.3))

@@ -1,5 +1,5 @@
 """Finite-measure windows on the real line, evaluable test functions, simple
-functions, and adaptive Gauss-Kronrod quadrature with explicit error bounds.
+functions, and adaptive Gauss-Kronrod quadrature with explicit error estimates.
 
 Everything downstream (norms, sampling, dynamics) runs on top of these three
 representations:
@@ -68,7 +68,7 @@ class Window:
         return inside
 
 
-def _normalize(pairs, gap_tol: float = 0.0) -> tuple[tuple[float, float], ...]:
+def _normalize(pairs) -> tuple[tuple[float, float], ...]:
     cleaned = []
     for lo, hi in pairs:
         lo, hi = float(lo), float(hi)
@@ -79,26 +79,21 @@ def _normalize(pairs, gap_tol: float = 0.0) -> tuple[tuple[float, float], ...]:
     cleaned.sort()
     merged: list[list[float]] = []
     for lo, hi in cleaned:
-        if merged and lo <= merged[-1][1] + gap_tol:
+        if merged and lo <= merged[-1][1]:
             merged[-1][1] = max(merged[-1][1], hi)
         else:
             merged.append([lo, hi])
     return tuple((lo, hi) for lo, hi in merged)
 
 
-def window(*pairs, gap_tol: float = 0.0) -> Window:
-    """Build a canonical Window from (lo, hi) pairs; overlaps are merged.
-
-    ``gap_tol`` > 0 additionally merges intervals separated by gaps smaller
-    than the tolerance (used to keep deep preimage unions small; merging only
-    ever enlarges the window, which is safe for supersets of supports).
-    """
-    return Window(_normalize(pairs, gap_tol))
+def window(*pairs) -> Window:
+    """Build a canonical Window from (lo, hi) pairs; overlaps are merged."""
+    return Window(_normalize(pairs))
 
 
-def window_union(a: Window, b: Window, gap_tol: float = 0.0) -> Window:
+def window_union(a: Window, b: Window) -> Window:
     """Canonical union of two windows."""
-    return Window(_normalize(list(a.intervals) + list(b.intervals), gap_tol))
+    return Window(_normalize(list(a.intervals) + list(b.intervals)))
 
 
 def window_intersect(a: Window, b: Window) -> Window:
@@ -164,6 +159,8 @@ class SimpleFunction:
 
     def __post_init__(self):
         for v, m in self.atoms:
+            if not (math.isfinite(v) and math.isfinite(m)):
+                raise ValueError(f"atom ({v}, {m}) is not finite")
             if v == 0:
                 raise ValueError("atom values must be nonzero")
             if not m > 0:
@@ -260,45 +257,32 @@ def triangular_bump(center: float, halfwidth: float, height: float = 1.0) -> Tes
     )
 
 
-def simple_to_test(f: SimpleFunction, origin: float = 0.0, gap: float = 0.5) -> TestFunction:
+def simple_to_test(f: SimpleFunction) -> TestFunction:
     """Lay the atoms of ``f`` out as consecutive intervals on the line.
 
-    Atom i occupies an interval of length m_i at value v_i, separated by
-    ``gap``; any such layout realizes the same law of the stochastic integral.
+    Atom i occupies an interval of length m_i at value v_i, starting at 0
+    with gaps of 0.5 between atoms; any such layout realizes the same law
+    of the stochastic integral.
     """
-    breaks = []
-    values = []
-    x = float(origin)
-    for v, m in f.atoms:
-        breaks.append((x, x + m))
-        values.append(v)
-        x += m + gap
-    if not breaks:
+    if not f.atoms:
         return TestFunction(eval=lambda x: np.zeros_like(np.asarray(x, dtype=float)),
                             support=Window(), sup_bound=0.0)
-    all_breaks = sorted({b for lo, hi in breaks for b in (lo, hi)})
-
-    def _eval(x, breaks=tuple(breaks), values=tuple(values)):
-        x = np.asarray(x, dtype=float)
-        out = np.zeros(x.shape)
-        for (lo, hi), v in zip(breaks, values):
-            out = np.where((x >= lo) & (x < hi), v, out)
-        return out
-
-    return TestFunction(
-        eval=_eval,
-        support=window(*breaks),
-        sup_bound=float(max(abs(v) for v in values)),
-        breakpoints=tuple(all_breaks),
-    )
+    breaks, values = [], []
+    x = 0.0
+    for v, m in f.atoms:
+        breaks += [x, x + m]
+        values += [v, 0.0]
+        x += m + 0.5
+    return piecewise_constant(breaks, values[:-1])
 
 
-def piecewise_to_simple(f: TestFunction, check_points: int = 3) -> SimpleFunction:
-    """Exact atom representation of a piecewise-constant TestFunction.
+def piecewise_to_simple(f: TestFunction) -> SimpleFunction:
+    """Exact atom representation of a piecewise-constant TestFunction,
+    with atoms merged by value and sorted.
 
     The cells are the support intervals refined by the declared breakpoints.
-    Constancy on each cell is spot-checked at ``check_points`` interior
-    points; a non-constant cell raises ValueError.
+    Constancy on each cell is spot-checked at three interior points; a
+    non-constant cell raises ValueError.
     """
     if f.l1_tail_bound or f.l2_tail_bound:
         raise ValueError("tail-bounded functions have no exact atom form")
@@ -306,7 +290,7 @@ def piecewise_to_simple(f: TestFunction, check_points: int = 3) -> SimpleFunctio
     for lo, hi in f.support.intervals:
         cuts = sorted({lo, hi, *(b for b in f.breakpoints if lo < b < hi)})
         for a, b in zip(cuts, cuts[1:]):
-            probes = np.linspace(a, b, check_points + 2)[1:-1]
+            probes = np.linspace(a, b, 5)[1:-1]
             vals = np.asarray(f.eval(probes), dtype=float)
             if np.any(vals != vals[0]):
                 raise ValueError(f"cell ({a}, {b}) is not constant")
@@ -343,16 +327,18 @@ _G7_WEIGHTS = np.array([
 ])
 
 
-def _gk_batch(func, los: np.ndarray, his: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """K15 values and conservative error estimates for a batch of segments."""
-    half = 0.5 * (his - los)
-    mid = 0.5 * (his + los)
-    x = mid[:, None] + half[:, None] * _GK_NODES[None, :]
+def _gk_batch(func, mid: np.ndarray, half) -> tuple[np.ndarray, np.ndarray]:
+    """K15 values and |K15 - G7| error estimates for the segments mid +- half.
+
+    ``half`` is one half-width per segment or one shared by all of them.
+    |K15 - G7| is a heuristic estimate of the K15 error, not a proven
+    bound; it is kept pessimistic rather than applying the usual
+    (200 d)^1.5 sharpening.
+    """
+    x = mid[:, None] + np.multiply.outer(half, _GK_NODES)
     y = np.asarray(func(x.ravel()), dtype=float).reshape(x.shape)
     k15 = (y @ _K15_WEIGHTS) * half
     g7 = (y @ _G7_WEIGHTS) * half
-    # |K15 - G7| is a pessimistic bound on the K15 error; keep it conservative
-    # rather than applying the usual (200 d)^1.5 sharpening.
     return k15, np.abs(k15 - g7)
 
 
@@ -373,14 +359,14 @@ def integrate(
     transform: Callable[[np.ndarray], np.ndarray] | None = None,
     tol: float = 1e-9,
     max_segments: int = 20000,
-    extra_breakpoints: Sequence[float] = (),
 ) -> tuple[float, float]:
-    """Adaptive quadrature of transform(f(x)) over ``w``; returns (value, err_bound).
+    """Adaptive quadrature of transform(f(x)) over ``w``; returns (value, err).
 
-    Declared breakpoints of ``f``, the window's own interval endpoints, and
-    ``extra_breakpoints`` are forced subdivision points.  The worst segments
-    are bisected until the summed error bound is <= tol; if the segment budget
-    runs out first, the returned err_bound exceeds tol (never silent).
+    Declared breakpoints of ``f`` and the endpoints of its support intervals
+    are forced subdivision points.  ``err`` sums the per-segment |K15 - G7|
+    error estimates; the worst segments are bisected until it is <= tol.
+    If the segment budget runs out first, the returned err exceeds tol
+    (never silent).
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
@@ -394,14 +380,14 @@ def integrate(
     else:
         func = lambda x: np.asarray(transform(np.asarray(f.eval(x), dtype=float)), dtype=float)
 
-    forced = list(f.breakpoints) + list(extra_breakpoints)
+    forced = list(f.breakpoints)
     for lo, hi in f.support.intervals:
         forced += [lo, hi]
     los, his = _initial_segments(w, forced)
     if len(los) == 0:
         return 0.0, 0.0
 
-    vals, errs = _gk_batch(func, los, his)
+    vals, errs = _gk_batch(func, 0.5 * (his + los), 0.5 * (his - los))
     heap = [(-errs[i], los[i], his[i], vals[i], errs[i]) for i in range(len(los))]
     heapq.heapify(heap)
     total_val = float(vals.sum())
@@ -421,7 +407,7 @@ def integrate(
         for _, _, _, v, e in batch:
             total_val -= v
             total_err -= e
-        nv, ne = _gk_batch(func, new_lo, new_hi)
+        nv, ne = _gk_batch(func, 0.5 * (new_hi + new_lo), 0.5 * (new_hi - new_lo))
         for i in range(len(new_lo)):
             heapq.heappush(heap, (-ne[i], new_lo[i], new_hi[i], nv[i], ne[i]))
         total_val += float(nv.sum())
@@ -434,7 +420,7 @@ def function_moments(f: TestFunction, tol: float = 1e-9) -> tuple[Moments, float
     """Quadrature (l1, l2sq, integral) of a TestFunction over its support.
 
     Declared tail bounds are added to l1 (and l2sq via the square of the L2
-    tail); the second return value is the summed quadrature error bound.
+    tail); the second return value is the summed quadrature error estimate.
     """
     l1, e1 = integrate(f, transform=np.abs, tol=tol)
     l2sq, e2 = integrate(f, transform=np.square, tol=tol)

@@ -23,13 +23,10 @@ bounded factor, and the gap is surfaced rather than hidden.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Sequence
 
 import numpy as np
 
 from .measure import (
-    Moments,
     SimpleFunction,
     TestFunction,
     function_moments,
@@ -40,14 +37,12 @@ from .measure import (
 __all__ = [
     "PHI_KINK",
     "PSI_KINK",
-    "NormReport",
     "young_phi",
     "young_psi",
     "modular",
     "gauge_norm",
     "orlicz_norm_paper",
     "orlicz_norm_amemiya",
-    "norm_report",
     "golden_section_min",
 ]
 
@@ -242,63 +237,3 @@ def orlicz_norm_amemiya(f: TestFunction | SimpleFunction, tol: float = 1e-10) ->
     b = grid[min(i + 1, len(grid) - 1)]
     _, finite_min = golden_section_min(objective, a, b, tol=tol)
     return min(finite_min, 2.0 * l1)
-
-
-@dataclass(frozen=True)
-class NormReport:
-    """The norms of one function plus pairwise comparison verdicts."""
-
-    gauge: float
-    orlicz_paper: float
-    orlicz_amemiya: float
-    star: float | None = None
-    starstar: float | None = None
-    l1: float | None = None
-    l2: float | None = None
-    checks: tuple[tuple[str, bool, float], ...] = ()
-
-
-def norm_report(
-    f: TestFunction | SimpleFunction,
-    tol: float = 1e-10,
-    star: float | None = None,
-    starstar: float | None = None,
-) -> NormReport:
-    """Compute all norms of ``f`` and the comparison verdicts between them.
-
-    ``star``/``starstar`` are supplied by the caller (they require the
-    Poisson machinery); verdicts involving them are emitted only when given.
-    A bracket violation is a reportable finding, never a crash.
-    """
-    if isinstance(f, SimpleFunction):
-        l1, l2sq, _ = simple_moments(f)
-    else:
-        (l1, l2sq, _), _ = function_moments(f, tol=min(1e-9, tol))
-    gauge = gauge_norm(f, tol)
-    paper = orlicz_norm_paper(f, tol)
-    amemiya = orlicz_norm_amemiya(f, tol)
-    slack = max(1e-8, 10 * tol) * max(1.0, gauge)
-    checks = [
-        ("gauge<=orlicz_paper", paper >= gauge - slack, paper - gauge),
-        ("orlicz_paper<=2*gauge", paper <= 2 * gauge + slack, 2 * gauge - paper),
-        ("orlicz_paper<=2*l1", paper <= 2 * l1 + slack, 2 * l1 - paper),
-        ("amemiya_vs_paper_gap", True, amemiya - paper),
-    ]
-    if star is not None:
-        checks += [
-            ("marcus_lower_0.125*gauge<=star", star >= 0.125 * gauge - slack, star - 0.125 * gauge),
-            ("marcus_upper_star<=2.125*gauge", star <= 2.125 * gauge + slack, 2.125 * gauge - star),
-            ("star<=orlicz_paper", star <= paper + slack, paper - star),
-        ]
-    if starstar is not None:
-        checks.append(("starstar<=l1", starstar <= l1 + slack, l1 - starstar))
-    return NormReport(
-        gauge=gauge,
-        orlicz_paper=paper,
-        orlicz_amemiya=amemiya,
-        star=star,
-        starstar=starstar,
-        l1=l1,
-        l2=math.sqrt(l2sq),
-        checks=tuple(checks),
-    )

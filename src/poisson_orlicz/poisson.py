@@ -21,18 +21,16 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 from scipy import stats
 
 from .measure import (
-    _G7_WEIGHTS,
-    _GK_NODES,
-    _K15_WEIGHTS,
     SimpleFunction,
     TestFunction,
     Window,
+    _gk_batch,
     function_moments,
     integrate,
     piecewise_to_simple,
@@ -64,9 +62,11 @@ _QUAD_TOL = 1e-10
 
 
 class QuadratureError(RuntimeError):
-    """Raised when a quadrature cannot certify the requested tolerance.
+    """Raised when a quadrature's error estimate stays above the requested
+    tolerance.
 
-    Carries the best available value and its certified error bound.
+    Carries the best available value and its error estimate (a heuristic
+    |K15 - G7| sum plus the tail term, not a proven bound).
     """
 
     def __init__(self, partial: float, err_bound: float, message: str):
@@ -338,29 +338,26 @@ def _hsu_integrand(t: np.ndarray, v: np.ndarray, m: np.ndarray) -> np.ndarray:
 
 
 def _hsu_sweep(v: np.ndarray, m: np.ndarray, h: float, n_panels: int) -> tuple[float, float]:
+    """K15 sum and summed |K15 - G7| over panels [k h, (k+1) h), k < n_panels."""
     total = 0.0
     err = 0.0
     chunk = 20000
-    half = 0.5 * h
     for lo_idx in range(0, n_panels, chunk):
         idx = np.arange(lo_idx, min(lo_idx + chunk, n_panels), dtype=float)
-        centers = (idx + 0.5) * h
-        t = centers[:, None] + half * _GK_NODES[None, :]
-        g = _hsu_integrand(t.ravel(), v, m).reshape(t.shape)
-        k15 = (g @ _K15_WEIGHTS) * half
-        g7 = (g @ _G7_WEIGHTS) * half
+        k15, e = _gk_batch(lambda t: _hsu_integrand(t, v, m), (idx + 0.5) * h, 0.5 * h)
         total += float(k15.sum())
-        err += float(np.abs(k15 - g7).sum())
+        err += float(e.sum())
     return total, err
 
 
 def star_norm_hsu(f, tol: float = 1e-6, max_panels: int = 6_000_000) -> float:
     """E|I_1(f)| via the absolute-moment integral of the characteristic
-    function, with a certified error <= tol.
+    function, with an estimated error <= tol.
 
     [0, T] is covered by fixed-width oscillation-scaled panels (G7/K15 on
-    each); the tail beyond T contributes between 0 and (2/pi)(2/T), so its
-    midpoint is added and T is sized to make the residual <= tol/2.
+    each, whose |K15 - G7| is an error estimate, not a bound); the tail
+    beyond T contributes between 0 and (2/pi)(2/T), so its midpoint is
+    added and T is sized to make that residual <= tol/2.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
@@ -389,8 +386,8 @@ def star_norm_hsu(f, tol: float = 1e-6, max_panels: int = 6_000_000) -> float:
         h *= 0.5
     raise QuadratureError(
         value, err_bound,
-        f"could not certify tol={tol:g} within {max_panels} panels "
-        f"(best bound {err_bound:g})",
+        f"error estimate stayed above tol={tol:g} within {max_panels} panels "
+        f"(best error estimate {err_bound:g})",
     )
 
 

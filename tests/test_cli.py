@@ -3,6 +3,9 @@ import math
 import subprocess
 import sys
 
+import pytest
+
+from poisson_orlicz import cli, poisson
 from poisson_orlicz.cli import main, parse_atoms, parse_function_spec
 
 
@@ -159,6 +162,61 @@ def test_norm_bump_star_estimate(capsys):
     assert "se=" in out
 
 
+# Every output line of `porlicz norm` for one simple and one non-simple
+# input, pinned byte for byte: the simple route through the exact oracles,
+# the non-simple one through quadrature and seeded Monte Carlo.
+GOLDEN_NORM_LINES = {
+    "atoms": (["--atoms", "(1,0.5);(-2,0.25)"], [
+        "gauge 1.1483314773316522",
+        "orlicz 1.2247448713915892",
+        "amemiya 2.0",
+        "star 0.7851675102377502",
+        "starstar 0.7851675102377509",
+        "l1 1.0",
+        "l2 1.224744871391589",
+    ]),
+    "bump": (["--function", "bump:0,1", "--seed", "3", "--replicates", "1000"], [
+        "gauge 0.8138593383650887",
+        "orlicz 0.8164965809277248",
+        "amemiya 1.6249999999999971",
+        "star 0.6460560356831708 se=0.016921031825083442 trunc=0.0",
+        "starstar 0.9959653999425406 se=0.026535094331539052 trunc=0.0",
+        "l1 0.999999999999997",
+        "l2 0.8164965809277248",
+    ]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(GOLDEN_NORM_LINES))
+def test_norm_golden_lines(capsys, case):
+    argv, lines = GOLDEN_NORM_LINES[case]
+    code, out, err = run_cli(capsys, ["norm"] + argv)
+    assert code == 0
+    assert out.splitlines() == lines
+
+
+def test_norm_non_finite_atom_is_usage_error(capsys):
+    code, out, err = run_cli(capsys, ["norm", "--atoms", "(1e999,1)",
+                                      "--which", "gauge"])
+    assert code == 1
+    assert out == ""
+    assert "not finite" in err
+
+
+def test_norm_star_fallback_failure_reports_estimate(capsys, monkeypatch):
+    # seven atoms exceed the exact oracle, so star falls back to Hsu; a
+    # ten-panel cap makes the fallback fail at once
+    real_hsu = poisson.star_norm_hsu
+    monkeypatch.setattr(cli, "star_norm_hsu",
+                        lambda s, tol: real_hsu(s, tol=tol, max_panels=10))
+    atoms = ";".join(f"({k},1)" for k in range(1, 8))
+    code, out, err = run_cli(capsys, ["norm", "--atoms", atoms, "--which", "star"])
+    assert code == 1
+    assert out == ""
+    assert "best error estimate" in err
+    assert "Traceback" not in err
+
+
 def test_norm_output_file(capsys, tmp_path):
     path = tmp_path / "norms.txt"
     code, out, err = run_cli(capsys, ["norm", "--atoms", "(1,1)",
@@ -235,30 +293,47 @@ def test_run_low_replicates_is_config_error(capsys, tmp_path):
     assert "replicates" in err
 
 
-def test_run_null_replicates_is_config_error(capsys, tmp_path):
-    doc = dict(BASE_CONFIG, replicates=None)
-    path = write_config(tmp_path, "null_reps.json", doc)
-    code, out, err = run_cli(capsys, ["run", "--config", path])
-    assert code == 1
-    assert "replicates" in err
+URBANIK_CONFIG = {
+    "scenario": "urbanik_scan",
+    "system": {"kind": "translation"},
+    "function": {"shape": "random_atoms", "samples": 3},
+    "seed": 31,
+}
 
 
-def test_run_fractional_depth_is_config_error(capsys, tmp_path):
-    doc = dict(BASE_CONFIG, depths=[1.7])
-    path = write_config(tmp_path, "frac_depth.json", doc)
+@pytest.mark.parametrize("base, change, field", [
+    (BASE_CONFIG, {"replicates": None}, "replicates"),
+    (BASE_CONFIG, {"depths": [1.7]}, "depths"),
+    (BASE_CONFIG, {"seed": True}, "seed"),
+    (BASE_CONFIG, {"system": {"kind": "translation", "step": None}}, "step"),
+    (BASE_CONFIG, {"tolerances": {"sigma": None}}, "sigma"),
+    (BASE_CONFIG, {"expected": {"star": {"1": None}}}, "star"),
+    (BASE_CONFIG, {"expected": {"slope": 3}}, "slope"),
+    (URBANIK_CONFIG, {"function": {"shape": "random_atoms", "value_range": 5}},
+     "value_range"),
+    (URBANIK_CONFIG, {"function": {"shape": "random_atoms", "samples": 0}},
+     "samples"),
+], ids=["null_replicates", "fractional_depth", "boolean_seed", "null_step",
+        "null_sigma", "null_expected_star", "scalar_slope", "scalar_value_range",
+        "zero_samples"])
+def test_run_bad_config_is_config_error(capsys, tmp_path, base, change, field):
+    path = write_config(tmp_path, "bad.json", dict(base, **change))
     code, out, err = run_cli(capsys, ["run", "--config", path])
     assert code == 1
-    assert "depths" in err
+    assert field in err
     assert out == ""
+    assert "Traceback" not in err
 
 
-def test_run_boolean_seed_is_config_error(capsys, tmp_path):
-    doc = dict(BASE_CONFIG, seed=True)
-    path = write_config(tmp_path, "bool_seed.json", doc)
+def test_run_transfer_unreachable_slope_fails(capsys, tmp_path):
+    doc = {"scenario": "transfer_decay", "system": {"kind": "boole"},
+           "function": {"shape": "indicator", "lo": 1.0, "hi": 2.0},
+           "depths": [0, 1, 2], "replicates": 1000, "seed": 31,
+           "expected": {"slope": {"value": 5, "min_depth": 0}}}
+    path = write_config(tmp_path, "slope.json", doc)
     code, out, err = run_cli(capsys, ["run", "--config", path])
-    assert code == 1
-    assert "seed" in err
-    assert out == ""
+    assert code == 2
+    assert "slope_pass" in out.splitlines()[0]
 
 
 def test_run_tampered_expectation_fails(capsys, tmp_path):

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from poisson_orlicz.measure import (
     SimpleFunction,
@@ -103,6 +105,10 @@ def test_simple_function_validation():
         SimpleFunction(((0.0, 1.0),))
     with pytest.raises(ValueError):
         SimpleFunction(((1.0, 0.0),))
+    for bad in ((float("inf"), 1.0), (-float("inf"), 1.0), (float("nan"), 1.0),
+                (1.0, float("inf")), (1.0, float("nan"))):
+        with pytest.raises(ValueError):
+            SimpleFunction((bad,))
 
 
 def test_integrate_indicator():
@@ -164,6 +170,19 @@ def test_simple_to_test_round_trip():
     assert abs(m.l1 - l1) < 1e-9
     assert abs(m.l2sq - l2sq) < 1e-9
     assert abs(m.integral - mean) < 1e-9
+
+
+# Masses are multiples of 1/8, so every cell edge and every merged mass is
+# exact in floating point and the round trip can be compared with ==.
+@given(st.lists(st.tuples(st.sampled_from((-3.0, -0.5, 0.25, 1.0, 2.0)),
+                          st.integers(1, 40).map(lambda k: k / 8)),
+                min_size=1, max_size=6))
+def test_simple_to_test_round_trip_merges_atoms(atoms):
+    merged: dict[float, float] = {}
+    for v, m in atoms:
+        merged[v] = merged.get(v, 0.0) + m
+    back = piecewise_to_simple(simple_to_test(SimpleFunction(tuple(atoms))))
+    assert back == SimpleFunction(tuple(sorted(merged.items())))
 
 
 def test_piecewise_to_simple_rejects_nonconstant():

@@ -5,12 +5,11 @@ import math
 import numpy as np
 import pytest
 
-from poisson_orlicz.measure import SimpleFunction, indicator, simple_to_test
+from poisson_orlicz.measure import SimpleFunction, indicator, simple_moments, simple_to_test
 from poisson_orlicz.orlicz import (
     gauge_norm,
     golden_section_min,
     modular,
-    norm_report,
     orlicz_norm_amemiya,
     orlicz_norm_paper,
     young_phi,
@@ -200,9 +199,16 @@ def test_golden_section_parabola():
     assert abs(fx - 0.25) < 1e-12
 
 
-def test_norm_report_checks_pass():
+def test_norm_brackets_on_direct_evaluators():
     f = SimpleFunction(((1.0, 0.5), (-2.0, 0.25)))
-    rep = norm_report(f)
-    assert all(ok for _, ok, _ in rep.checks)
-    assert rep.l1 == 1.0
-    assert abs(rep.l2 - math.sqrt(1.5)) < 1e-12
+    gauge = gauge_norm(f)
+    paper = orlicz_norm_paper(f)
+    amemiya = orlicz_norm_amemiya(f)
+    l1, l2sq, _ = simple_moments(f)
+    slack = 1e-8 * max(1.0, gauge)
+    assert gauge <= paper + slack
+    assert paper <= 2 * gauge + slack
+    assert paper <= 2 * l1 + slack
+    assert math.isfinite(amemiya) and amemiya > 0
+    assert l1 == 1.0
+    assert abs(math.sqrt(l2sq) - math.sqrt(1.5)) < 1e-12
