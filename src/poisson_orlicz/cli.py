@@ -25,7 +25,6 @@ from .measure import (
     SimpleFunction,
     function_moments,
     piecewise_to_simple,
-    simple_moments,
     window,
 )
 from .orlicz import gauge_norm, orlicz_norm_amemiya, orlicz_norm_paper
@@ -245,15 +244,6 @@ def cmd_norm(args) -> int:
     return 0
 
 
-def _moments(g) -> tuple[float, float]:
-    """(l1, l2): exact for a SimpleFunction, by quadrature otherwise."""
-    if isinstance(g, SimpleFunction):
-        l1, l2sq, _ = simple_moments(g)
-    else:
-        (l1, l2sq, _), _ = function_moments(g, tol=1e-9)
-    return float(l1), math.sqrt(l2sq)
-
-
 def _poisson_norm(name: str, g, args) -> str:
     """star or starstar: the exact oracle on a SimpleFunction (star falls
     back to Hsu beyond its reach), a seeded Monte Carlo estimate otherwise."""
@@ -280,8 +270,8 @@ _NORMS = {
     "amemiya": lambda g, args: repr(float(orlicz_norm_amemiya(g))),
     "star": lambda g, args: _poisson_norm("star", g, args),
     "starstar": lambda g, args: _poisson_norm("starstar", g, args),
-    "l1": lambda g, args: repr(_moments(g)[0]),
-    "l2": lambda g, args: repr(_moments(g)[1]),
+    "l1": lambda g, args: repr(float(function_moments(g, tol=1e-9)[0].l1)),
+    "l2": lambda g, args: repr(math.sqrt(function_moments(g, tol=1e-9)[0].l2sq)),
 }
 NORM_NAMES = tuple(_NORMS)
 

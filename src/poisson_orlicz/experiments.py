@@ -250,6 +250,11 @@ class ExperimentConfig:
             expected=_typed("expected", d.get("expected", {}), dict),
         )
         cfg.validate()
+        slope = cfg.expected.get("slope")
+        if slope is not None and sum(n >= _slope_min_depth(slope) for n in cfg.depths) < 2:
+            raise ConfigError(
+                f"expected.slope.min_depth {slope.get('min_depth', 8)} leaves fewer "
+                f"than two of the depths {list(cfg.depths)} to fit the slope on")
         return cfg
 
     def config_hash(self) -> str:
@@ -300,29 +305,34 @@ def build_function(spec: dict, sys: DynamicalSystem | None = None) -> TestFuncti
     if not isinstance(spec, dict) or "shape" not in spec:
         raise ConfigError("function spec needs a 'shape' field")
     shape = spec["shape"]
+
+    def num(key: str, default: float | None = None) -> float:
+        value = spec[key] if default is None else spec.get(key, default)
+        return _typed(f"function.{key}", value, float)
+
+    def nums(key: str) -> tuple[float, ...]:
+        return tuple(_typed(f"function.{key}", x, float) for x in spec[key])
     try:
         if shape == "indicator":
-            return indicator(float(spec["lo"]), float(spec["hi"]),
-                             float(spec.get("scale", 1.0)))
+            return indicator(num("lo"), num("hi"), num("scale", 1.0))
         if shape == "bump":
-            return triangular_bump(float(spec["center"]), float(spec["halfwidth"]),
-                                   float(spec.get("height", 1.0)))
+            return triangular_bump(num("center"), num("halfwidth"), num("height", 1.0))
         if shape == "steps":
-            return piecewise_constant(tuple(float(b) for b in spec["breaks"]),
-                                      tuple(float(v) for v in spec["values"]))
+            return piecewise_constant(nums("breaks"), nums("values"))
         if shape == "atoms":
-            s = SimpleFunction(tuple((float(v), float(m)) for v, m in spec["atoms"]))
+            s = SimpleFunction(tuple((_typed("function.atoms", v, float),
+                                      _typed("function.atoms", m, float))
+                                     for v, m in spec["atoms"]))
             return simple_to_test(s)
         if shape == "circle":
             if sys is None or sys.kind != "composite":
                 raise ConfigError("shape 'circle' needs a composite system")
-            return circle_indicator(sys, float(spec.get("scale", 1.0)))
+            return circle_indicator(sys, num("scale", 1.0))
         if shape == "circle_plus_indicator":
             if sys is None or sys.kind != "composite":
                 raise ConfigError("shape 'circle_plus_indicator' needs a composite system")
-            circ = circle_indicator(sys, float(spec.get("scale", 1.0)))
-            line = indicator(float(spec["lo"]), float(spec["hi"]),
-                             float(spec.get("line_scale", 1.0)))
+            circ = circle_indicator(sys, num("scale", 1.0))
+            line = indicator(num("lo"), num("hi"), num("line_scale", 1.0))
 
             def _eval(x, a=circ, b=line):
                 return a.eval(x) + b.eval(x)
@@ -378,14 +388,10 @@ def _norm_columns(g: TestFunction):
         s = piecewise_to_simple(g)
     except ValueError:
         s = None
-    if s is not None:
-        l1, l2sq, _ = simple_moments(s)
-        return (float(gauge_norm(s)), float(orlicz_norm_paper(s)),
-                float(l1), math.sqrt(l2sq), "simple", s)
-    d = _discretize(g)
-    mom, _ = function_moments(g, tol=1e-7)
-    return (float(gauge_norm(d)), float(orlicz_norm_paper(d)),
-            float(mom.l1), math.sqrt(mom.l2sq), "discretized", None)
+    d = _discretize(g) if s is None else s
+    mom, _ = function_moments(g if s is None else s, tol=1e-7)
+    return (float(gauge_norm(d)), float(orlicz_norm_paper(d)), float(mom.l1),
+            math.sqrt(mom.l2sq), "discretized" if s is None else "simple", s)
 
 
 # ---------------------------------------------------------------------------
@@ -437,12 +443,16 @@ def _constant_l1_verdict(vid: str, band: float, rows: list[ExperimentRow],
     return _verdict(vid, band - abs(row.l1 - first))
 
 
+def _slope_min_depth(spec: dict) -> int:
+    """The first depth the slope fit uses (the log of depth 0 is undefined)."""
+    return max(int(spec.get("min_depth", 8)), 1)
+
+
 def _slope_verdict(rows: list[ExperimentRow], spec: dict) -> Verdict | None:
     """Least-squares log-log slope of the star column over the rows at
     depth >= max(min_depth, 1)."""
-    min_depth = max(int(spec.get("min_depth", 8)), 1)
     pts = [(math.log(r.n), math.log(r.star.mean)) for r in rows
-           if r.n >= min_depth and r.star.mean > 0]
+           if r.n >= _slope_min_depth(spec) and r.star.mean > 0]
     if len(pts) < 2:
         return None
     xs = np.array([p[0] for p in pts])
@@ -847,6 +857,12 @@ def default_config(scenario: str, seed: int, **overrides) -> ExperimentConfig:
         raise ConfigError(f"unknown scenario {scenario!r}")
     base = dict(_DEFAULTS[scenario])
     base.update(overrides)
+    slope = base.get("expected", {}).get("slope")
+    if ("expected" not in overrides and slope
+            and sum(n >= _slope_min_depth(slope) for n in base["depths"]) < 2):
+        # the stock slope expectation is left out when the requested depths
+        # cannot reach it, so the config records only the checks that run
+        base["expected"] = {k: v for k, v in base["expected"].items() if k != "slope"}
     cfg = ExperimentConfig(scenario=scenario, seed=int(seed), **base)
     cfg.validate()
     return cfg

@@ -32,6 +32,7 @@ __all__ = [
     "window_translate",
     "window_position",
     "integrate",
+    "integral",
     "simple_moments",
     "function_moments",
     "indicator",
@@ -149,6 +150,11 @@ class TestFunction:
     breakpoints: tuple[float, ...] = ()
 
     __test__ = False  # keep pytest from collecting the class
+
+    @property
+    def total_mass(self) -> float:
+        """mu(support), the counterpart of SimpleFunction.total_mass."""
+        return self.support.measure
 
 
 @dataclass(frozen=True)
@@ -416,12 +422,28 @@ def integrate(
     return total_val, max(total_err, 0.0)
 
 
-def function_moments(f: TestFunction, tol: float = 1e-9) -> tuple[Moments, float]:
-    """Quadrature (l1, l2sq, integral) of a TestFunction over its support.
+def integral(f: TestFunction | SimpleFunction,
+             transform: Callable[[np.ndarray], np.ndarray], tol: float) -> tuple[float, float]:
+    """(value, err) for integral transform(f) dmu: the exact atom sum
+    transform(v) @ m with err 0.0 on a SimpleFunction (``tol`` is ignored),
+    ``integrate`` on a TestFunction."""
+    if isinstance(f, SimpleFunction):
+        v, m = f.values_masses()
+        return float(transform(v) @ m), 0.0
+    return integrate(f, transform=transform, tol=tol)
+
+
+def function_moments(f: TestFunction | SimpleFunction,
+                     tol: float = 1e-9) -> tuple[Moments, float]:
+    """(l1, l2sq, integral) of f: exact on a SimpleFunction, by quadrature
+    over the support of a TestFunction.
 
     Declared tail bounds are added to l1 (and l2sq via the square of the L2
-    tail); the second return value is the summed quadrature error estimate.
+    tail); the second return value is the summed quadrature error estimate
+    (0.0 on atoms).
     """
+    if isinstance(f, SimpleFunction):
+        return simple_moments(f), 0.0
     l1, e1 = integrate(f, transform=np.abs, tol=tol)
     l2sq, e2 = integrate(f, transform=np.square, tol=tol)
     mean, e3 = integrate(f, tol=tol)

@@ -10,14 +10,19 @@ Two Orlicz norms are shipped on purpose.  The duality form
     N_Psi(g)  = max(||g||_2, ||g||_inf / 2),
 
 is the primary evaluator; the constraint set is {0 <= g <= 2, ||g||_2 <= 1}
-and the exact maximizer on atoms is g_i = min(2, |v_i| / (2 theta)) with theta
-fixed by the L2 constraint.  The canonical Amemiya form
+and the maximizer is g = min(2, |f| / (2 theta)) with theta fixed by the L2
+constraint.  The canonical Amemiya form
 
     inf_{k>0} (1 + modular(k f)) / k
 
 is an independent cross-check; Psi above is *not* the Legendre conjugate of
 Phi (that would be y^2/4 on [0, 2]), so the two evaluators may disagree by a
 bounded factor, and the gap is surfaced rather than hidden.
+
+Each evaluator is written once, on L^1(mu): every integral it needs goes
+through ``measure.integral``, which is the exact atom sum on a SimpleFunction
+and adaptive quadrature on a TestFunction.  Inputs whose moments fall outside
+the float range the evaluators can represent raise ValueError.
 """
 
 from __future__ import annotations
@@ -26,13 +31,7 @@ import math
 
 import numpy as np
 
-from .measure import (
-    SimpleFunction,
-    TestFunction,
-    function_moments,
-    integrate,
-    simple_moments,
-)
+from .measure import SimpleFunction, TestFunction, function_moments, integral
 
 __all__ = [
     "PHI_KINK",
@@ -50,6 +49,12 @@ PHI_KINK = 1.0
 PSI_KINK = 2.0
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0  # 1/phi
+
+# The evaluators square the values of f and rescale it by factors up to about
+# 1e3 / ||f|| (the Amemiya grid), so they run only when ||f||_1, ||f||_2^2 and
+# their ratio (an |f|-weighted mean of |f|, whose square must not underflow)
+# sit well inside the normal float range.
+_MOMENT_RANGE = (1e-300, 1e300)
 
 
 def young_phi(x):
@@ -72,15 +77,22 @@ def young_psi(y):
 
 def modular(f: TestFunction | SimpleFunction, tol: float = 1e-10, scale: float = 1.0) -> float:
     """integral Phi(|scale * f|) dmu; exact on SimpleFunction, quadrature otherwise."""
-    if isinstance(f, SimpleFunction):
-        v, m = f.values_masses()
-        if not len(v):
-            return 0.0
-        return float(young_phi(np.abs(scale * v)) @ m)
-    val, err = integrate(f, transform=lambda v: young_phi(np.abs(scale * v)), tol=tol)
-    if not math.isfinite(val):
-        return math.inf
-    return val
+    val, _ = integral(f, lambda v: young_phi(np.abs(scale * v)), tol)
+    return val if math.isfinite(val) else math.inf
+
+
+def _moments(f, tol: float) -> tuple[float, float]:
+    """(||f||_1, ||f||_2^2); ValueError unless both lie in _MOMENT_RANGE and
+    their ratio in its square root."""
+    (l1, l2sq, _), _ = function_moments(f, tol=tol)
+    lo, hi = _MOMENT_RANGE
+    if not (lo <= l1 <= hi and lo <= l2sq <= hi
+            and math.sqrt(lo) <= l2sq / l1 <= math.sqrt(hi)):
+        raise ValueError(
+            f"||f||_1 = {l1!r}, ||f||_2^2 = {l2sq!r} is outside the range the Orlicz "
+            f"evaluators represent: both in [{lo!r}, {hi!r}], their ratio in "
+            f"[{math.sqrt(lo)!r}, {math.sqrt(hi)!r}]")
+    return l1, l2sq
 
 
 def _norm_upper_bound(f) -> float:
@@ -89,10 +101,7 @@ def _norm_upper_bound(f) -> float:
     Phi(x) <= x^2 gives modular(f/l2) <= 1; Phi(x) <= 2x gives
     modular(f/(2 l1)) <= 1.
     """
-    if isinstance(f, SimpleFunction):
-        l1, l2sq, _ = simple_moments(f)
-    else:
-        (l1, l2sq, _), _ = function_moments(f, tol=1e-9)
+    l1, l2sq = _moments(f, 1e-9)
     return min(math.sqrt(l2sq), 2.0 * l1)
 
 
@@ -103,10 +112,10 @@ def gauge_norm(f: TestFunction | SimpleFunction, tol: float = 1e-10) -> float:
     pair is Delta_2-regular so modular(f/N) = 1 at the optimum.  Relative
     error <= tol.
     """
+    if not f.total_mass:
+        return 0.0
     quad_tol = min(1e-10, tol * 0.1)
     hi = _norm_upper_bound(f)
-    if hi == 0.0:
-        return 0.0
     lo = hi
     for _ in range(200):
         lo *= 0.5
@@ -125,14 +134,7 @@ def gauge_norm(f: TestFunction | SimpleFunction, tol: float = 1e-10) -> float:
 
 def _dual_l2(f, theta: float, quad_tol: float) -> float:
     """||g_theta||_2^2 for the KKT candidate g = min(2, |f| / (2 theta))."""
-    if isinstance(f, SimpleFunction):
-        v, m = f.values_masses()
-        g = np.minimum(2.0, np.abs(v) / (2.0 * theta))
-        return float((g * g) @ m)
-    val, _ = integrate(
-        f, transform=lambda v: np.minimum(2.0, np.abs(v) / (2.0 * theta)) ** 2, tol=quad_tol
-    )
-    return val
+    return integral(f, lambda v: np.minimum(2.0, np.abs(v) / (2.0 * theta)) ** 2, quad_tol)[0]
 
 
 def orlicz_norm_paper(f: TestFunction | SimpleFunction, tol: float = 1e-10) -> float:
@@ -143,22 +145,11 @@ def orlicz_norm_paper(f: TestFunction | SimpleFunction, tol: float = 1e-10) -> f
     (g identically 2) whenever 4 mu(supp f) <= 1, otherwise theta solves
     ||g_theta||_2 = 1 by bisection.
     """
-    if isinstance(f, SimpleFunction):
-        v, m = f.values_masses()
-        if not len(v):
-            return 0.0
-        l1, l2sq, _ = simple_moments(f)
-        total_mass = f.total_mass
-        quad_tol = tol
-    else:
-        if not f.support:
-            return 0.0
-        (l1, l2sq, _), _ = function_moments(f, tol=min(1e-10, tol * 0.1))
-        total_mass = f.support.measure
-        quad_tol = min(1e-10, tol * 0.1)
-    if l1 == 0.0:
+    if not f.total_mass:
         return 0.0
-    if 4.0 * total_mass <= 1.0:
+    quad_tol = min(1e-10, tol * 0.1)
+    l1, l2sq = _moments(f, quad_tol)
+    if 4.0 * f.total_mass <= 1.0:
         return 2.0 * l1
 
     # bracket: g unclipped satisfies the constraint at theta_hi = ||f||_2 / 2
@@ -175,24 +166,17 @@ def orlicz_norm_paper(f: TestFunction | SimpleFunction, tol: float = 1e-10) -> f
         else:
             hi = mid
     theta = 0.5 * (lo + hi)
-
-    if isinstance(f, SimpleFunction):
-        g = np.minimum(2.0, np.abs(v) / (2.0 * theta))
-        return float((np.abs(v) * g) @ m)
-    val, _ = integrate(
-        f,
-        transform=lambda u: np.abs(u) * np.minimum(2.0, np.abs(u) / (2.0 * theta)),
-        tol=quad_tol,
-    )
-    return val
+    return integral(f, lambda u: np.abs(u) * np.minimum(2.0, np.abs(u) / (2.0 * theta)),
+                    quad_tol)[0]
 
 
 def golden_section_min(func, a: float, b: float, tol: float = 1e-12) -> tuple[float, float]:
-    """Golden-section search for the minimum of a unimodal func on [a, b]."""
+    """Golden-section search for the minimum of a unimodal func on [a, b],
+    until the bracket is narrower than tol * (|a| + |b|)."""
     c = b - (b - a) * _GOLDEN
     d = a + (b - a) * _GOLDEN
     fc, fd = func(c), func(d)
-    while (b - a) > tol * max(1.0, abs(a) + abs(b)):
+    while (b - a) > tol * (abs(a) + abs(b)):
         if fc < fd:
             b, d, fd = d, c, fc
             c = b - (b - a) * _GOLDEN
@@ -214,16 +198,10 @@ def orlicz_norm_amemiya(f: TestFunction | SimpleFunction, tol: float = 1e-10) ->
     toward its k -> infinity asymptote 2 ||f||_1, which is then the exact
     infimum, so the returned value is the smaller of the two.
     """
-    if isinstance(f, SimpleFunction):
-        l1, _, _ = simple_moments(f)
-        quad_tol = 1e-12
-    else:
-        if not f.support:
-            return 0.0
-        (l1, _, _), _ = function_moments(f, tol=min(1e-10, tol * 0.1))
-        quad_tol = min(1e-10, tol * 0.1)
-    if l1 == 0.0:
+    if not f.total_mass:
         return 0.0
+    quad_tol = min(1e-10, tol * 0.1)
+    l1, _ = _moments(f, quad_tol)
 
     def objective(k: float) -> float:
         return (1.0 + modular(f, quad_tol, scale=k)) / k

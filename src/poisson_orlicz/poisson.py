@@ -247,8 +247,10 @@ def _enumerate_block(block: list[tuple[float, float, int]]) -> tuple[np.ndarray,
     return vals, probs
 
 
-def _abs_moment_exact(f: SimpleFunction, tail_eps: float, centered: bool,
-                      center: float | None = None) -> float:
+def _abs_moment_exact(f: SimpleFunction, tail_eps: float, center: float | None) -> float:
+    """E|sum v_i N_i - c|, error <= tail_eps: c = sum v_i m_i with the centered
+    tail bounds when ``center`` is None, else c = center with the uncentered
+    tail bounds plus |center|."""
     if tail_eps <= 0:
         raise ValueError("tail_eps must be positive")
     atoms = f.atoms
@@ -257,26 +259,19 @@ def _abs_moment_exact(f: SimpleFunction, tail_eps: float, centered: bool,
     if any(m > _MAX_MASS for _, m in atoms):
         raise ValueError(f"exact oracle handles masses up to {_MAX_MASS}")
     if not atoms:
-        return abs(float(center)) if center is not None else 0.0
+        return 0.0 if center is None else abs(center)
     v = np.array([a[0] for a in atoms])
     m = np.array([a[1] for a in atoms])
-    if center is not None:
-        # E|sum v_i N_i - center|: uncentered tail bounds plus the constant
-        sqrt_weights, extra, shift = False, abs(float(center)), -float(center)
-        cut_centered = False
-    elif centered:
-        sqrt_weights, extra, shift = True, 0.0, -float(np.sum(v * m))
-        cut_centered = True
-    else:
-        sqrt_weights, extra, shift = False, 0.0, 0.0
-        cut_centered = False
-    weights = np.abs(v) * (np.sqrt(m) if sqrt_weights else m)
+    centered = center is None
+    extra = 0.0 if centered else abs(center)
+    shift = -float(np.sum(v * m)) if centered else -center
+    weights = np.abs(v) * (np.sqrt(m) if centered else m)
     caps = []
     tail_bound = 0.0
     per_atom = tail_eps / len(atoms)
     for i in range(len(atoms)):
         other = float(weights.sum() - weights[i]) + extra
-        cap, b = _cutoff(float(v[i]), float(m[i]), other, per_atom, cut_centered)
+        cap, b = _cutoff(float(v[i]), float(m[i]), other, per_atom, centered)
         caps.append(cap)
         tail_bound += b
 
@@ -305,18 +300,18 @@ def _abs_moment_exact(f: SimpleFunction, tail_eps: float, centered: bool,
 
 def star_norm_exact(f: SimpleFunction, tail_eps: float = 1e-12) -> float:
     """E|sum v_i (N_i - m_i)| by direct enumeration; error <= tail_eps."""
-    return _abs_moment_exact(f, tail_eps, centered=True)
+    return _abs_moment_exact(f, tail_eps, None)
 
 
 def starstar_norm_exact(f: SimpleFunction, tail_eps: float = 1e-12) -> float:
     """E|sum v_i N_i| by direct enumeration; error <= tail_eps."""
-    return _abs_moment_exact(f, tail_eps, centered=False)
+    return _abs_moment_exact(f, tail_eps, 0.0)
 
 
 def abs_moment_exact(f: SimpleFunction, center: float = 0.0,
                      tail_eps: float = 1e-12) -> float:
     """E|sum v_i N_i - center| by direct enumeration; error <= tail_eps."""
-    return _abs_moment_exact(f, tail_eps, centered=False, center=float(center))
+    return _abs_moment_exact(f, tail_eps, float(center))
 
 
 # ---------------------------------------------------------------------------

@@ -4,9 +4,18 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from poisson_orlicz import cli, poisson
-from poisson_orlicz.cli import main, parse_atoms, parse_function_spec
+from poisson_orlicz.cli import (
+    UsageError,
+    main,
+    parse_atoms,
+    parse_function_spec,
+    parse_system_spec,
+)
+from poisson_orlicz.experiments import ConfigError, ExperimentConfig
 
 
 def run_cli(capsys, argv):
@@ -313,9 +322,12 @@ URBANIK_CONFIG = {
      "value_range"),
     (URBANIK_CONFIG, {"function": {"shape": "random_atoms", "samples": 0}},
      "samples"),
+    (BASE_CONFIG, {"expected": {"slope": {"value": 7}}}, "expected.slope.min_depth"),
+    (BASE_CONFIG, {"function": {"shape": "indicator", "lo": "0", "hi": 1.0}},
+     "function.lo"),
 ], ids=["null_replicates", "fractional_depth", "boolean_seed", "null_step",
         "null_sigma", "null_expected_star", "scalar_slope", "scalar_value_range",
-        "zero_samples"])
+        "zero_samples", "unreachable_slope", "string_lo"])
 def test_run_bad_config_is_config_error(capsys, tmp_path, base, change, field):
     path = write_config(tmp_path, "bad.json", dict(base, **change))
     code, out, err = run_cli(capsys, ["run", "--config", path])
@@ -323,6 +335,67 @@ def test_run_bad_config_is_config_error(capsys, tmp_path, base, change, field):
     assert field in err
     assert out == ""
     assert "Traceback" not in err
+
+
+# ---------------------------------------------------------------------------
+# parser fuzzing: arbitrary input either parses or is refused with a message
+
+_SPEC_TEXT = st.one_of(
+    st.text(),
+    st.tuples(st.sampled_from(["", "indicator:", "bump:", "steps:", "atoms:",
+                               "translation:", "boole", "composite:"]),
+              st.text(alphabet="()0123456789.,;:|eE+-naif \t\n")).map("".join),
+)
+
+
+@pytest.mark.parametrize("parse", [parse_atoms, parse_function_spec, parse_system_spec,
+                                   cli._parse_window])
+@given(text=_SPEC_TEXT)
+def test_spec_parsers_return_or_refuse(parse, text):
+    try:
+        parse(text)
+    except (UsageError, ValueError):
+        pass
+
+
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers(-10, 10**6) | st.floats() | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=4),
+    max_leaves=12,
+)
+_FULL_CONFIG = dict(BASE_CONFIG, subsequence="k", tolerances={"sigma": 3.0},
+                    expected={"star": {"1": 0.9},
+                              "slope": {"value": -0.5, "tol": 0.1, "min_depth": 2}})
+
+
+def _paths(doc, prefix=()):
+    """Every key path of a nested dict, plus one unknown key per level."""
+    yield prefix + ("bogus",)
+    for key, value in doc.items():
+        yield prefix + (key,)
+        if isinstance(value, dict):
+            yield from _paths(value, prefix + (key,))
+
+
+@given(st.sampled_from([_FULL_CONFIG, URBANIK_CONFIG]).flatmap(lambda base: st.tuples(
+    st.just(base), st.lists(st.tuples(st.sampled_from(list(_paths(base))), _JSON),
+                            min_size=1, max_size=3))))
+def test_config_from_dict_returns_or_refuses(case):
+    # a valid config with up to three fields, at any depth, replaced by
+    # arbitrary JSON
+    base, changes = case
+    doc = json.loads(json.dumps(base))
+    for path, value in changes:
+        node = doc
+        for key in path[:-1]:
+            node = node.get(key) if isinstance(node, dict) else None
+        if isinstance(node, dict):
+            node[path[-1]] = value
+    try:
+        ExperimentConfig.from_dict(doc)
+    except ConfigError:
+        pass
 
 
 def test_run_transfer_unreachable_slope_fails(capsys, tmp_path):

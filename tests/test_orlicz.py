@@ -4,8 +4,16 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
-from poisson_orlicz.measure import SimpleFunction, indicator, simple_moments, simple_to_test
+from poisson_orlicz.measure import (
+    SimpleFunction,
+    function_moments,
+    indicator,
+    simple_moments,
+    simple_to_test,
+)
 from poisson_orlicz.orlicz import (
     gauge_norm,
     golden_section_min,
@@ -53,12 +61,6 @@ def test_modular_simple():
     assert modular(SimpleFunction(((1, 3),))) == 3.0
     assert modular(SimpleFunction(((2, 1),))) == 3.0
     assert modular(SimpleFunction()) == 0.0
-
-
-def test_modular_matches_quadrature():
-    f = SimpleFunction(((2.0, 0.5), (-0.3, 1.5)))
-    tf = simple_to_test(f)
-    assert abs(modular(tf, tol=1e-11) - modular(f)) < 1e-9
 
 
 def test_gauge_norm_unit_atom():
@@ -141,10 +143,24 @@ def test_orlicz_paper_zero():
     assert orlicz_norm_paper(SimpleFunction()) == 0.0
 
 
-def test_orlicz_paper_testfunction_route():
-    f = SimpleFunction(((2.0, 0.5), (-1.0, 1.5)))
-    tf = simple_to_test(f)
-    assert abs(orlicz_norm_paper(tf, tol=1e-9) - orlicz_norm_paper(f)) < 1e-7
+_ATOM = st.tuples(st.one_of(st.floats(-4.0, -0.1), st.floats(0.1, 4.0)),
+                  st.floats(0.05, 3.0))
+
+
+@given(st.lists(_ATOM, min_size=1, max_size=4), st.floats(1.0, 2.5))
+@example([(2.0, 0.5), (-0.3, 1.5)], 1.0)
+@example([(2.0, 0.5), (-1.0, 1.5)], 1.0)
+def test_atoms_and_quadrature_agree(atoms, scale):
+    # the exact atom sums against quadrature on the same atoms laid out
+    # on the line
+    s = SimpleFunction(tuple(atoms))
+    t = simple_to_test(s)
+    for k in (1.0, scale):
+        assert abs(modular(t, tol=1e-11, scale=k) - modular(s, scale=k)) < 1e-9
+    for a, b in zip(function_moments(t, tol=1e-11)[0], function_moments(s)[0]):
+        assert abs(a - b) < 1e-9
+    for norm in (gauge_norm, orlicz_norm_paper, orlicz_norm_amemiya):
+        assert abs(norm(t, tol=1e-9) - norm(s)) < 1e-7
 
 
 def test_gauge_orlicz_bracket():
@@ -191,6 +207,33 @@ def test_amemiya_dense_grid_oracle():
 
 def test_amemiya_zero():
     assert orlicz_norm_amemiya(SimpleFunction()) == 0.0
+
+
+def _one_atom_norm(norm, v, m):
+    """gauge: m Phi(|v| / lambda) = 1; Orlicz: 2|v|m if 4m <= 1 else |v| sqrt(m);
+    Amemiya: 2|v|m if m <= 1 else 2|v| sqrt(m)."""
+    v = abs(v)
+    if norm is gauge_norm:
+        return v * math.sqrt(m) if m >= 1 else 2 * v * m / (1 + m)
+    if norm is orlicz_norm_paper:
+        return 2 * v * m if 4 * m <= 1 else v * math.sqrt(m)
+    return 2 * v * m if m <= 1 else 2 * v * math.sqrt(m)
+
+
+@pytest.mark.parametrize("norm", [gauge_norm, orlicz_norm_paper, orlicz_norm_amemiya])
+@pytest.mark.parametrize("atom", [(1e160, 1.0), (1e-200, 1.0), (1.0, 1e-320), (1.0, 1e20)])
+def test_norms_at_float_range_edges(norm, atom):
+    # l2sq overflows, l2sq underflows, subnormal mass, and a norm of 1e10
+    # whose Amemiya minimizer k = 1e-10 needs a bracket relative to k: the
+    # closed form or a refusal naming the range, never a hang, a zero, a nan
+    # or a crash
+    try:
+        got = norm(SimpleFunction((atom,)))
+    except ValueError as exc:
+        assert "outside the range" in str(exc)
+    else:
+        want = _one_atom_norm(norm, *atom)
+        assert abs(got - want) <= 1e-9 * want
 
 
 def test_golden_section_parabola():
