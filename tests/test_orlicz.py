@@ -63,6 +63,12 @@ def test_modular_simple():
     assert modular(SimpleFunction()) == 0.0
 
 
+def test_modular_matches_quadrature():
+    f = SimpleFunction(((2.0, 0.5), (-0.3, 1.5)))
+    tf = simple_to_test(f)
+    assert abs(modular(tf, tol=1e-11) - modular(f)) < 1e-9
+
+
 def test_gauge_norm_unit_atom():
     # Phi(1/lambda) = 1 has the root lambda = 1
     assert abs(gauge_norm(SimpleFunction(((1, 1),))) - 1.0) < 1e-9
@@ -141,6 +147,12 @@ def test_orlicz_paper_depends_on_abs():
 
 def test_orlicz_paper_zero():
     assert orlicz_norm_paper(SimpleFunction()) == 0.0
+
+
+def test_orlicz_paper_testfunction_route():
+    f = SimpleFunction(((2.0, 0.5), (-1.0, 1.5)))
+    tf = simple_to_test(f)
+    assert abs(orlicz_norm_paper(tf, tol=1e-9) - orlicz_norm_paper(f)) < 1e-7
 
 
 _ATOM = st.tuples(st.one_of(st.floats(-4.0, -0.1), st.floats(0.1, 4.0)),
