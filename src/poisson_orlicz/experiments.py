@@ -24,7 +24,6 @@ import dataclasses
 import hashlib
 import json
 import math
-import numbers
 import warnings
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
@@ -113,6 +112,16 @@ _SUBSEQUENCES: dict[str, Callable[[int], int]] = {
 
 _SCAN_STREAM = 77001  # reserved replicate id for the urbanik sampler
 
+# Fixed bands: Birkhoff averages keep their L1 column within _L1_BAND of the
+# first row's; Boole transfer iterates (window deficit below _TAIL_TOL) keep
+# their mass within _MASS_BAND, and are sampled on a window of radius
+# _MC_RADIUS + depth with quadrature tolerance _MC_QUAD.
+_L1_BAND = 1e-6
+_TAIL_TOL = 1e-4
+_MASS_BAND = 2.0 * _TAIL_TOL + 1e-5
+_MC_RADIUS = 50.0
+_MC_QUAD = 1e-6
+
 CSV_COLUMNS = ("n", "star_mean", "star_se", "star_trunc", "gauge",
                "orlicz_paper", "l1", "l2")
 
@@ -132,129 +141,129 @@ def _verdict(vid: str, margin: float) -> Verdict:
     return Verdict(vid, margin >= 0.0, margin)
 
 
-_CONFIG_KEYS = ("scenario", "system", "function", "depths", "replicates",
-                "seed", "subsequence", "subsequence_cap", "tolerances",
-                "expected")
+_JSON_TYPES = {int: ("an integer", int), float: ("a number", (int, float)),
+               str: ("a string", str), dict: ("a JSON object", dict),
+               list: ("a JSON array", (list, tuple))}
 
 
 def _typed(key: str, value, kind: type):
     """``value`` of config field ``key``, refused unless it already has
     JSON type ``kind``: nothing is coerced, and a bool is not an integer."""
-    if kind in (int, float):
-        numeric = numbers.Integral if kind is int else numbers.Real
-        ok = isinstance(value, numeric) and not isinstance(value, bool)
-    else:
-        ok = isinstance(value, kind)
-    if not ok:
-        names = {int: "an integer", float: "a number", str: "a string",
-                 dict: "a JSON object"}
-        raise ConfigError(f"{key} must be {names[kind]}, got {value!r}")
+    name, held_by = _JSON_TYPES[kind]
+    if isinstance(value, bool) or not isinstance(value, held_by):
+        raise ConfigError(f"{key} must be {name}, got {value!r}")
     return kind(value)
+
+
+def _refuse_unknown(where: str, given: dict, known) -> None:
+    unknown = sorted(str(k) for k in set(given) - set(known))
+    if unknown:
+        raise ConfigError("unknown config keys: "
+                          + ", ".join(f"{where}{k}" for k in unknown))
+
+
+def _fields(spec, where: str, table: dict) -> dict:
+    """The fields of config object ``where`` as ``table`` declares them (name
+    -> default, or the JSON type of a field with no default, which must be
+    given): unknown keys refused, values type-checked, absent ones defaulted."""
+    spec = _typed(where, spec, dict)
+    _refuse_unknown(f"{where}.", spec, table)
+    out = {}
+    for key, default in table.items():
+        required = isinstance(default, type)
+        if required and key not in spec:
+            raise ConfigError(f"{where}.{key} is required")
+        out[key] = _typed(f"{where}.{key}", spec.get(key, default),
+                          default if required else type(default))
+    return out
+
+
+# the tolerances a config may set, with their defaults; sigma is the width,
+# in standard errors, of every Monte Carlo band
+_TOLERANCES = {"sigma": 3.0}
+
+_SLOPE = {"value": float, "tol": 0.1, "min_depth": 8}
 
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """One experiment: scenario name, system and function specs, depths,
-    replicate count, mandatory seed, and tolerance / expectation overrides."""
+    """One experiment: scenario name, system and function specs, mandatory
+    seed, depths, replicate count, and tolerance / expectation overrides.
+
+    Every instance is checked when it is built; a malformed one raises
+    ConfigError."""
 
     scenario: str
     system: dict
     function: dict
-    depths: tuple
-    replicates: int
     seed: int
+    depths: tuple = (1,)
+    replicates: int = 1000
     subsequence: str | None = None
     subsequence_cap: int = 4096
     tolerances: dict = field(default_factory=dict)
     expected: dict = field(default_factory=dict)
 
-    def tol(self, name: str, default: float) -> float:
-        return float(self.tolerances.get(name, default))
+    def __post_init__(self):
+        self.validate()
+        object.__setattr__(self, "depths", tuple(self.depths))
+
+    def tol(self, name: str) -> float:
+        return _fields(self.tolerances, "tolerances", _TOLERANCES)[name]
 
     def validate(self) -> None:
-        if self.scenario not in SCENARIOS:
+        if _typed("scenario", self.scenario, str) not in SCENARIOS:
             raise ConfigError(f"unknown scenario {self.scenario!r}")
+        _spec_fields(self.system, "system", "kind", _SYSTEMS)
+        _spec_fields(self.function, "function", "shape", _SHAPES)
         if self.seed is None:
             raise ConfigError("seed is required; there is no entropy default")
-        if int(self.replicates) < 1000:
-            raise ConfigError("replicates must be at least 10^3")
-        if not isinstance(self.system, dict) or not isinstance(self.function, dict):
-            raise ConfigError("system and function must be mappings")
-        depths = tuple(self.depths)
+        _typed("seed", self.seed, int)
+        depths = [_typed("depths entry", d, int)
+                  for d in _typed("depths", self.depths, list)]
         if not depths:
             raise ConfigError("depths must be non-empty")
-        if any(int(d) != d for d in depths):
-            raise ConfigError("depths must be integers")
         lo = 0 if self.scenario == "transfer_decay" else 1
         if depths[0] < lo:
             raise ConfigError(f"depths must start at >= {lo} for {self.scenario}")
         if any(b <= a for a, b in zip(depths, depths[1:])):
             raise ConfigError("depths must be strictly increasing")
-        if self.subsequence is not None and self.subsequence not in _SUBSEQUENCES:
+        if _typed("replicates", self.replicates, int) < 1000:
+            raise ConfigError("replicates must be at least 10^3")
+        if (self.subsequence is not None
+                and _typed("subsequence", self.subsequence, str) not in _SUBSEQUENCES):
             names = ", ".join(sorted(_SUBSEQUENCES))
             raise ConfigError(f"subsequence must be one of {names}")
-        if int(self.subsequence_cap) < 1:
+        if _typed("subsequence_cap", self.subsequence_cap, int) < 1:
             raise ConfigError("subsequence_cap must be positive")
-        for key, value in self.tolerances.items():
-            _typed(f"tolerances.{key}", value, float)
-        for key, value in _typed("expected.star", self.expected.get("star", {}),
-                                 dict).items():
+        _fields(self.tolerances, "tolerances", _TOLERANCES)
+        expected = _fields(self.expected, "expected", {"star": {}, "slope": {}})
+        for key, value in expected["star"].items():
             _typed(f"expected.star.{key}", value, float)
         if "slope" in self.expected:
-            slope = _typed("expected.slope", self.expected["slope"], dict)
-            _typed("expected.slope.value", slope.get("value"), float)
-            _typed("expected.slope.tol", slope.get("tol", 0.1), float)
-            _typed("expected.slope.min_depth", slope.get("min_depth", 8), int)
+            _slope(self.expected)
 
     def to_dict(self) -> dict:
-        return {
-            "scenario": self.scenario,
-            "system": dict(self.system),
-            "function": dict(self.function),
-            "depths": [int(d) for d in self.depths],
-            "replicates": int(self.replicates),
-            "seed": int(self.seed),
-            "subsequence": self.subsequence,
-            "subsequence_cap": int(self.subsequence_cap),
-            "tolerances": dict(self.tolerances),
-            "expected": dict(self.expected),
-        }
+        return dict(dataclasses.asdict(self), depths=list(self.depths))
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentConfig":
-        if not isinstance(d, dict):
-            raise ConfigError("config must be a JSON object")
-        unknown = sorted(set(d) - set(_CONFIG_KEYS))
-        if unknown:
-            raise ConfigError(f"unknown config keys: {', '.join(unknown)}")
-        missing = [k for k in ("scenario", "system", "function", "seed") if k not in d]
+        fields = dataclasses.fields(cls)
+        _refuse_unknown("", _typed("config", d, dict), [f.name for f in fields])
+        missing = [f.name for f in fields if f.name not in d
+                   and f.default is dataclasses.MISSING
+                   and f.default_factory is dataclasses.MISSING]
         if missing:
             raise ConfigError(f"missing config keys: {', '.join(missing)}")
-        if d["seed"] is None:
-            raise ConfigError("seed is required; there is no entropy default")
-        depths = d.get("depths", (1,))
-        if not isinstance(depths, (list, tuple)):
-            raise ConfigError(f"depths must be a list of integers, got {depths!r}")
-        subsequence = d.get("subsequence")
-        cfg = cls(
-            scenario=_typed("scenario", d["scenario"], str),
-            system=_typed("system", d["system"], dict),
-            function=_typed("function", d["function"], dict),
-            depths=tuple(_typed("depths entry", x, int) for x in depths),
-            replicates=_typed("replicates", d.get("replicates", 1000), int),
-            seed=_typed("seed", d["seed"], int),
-            subsequence=(None if subsequence is None
-                         else _typed("subsequence", subsequence, str)),
-            subsequence_cap=_typed("subsequence_cap", d.get("subsequence_cap", 4096), int),
-            tolerances=_typed("tolerances", d.get("tolerances", {}), dict),
-            expected=_typed("expected", d.get("expected", {}), dict),
-        )
-        cfg.validate()
-        slope = cfg.expected.get("slope")
-        if slope is not None and sum(n >= _slope_min_depth(slope) for n in cfg.depths) < 2:
+        cfg = cls(**d)
+        stray = sorted(set(cfg.expected.get("star", {})) - {str(n) for n in cfg.depths})
+        if stray:
+            raise ConfigError(f"expected.star keys {', '.join(stray)} name no depth "
+                              f"of {list(cfg.depths)}")
+        if "slope" in cfg.expected and not _slope_reachable(cfg.expected, cfg.depths):
             raise ConfigError(
-                f"expected.slope.min_depth {slope.get('min_depth', 8)} leaves fewer "
-                f"than two of the depths {list(cfg.depths)} to fit the slope on")
+                f"expected.slope.min_depth {_slope(cfg.expected)['min_depth']} leaves "
+                f"fewer than two of the depths {list(cfg.depths)} to fit the slope on")
         return cfg
 
     def config_hash(self) -> str:
@@ -283,56 +292,69 @@ def _row_seed(seed: int, n: int) -> int:
 # ---------------------------------------------------------------------------
 # system and function builders
 
+# The fields of each system kind and each function shape, in ``_fields`` form
+_SYSTEMS = {
+    "translation": {"step": 1.0},
+    "boole": {},
+    "composite": {"circumference": 1.0, "angle": GOLDEN, "step": 1.0},
+}
+_SHAPES = {
+    "indicator": {"lo": float, "hi": float, "scale": 1.0},
+    "bump": {"center": float, "halfwidth": float, "height": 1.0},
+    "steps": {"breaks": list, "values": list},
+    "atoms": {"atoms": list},
+    "circle": {"scale": 1.0},
+    "circle_plus_indicator": {"scale": 1.0, "lo": float, "hi": float, "line_scale": 1.0},
+    # not a function: urbanik_scan's generator of random simple functions
+    "random_atoms": {"samples": 200, "max_atoms": 5, "value_range": [0.05, 5.0],
+                     "mass_range": [0.01, 10.0], "homogeneity_scale": 4.0},
+}
+
+
+def _spec_fields(spec, where: str, tag: str, table: dict) -> tuple[str, dict]:
+    """The kind or shape (``tag``) of a system or function spec, and the
+    fields ``table`` declares for it, checked and defaulted."""
+    name = _typed(f"{where}.{tag}", _typed(where, spec, dict).get(tag), str)
+    if name not in table:
+        raise ConfigError(f"unknown {where} {tag} {name!r}")
+    return name, _fields({k: v for k, v in spec.items() if k != tag}, where, table[name])
+
+
 def build_system(spec: dict) -> DynamicalSystem:
-    if not isinstance(spec, dict) or "kind" not in spec:
-        raise ConfigError("system spec needs a 'kind' field")
-    kind = spec["kind"]
-    num = lambda key, default: _typed(f"system.{key}", spec.get(key, default), float)
+    kind, a = _spec_fields(spec, "system", "kind", _SYSTEMS)
+    make = {"translation": make_translation, "boole": make_boole,
+            "composite": make_composite}[kind]
     try:
-        if kind == "translation":
-            return make_translation(num("step", 1.0))
-        if kind == "boole":
-            return make_boole()
-        if kind == "composite":
-            return make_composite(circumference=num("circumference", 1.0),
-                                  angle=num("angle", GOLDEN), step=num("step", 1.0))
+        return make(**a)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    raise ConfigError(f"unknown system kind {kind!r}")
 
 
 def build_function(spec: dict, sys: DynamicalSystem | None = None) -> TestFunction:
-    if not isinstance(spec, dict) or "shape" not in spec:
-        raise ConfigError("function spec needs a 'shape' field")
-    shape = spec["shape"]
-
-    def num(key: str, default: float | None = None) -> float:
-        value = spec[key] if default is None else spec.get(key, default)
-        return _typed(f"function.{key}", value, float)
+    shape, a = _spec_fields(spec, "function", "shape", _SHAPES)
 
     def nums(key: str) -> tuple[float, ...]:
-        return tuple(_typed(f"function.{key}", x, float) for x in spec[key])
+        return tuple(_typed(f"function.{key}", x, float) for x in a[key])
+
+    if shape.startswith("circle") and (sys is None or sys.kind != "composite"):
+        raise ConfigError(f"shape {shape!r} needs a composite system")
     try:
         if shape == "indicator":
-            return indicator(num("lo"), num("hi"), num("scale", 1.0))
+            return indicator(a["lo"], a["hi"], a["scale"])
         if shape == "bump":
-            return triangular_bump(num("center"), num("halfwidth"), num("height", 1.0))
+            return triangular_bump(a["center"], a["halfwidth"], a["height"])
         if shape == "steps":
             return piecewise_constant(nums("breaks"), nums("values"))
         if shape == "atoms":
             s = SimpleFunction(tuple((_typed("function.atoms", v, float),
                                       _typed("function.atoms", m, float))
-                                     for v, m in spec["atoms"]))
+                                     for v, m in a["atoms"]))
             return simple_to_test(s)
         if shape == "circle":
-            if sys is None or sys.kind != "composite":
-                raise ConfigError("shape 'circle' needs a composite system")
-            return circle_indicator(sys, num("scale", 1.0))
+            return circle_indicator(sys, a["scale"])
         if shape == "circle_plus_indicator":
-            if sys is None or sys.kind != "composite":
-                raise ConfigError("shape 'circle_plus_indicator' needs a composite system")
-            circ = circle_indicator(sys, num("scale", 1.0))
-            line = indicator(num("lo"), num("hi"), num("line_scale", 1.0))
+            circ = circle_indicator(sys, a["scale"])
+            line = indicator(a["lo"], a["hi"], a["line_scale"])
 
             def _eval(x, a=circ, b=line):
                 return a.eval(x) + b.eval(x)
@@ -345,9 +367,9 @@ def build_function(spec: dict, sys: DynamicalSystem | None = None) -> TestFuncti
             )
     except ConfigError:
         raise
-    except (KeyError, TypeError, ValueError) as exc:
+    except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad function spec for shape {shape!r}: {exc}") from exc
-    raise ConfigError(f"unknown function shape {shape!r}")
+    raise ConfigError(f"shape {shape!r} is urbanik_scan's generator, not a function")
 
 
 # ---------------------------------------------------------------------------
@@ -424,7 +446,7 @@ def _expected_star_verdict(cfg: ExperimentConfig, n: int,
     if str(n) not in targets:
         return None
     return _band_verdict("expected_star", est, float(targets[str(n)]),
-                         cfg.tol("sigma", 3.0))
+                         cfg.tol("sigma"))
 
 
 def _nonincreasing_verdict(rows: list[ExperimentRow], est: MCEstimate) -> Verdict:
@@ -443,24 +465,31 @@ def _constant_l1_verdict(vid: str, band: float, rows: list[ExperimentRow],
     return _verdict(vid, band - abs(row.l1 - first))
 
 
-def _slope_min_depth(spec: dict) -> int:
-    """The first depth the slope fit uses (the log of depth 0 is undefined)."""
-    return max(int(spec.get("min_depth", 8)), 1)
+def _slope(expected: dict) -> dict:
+    """expected.slope's value, tol and min_depth, checked and defaulted; the
+    fit takes the log of each depth, so min_depth is at least 1."""
+    spec = _fields(expected["slope"], "expected.slope", _SLOPE)
+    return dict(spec, min_depth=max(spec["min_depth"], 1))
 
 
-def _slope_verdict(rows: list[ExperimentRow], spec: dict) -> Verdict | None:
+def _slope_reachable(expected: dict, depths) -> bool:
+    """Whether two or more of ``depths`` reach the slope's min_depth."""
+    return sum(n >= _slope(expected)["min_depth"] for n in depths) >= 2
+
+
+def _slope_verdict(rows: list[ExperimentRow], expected: dict) -> Verdict | None:
     """Least-squares log-log slope of the star column over the rows at
-    depth >= max(min_depth, 1)."""
+    depth >= min_depth."""
+    spec = _slope(expected)
     pts = [(math.log(r.n), math.log(r.star.mean)) for r in rows
-           if r.n >= _slope_min_depth(spec) and r.star.mean > 0]
+           if r.n >= spec["min_depth"] and r.star.mean > 0]
     if len(pts) < 2:
         return None
     xs = np.array([p[0] for p in pts])
     ys = np.array([p[1] for p in pts])
     slope = float(np.sum((xs - xs.mean()) * (ys - ys.mean()))
                   / np.sum((xs - xs.mean()) ** 2))
-    tol = float(spec.get("tol", 0.1))
-    return _verdict("slope", tol - abs(slope - float(spec["value"])))
+    return _verdict("slope", spec["tol"] - abs(slope - spec["value"]))
 
 
 # ---------------------------------------------------------------------------
@@ -481,7 +510,6 @@ def _depth_rows(cfg: ExperimentConfig, derive: Callable[[int], TestFunction],
     chash = cfg.config_hash()
     rows: list[ExperimentRow] = []
     for n in cfg.depths:
-        n = int(n)
         g = derive(n)
         w = g.support if window_of is None else window_of(g, n)
         seed = _row_seed(cfg.seed, n)
@@ -496,7 +524,7 @@ def _depth_rows(cfg: ExperimentConfig, derive: Callable[[int], TestFunction],
         rows.append(dataclasses.replace(
             row, verdicts=tuple(v for v in verdicts if v is not None)))
     if "slope" in cfg.expected:
-        sv = _slope_verdict(rows, cfg.expected["slope"])
+        sv = _slope_verdict(rows, cfg.expected)
         if sv is not None:
             rows[-1] = dataclasses.replace(rows[-1], verdicts=rows[-1].verdicts + (sv,))
     return rows, _summarize(cfg, rows)
@@ -518,31 +546,29 @@ def _system_and_function(cfg: ExperimentConfig, kinds: tuple[str, ...]):
 def _average_decay_rows(cfg: ExperimentConfig, subsequence: Callable[[int], tuple | None]):
     """Rows of Birkhoff averages g_n, along subsequence(n) when not None."""
     sys, f = _system_and_function(cfg, ("translation", "boole"))
-    sigma = cfg.tol("sigma", 3.0)
+    sigma = cfg.tol("sigma")
     return _depth_rows(
         cfg, lambda n: birkhoff(f, sys, n, subsequence=subsequence(n)),
         lambda row, s, rows: (
-            _constant_l1_verdict("l1_constant", cfg.tol("l1_band", 1e-6), rows, row),
+            _constant_l1_verdict("l1_constant", _L1_BAND, rows, row),
             _nonincreasing_verdict(rows, row.star),
             _oracle_verdict("exact_oracle", row.star, star_norm_exact, s, sigma)))
 
 
 def run_birkhoff_decay(cfg: ExperimentConfig):
     """Star norm of depth-n Birkhoff averages against the L1 column."""
-    cfg.validate()
     return _average_decay_rows(cfg, lambda n: None)
 
 
 def run_blum_hanson(cfg: ExperimentConfig):
     """Birkhoff averages along a named subsequence of iterate exponents."""
-    cfg.validate()
     if cfg.subsequence is None:
         raise ConfigError("blum_hanson needs a subsequence")
     formula = _SUBSEQUENCES[cfg.subsequence]
-    cap = int(cfg.subsequence_cap)
-    kept = tuple(n for n in cfg.depths if formula(int(n)) <= cap)
-    if kept != tuple(cfg.depths):
-        dropped = [int(n) for n in cfg.depths if n not in kept]
+    cap = cfg.subsequence_cap
+    kept = tuple(n for n in cfg.depths if formula(n) <= cap)
+    if kept != cfg.depths:
+        dropped = [n for n in cfg.depths if n not in kept]
         warnings.warn(f"subsequence {cfg.subsequence} exceeds cap {cap} at "
                       f"depths {dropped}; truncating to {list(kept)}")
         if not kept:
@@ -554,43 +580,38 @@ def run_blum_hanson(cfg: ExperimentConfig):
 
 def run_transfer_decay(cfg: ExperimentConfig):
     """Star norm of transfer-operator iterates under the Boole map."""
-    cfg.validate()
     sys, f = _system_and_function(cfg, ("boole",))
-    sigma = cfg.tol("sigma", 3.0)
-    tail_tol = cfg.tol("tail", 1e-4)
-    mass_band = cfg.tol("mass_band", 2.0 * tail_tol + 1e-5)
+    sigma = cfg.tol("sigma")
 
     def mc_window(g, n):
-        r_mc = cfg.tol("mc_radius", 50.0) + n
+        r_mc = _MC_RADIUS + n
         return window_intersect(g.support, window((-r_mc, r_mc)))
 
     return _depth_rows(
-        cfg, lambda n: transfer_apply(f, sys, n, tail_tol=tail_tol),
+        cfg, lambda n: transfer_apply(f, sys, n, tail_tol=_TAIL_TOL),
         lambda row, s, rows: (
-            _constant_l1_verdict("mass_conserved", mass_band, rows, row),
+            _constant_l1_verdict("mass_conserved", _MASS_BAND, rows, row),
             _nonincreasing_verdict(rows, row.star),
             _oracle_verdict("exact_oracle", row.star, star_norm_exact, s, sigma)),
-        window_of=mc_window, quad_tol=cfg.tol("mc_quad", 1e-6))
+        window_of=mc_window, quad_tol=_MC_QUAD)
 
 
 def run_urbanik_scan(cfg: ExperimentConfig):
     """Exact star norms of random simple functions against the gauge and
     Orlicz columns; every sample checks the two-sided gauge comparison."""
-    cfg.validate()
-    spec = cfg.function
-    if spec.get("shape") != "random_atoms":
+    shape, spec = _spec_fields(cfg.function, "function", "shape", _SHAPES)
+    if shape != "random_atoms":
         raise ConfigError("urbanik_scan needs the random_atoms generator spec")
-    samples = _typed("function.samples", spec.get("samples", 200), int)
-    max_atoms = _typed("function.max_atoms", spec.get("max_atoms", 5), int)
+    samples, max_atoms = spec["samples"], spec["max_atoms"]
 
-    def pair(key, default):
-        lo_hi = spec.get(key, default)
-        if not isinstance(lo_hi, (list, tuple)) or len(lo_hi) != 2:
+    def pair(key):
+        lo_hi = spec[key]
+        if len(lo_hi) != 2:
             raise ConfigError(f"function.{key} must be a [lo, hi] pair, got {lo_hi!r}")
         return (_typed(f"function.{key} entry", x, float) for x in lo_hi)
 
-    v_lo, v_hi = pair("value_range", (0.05, 5.0))
-    m_lo, m_hi = pair("mass_range", (0.01, 10.0))
+    v_lo, v_hi = pair("value_range")
+    m_lo, m_hi = pair("mass_range")
     if not (0 < v_lo < v_hi) or not (0 < m_lo < m_hi):
         raise ConfigError("value_range and mass_range must be positive and ordered")
     if max_atoms < 1 or max_atoms > 5:
@@ -599,7 +620,7 @@ def run_urbanik_scan(cfg: ExperimentConfig):
         raise ConfigError("function.samples must be at least 1")
     rng = _philox(cfg.seed, _SCAN_STREAM)
     chash = cfg.config_hash()
-    scale = _typed("function.homogeneity_scale", spec.get("homogeneity_scale", 4.0), float)
+    scale = spec["homogeneity_scale"]
     rows: list[ExperimentRow] = []
     ratios_gauge: list[float] = []
     ratios_orlicz: list[float] = []
@@ -644,10 +665,9 @@ def run_urbanik_scan(cfg: ExperimentConfig):
 def run_starstar_ergodic(cfg: ExperimentConfig):
     """E|N(g_n) - int f| for Birkhoff averages g_n: the uncentered distance
     to the constant the averages converge to on the suspension."""
-    cfg.validate()
     sys, f = _system_and_function(cfg, ("translation", "boole"))
     center = float(integrate(f, f.support, tol=1e-10)[0])
-    sigma = cfg.tol("sigma", 3.0)
+    sigma = cfg.tol("sigma")
     return _depth_rows(
         cfg, lambda n: birkhoff(f, sys, n),
         lambda row, s, rows: (
@@ -660,13 +680,12 @@ def run_starstar_ergodic(cfg: ExperimentConfig):
 def run_invariant_vector(cfg: ExperimentConfig):
     """Birkhoff averages over the composite system: the star column stays at
     the exact norm of the invariant circle component."""
-    cfg.validate()
     sys, f = _system_and_function(cfg, ("composite",))
     length = sys.params[0]
-    scale = float(cfg.function.get("scale", 1.0))
+    scale = _spec_fields(cfg.function, "function", "shape", _SHAPES)[1]["scale"]
     target = star_norm_exact(SimpleFunction(((scale, length),)))
     target_l2sq = scale * scale * length
-    sigma = cfg.tol("sigma", 3.0)
+    sigma = cfg.tol("sigma")
 
     def checks(row, s, rows):
         # the transient part of the average is controlled by its L2 norm
@@ -678,7 +697,6 @@ def run_invariant_vector(cfg: ExperimentConfig):
 
 def run_identity_suite(cfg: ExperimentConfig):
     """One pass/fail check per distributional identity, with margins."""
-    cfg.validate()
     R = int(cfg.replicates)
     R_mecke = min(R, 2000)
     seed = int(cfg.seed)
@@ -781,8 +799,7 @@ _RUNNERS = {
 
 
 def run_experiment(cfg: ExperimentConfig):
-    """Dispatch a validated config to its scenario runner."""
-    cfg.validate()
+    """Dispatch a config to its scenario runner."""
     return _RUNNERS[cfg.scenario](cfg)
 
 
@@ -801,17 +818,19 @@ def _summarize(cfg: ExperimentConfig, rows: list[ExperimentRow]) -> dict:
 # ---------------------------------------------------------------------------
 # default configs
 
+# Settings the stock configs share; each lists only those in which it differs
+_STOCK = {
+    "system": {"kind": "translation", "step": 1.0},
+    "function": {"shape": "indicator", "lo": 0.0, "hi": 1.0, "scale": 1.0},
+    "depths": (1, 2, 4, 8, 16, 32),
+    "replicates": 100_000,
+}
+
 _DEFAULTS: dict[str, dict] = {
     "birkhoff_decay": {
-        "system": {"kind": "translation", "step": 1.0},
-        "function": {"shape": "indicator", "lo": 0.0, "hi": 1.0, "scale": 1.0},
-        "depths": (1, 2, 4, 8, 16, 32),
-        "replicates": 100_000,
-        "expected": {"slope": {"value": -0.5, "tol": 0.1, "min_depth": 8}},
+        "expected": {"slope": dict(_SLOPE, value=-0.5)},
     },
     "blum_hanson": {
-        "system": {"kind": "translation", "step": 1.0},
-        "function": {"shape": "indicator", "lo": 0.0, "hi": 1.0, "scale": 1.0},
         "depths": (1, 2, 4, 8),
         "replicates": 20_000,
         "subsequence": "k^2",
@@ -823,28 +842,18 @@ _DEFAULTS: dict[str, dict] = {
         "replicates": 2000,
     },
     "urbanik_scan": {
-        "system": {"kind": "translation", "step": 1.0},
         "function": {"shape": "random_atoms", "samples": 200, "max_atoms": 5,
                      "value_range": (0.05, 5.0), "mass_range": (0.01, 10.0)},
         "depths": (1,),
         "replicates": 1000,
     },
-    "starstar_ergodic": {
-        "system": {"kind": "translation", "step": 1.0},
-        "function": {"shape": "indicator", "lo": 0.0, "hi": 1.0, "scale": 1.0},
-        "depths": (1, 2, 4, 8, 16, 32),
-        "replicates": 100_000,
-    },
+    "starstar_ergodic": {},
     "invariant_vector": {
         "system": {"kind": "composite", "circumference": 1.0, "angle": GOLDEN,
                    "step": 1.0},
         "function": {"shape": "circle", "scale": 1.0},
-        "depths": (1, 2, 4, 8, 16, 32),
-        "replicates": 100_000,
     },
     "identity_suite": {
-        "system": {"kind": "translation", "step": 1.0},
-        "function": {"shape": "indicator", "lo": 0.0, "hi": 1.0, "scale": 1.0},
         "depths": (1,),
         "replicates": 4000,
     },
@@ -855,17 +864,14 @@ def default_config(scenario: str, seed: int, **overrides) -> ExperimentConfig:
     """The stock configuration for a scenario, with field overrides."""
     if scenario not in _DEFAULTS:
         raise ConfigError(f"unknown scenario {scenario!r}")
-    base = dict(_DEFAULTS[scenario])
-    base.update(overrides)
-    slope = base.get("expected", {}).get("slope")
-    if ("expected" not in overrides and slope
-            and sum(n >= _slope_min_depth(slope) for n in base["depths"]) < 2):
+    base = {**_STOCK, **_DEFAULTS[scenario], **overrides}
+    expected = base.get("expected", {})
+    if ("expected" not in overrides and "slope" in expected
+            and not _slope_reachable(expected, base["depths"])):
         # the stock slope expectation is left out when the requested depths
         # cannot reach it, so the config records only the checks that run
-        base["expected"] = {k: v for k, v in base["expected"].items() if k != "slope"}
-    cfg = ExperimentConfig(scenario=scenario, seed=int(seed), **base)
-    cfg.validate()
-    return cfg
+        base["expected"] = {k: v for k, v in expected.items() if k != "slope"}
+    return ExperimentConfig(scenario=scenario, seed=int(seed), **base)
 
 
 # ---------------------------------------------------------------------------

@@ -56,6 +56,11 @@ _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0  # 1/phi
 # sit well inside the normal float range.
 _MOMENT_RANGE = (1e-300, 1e300)
 
+# The norms are found to relative accuracy _TOL, from integrals taken to
+# quadrature tolerance _QUAD_TOL (exact sums on a SimpleFunction).
+_TOL = 1e-10
+_QUAD_TOL = 1e-11
+
 
 def young_phi(x):
     """Phi(x) = x^2 (x <= 1), 2x - 1 (x > 1); domain x >= 0."""
@@ -75,9 +80,9 @@ def young_psi(y):
     return out if out.ndim else float(out)
 
 
-def modular(f: TestFunction | SimpleFunction, tol: float = 1e-10, scale: float = 1.0) -> float:
+def modular(f: TestFunction | SimpleFunction, scale: float = 1.0) -> float:
     """integral Phi(|scale * f|) dmu; exact on SimpleFunction, quadrature otherwise."""
-    val, _ = integral(f, lambda v: young_phi(np.abs(scale * v)), tol)
+    val, _ = integral(f, lambda v: young_phi(np.abs(scale * v)), _QUAD_TOL)
     return val if math.isfinite(val) else math.inf
 
 
@@ -105,39 +110,38 @@ def _norm_upper_bound(f) -> float:
     return min(math.sqrt(l2sq), 2.0 * l1)
 
 
-def gauge_norm(f: TestFunction | SimpleFunction, tol: float = 1e-10) -> float:
+def gauge_norm(f: TestFunction | SimpleFunction) -> float:
     """Luxemburg norm N_Phi(f) = inf{lambda > 0 : modular(f/lambda) <= 1}.
 
     Bisection on lambda using strict monotonicity of the modular; the Young
     pair is Delta_2-regular so modular(f/N) = 1 at the optimum.  Relative
-    error <= tol.
+    error <= _TOL.
     """
     if not f.total_mass:
         return 0.0
-    quad_tol = min(1e-10, tol * 0.1)
     hi = _norm_upper_bound(f)
     lo = hi
     for _ in range(200):
         lo *= 0.5
-        if modular(f, quad_tol, scale=1.0 / lo) > 1.0:
+        if modular(f, scale=1.0 / lo) > 1.0:
             break
     else:
         return 0.0  # modular stays <= 1 down to lambda ~ 0: f is negligible
-    while (hi - lo) > tol * hi:
+    while (hi - lo) > _TOL * hi:
         mid = 0.5 * (lo + hi)
-        if modular(f, quad_tol, scale=1.0 / mid) > 1.0:
+        if modular(f, scale=1.0 / mid) > 1.0:
             lo = mid
         else:
             hi = mid
     return 0.5 * (lo + hi)
 
 
-def _dual_l2(f, theta: float, quad_tol: float) -> float:
+def _dual_l2(f, theta: float) -> float:
     """||g_theta||_2^2 for the KKT candidate g = min(2, |f| / (2 theta))."""
-    return integral(f, lambda v: np.minimum(2.0, np.abs(v) / (2.0 * theta)) ** 2, quad_tol)[0]
+    return integral(f, lambda v: np.minimum(2.0, np.abs(v) / (2.0 * theta)) ** 2, _QUAD_TOL)[0]
 
 
-def orlicz_norm_paper(f: TestFunction | SimpleFunction, tol: float = 1e-10) -> float:
+def orlicz_norm_paper(f: TestFunction | SimpleFunction) -> float:
     """Orlicz norm in the duality form sup{ integral |f g| : N_Psi(g) <= 1 }.
 
     N_Psi(g) = max(||g||_2, ||g||_inf / 2) <= 1 constrains g to 0 <= g <= 2,
@@ -147,27 +151,26 @@ def orlicz_norm_paper(f: TestFunction | SimpleFunction, tol: float = 1e-10) -> f
     """
     if not f.total_mass:
         return 0.0
-    quad_tol = min(1e-10, tol * 0.1)
-    l1, l2sq = _moments(f, quad_tol)
+    l1, l2sq = _moments(f, _QUAD_TOL)
     if 4.0 * f.total_mass <= 1.0:
         return 2.0 * l1
 
     # bracket: g unclipped satisfies the constraint at theta_hi = ||f||_2 / 2
     hi = math.sqrt(l2sq) / 2.0
     lo = hi
-    while _dual_l2(f, lo, quad_tol) < 1.0:
+    while _dual_l2(f, lo) < 1.0:
         lo *= 0.5
         if lo < 1e-300:
             break
     while (hi - lo) > 1e-13 * hi:
         mid = 0.5 * (lo + hi)
-        if _dual_l2(f, mid, quad_tol) > 1.0:
+        if _dual_l2(f, mid) > 1.0:
             lo = mid
         else:
             hi = mid
     theta = 0.5 * (lo + hi)
     return integral(f, lambda u: np.abs(u) * np.minimum(2.0, np.abs(u) / (2.0 * theta)),
-                    quad_tol)[0]
+                    _QUAD_TOL)[0]
 
 
 def golden_section_min(func, a: float, b: float, tol: float = 1e-12) -> tuple[float, float]:
@@ -189,7 +192,7 @@ def golden_section_min(func, a: float, b: float, tol: float = 1e-12) -> tuple[fl
     return x, func(x)
 
 
-def orlicz_norm_amemiya(f: TestFunction | SimpleFunction, tol: float = 1e-10) -> float:
+def orlicz_norm_amemiya(f: TestFunction | SimpleFunction) -> float:
     """Canonical Orlicz norm inf_{k>0} (1 + modular(k f)) / k.
 
     The map is quasi-convex in k.  When the support mass exceeds 1 the
@@ -200,11 +203,10 @@ def orlicz_norm_amemiya(f: TestFunction | SimpleFunction, tol: float = 1e-10) ->
     """
     if not f.total_mass:
         return 0.0
-    quad_tol = min(1e-10, tol * 0.1)
-    l1, _ = _moments(f, quad_tol)
+    l1, _ = _moments(f, _QUAD_TOL)
 
     def objective(k: float) -> float:
-        return (1.0 + modular(f, quad_tol, scale=k)) / k
+        return (1.0 + modular(f, scale=k)) / k
 
     n_upper = _norm_upper_bound(f)
     k_center = 1.0 / n_upper
@@ -213,5 +215,5 @@ def orlicz_norm_amemiya(f: TestFunction | SimpleFunction, tol: float = 1e-10) ->
     i = int(np.argmin(obj))
     a = grid[max(i - 1, 0)]
     b = grid[min(i + 1, len(grid) - 1)]
-    _, finite_min = golden_section_min(objective, a, b, tol=tol)
+    _, finite_min = golden_section_min(objective, a, b, tol=_TOL)
     return min(finite_min, 2.0 * l1)

@@ -204,6 +204,7 @@ def estimate_starstar_norm(f: TestFunction, w: Window, R: int, seed: int,
 _MAX_ATOMS = 6
 _MAX_MASS = 30.0
 _LATTICE_RES = 1e-12
+_TAIL_EPS = 1e-12  # bound on the error of the exact oracles
 
 
 def _cutoff(v: float, m: float, other_weight: float, budget: float, centered: bool) -> tuple[int, float]:
@@ -223,7 +224,7 @@ def _cutoff(v: float, m: float, other_weight: float, budget: float, centered: bo
         bounds = sf * other_weight + abs(v) * m * (pmf + sf)
     ok = np.nonzero(bounds <= budget)[0]
     if not ok.size:
-        raise ValueError("cannot certify the requested tail_eps")
+        raise ValueError("cannot certify the tail bound")
     i = int(ok[0])
     return int(ks[i]), float(bounds[i])
 
@@ -247,12 +248,10 @@ def _enumerate_block(block: list[tuple[float, float, int]]) -> tuple[np.ndarray,
     return vals, probs
 
 
-def _abs_moment_exact(f: SimpleFunction, tail_eps: float, center: float | None) -> float:
-    """E|sum v_i N_i - c|, error <= tail_eps: c = sum v_i m_i with the centered
-    tail bounds when ``center`` is None, else c = center with the uncentered
-    tail bounds plus |center|."""
-    if tail_eps <= 0:
-        raise ValueError("tail_eps must be positive")
+def _abs_moment_exact(f: SimpleFunction, center: float | None) -> float:
+    """E|sum v_i N_i - c|, error <= _TAIL_EPS: c = sum v_i m_i with the
+    centered tail bounds when ``center`` is None, else c = center with the
+    uncentered tail bounds plus |center|."""
     atoms = f.atoms
     if len(atoms) > _MAX_ATOMS:
         raise ValueError(f"exact oracle handles at most {_MAX_ATOMS} atoms, got {len(atoms)}")
@@ -268,7 +267,7 @@ def _abs_moment_exact(f: SimpleFunction, tail_eps: float, center: float | None) 
     weights = np.abs(v) * (np.sqrt(m) if centered else m)
     caps = []
     tail_bound = 0.0
-    per_atom = tail_eps / len(atoms)
+    per_atom = _TAIL_EPS / len(atoms)
     for i in range(len(atoms)):
         other = float(weights.sum() - weights[i]) + extra
         cap, b = _cutoff(float(v[i]), float(m[i]), other, per_atom, centered)
@@ -298,20 +297,19 @@ def _abs_moment_exact(f: SimpleFunction, tail_eps: float, center: float | None) 
     return value + 0.5 * tail_bound
 
 
-def star_norm_exact(f: SimpleFunction, tail_eps: float = 1e-12) -> float:
-    """E|sum v_i (N_i - m_i)| by direct enumeration; error <= tail_eps."""
-    return _abs_moment_exact(f, tail_eps, None)
+def star_norm_exact(f: SimpleFunction) -> float:
+    """E|sum v_i (N_i - m_i)| by direct enumeration; error <= 1e-12."""
+    return _abs_moment_exact(f, None)
 
 
-def starstar_norm_exact(f: SimpleFunction, tail_eps: float = 1e-12) -> float:
-    """E|sum v_i N_i| by direct enumeration; error <= tail_eps."""
-    return _abs_moment_exact(f, tail_eps, 0.0)
+def starstar_norm_exact(f: SimpleFunction) -> float:
+    """E|sum v_i N_i| by direct enumeration; error <= 1e-12."""
+    return _abs_moment_exact(f, 0.0)
 
 
-def abs_moment_exact(f: SimpleFunction, center: float = 0.0,
-                     tail_eps: float = 1e-12) -> float:
-    """E|sum v_i N_i - center| by direct enumeration; error <= tail_eps."""
-    return _abs_moment_exact(f, tail_eps, float(center))
+def abs_moment_exact(f: SimpleFunction, center: float = 0.0) -> float:
+    """E|sum v_i N_i - center| by direct enumeration; error <= 1e-12."""
+    return _abs_moment_exact(f, float(center))
 
 
 # ---------------------------------------------------------------------------

@@ -30,7 +30,7 @@ from poisson_orlicz.poisson import (
     star_norm_exact,
     star_norm_hsu,
 )
-from poisson_orlicz.experiments import default_config, run_experiment
+from poisson_orlicz.experiments import _MASS_BAND, default_config, run_experiment
 
 
 def report(num, label, ok):
@@ -189,9 +189,8 @@ def test_criterion_09_transfer_decay():
         band = (2.0 * (prev.star.std_error + cur.star.std_error)
                 + prev.star.truncation_bound + cur.star.truncation_bound)
         ok = ok and cur.star.mean <= prev.star.mean + band
-    mass_band = 2.0 * cfg.tol("tail", 1e-4) + 1e-5
     for r in rows:
-        ok = ok and abs(r.l1 - 1.0) <= mass_band
+        ok = ok and abs(r.l1 - 1.0) <= _MASS_BAND
     first = rows[0]
     band0 = 3.0 * first.star.std_error + first.star.truncation_bound
     ok = ok and abs(first.star.mean - 2.0 * math.exp(-1.0)) <= band0

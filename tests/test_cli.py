@@ -212,6 +212,15 @@ def test_norm_non_finite_atom_is_usage_error(capsys):
     assert "not finite" in err
 
 
+@pytest.mark.parametrize("atoms, which", [("(1e160,1)", "l2"), ("(1e308,10)", "l1"),
+                                          ("(1e308,10)", "l2")])
+def test_norm_moment_overflow_is_usage_error(capsys, atoms, which):
+    code, out, err = run_cli(capsys, ["norm", "--atoms", atoms, "--which", which])
+    assert code == 1
+    assert out == ""
+    assert "float range" in err
+
+
 def test_norm_star_fallback_failure_reports_estimate(capsys, monkeypatch):
     # seven atoms exceed the exact oracle, so star falls back to Hsu; a
     # ten-panel cap makes the fallback fail at once
@@ -325,9 +334,25 @@ URBANIK_CONFIG = {
     (BASE_CONFIG, {"expected": {"slope": {"value": 7}}}, "expected.slope.min_depth"),
     (BASE_CONFIG, {"function": {"shape": "indicator", "lo": "0", "hi": 1.0}},
      "function.lo"),
+    (BASE_CONFIG, {"system": {"kind": "translation", "stepp": 2.0}}, "system.stepp"),
+    (BASE_CONFIG, {"system": {"kind": ["translation"]}}, "system.kind"),
+    (BASE_CONFIG, {"function": {"shape": "indicator", "lo": 0.0, "hi": 1.0, "scal": 3.0}},
+     "function.scal"),
+    (BASE_CONFIG, {"tolerances": {"sigmaa": 9.0}}, "tolerances.sigmaa"),
+    (BASE_CONFIG, {"tolerances": {"tail": 1e-3}}, "tolerances.tail"),
+    (BASE_CONFIG, {"expected": {"stars": {"1": 0.9}}}, "expected.stars"),
+    (BASE_CONFIG, {"expected": {"slope": {"value": -0.5, "mindepth": 1}}},
+     "expected.slope.mindepth"),
+    (URBANIK_CONFIG, {"function": {"shape": "random_atoms", "sample": 3}},
+     "function.sample"),
+    (BASE_CONFIG, {"depths": [1, 2], "expected": {"star": {"64": 0.1}}}, "64"),
+    (BASE_CONFIG, {"depths": [1, 2], "expected": {"star": {"one": 0.1}}}, "one"),
 ], ids=["null_replicates", "fractional_depth", "boolean_seed", "null_step",
         "null_sigma", "null_expected_star", "scalar_slope", "scalar_value_range",
-        "zero_samples", "unreachable_slope", "string_lo"])
+        "zero_samples", "unreachable_slope", "string_lo", "unknown_system_key",
+        "list_kind", "unknown_function_key", "unknown_tolerance", "removed_tolerance",
+        "unknown_expected_key", "unknown_slope_key", "unknown_generator_key",
+        "star_depth_not_run", "star_key_not_a_depth"])
 def test_run_bad_config_is_config_error(capsys, tmp_path, base, change, field):
     path = write_config(tmp_path, "bad.json", dict(base, **change))
     code, out, err = run_cli(capsys, ["run", "--config", path])
