@@ -40,8 +40,11 @@ from .poisson import (
 )
 from .dynamics import birkhoff, transfer_apply
 from .experiments import (
-    _DEFAULTS,
+    _SCENARIOS,
+    _SHAPES,
+    _SYSTEMS,
     ExperimentConfig,
+    _declared,
     build_function,
     build_system,
     default_config,
@@ -137,61 +140,42 @@ def _floats(body: str, where: str) -> list[float]:
     return out
 
 
+def _parse_spec(token: str, where: str, tag: str, table: dict) -> dict:
+    """``name[:fields]`` for a declaration of ``table``: its fields in
+    order, the required ones alone or all of them, comma separated -- or one
+    comma list per field, '|' separated, when the fields are lists."""
+    name, _, body = token.partition(":")
+    name = name.strip()
+    if name not in table:
+        raise UsageError(f"unknown {where} {tag} {name!r}; use {', '.join(table)}")
+    if name == "atoms":
+        return {tag: name, "atoms": [list(a) for a in parse_atoms(body)]}
+    fields = _declared(table[name])
+    sep = "|" if list in fields.values() else ","
+    parts = body.split(sep) if body else []
+    required = [k for k, v in fields.items() if isinstance(v, type)]
+    if len(parts) not in (len(required), len(fields)):
+        forms = dict.fromkeys(f"{name}:{sep.join(keys)}" if keys else name
+                              for keys in (required, list(fields)))
+        raise UsageError(f"bad {where} {token!r}: use {' or '.join(forms)}")
+    spec = {tag: name}
+    for key, part in zip(fields, parts):
+        values = _floats(part, f"{name} {key}")
+        spec[key] = values if sep == "|" else values[0]
+    return spec
+
+
 def parse_function_spec(token: str) -> dict:
-    """``indicator:lo,hi[,scale]``, ``bump:center,halfwidth[,height]``,
-    ``steps:b0,...,bk|v1,...,vk``, or ``atoms:(v,m);(v,m)``."""
-    kind, _, body = token.partition(":")
-    kind = kind.strip()
-    if kind == "indicator":
-        vals = _floats(body, "indicator")
-        if len(vals) not in (2, 3):
-            raise UsageError("indicator takes lo,hi[,scale]")
-        spec = {"shape": "indicator", "lo": vals[0], "hi": vals[1]}
-        if len(vals) == 3:
-            spec["scale"] = vals[2]
-        return spec
-    if kind == "bump":
-        vals = _floats(body, "bump")
-        if len(vals) not in (2, 3):
-            raise UsageError("bump takes center,halfwidth[,height]")
-        spec = {"shape": "bump", "center": vals[0], "halfwidth": vals[1]}
-        if len(vals) == 3:
-            spec["height"] = vals[2]
-        return spec
-    if kind == "steps":
-        breaks_body, bar, values_body = body.partition("|")
-        if not bar:
-            raise UsageError("steps takes breaks|values")
-        breaks = _floats(breaks_body, "steps breaks")
-        values = _floats(values_body, "steps values")
-        if len(values) != len(breaks) - 1:
-            raise UsageError("steps needs one more break than values")
-        return {"shape": "steps", "breaks": breaks, "values": values}
-    if kind == "atoms":
-        return {"shape": "atoms", "atoms": [list(a) for a in parse_atoms(body)]}
-    raise UsageError(f"unknown function shape {kind!r}; use indicator, bump, "
-                     "steps, or atoms")
+    """A function spec, e.g. ``indicator:lo,hi[,scale]``,
+    ``steps:b0,...,bk|v1,...,vk`` or ``atoms:(v,m);(v,m)``: the fields of
+    each shape are the parameters of its builder."""
+    return _parse_spec(token, "function", "shape", _SHAPES)
 
 
 def parse_system_spec(token: str) -> dict:
-    """``translation[:step]``, ``boole``, or
+    """A system spec, e.g. ``translation[:step]``, ``boole`` or
     ``composite[:circumference,angle,step]``."""
-    kind, _, body = token.partition(":")
-    kind = kind.strip()
-    if kind == "translation":
-        return {"kind": "translation", "step": float(body)} if body else {"kind": "translation"}
-    if kind == "boole":
-        return {"kind": "boole"}
-    if kind == "composite":
-        spec = {"kind": "composite"}
-        if body:
-            vals = _floats(body, "composite")
-            if len(vals) != 3:
-                raise UsageError("composite takes circumference,angle,step")
-            spec.update(circumference=vals[0], angle=vals[1], step=vals[2])
-        return spec
-    raise UsageError(f"unknown system {kind!r}; use translation, boole, "
-                     "or composite")
+    return _parse_spec(token, "system", "kind", _SYSTEMS)
 
 
 def _parse_window(token: str):
@@ -344,26 +328,14 @@ def cmd_run(args) -> int:
 # ---------------------------------------------------------------------------
 # suite command
 
-_SUITE_OVERRIDES: tuple[tuple[str, dict], ...] = (
-    ("identity_suite", {}),
-    ("birkhoff_decay", {"depths": (1, 2, 4, 8), "replicates": 20_000}),
-    ("blum_hanson", {"depths": (1, 2, 3), "replicates": 5000}),
-    ("transfer_decay", {"depths": (0, 1, 2), "replicates": 1500}),
-    ("urbanik_scan", {"function": dict(_DEFAULTS["urbanik_scan"]["function"],
-                                       samples=50)}),
-    ("starstar_ergodic", {"depths": (1, 2, 4), "replicates": 20_000}),
-    ("invariant_vector", {"depths": (1, 2, 4), "replicates": 10_000}),
-)
-
-
 def cmd_suite(args) -> int:
     if args.seed is None:
         raise UsageError("suite needs --seed; there is no entropy default")
     sections = []
     docs = {}
     ok = True
-    for scenario, over in _SUITE_OVERRIDES:
-        cfg = default_config(scenario, seed=args.seed, **over)
+    for scenario, declared in _SCENARIOS.items():
+        cfg = default_config(scenario, seed=args.seed, **declared.suite)
         rows, summary = run_experiment(cfg)
         ok = ok and summary["all_pass"]
         if args.format == "json":

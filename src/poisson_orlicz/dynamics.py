@@ -75,7 +75,7 @@ class DynamicalSystem:
         return self.branches(np.asarray(x, dtype=float))
 
 
-def make_translation(step: float) -> DynamicalSystem:
+def make_translation(step: float = 1.0) -> DynamicalSystem:
     """T(x) = x + step on the line; invertible, no finite invariant piece."""
     step = float(step)
     if step == 0.0:
@@ -209,7 +209,7 @@ def make_composite(circumference: float = 1.0, angle: float = GOLDEN,
 
 def circle_indicator(sys: DynamicalSystem, scale: float = 1.0) -> TestFunction:
     """Indicator of the invariant circle of a composite system."""
-    if sys.kind != "composite":
+    if sys is None or sys.kind != "composite":
         raise ValueError("circle_indicator needs a composite system")
     length = sys.params[0]
     c0, c1 = CIRCLE_OFFSET, CIRCLE_OFFSET + length

@@ -6,12 +6,15 @@ Monte Carlo star-norm estimate, the deterministic norm columns, and a tuple
 of pass/fail verdicts with numeric margins.  A margin is the slack left in
 the inequality being checked: nonnegative means pass.
 
-The per-depth scenarios (birkhoff_decay, blum_hanson, transfer_decay,
-starstar_ergodic, invariant_vector) share one row builder, ``_depth_rows``.
-A scenario hands it the derived function g_n, the sampling window, the
-centre (which selects E|N(g) - centre| over the star norm) and its own
-verdicts; the builder runs the Monte Carlo estimate and the norm columns
-and adds the expected_star and slope verdicts itself.
+Each scenario is declared once, in ``_SCENARIOS``, and each system kind
+and function shape by its builder, whose signature gives its fields.  A
+config field its scenario does not read must keep its stock value.
+
+The per-depth scenarios share one row builder, ``_depth_rows``.  A scenario
+hands it the derived function g_n, the sampling window, the centre (which
+selects E|N(g) - centre| over the star norm) and its own verdicts; the
+builder runs the Monte Carlo estimate and the norm columns and adds the
+expected_star and slope verdicts itself.
 
 Everything downstream of the seed is deterministic: rerunning a config with
 the same seed reproduces every row bit for bit, and the JSON/CSV writers
@@ -21,7 +24,9 @@ emit canonical text so outputs can be compared byte-wise.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import hashlib
+import inspect
 import json
 import math
 import warnings
@@ -31,7 +36,6 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .dynamics import (
-    GOLDEN,
     TRANSFER_TAIL_TOL,
     DynamicalSystem,
     birkhoff,
@@ -75,7 +79,6 @@ from .poisson import (
 )
 
 __all__ = [
-    "SCENARIOS",
     "ConfigError",
     "ExperimentConfig",
     "ExperimentRow",
@@ -94,16 +97,6 @@ __all__ = [
     "result_to_csv",
     "result_to_json",
 ]
-
-SCENARIOS = (
-    "birkhoff_decay",
-    "blum_hanson",
-    "transfer_decay",
-    "urbanik_scan",
-    "starstar_ergodic",
-    "invariant_vector",
-    "identity_suite",
-)
 
 _SUBSEQUENCES: dict[str, Callable[[int], int]] = {
     "k": lambda k: k,
@@ -143,7 +136,8 @@ def _verdict(vid: str, margin: float) -> Verdict:
 
 _JSON_TYPES = {int: ("an integer", int), float: ("a number", (int, float)),
                str: ("a string", str), dict: ("a JSON object", dict),
-               list: ("a JSON array", (list, tuple))}
+               list: ("a JSON array", (list, tuple)),
+               tuple: ("a JSON array", (list, tuple))}
 
 
 def _typed(key: str, value, kind: type):
@@ -212,10 +206,9 @@ class ExperimentConfig:
         return _fields(self.tolerances, "tolerances", _TOLERANCES)[name]
 
     def validate(self) -> None:
-        if _typed("scenario", self.scenario, str) not in SCENARIOS:
+        scenario = _SCENARIOS.get(_typed("scenario", self.scenario, str))
+        if scenario is None:
             raise ConfigError(f"unknown scenario {self.scenario!r}")
-        _spec_fields(self.system, "system", "kind", _SYSTEMS)
-        _spec_fields(self.function, "function", "shape", _SHAPES)
         if self.seed is None:
             raise ConfigError("seed is required; there is no entropy default")
         _typed("seed", self.seed, int)
@@ -223,9 +216,6 @@ class ExperimentConfig:
                   for d in _typed("depths", self.depths, list)]
         if not depths:
             raise ConfigError("depths must be non-empty")
-        lo = 0 if self.scenario == "transfer_decay" else 1
-        if depths[0] < lo:
-            raise ConfigError(f"depths must start at >= {lo} for {self.scenario}")
         if any(b <= a for a, b in zip(depths, depths[1:])):
             raise ConfigError("depths must be strictly increasing")
         if _typed("replicates", self.replicates, int) < 1000:
@@ -236,12 +226,22 @@ class ExperimentConfig:
             raise ConfigError(f"subsequence must be one of {names}")
         if _typed("subsequence_cap", self.subsequence_cap, int) < 1:
             raise ConfigError("subsequence_cap must be positive")
-        _fields(self.tolerances, "tolerances", _TOLERANCES)
-        expected = _fields(self.expected, "expected", {"star": {}, "slope": {}})
-        for key, value in expected["star"].items():
+        given = _filled(self.to_dict())
+        for key, value in given["expected"]["star"].items():
             _typed(f"expected.star.{key}", value, float)
         if "slope" in self.expected:
             _slope(self.expected)
+        stock = _filled({**_FIELD_DEFAULTS, **_STOCK, **scenario.stock})
+        unread = [d for key in stock if key not in scenario.reads
+                  for d in _differences(given[key], stock[key], key)]
+        if unread:
+            raise ConfigError(f"{self.scenario} does not read {', '.join(unread)}: leave "
+                              f"them at default_config({self.scenario!r}, seed)'s values")
+        if depths[0] < scenario.min_depth:
+            raise ConfigError(f"depths must start at >= {scenario.min_depth} for {self.scenario}")
+        fields = dict(given["function"])
+        if fields.pop("shape") == "random_atoms":
+            _random_atoms(**fields)
 
     def to_dict(self) -> dict:
         return dict(dataclasses.asdict(self), depths=list(self.depths))
@@ -250,9 +250,8 @@ class ExperimentConfig:
     def from_dict(cls, d: dict) -> "ExperimentConfig":
         fields = dataclasses.fields(cls)
         _refuse_unknown("", _typed("config", d, dict), [f.name for f in fields])
-        missing = [f.name for f in fields if f.name not in d
-                   and f.default is dataclasses.MISSING
-                   and f.default_factory is dataclasses.MISSING]
+        missing = [f.name for f in fields
+                   if f.name not in d and f.name not in _FIELD_DEFAULTS]
         if missing:
             raise ConfigError(f"missing config keys: {', '.join(missing)}")
         cfg = cls(**d)
@@ -269,6 +268,31 @@ class ExperimentConfig:
     def config_hash(self) -> str:
         blob = json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(blob.encode()).hexdigest()[:16]
+
+
+# each config field a config may leave out, at its default
+_FIELD_DEFAULTS = {f.name: f.default_factory() if f.default is dataclasses.MISSING
+                   else f.default for f in dataclasses.fields(ExperimentConfig)
+                   if f.default is not dataclasses.MISSING
+                   or f.default_factory is not dataclasses.MISSING}
+
+
+def _filled(c: dict) -> dict:
+    """Config fields ``c`` with every table's defaults filled in."""
+    return dict(c, depths=list(c["depths"]),
+                system=_spec_fields(c["system"], "system", "kind", _SYSTEMS),
+                function=_spec_fields(c["function"], "function", "shape", _SHAPES),
+                tolerances=_fields(c["tolerances"], "tolerances", _TOLERANCES),
+                expected=_fields(c["expected"], "expected", {"star": {}, "slope": {}}))
+
+
+def _differences(given, stock, where: str) -> list[str]:
+    """The dotted fields at which ``given`` differs from ``stock``; a
+    filled-in field is never None, so None stands for an absent key."""
+    if isinstance(given, dict) and isinstance(stock, dict):
+        return [d for key in sorted(set(given) | set(stock), key=str)
+                for d in _differences(given.get(key), stock.get(key), f"{where}.{key}")]
+    return [] if given == stock else [where]
 
 
 @dataclass(frozen=True)
@@ -292,84 +316,115 @@ def _row_seed(seed: int, n: int) -> int:
 # ---------------------------------------------------------------------------
 # system and function builders
 
-# The fields of each system kind and each function shape, in ``_fields`` form
-_SYSTEMS = {
-    "translation": {"step": 1.0},
-    "boole": {},
-    "composite": {"circumference": 1.0, "angle": GOLDEN, "step": 1.0},
-}
-_SHAPES = {
-    "indicator": {"lo": float, "hi": float, "scale": 1.0},
-    "bump": {"center": float, "halfwidth": float, "height": 1.0},
-    "steps": {"breaks": list, "values": list},
-    "atoms": {"atoms": list},
-    "circle": {"scale": 1.0},
-    "circle_plus_indicator": {"scale": 1.0, "lo": float, "hi": float, "line_scale": 1.0},
-    # not a function: urbanik_scan's generator of random simple functions
-    "random_atoms": {"samples": 200, "max_atoms": 5, "value_range": [0.05, 5.0],
-                     "mass_range": [0.01, 10.0], "homogeneity_scale": 4.0},
-}
+def _numbers(key: str, xs) -> tuple[float, ...]:
+    return tuple(_typed(key, x, float) for x in xs)
 
 
-def _spec_fields(spec, where: str, tag: str, table: dict) -> tuple[str, dict]:
-    """The kind or shape (``tag``) of a system or function spec, and the
-    fields ``table`` declares for it, checked and defaulted."""
+def _steps(breaks: list, values: list) -> TestFunction:
+    return piecewise_constant(_numbers("function.breaks", breaks),
+                              _numbers("function.values", values))
+
+
+def _atoms(atoms: list) -> TestFunction:
+    return simple_to_test(SimpleFunction(tuple(_numbers("function.atoms", (v, m))
+                                               for v, m in atoms)))
+
+
+def _circle_plus_indicator(sys: DynamicalSystem, lo: float, hi: float,
+                           scale: float = 1.0, line_scale: float = 1.0) -> TestFunction:
+    """The invariant circle's indicator plus one on the line."""
+    circ = circle_indicator(sys, scale)
+    line = indicator(lo, hi, line_scale)
+
+    def _eval(x, a=circ, b=line):
+        return a.eval(x) + b.eval(x)
+
+    return TestFunction(
+        eval=_eval,
+        support=window(*(circ.support.intervals + line.support.intervals)),
+        sup_bound=max(circ.sup_bound, line.sup_bound),
+        breakpoints=tuple(sorted(circ.breakpoints + line.breakpoints)),
+    )
+
+
+def _random_atoms(samples: int = 200, max_atoms: int = 5,
+                  value_range: tuple = (0.05, 5.0), mass_range: tuple = (0.01, 10.0),
+                  homogeneity_scale: float = 4.0):
+    """The scan's generator of random simple functions, checked: (samples,
+    max_atoms, value (lo, hi), mass (lo, hi), homogeneity_scale)."""
+    if samples < 1:
+        raise ConfigError(f"function.samples must be at least 1, got {samples}")
+    if not 1 <= max_atoms <= 5:
+        raise ConfigError(f"function.max_atoms must be between 1 and 5, got {max_atoms}")
+    if not 0 < homogeneity_scale < math.inf:
+        raise ConfigError("function.homogeneity_scale must be positive and finite, "
+                          f"got {homogeneity_scale!r}")
+    ranges = []
+    for key, lo_hi in (("value_range", value_range), ("mass_range", mass_range)):
+        lo_hi = _numbers(f"function.{key} entry", lo_hi)
+        if len(lo_hi) != 2 or not 0 < lo_hi[0] < lo_hi[1] < math.inf:
+            raise ConfigError(f"function.{key} must be a positive, finite, ordered "
+                              f"[lo, hi] pair, got {list(lo_hi)!r}")
+        ranges.append(lo_hi)
+    return samples, max_atoms, *ranges, homogeneity_scale
+
+
+@functools.cache
+def _declared(build: Callable) -> dict:
+    """The fields of a system or function builder in ``_fields`` form: each
+    parameter with its default or, when it has none, its annotated JSON
+    type.  A ``sys`` parameter is the system a shape is laid on, not a field."""
+    params = inspect.signature(build, eval_str=True).parameters.values()
+    return {p.name: p.annotation if p.default is p.empty else p.default
+            for p in params if p.name != "sys"}
+
+
+# each system kind and function shape by its builder
+_SYSTEMS = {"translation": make_translation, "boole": make_boole,
+            "composite": make_composite}
+_SHAPES = {"indicator": indicator, "bump": triangular_bump, "steps": _steps,
+           "atoms": _atoms, "circle": circle_indicator,
+           "circle_plus_indicator": _circle_plus_indicator,
+           # not a function: the scan's generator of random simple functions
+           "random_atoms": _random_atoms}
+
+
+def _spec_fields(spec, where: str, tag: str, table: dict) -> dict:
+    """A system or function spec with its kind or shape (``tag``) checked,
+    and the fields ``table`` declares for it checked and defaulted."""
     name = _typed(f"{where}.{tag}", _typed(where, spec, dict).get(tag), str)
     if name not in table:
         raise ConfigError(f"unknown {where} {tag} {name!r}")
-    return name, _fields({k: v for k, v in spec.items() if k != tag}, where, table[name])
+    return {tag: name, **_fields({k: v for k, v in spec.items() if k != tag},
+                                 where, _declared(table[name]))}
 
 
-def build_system(spec: dict) -> DynamicalSystem:
-    kind, a = _spec_fields(spec, "system", "kind", _SYSTEMS)
-    make = {"translation": make_translation, "boole": make_boole,
-            "composite": make_composite}[kind]
+def _made(build: Callable, fields: dict, what: str):
     try:
-        return make(**a)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-
-
-def build_function(spec: dict, sys: DynamicalSystem | None = None) -> TestFunction:
-    shape, a = _spec_fields(spec, "function", "shape", _SHAPES)
-
-    def nums(key: str) -> tuple[float, ...]:
-        return tuple(_typed(f"function.{key}", x, float) for x in a[key])
-
-    if shape.startswith("circle") and (sys is None or sys.kind != "composite"):
-        raise ConfigError(f"shape {shape!r} needs a composite system")
-    try:
-        if shape == "indicator":
-            return indicator(a["lo"], a["hi"], a["scale"])
-        if shape == "bump":
-            return triangular_bump(a["center"], a["halfwidth"], a["height"])
-        if shape == "steps":
-            return piecewise_constant(nums("breaks"), nums("values"))
-        if shape == "atoms":
-            s = SimpleFunction(tuple((_typed("function.atoms", v, float),
-                                      _typed("function.atoms", m, float))
-                                     for v, m in a["atoms"]))
-            return simple_to_test(s)
-        if shape == "circle":
-            return circle_indicator(sys, a["scale"])
-        if shape == "circle_plus_indicator":
-            circ = circle_indicator(sys, a["scale"])
-            line = indicator(a["lo"], a["hi"], a["line_scale"])
-
-            def _eval(x, a=circ, b=line):
-                return a.eval(x) + b.eval(x)
-
-            return TestFunction(
-                eval=_eval,
-                support=window(*(circ.support.intervals + line.support.intervals)),
-                sup_bound=max(circ.sup_bound, line.sup_bound),
-                breakpoints=tuple(sorted(circ.breakpoints + line.breakpoints)),
-            )
+        return build(**fields)
     except ConfigError:
         raise
     except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad function spec for shape {shape!r}: {exc}") from exc
-    raise ConfigError(f"shape {shape!r} is urbanik_scan's generator, not a function")
+        raise ConfigError(f"bad {what}: {exc}") from exc
+
+
+def build_system(spec: dict) -> DynamicalSystem:
+    fields = _spec_fields(spec, "system", "kind", _SYSTEMS)
+    kind = fields.pop("kind")
+    return _made(_SYSTEMS[kind], fields, f"system spec for kind {kind!r}")
+
+
+def build_function(spec: dict, sys: DynamicalSystem | None = None) -> TestFunction:
+    """The function a spec describes; a shape laid on a system needs ``sys``."""
+    fields = _spec_fields(spec, "function", "shape", _SHAPES)
+    shape = fields.pop("shape")
+    build = _SHAPES[shape]
+    if build is _random_atoms:
+        raise ConfigError(f"shape {shape!r} is the scan's generator of random "
+                          "simple functions, not a function")
+    if "sys" in inspect.signature(build).parameters:
+        fields["sys"] = sys
+    return _made(build, fields, f"function spec for shape {shape!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -533,9 +588,10 @@ def _depth_rows(cfg: ExperimentConfig, derive: Callable[[int], TestFunction],
 # ---------------------------------------------------------------------------
 # scenario runners
 
-def _system_and_function(cfg: ExperimentConfig, kinds: tuple[str, ...]):
-    """The config's system, refused unless its kind is one of ``kinds``, and
-    its function built on it."""
+def _system_and_function(cfg: ExperimentConfig):
+    """The config's system, refused unless its scenario runs on that kind,
+    and its function built on it."""
+    kinds = _SCENARIOS[cfg.scenario].kinds
     sys = build_system(cfg.system)
     if sys.kind not in kinds:
         raise ConfigError(f"{cfg.scenario} runs on the {' or '.join(kinds)} "
@@ -545,7 +601,7 @@ def _system_and_function(cfg: ExperimentConfig, kinds: tuple[str, ...]):
 
 def _average_decay_rows(cfg: ExperimentConfig, subsequence: Callable[[int], tuple | None]):
     """Rows of Birkhoff averages g_n, along subsequence(n) when not None."""
-    sys, f = _system_and_function(cfg, ("translation", "boole"))
+    sys, f = _system_and_function(cfg)
     sigma = cfg.tol("sigma")
     return _depth_rows(
         cfg, lambda n: birkhoff(f, sys, n, subsequence=subsequence(n)),
@@ -563,7 +619,7 @@ def run_birkhoff_decay(cfg: ExperimentConfig):
 def run_blum_hanson(cfg: ExperimentConfig):
     """Birkhoff averages along a named subsequence of iterate exponents."""
     if cfg.subsequence is None:
-        raise ConfigError("blum_hanson needs a subsequence")
+        raise ConfigError(f"{cfg.scenario} needs a subsequence")
     formula = _SUBSEQUENCES[cfg.subsequence]
     cap = cfg.subsequence_cap
     kept = tuple(n for n in cfg.depths if formula(n) <= cap)
@@ -580,7 +636,7 @@ def run_blum_hanson(cfg: ExperimentConfig):
 
 def run_transfer_decay(cfg: ExperimentConfig):
     """Star norm of transfer-operator iterates under the Boole map."""
-    sys, f = _system_and_function(cfg, ("boole",))
+    sys, f = _system_and_function(cfg)
     sigma = cfg.tol("sigma")
 
     def mc_window(g, n):
@@ -599,28 +655,12 @@ def run_transfer_decay(cfg: ExperimentConfig):
 def run_urbanik_scan(cfg: ExperimentConfig):
     """Exact star norms of random simple functions against the gauge and
     Orlicz columns; every sample checks the two-sided gauge comparison."""
-    shape, spec = _spec_fields(cfg.function, "function", "shape", _SHAPES)
-    if shape != "random_atoms":
-        raise ConfigError("urbanik_scan needs the random_atoms generator spec")
-    samples, max_atoms = spec["samples"], spec["max_atoms"]
-
-    def pair(key):
-        lo_hi = spec[key]
-        if len(lo_hi) != 2:
-            raise ConfigError(f"function.{key} must be a [lo, hi] pair, got {lo_hi!r}")
-        return (_typed(f"function.{key} entry", x, float) for x in lo_hi)
-
-    v_lo, v_hi = pair("value_range")
-    m_lo, m_hi = pair("mass_range")
-    if not (0 < v_lo < v_hi) or not (0 < m_lo < m_hi):
-        raise ConfigError("value_range and mass_range must be positive and ordered")
-    if max_atoms < 1 or max_atoms > 5:
-        raise ConfigError("max_atoms must be between 1 and 5")
-    if samples < 1:
-        raise ConfigError("function.samples must be at least 1")
+    fields = _spec_fields(cfg.function, "function", "shape", _SHAPES)
+    if fields.pop("shape") != "random_atoms":
+        raise ConfigError(f"{cfg.scenario} needs the random_atoms generator spec")
+    samples, max_atoms, (v_lo, v_hi), (m_lo, m_hi), scale = _random_atoms(**fields)
     rng = _philox(cfg.seed, _SCAN_STREAM)
     chash = cfg.config_hash()
-    scale = spec["homogeneity_scale"]
     rows: list[ExperimentRow] = []
     ratios_gauge: list[float] = []
     ratios_orlicz: list[float] = []
@@ -665,7 +705,7 @@ def run_urbanik_scan(cfg: ExperimentConfig):
 def run_starstar_ergodic(cfg: ExperimentConfig):
     """E|N(g_n) - int f| for Birkhoff averages g_n: the uncentered distance
     to the constant the averages converge to on the suspension."""
-    sys, f = _system_and_function(cfg, ("translation", "boole"))
+    sys, f = _system_and_function(cfg)
     center = float(integrate(f, f.support, tol=1e-10)[0])
     sigma = cfg.tol("sigma")
     return _depth_rows(
@@ -680,9 +720,9 @@ def run_starstar_ergodic(cfg: ExperimentConfig):
 def run_invariant_vector(cfg: ExperimentConfig):
     """Birkhoff averages over the composite system: the star column stays at
     the exact norm of the invariant circle component."""
-    sys, f = _system_and_function(cfg, ("composite",))
+    sys, f = _system_and_function(cfg)
     length = sys.params[0]
-    scale = _spec_fields(cfg.function, "function", "shape", _SHAPES)[1]["scale"]
+    scale = _spec_fields(cfg.function, "function", "shape", _SHAPES)["scale"]
     target = star_norm_exact(SimpleFunction(((scale, length),)))
     target_l2sq = scale * scale * length
     sigma = cfg.tol("sigma")
@@ -781,26 +821,14 @@ def run_identity_suite(cfg: ExperimentConfig):
                            - abs(ss.mean - st.mean)))
 
     summary = _summarize(cfg, [])
-    summary["checks"] = [{"id": c.id, "passed": c.passed, "margin": c.margin}
-                         for c in checks]
+    summary["checks"] = [c._asdict() for c in checks]
     summary["all_pass"] = all(c.passed for c in checks)
     return [], summary
 
 
-_RUNNERS = {
-    "birkhoff_decay": run_birkhoff_decay,
-    "blum_hanson": run_blum_hanson,
-    "transfer_decay": run_transfer_decay,
-    "urbanik_scan": run_urbanik_scan,
-    "starstar_ergodic": run_starstar_ergodic,
-    "invariant_vector": run_invariant_vector,
-    "identity_suite": run_identity_suite,
-}
-
-
 def run_experiment(cfg: ExperimentConfig):
     """Dispatch a config to its scenario runner."""
-    return _RUNNERS[cfg.scenario](cfg)
+    return _SCENARIOS[cfg.scenario].run(cfg)
 
 
 def _summarize(cfg: ExperimentConfig, rows: list[ExperimentRow]) -> dict:
@@ -818,53 +846,73 @@ def _summarize(cfg: ExperimentConfig, rows: list[ExperimentRow]) -> dict:
 # ---------------------------------------------------------------------------
 # default configs
 
-# Settings the stock configs share; each lists only those in which it differs
+# Settings the stock configs share; each scenario lists only those in which
+# it differs
 _STOCK = {
-    "system": {"kind": "translation", "step": 1.0},
-    "function": {"shape": "indicator", "lo": 0.0, "hi": 1.0, "scale": 1.0},
+    "system": {"kind": "translation", **_declared(make_translation)},
+    "function": {"shape": "indicator", **_declared(indicator), "lo": 0.0, "hi": 1.0},
     "depths": (1, 2, 4, 8, 16, 32),
     "replicates": 100_000,
 }
+# the stock scan spec lists every generator field but homogeneity_scale, as
+# the stock config hashes record it
+_SCAN_STOCK = {"shape": "random_atoms", **{k: v for k, v in _declared(_random_atoms).items()
+                                            if k != "homogeneity_scale"}}
 
-_DEFAULTS: dict[str, dict] = {
-    "birkhoff_decay": {
-        "expected": {"slope": dict(_SLOPE, value=-0.5)},
-    },
-    "blum_hanson": {
-        "depths": (1, 2, 4, 8),
-        "replicates": 20_000,
-        "subsequence": "k^2",
-    },
-    "transfer_decay": {
-        "system": {"kind": "boole"},
-        "function": {"shape": "indicator", "lo": 1.0, "hi": 2.0, "scale": 1.0},
-        "depths": tuple(range(11)),
-        "replicates": 2000,
-    },
-    "urbanik_scan": {
-        "function": {"shape": "random_atoms", "samples": 200, "max_atoms": 5,
-                     "value_range": (0.05, 5.0), "mass_range": (0.01, 10.0)},
-        "depths": (1,),
-        "replicates": 1000,
-    },
-    "starstar_ergodic": {},
-    "invariant_vector": {
-        "system": {"kind": "composite", "circumference": 1.0, "angle": GOLDEN,
-                   "step": 1.0},
-        "function": {"shape": "circle", "scale": 1.0},
-    },
-    "identity_suite": {
-        "depths": (1,),
-        "replicates": 4000,
-    },
+
+class _Scenario(NamedTuple):
+    """A scenario: its runner, the config fields it reads besides scenario
+    and seed, its stock settings where they differ from _STOCK, the reduced
+    settings `porlicz suite` runs it at, the system kinds it runs on and its
+    smallest depth."""
+    run: Callable
+    reads: tuple
+    stock: dict
+    suite: dict
+    kinds: tuple = ()
+    min_depth: int = 1
+
+
+_PER_DEPTH = ("system", "function", "depths", "replicates", "tolerances", "expected")
+_LINE = ("translation", "boole")
+
+# in the order `porlicz suite` runs them
+_SCENARIOS = {
+    "identity_suite": _Scenario(
+        run_identity_suite, ("replicates",), {"depths": (1,), "replicates": 4000}, {}),
+    "birkhoff_decay": _Scenario(
+        run_birkhoff_decay, _PER_DEPTH, {"expected": {"slope": dict(_SLOPE, value=-0.5)}},
+        {"depths": (1, 2, 4, 8), "replicates": 20_000}, _LINE),
+    "blum_hanson": _Scenario(
+        run_blum_hanson, _PER_DEPTH + ("subsequence", "subsequence_cap"),
+        {"depths": (1, 2, 4, 8), "replicates": 20_000, "subsequence": "k^2"},
+        {"depths": (1, 2, 3), "replicates": 5000}, _LINE),
+    "transfer_decay": _Scenario(
+        run_transfer_decay, _PER_DEPTH,
+        {"system": {"kind": "boole"},
+         "function": {"shape": "indicator", **_declared(indicator), "lo": 1.0, "hi": 2.0},
+         "depths": tuple(range(11)), "replicates": 2000},
+        {"depths": (0, 1, 2), "replicates": 1500}, ("boole",), min_depth=0),
+    "urbanik_scan": _Scenario(
+        run_urbanik_scan, ("function",),
+        {"function": _SCAN_STOCK, "depths": (1,), "replicates": 1000},
+        {"function": dict(_SCAN_STOCK, samples=50)}),
+    "starstar_ergodic": _Scenario(
+        run_starstar_ergodic, _PER_DEPTH, {},
+        {"depths": (1, 2, 4), "replicates": 20_000}, _LINE),
+    "invariant_vector": _Scenario(
+        run_invariant_vector, _PER_DEPTH,
+        {"system": {"kind": "composite", **_declared(make_composite)},
+         "function": {"shape": "circle", **_declared(circle_indicator)}},
+        {"depths": (1, 2, 4), "replicates": 10_000}, ("composite",)),
 }
 
 
 def default_config(scenario: str, seed: int, **overrides) -> ExperimentConfig:
     """The stock configuration for a scenario, with field overrides."""
-    if scenario not in _DEFAULTS:
+    if scenario not in _SCENARIOS:
         raise ConfigError(f"unknown scenario {scenario!r}")
-    base = {**_STOCK, **_DEFAULTS[scenario], **overrides}
+    base = {**_STOCK, **_SCENARIOS[scenario].stock, **overrides}
     expected = base.get("expected", {})
     if ("expected" not in overrides and "slope" in expected
             and not _slope_reachable(expected, base["depths"])):
@@ -910,35 +958,14 @@ def result_to_csv(rows: list[ExperimentRow], summary: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _row_to_dict(r: ExperimentRow) -> dict:
-    return {
-        "n": r.n,
-        "star": {
-            "mean": r.star.mean,
-            "std_error": r.star.std_error,
-            "replicates": r.star.replicates,
-            "seed": r.star.seed,
-            "truncation_bound": r.star.truncation_bound,
-        },
-        "gauge": r.gauge,
-        "orlicz_paper": r.orlicz_paper,
-        "l1": r.l1,
-        "l2": r.l2,
-        "norm_source": r.norm_source,
-        "verdicts": [{"id": v.id, "passed": v.passed, "margin": v.margin}
-                     for v in r.verdicts],
-        "seed": r.seed,
-        "config_hash": r.config_hash,
-    }
-
-
 def result_to_json(cfg: ExperimentConfig, rows: list[ExperimentRow],
                    summary: dict) -> str:
     doc = {
         "config": cfg.to_dict(),
         "config_hash": cfg.config_hash(),
         "seed": int(cfg.seed),
-        "rows": [_row_to_dict(r) for r in rows],
+        "rows": [dict(dataclasses.asdict(r), verdicts=[v._asdict() for v in r.verdicts])
+                 for r in rows],
         "summary": summary,
     }
     return json.dumps(doc, sort_keys=True, indent=2) + "\n"

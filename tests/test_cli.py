@@ -83,6 +83,47 @@ def test_parse_function_spec_shapes():
     assert spec == {"shape": "atoms", "atoms": [[1.0, 2.0]]}
 
 
+@pytest.mark.parametrize("parse, token, spec", [
+    (parse_function_spec, "indicator:0,2", {"shape": "indicator", "lo": 0.0, "hi": 2.0}),
+    (parse_function_spec, " indicator :0, 2 ,0.5",
+     {"shape": "indicator", "lo": 0.0, "hi": 2.0, "scale": 0.5}),
+    (parse_function_spec, "bump:0,1", {"shape": "bump", "center": 0.0, "halfwidth": 1.0}),
+    (parse_function_spec, "bump:0,1,-2",
+     {"shape": "bump", "center": 0.0, "halfwidth": 1.0, "height": -2.0}),
+    (parse_function_spec, "steps:0,1|3", {"shape": "steps", "breaks": [0.0, 1.0],
+                                          "values": [3.0]}),
+    (parse_function_spec, "atoms:", {"shape": "atoms", "atoms": []}),
+    (parse_system_spec, "translation", {"kind": "translation"}),
+    (parse_system_spec, "translation:", {"kind": "translation"}),
+    (parse_system_spec, "translation:2", {"kind": "translation", "step": 2.0}),
+    (parse_system_spec, "boole", {"kind": "boole"}),
+    (parse_system_spec, "boole:", {"kind": "boole"}),
+    (parse_system_spec, "composite", {"kind": "composite"}),
+    (parse_system_spec, "composite:2,0.5,1",
+     {"kind": "composite", "circumference": 2.0, "angle": 0.5, "step": 1.0}),
+])
+def test_spec_parsers_read_fields_in_builder_order(parse, token, spec):
+    assert parse(token) == spec
+
+
+@pytest.mark.parametrize("parse, token, named", [
+    (parse_system_spec, "translation:abc", ("translation step", "'abc'")),
+    (parse_system_spec, "translation:1,2", ("translation:step",)),
+    (parse_system_spec, "composite:1,2", ("composite:circumference,angle,step",)),
+    (parse_system_spec, "boole:5", ("'boole:5'",)),
+    (parse_system_spec, "rotation:1", ("'rotation'",)),
+    (parse_function_spec, "indicator:0", ("indicator:lo,hi",)),
+    (parse_function_spec, "bump:x,1", ("bump center", "'x'")),
+    (parse_function_spec, "steps:0,1", ("steps:breaks|values",)),
+    (parse_function_spec, "steps:0,1|y", ("steps values", "'y'")),
+])
+def test_spec_parsers_name_what_they_refuse(parse, token, named):
+    with pytest.raises(UsageError) as info:
+        parse(token)
+    for text in named:
+        assert text in str(info.value)
+
+
 # ---------------------------------------------------------------------------
 # norm command
 
@@ -127,6 +168,15 @@ def test_norm_unknown_which_rejected(capsys):
                                       "--which", "star,bogus"])
     assert code == 1
     assert "bogus" in err
+
+
+def test_norm_bad_system_value_names_kind(capsys):
+    code, out, err = run_cli(capsys, ["norm", "--function", "indicator:0,1",
+                                      "--apply", "birkhoff", "--system", "translation:abc"])
+    assert code == 1
+    assert out == ""
+    assert "translation step: 'abc' is not a number" in err
+    assert "Traceback" not in err
 
 
 def test_norm_needs_exactly_one_source(capsys):
@@ -342,6 +392,12 @@ URBANIK_CONFIG = {
     "function": {"shape": "random_atoms", "samples": 3},
     "seed": 31,
 }
+IDENTITY_CONFIG = {
+    "scenario": "identity_suite",
+    "system": {"kind": "translation"},
+    "function": {"shape": "indicator", "lo": 0.0, "hi": 1.0},
+    "seed": 31,
+}
 
 
 @pytest.mark.parametrize("base, change, field", [
@@ -372,17 +428,32 @@ URBANIK_CONFIG = {
      "function.sample"),
     (BASE_CONFIG, {"depths": [1, 2], "expected": {"star": {"64": 0.1}}}, "64"),
     (BASE_CONFIG, {"depths": [1, 2], "expected": {"star": {"one": 0.1}}}, "one"),
+    (URBANIK_CONFIG, {"function": {"shape": "random_atoms", "homogeneity_scale": -4.0}},
+     "function.homogeneity_scale"),
+    (URBANIK_CONFIG, {"function": {"shape": "random_atoms", "homogeneity_scale": 0.0}},
+     "function.homogeneity_scale"),
+    (URBANIK_CONFIG, {"system": {"kind": "boole"}, "depths": [1, 2, 3],
+                      "expected": {"star": {"1": 99}}, "tolerances": {"sigma": 0.001},
+                      "subsequence": "k"},
+     ("urbanik_scan", "depths", "expected.star.1", "system.kind", "tolerances.sigma",
+      "subsequence")),
+    (IDENTITY_CONFIG, {"system": {"kind": "boole"}, "tolerances": {"sigma": 0.001}},
+     ("identity_suite", "system.kind", "tolerances.sigma")),
+    (BASE_CONFIG, {"subsequence": "2^k"}, ("birkhoff_decay", "subsequence")),
 ], ids=["null_replicates", "fractional_depth", "boolean_seed", "null_step",
         "null_sigma", "null_expected_star", "scalar_slope", "scalar_value_range",
         "zero_samples", "unreachable_slope", "string_lo", "unknown_system_key",
         "list_kind", "unknown_function_key", "unknown_tolerance", "removed_tolerance",
         "unknown_expected_key", "unknown_slope_key", "unknown_generator_key",
-        "star_depth_not_run", "star_key_not_a_depth"])
+        "star_depth_not_run", "star_key_not_a_depth", "negative_homogeneity_scale",
+        "zero_homogeneity_scale", "urbanik_unread_fields", "identity_unread_fields",
+        "birkhoff_unread_subsequence"])
 def test_run_bad_config_is_config_error(capsys, tmp_path, base, change, field):
     path = write_config(tmp_path, "bad.json", dict(base, **change))
     code, out, err = run_cli(capsys, ["run", "--config", path])
     assert code == 1
-    assert field in err
+    for name in (field,) if isinstance(field, str) else field:
+        assert name in err
     assert out == ""
     assert "Traceback" not in err
 
@@ -414,7 +485,8 @@ _JSON = st.recursive(
     | st.dictionaries(st.text(max_size=4), inner, max_size=4),
     max_leaves=12,
 )
-_FULL_CONFIG = dict(BASE_CONFIG, subsequence="k", tolerances={"sigma": 3.0},
+_FULL_CONFIG = dict(BASE_CONFIG, scenario="blum_hanson", subsequence="k",
+                    tolerances={"sigma": 3.0},
                     expected={"star": {"1": 0.9},
                               "slope": {"value": -0.5, "tol": 0.1, "min_depth": 2}})
 

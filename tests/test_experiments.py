@@ -323,3 +323,50 @@ def test_json_writer_round_trip_and_determinism():
 def test_default_config_rejects_unknown_scenario():
     with pytest.raises(ConfigError):
         default_config("nope", seed=1)
+
+
+# ---------------------------------------------------------------------------
+# pinned config hashes: every stock config and every `porlicz suite` config
+
+STOCK_HASHES = {
+    "birkhoff_decay": "456e9014e54aa4d8",
+    "blum_hanson": "287fe1809cd1e44a",
+    "transfer_decay": "7df905e7808ff343",
+    "urbanik_scan": "cdede08e7d40e403",
+    "starstar_ergodic": "1b798774c8b99af1",
+    "invariant_vector": "ec8c2280d81867a1",
+    "identity_suite": "c5bdee13daad387e",
+}
+SUITE_HASHES = {
+    "identity_suite": "c5bdee13daad387e",
+    "birkhoff_decay": "a4316401ca018e9f",
+    "blum_hanson": "0ecb43e22c1cb60b",
+    "transfer_decay": "dbbd33fd6ffdbb65",
+    "urbanik_scan": "fec973167cedaaa0",
+    "starstar_ergodic": "8f14489224f41519",
+    "invariant_vector": "fc4a444baf146a70",
+}
+
+
+def _assert_round_trip(cfg):
+    again = ExperimentConfig.from_dict(cfg.to_dict())
+    assert again == cfg
+    assert again.config_hash() == cfg.config_hash()
+
+
+@pytest.mark.parametrize("scenario", sorted(STOCK_HASHES))
+def test_stock_config_hash_is_pinned(scenario):
+    cfg = default_config(scenario, seed=42)
+    assert cfg.config_hash() == STOCK_HASHES[scenario]
+    _assert_round_trip(cfg)
+
+
+def test_suite_config_hashes_are_pinned(capsys):
+    from poisson_orlicz.cli import main
+    assert main(["suite", "--seed", "42", "--format", "json"]) == 0
+    docs = json.loads(capsys.readouterr().out)["scenarios"]
+    assert sorted(docs) == sorted(SUITE_HASHES)
+    for scenario, doc in docs.items():
+        cfg = ExperimentConfig.from_dict(doc["config"])
+        assert cfg.config_hash() == doc["config_hash"] == SUITE_HASHES[scenario]
+        _assert_round_trip(cfg)
