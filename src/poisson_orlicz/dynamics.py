@@ -75,9 +75,16 @@ class DynamicalSystem:
         return self.branches(np.asarray(x, dtype=float))
 
 
+def _finite(kind: str, **params: float) -> None:
+    for name, value in params.items():
+        if not math.isfinite(value):
+            raise ValueError(f"{kind} {name} must be finite, got {value!r}")
+
+
 def make_translation(step: float = 1.0) -> DynamicalSystem:
     """T(x) = x + step on the line; invertible, no finite invariant piece."""
     step = float(step)
+    _finite("translation", step=step)
     if step == 0.0:
         raise ValueError("step must be nonzero; for the identity use make_composite")
 
@@ -158,11 +165,10 @@ def make_composite(circumference: float = 1.0, angle: float = GOLDEN,
     (positions are shifted through it), so both parts are invariant.  With
     step = 0 and angle = 0 this is the identity map.
     """
-    length = float(circumference)
+    length, angle, step = float(circumference), float(angle), float(step)
+    _finite("composite", circumference=length, angle=angle, step=step)
     if length <= 0:
         raise ValueError("circumference must be positive")
-    angle = float(angle)
-    step = float(step)
     c0 = CIRCLE_OFFSET
     c1 = c0 + length
 

@@ -239,6 +239,7 @@ class ExperimentConfig:
                               f"them at default_config({self.scenario!r}, seed)'s values")
         if depths[0] < scenario.min_depth:
             raise ConfigError(f"depths must start at >= {scenario.min_depth} for {self.scenario}")
+        build_system(given["system"])
         fields = dict(given["function"])
         if fields.pop("shape") == "random_atoms":
             _random_atoms(**fields)

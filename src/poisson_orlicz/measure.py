@@ -135,7 +135,10 @@ def window_position(w: Window, u) -> np.ndarray:
 class TestFunction:
     """Pointwise-evaluable real function with declared support window.
 
-    ``eval`` must accept a float ndarray and return one of equal shape.  It is
+    ``eval`` must accept a float ndarray and return one of equal shape, and be
+    pointwise: its value at x depends on x alone, so evaluating any split of
+    an array and joining the parts gives the same bits as one call (the Monte
+    Carlo estimators evaluate their sample points in blocks).  It is
     assumed to vanish outside ``support`` except for mass covered by the
     declared tail bounds on the L1 and L2 norms of f restricted to the
     complement of the support.  ``breakpoints`` lists known discontinuities or

@@ -179,6 +179,23 @@ def test_norm_bad_system_value_names_kind(capsys):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("system, message", [
+    ("translation:1e999", "translation step must be finite, got inf"),
+    ("translation:nan", "translation step must be finite, got nan"),
+    ("composite:nan,0.5,1", "composite circumference must be finite, got nan"),
+    ("composite:1,inf,1", "composite angle must be finite, got inf"),
+    ("composite:1,0.5,-inf", "composite step must be finite, got -inf"),
+])
+def test_norm_non_finite_system_value_names_field(capsys, system, message):
+    code, out, err = run_cli(capsys, ["norm", "--function", "indicator:0,1",
+                                      "--apply", "birkhoff", "--system", system,
+                                      "--depth", "2"])
+    assert code == 1
+    assert out == ""
+    assert message in err
+    assert "Traceback" not in err
+
+
 def test_norm_needs_exactly_one_source(capsys):
     assert run_cli(capsys, ["norm"])[0] == 1
     code, _, _ = run_cli(capsys, ["norm", "--atoms", "(1,1)",
@@ -399,6 +416,14 @@ IDENTITY_CONFIG = {
     "seed": 31,
 }
 
+INVARIANT_CONFIG = {
+    "scenario": "invariant_vector",
+    "system": {"kind": "composite"},
+    "function": {"shape": "circle"},
+    "seed": 31,
+    "depths": [1, 2],
+}
+
 
 @pytest.mark.parametrize("base, change, field", [
     (BASE_CONFIG, {"replicates": None}, "replicates"),
@@ -440,6 +465,16 @@ IDENTITY_CONFIG = {
     (IDENTITY_CONFIG, {"system": {"kind": "boole"}, "tolerances": {"sigma": 0.001}},
      ("identity_suite", "system.kind", "tolerances.sigma")),
     (BASE_CONFIG, {"subsequence": "2^k"}, ("birkhoff_decay", "subsequence")),
+    (BASE_CONFIG, {"system": {"kind": "translation", "step": 1e999}},
+     ("translation step must be finite", "inf")),
+    (BASE_CONFIG, {"system": {"kind": "translation", "step": math.nan}},
+     ("translation step must be finite", "nan")),
+    (INVARIANT_CONFIG, {"system": {"kind": "composite", "circumference": math.inf}},
+     ("composite circumference must be finite",)),
+    (INVARIANT_CONFIG, {"system": {"kind": "composite", "angle": math.nan}},
+     ("composite angle must be finite",)),
+    (INVARIANT_CONFIG, {"system": {"kind": "composite", "step": -math.inf}},
+     ("composite step must be finite",)),
 ], ids=["null_replicates", "fractional_depth", "boolean_seed", "null_step",
         "null_sigma", "null_expected_star", "scalar_slope", "scalar_value_range",
         "zero_samples", "unreachable_slope", "string_lo", "unknown_system_key",
@@ -447,7 +482,8 @@ IDENTITY_CONFIG = {
         "unknown_expected_key", "unknown_slope_key", "unknown_generator_key",
         "star_depth_not_run", "star_key_not_a_depth", "negative_homogeneity_scale",
         "zero_homogeneity_scale", "urbanik_unread_fields", "identity_unread_fields",
-        "birkhoff_unread_subsequence"])
+        "birkhoff_unread_subsequence", "infinite_step", "nan_step",
+        "infinite_circumference", "nan_angle", "infinite_composite_step"])
 def test_run_bad_config_is_config_error(capsys, tmp_path, base, change, field):
     path = write_config(tmp_path, "bad.json", dict(base, **change))
     code, out, err = run_cli(capsys, ["run", "--config", path])

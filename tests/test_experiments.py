@@ -57,6 +57,9 @@ def test_config_validation_errors():
         dataclasses.replace(base, scenario="mystery").validate()
     with pytest.raises(ConfigError):
         dataclasses.replace(base, subsequence="1").validate()
+    # system parameters are checked by the builder at load, not at run
+    with pytest.raises(ConfigError, match="translation step must be finite"):
+        dataclasses.replace(base, system={"kind": "translation", "step": float("inf")})
     dataclasses.replace(base, scenario="transfer_decay", depths=(0, 1)).validate()
 
 

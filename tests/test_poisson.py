@@ -10,6 +10,15 @@ from hypothesis import strategies as st
 from scipy import integrate, stats
 
 from poisson_orlicz import poisson
+from poisson_orlicz.dynamics import (
+    CIRCLE_OFFSET,
+    birkhoff,
+    make_boole,
+    make_composite,
+    make_translation,
+    transfer_apply,
+)
+from poisson_orlicz.experiments import _SHAPES, build_function
 from poisson_orlicz.measure import (
     SimpleFunction,
     TestFunction,
@@ -25,6 +34,7 @@ from poisson_orlicz.poisson import (
     MCEstimate,
     PoissonSample,
     QuadratureError,
+    abs_moment_exact,
     coboundary_check,
     difference_check,
     equivariance_check,
@@ -172,6 +182,16 @@ def test_exact_refusals():
     with pytest.raises(ValueError):
         star_norm_exact(SimpleFunction(((1.0, 30.5),)))
     assert star_norm_exact(SimpleFunction()) == 0.0
+
+
+def test_exact_tiny_atom_is_relatively_exact():
+    # the lattice merges on an absolute 1e-12 grid, far coarser than 1e-20
+    got = star_norm_exact(SimpleFunction(((1e-20, 1.0),)))
+    assert got == pytest.approx(2.0 * math.exp(-1.0) * 1e-20, rel=1e-9)
+    # E|N - c| = 1 - c + 2 c e^-1 for N ~ Poisson(1) and 0 <= c <= 1
+    c = 0.25
+    got = abs_moment_exact(SimpleFunction(((1e-20, 1.0),)), center=c * 1e-20)
+    assert got == pytest.approx((1.0 - c + 2.0 * c * math.exp(-1.0)) * 1e-20, rel=1e-9)
 
 
 def test_starstar_exact_values():
@@ -348,6 +368,83 @@ def test_estimate_starstar():
     est = estimate_starstar_norm(mixed, window((0, 3)), 10 ** 4, seed=4)
     l1 = 3.0
     assert l1 - est.mean > 3 * est.std_error  # strict gap for mixed sign
+
+
+# ---------------------------------------------------------------------------
+# block evaluation of the sample points
+
+_NUM = st.floats(-4.0, 4.0)
+_NONZERO = st.one_of(st.floats(0.125, 4.0), st.floats(-4.0, -0.125))
+_WIDTH = st.floats(0.125, 4.0)
+
+# fields of each shape of experiments._SHAPES that is a function
+_SHAPE_FIELDS = {
+    "indicator": st.builds(lambda lo, w, s: {"lo": lo, "hi": lo + w, "scale": s},
+                           _NUM, _WIDTH, _NONZERO),
+    "bump": st.builds(lambda c, w, a: {"center": c, "halfwidth": w, "height": a},
+                      _NUM, _WIDTH, _NONZERO),
+    "steps": st.lists(_NUM, min_size=1, max_size=4).map(
+        lambda vs: {"breaks": [i - 2.0 for i in range(len(vs) + 1)], "values": vs}),
+    "atoms": st.lists(st.tuples(_NONZERO, _WIDTH), min_size=1, max_size=3).map(
+        lambda atoms: {"atoms": [list(a) for a in atoms]}),
+    "circle": st.builds(lambda s: {"scale": s}, _NUM),
+    "circle_plus_indicator": st.builds(
+        lambda lo, w, s, t: {"lo": lo, "hi": lo + w, "scale": s, "line_scale": t},
+        _NUM, _WIDTH, _NUM, _NUM),
+}
+_LINE_SHAPES = ("indicator", "bump", "steps", "atoms")
+_POINTS = st.lists(st.one_of(st.floats(-12.0, 12.0),
+                             st.floats(CIRCLE_OFFSET - 2.0, CIRCLE_OFFSET + 3.0),
+                             st.sampled_from([0.0, -1.0, 1.0, CIRCLE_OFFSET])),
+                   min_size=1, max_size=40)
+
+
+@st.composite
+def _functions(draw):
+    """A shape, a Birkhoff average (translation or composite, depth <= 8) of
+    one, or a Boole transfer iterate (depth <= 3) of one."""
+    route = draw(st.sampled_from(["shape", "birkhoff", "transfer"]))
+    if route == "transfer":
+        shape = draw(st.sampled_from(["indicator", "bump"]))
+        f = build_function({"shape": shape, **draw(_SHAPE_FIELDS[shape])})
+        return transfer_apply(f, make_boole(), draw(st.integers(0, 3)))
+    sys = make_composite()
+    if route == "birkhoff" and draw(st.booleans()):
+        sys = make_translation(draw(_NONZERO))
+    shape = draw(st.sampled_from(sorted(_SHAPE_FIELDS) if sys.kind == "composite"
+                                 else _LINE_SHAPES))
+    f = build_function({"shape": shape, **draw(_SHAPE_FIELDS[shape])}, sys)
+    return f if route == "shape" else birkhoff(f, sys, draw(st.integers(1, 8)))
+
+
+@settings(max_examples=200)
+@given(f=_functions(), points=_POINTS, data=st.data())
+def test_eval_of_a_split_is_the_eval_of_the_whole(f, points, data):
+    # the contract block evaluation relies on: eval is pointwise, so any split
+    # of the points gives the same bits
+    assert set(_SHAPE_FIELDS) == set(_SHAPES) - {"random_atoms"}
+    x = np.array(points)
+    cuts = sorted(data.draw(st.lists(st.integers(0, x.size), max_size=4)))
+    whole = np.asarray(f.eval(x), dtype=float)
+    joined = np.concatenate([np.asarray(f.eval(part), dtype=float)
+                             for part in np.split(x, cuts)])
+    assert np.array_equal(whole.view(np.int64), joined.view(np.int64))
+
+
+def test_estimators_do_not_depend_on_the_block_size(monkeypatch):
+    f = birkhoff(indicator(0.0, 1.0), make_translation(0.5), 4)
+    g, h = indicator(0.0, 1.0), triangular_bump(1.0, 1.5)
+    w = window((-2.0, 3.0))
+
+    def results():
+        return (estimate_star_norm(f, w, 1000, seed=3),
+                estimate_starstar_norm(f, w, 1000, seed=4),
+                second_moment_check(g, w, 1000, seed=5),
+                reduced_moment_check(g, h, w, 1000, seed=6))
+
+    whole = results()
+    monkeypatch.setattr(poisson, "_CHUNK", 7)
+    assert results() == whole
 
 
 # ---------------------------------------------------------------------------
