@@ -9,6 +9,8 @@ the inequality being checked: nonnegative means pass.
 Each scenario is declared once, in ``_SCENARIOS``, and each system kind
 and function shape by its builder, whose signature gives its fields.  A
 config field its scenario does not read must keep its stock value.
+A config is refused in one place, ``ExperimentConfig.validate``, when it is
+built; the runner uses the system and function built there.
 
 The per-depth scenarios share one row builder, ``_depth_rows``.  A scenario
 hands it the derived function g_n, the sampling window, the centre (which
@@ -199,19 +201,20 @@ class ExperimentConfig:
     expected: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        self.validate()
+        # not a field: to_dict, == and the config hash ignore it
+        object.__setattr__(self, "_built", self.validate())
         object.__setattr__(self, "depths", tuple(self.depths))
 
-    def tol(self, name: str) -> float:
-        return _fields(self.tolerances, "tolerances", _TOLERANCES)[name]
-
-    def validate(self) -> None:
+    def validate(self) -> "_Built":
+        """Refuse this config, naming the field at fault, unless its scenario
+        can run it; return what the runner reads."""
         scenario = _SCENARIOS.get(_typed("scenario", self.scenario, str))
         if scenario is None:
             raise ConfigError(f"unknown scenario {self.scenario!r}")
         if self.seed is None:
             raise ConfigError("seed is required; there is no entropy default")
-        _typed("seed", self.seed, int)
+        if _typed("seed", self.seed, int) < 0:
+            raise ConfigError(f"seed must be nonnegative, got {self.seed}")
         depths = [_typed("depths entry", d, int)
                   for d in _typed("depths", self.depths, list)]
         if not depths:
@@ -220,18 +223,17 @@ class ExperimentConfig:
             raise ConfigError("depths must be strictly increasing")
         if _typed("replicates", self.replicates, int) < 1000:
             raise ConfigError("replicates must be at least 10^3")
+        names = ", ".join(sorted(_SUBSEQUENCES))
         if (self.subsequence is not None
                 and _typed("subsequence", self.subsequence, str) not in _SUBSEQUENCES):
-            names = ", ".join(sorted(_SUBSEQUENCES))
             raise ConfigError(f"subsequence must be one of {names}")
         if _typed("subsequence_cap", self.subsequence_cap, int) < 1:
             raise ConfigError("subsequence_cap must be positive")
-        given = _filled(self.to_dict())
+        given = _filled(self.to_dict(), scenario.shapes)
         for key, value in given["expected"]["star"].items():
-            _typed(f"expected.star.{key}", value, float)
-        if "slope" in self.expected:
-            _slope(self.expected)
-        stock = _filled({**_FIELD_DEFAULTS, **_STOCK, **scenario.stock})
+            _typed(f"expected.star.{_typed('expected.star key', key, str)}", value, float)
+        slope = _slope(self.expected) if "slope" in self.expected else None
+        stock = _filled({**_FIELD_DEFAULTS, **_STOCK, **scenario.stock}, scenario.shapes)
         unread = [d for key in stock if key not in scenario.reads
                   for d in _differences(given[key], stock[key], key)]
         if unread:
@@ -239,10 +241,28 @@ class ExperimentConfig:
                               f"them at default_config({self.scenario!r}, seed)'s values")
         if depths[0] < scenario.min_depth:
             raise ConfigError(f"depths must start at >= {scenario.min_depth} for {self.scenario}")
-        build_system(given["system"])
-        fields = dict(given["function"])
-        if fields.pop("shape") == "random_atoms":
-            _random_atoms(**fields)
+        run = tuple(depths)  # the depths that get a row
+        if "subsequence" in scenario.reads:
+            if self.subsequence is None:
+                raise ConfigError(f"{self.scenario} needs a subsequence: one of {names}")
+            run = tuple(n for n in depths
+                        if _SUBSEQUENCES[self.subsequence](n) <= self.subsequence_cap)
+            if not run:
+                raise ConfigError(f"subsequence {self.subsequence} exceeds subsequence_cap "
+                                  f"{self.subsequence_cap} at every depth of {depths}")
+        stray = sorted(set(given["expected"]["star"]) - {str(n) for n in depths})
+        if stray:
+            raise ConfigError(f"expected.star keys {', '.join(stray)} name no depth of {depths}")
+        if slope is not None and not _slope_reachable(slope, run):
+            raise ConfigError(f"expected.slope.min_depth {slope['min_depth']} leaves fewer "
+                              f"than two of the depths {list(run)} to fit the slope on")
+        system = build_system(given["system"])
+        if scenario.kinds and system.kind not in scenario.kinds:
+            raise ConfigError(f"{self.scenario} runs on the {' or '.join(scenario.kinds)} "
+                              "system only")
+        function = _build(given["function"], "function", "shape", scenario.shapes, system)
+        return _Built(system, function, given["function"], given["tolerances"]["sigma"],
+                      slope, run)
 
     def to_dict(self) -> dict:
         return dict(dataclasses.asdict(self), depths=list(self.depths))
@@ -255,16 +275,7 @@ class ExperimentConfig:
                    if f.name not in d and f.name not in _FIELD_DEFAULTS]
         if missing:
             raise ConfigError(f"missing config keys: {', '.join(missing)}")
-        cfg = cls(**d)
-        stray = sorted(set(cfg.expected.get("star", {})) - {str(n) for n in cfg.depths})
-        if stray:
-            raise ConfigError(f"expected.star keys {', '.join(stray)} name no depth "
-                              f"of {list(cfg.depths)}")
-        if "slope" in cfg.expected and not _slope_reachable(cfg.expected, cfg.depths):
-            raise ConfigError(
-                f"expected.slope.min_depth {_slope(cfg.expected)['min_depth']} leaves "
-                f"fewer than two of the depths {list(cfg.depths)} to fit the slope on")
-        return cfg
+        return cls(**d)
 
     def config_hash(self) -> str:
         blob = json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
@@ -278,11 +289,25 @@ _FIELD_DEFAULTS = {f.name: f.default_factory() if f.default is dataclasses.MISSI
                    or f.default_factory is not dataclasses.MISSING}
 
 
-def _filled(c: dict) -> dict:
-    """Config fields ``c`` with every table's defaults filled in."""
+class _Built(NamedTuple):
+    """What ``ExperimentConfig.validate`` built for the runner: the system,
+    the function (urbanik_scan: the generator's settings) and its filled-in
+    spec, the Monte Carlo band width sigma, expected.slope filled in or None,
+    and the depths that get a row (not those past a subsequence cap)."""
+    system: DynamicalSystem
+    function: TestFunction | tuple
+    spec: dict
+    sigma: float
+    slope: dict | None
+    depths: tuple
+
+
+def _filled(c: dict, shapes: dict) -> dict:
+    """Config fields ``c`` with every table's defaults filled in; ``shapes``
+    is the table its function shape is read from."""
     return dict(c, depths=list(c["depths"]),
                 system=_spec_fields(c["system"], "system", "kind", _SYSTEMS),
-                function=_spec_fields(c["function"], "function", "shape", _SHAPES),
+                function=_spec_fields(c["function"], "function", "shape", shapes),
                 tolerances=_fields(c["tolerances"], "tolerances", _TOLERANCES),
                 expected=_fields(c["expected"], "expected", {"star": {}, "slope": {}}))
 
@@ -385,9 +410,10 @@ _SYSTEMS = {"translation": make_translation, "boole": make_boole,
             "composite": make_composite}
 _SHAPES = {"indicator": indicator, "bump": triangular_bump, "steps": _steps,
            "atoms": _atoms, "circle": circle_indicator,
-           "circle_plus_indicator": _circle_plus_indicator,
-           # not a function: the scan's generator of random simple functions
-           "random_atoms": _random_atoms}
+           "circle_plus_indicator": _circle_plus_indicator}
+# the urbanik scan's function spec names a generator of random simple
+# functions, not a function
+_GENERATORS = {"random_atoms": _random_atoms}
 
 
 def _spec_fields(spec, where: str, tag: str, table: dict) -> dict:
@@ -395,37 +421,34 @@ def _spec_fields(spec, where: str, tag: str, table: dict) -> dict:
     and the fields ``table`` declares for it checked and defaulted."""
     name = _typed(f"{where}.{tag}", _typed(where, spec, dict).get(tag), str)
     if name not in table:
-        raise ConfigError(f"unknown {where} {tag} {name!r}")
+        raise ConfigError(f"unknown {where} {tag} {name!r}; use {', '.join(table)}")
     return {tag: name, **_fields({k: v for k, v in spec.items() if k != tag},
                                  where, _declared(table[name]))}
 
 
-def _made(build: Callable, fields: dict, what: str):
+def _build(spec, where: str, tag: str, table: dict, sys: DynamicalSystem | None = None):
+    """What a system or function spec builds, checked as ``_spec_fields``
+    checks it; a shape laid on a system gets ``sys``."""
+    fields = _spec_fields(spec, where, tag, table)
+    name = fields.pop(tag)
+    build = table[name]
+    if "sys" in inspect.signature(build).parameters:
+        fields["sys"] = sys
     try:
         return build(**fields)
     except ConfigError:
         raise
     except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad {what}: {exc}") from exc
+        raise ConfigError(f"bad {where} spec for {tag} {name!r}: {exc}") from exc
 
 
 def build_system(spec: dict) -> DynamicalSystem:
-    fields = _spec_fields(spec, "system", "kind", _SYSTEMS)
-    kind = fields.pop("kind")
-    return _made(_SYSTEMS[kind], fields, f"system spec for kind {kind!r}")
+    return _build(spec, "system", "kind", _SYSTEMS)
 
 
 def build_function(spec: dict, sys: DynamicalSystem | None = None) -> TestFunction:
     """The function a spec describes; a shape laid on a system needs ``sys``."""
-    fields = _spec_fields(spec, "function", "shape", _SHAPES)
-    shape = fields.pop("shape")
-    build = _SHAPES[shape]
-    if build is _random_atoms:
-        raise ConfigError(f"shape {shape!r} is the scan's generator of random "
-                          "simple functions, not a function")
-    if "sys" in inspect.signature(build).parameters:
-        fields["sys"] = sys
-    return _made(build, fields, f"function spec for shape {shape!r}")
+    return _build(spec, "function", "shape", _SHAPES, sys)
 
 
 # ---------------------------------------------------------------------------
@@ -496,15 +519,6 @@ def _oracle_verdict(vid: str, est: MCEstimate, oracle, s: SimpleFunction | None,
     return _band_verdict(vid, est, target, sigma)
 
 
-def _expected_star_verdict(cfg: ExperimentConfig, n: int,
-                           est: MCEstimate) -> Verdict | None:
-    targets = cfg.expected.get("star", {})
-    if str(n) not in targets:
-        return None
-    return _band_verdict("expected_star", est, float(targets[str(n)]),
-                         cfg.tol("sigma"))
-
-
 def _nonincreasing_verdict(rows: list[ExperimentRow], est: MCEstimate) -> Verdict:
     if not rows:
         return _verdict("star_nonincreasing", 0.0)
@@ -528,15 +542,15 @@ def _slope(expected: dict) -> dict:
     return dict(spec, min_depth=max(spec["min_depth"], 1))
 
 
-def _slope_reachable(expected: dict, depths) -> bool:
-    """Whether two or more of ``depths`` reach the slope's min_depth."""
-    return sum(n >= _slope(expected)["min_depth"] for n in depths) >= 2
+def _slope_reachable(spec: dict, depths) -> bool:
+    """Whether two or more of ``depths`` reach the filled-in slope spec's
+    min_depth."""
+    return sum(n >= spec["min_depth"] for n in depths) >= 2
 
 
-def _slope_verdict(rows: list[ExperimentRow], expected: dict) -> Verdict | None:
+def _slope_verdict(rows: list[ExperimentRow], spec: dict) -> Verdict | None:
     """Least-squares log-log slope of the star column over the rows at
-    depth >= min_depth."""
-    spec = _slope(expected)
+    depth >= min_depth of the filled-in slope spec."""
     pts = [(math.log(r.n), math.log(r.star.mean)) for r in rows
            if r.n >= spec["min_depth"] and r.star.mean > 0]
     if len(pts) < 2:
@@ -576,11 +590,13 @@ def _depth_rows(cfg: ExperimentConfig, derive: Callable[[int], TestFunction],
                                 quad_tol=quad_tol)
         gauge, orl, l1, l2, source, s = _norm_columns(g)
         row = ExperimentRow(n, est, gauge, orl, l1, l2, (), cfg.seed, chash, source)
-        verdicts = (*checks(row, s, rows), _expected_star_verdict(cfg, n, est))
+        target = cfg.expected.get("star", {}).get(str(n))
+        verdicts = (*checks(row, s, rows), None if target is None else
+                    _band_verdict("expected_star", est, float(target), cfg._built.sigma))
         rows.append(dataclasses.replace(
             row, verdicts=tuple(v for v in verdicts if v is not None)))
-    if "slope" in cfg.expected:
-        sv = _slope_verdict(rows, cfg.expected)
+    if cfg._built.slope is not None:
+        sv = _slope_verdict(rows, cfg._built.slope)
         if sv is not None:
             rows[-1] = dataclasses.replace(rows[-1], verdicts=rows[-1].verdicts + (sv,))
     return rows, _summarize(cfg, rows)
@@ -589,21 +605,9 @@ def _depth_rows(cfg: ExperimentConfig, derive: Callable[[int], TestFunction],
 # ---------------------------------------------------------------------------
 # scenario runners
 
-def _system_and_function(cfg: ExperimentConfig):
-    """The config's system, refused unless its scenario runs on that kind,
-    and its function built on it."""
-    kinds = _SCENARIOS[cfg.scenario].kinds
-    sys = build_system(cfg.system)
-    if sys.kind not in kinds:
-        raise ConfigError(f"{cfg.scenario} runs on the {' or '.join(kinds)} "
-                          "system only")
-    return sys, build_function(cfg.function, sys)
-
-
 def _average_decay_rows(cfg: ExperimentConfig, subsequence: Callable[[int], tuple | None]):
     """Rows of Birkhoff averages g_n, along subsequence(n) when not None."""
-    sys, f = _system_and_function(cfg)
-    sigma = cfg.tol("sigma")
+    sys, f, _, sigma, *_ = cfg._built
     return _depth_rows(
         cfg, lambda n: birkhoff(f, sys, n, subsequence=subsequence(n)),
         lambda row, s, rows: (
@@ -618,27 +622,23 @@ def run_birkhoff_decay(cfg: ExperimentConfig):
 
 
 def run_blum_hanson(cfg: ExperimentConfig):
-    """Birkhoff averages along a named subsequence of iterate exponents."""
-    if cfg.subsequence is None:
-        raise ConfigError(f"{cfg.scenario} needs a subsequence")
+    """Birkhoff averages along a named subsequence of iterate exponents; the
+    depths beyond the subsequence cap are dropped with a warning."""
     formula = _SUBSEQUENCES[cfg.subsequence]
-    cap = cfg.subsequence_cap
-    kept = tuple(n for n in cfg.depths if formula(n) <= cap)
+    kept = cfg._built.depths
     if kept != cfg.depths:
-        dropped = [n for n in cfg.depths if n not in kept]
-        warnings.warn(f"subsequence {cfg.subsequence} exceeds cap {cap} at "
-                      f"depths {dropped}; truncating to {list(kept)}")
-        if not kept:
-            raise ConfigError("every requested depth overflows the subsequence cap")
-        cfg = dataclasses.replace(cfg, depths=kept)
+        warnings.warn(f"subsequence {cfg.subsequence} exceeds cap {cfg.subsequence_cap} at "
+                      f"depths {list(cfg.depths[len(kept):])}; truncating to {list(kept)}")
+        star = {k: v for k, v in cfg.expected.get("star", {}).items() if int(k) in kept}
+        expected = dict(cfg.expected, star=star) if "star" in cfg.expected else cfg.expected
+        cfg = dataclasses.replace(cfg, depths=kept, expected=expected)
     return _average_decay_rows(
         cfg, lambda n: tuple(formula(k) for k in range(1, n + 1)))
 
 
 def run_transfer_decay(cfg: ExperimentConfig):
     """Star norm of transfer-operator iterates under the Boole map."""
-    sys, f = _system_and_function(cfg)
-    sigma = cfg.tol("sigma")
+    sys, f, _, sigma, *_ = cfg._built
 
     def mc_window(g, n):
         r_mc = _MC_RADIUS + n
@@ -656,10 +656,7 @@ def run_transfer_decay(cfg: ExperimentConfig):
 def run_urbanik_scan(cfg: ExperimentConfig):
     """Exact star norms of random simple functions against the gauge and
     Orlicz columns; every sample checks the two-sided gauge comparison."""
-    fields = _spec_fields(cfg.function, "function", "shape", _SHAPES)
-    if fields.pop("shape") != "random_atoms":
-        raise ConfigError(f"{cfg.scenario} needs the random_atoms generator spec")
-    samples, max_atoms, (v_lo, v_hi), (m_lo, m_hi), scale = _random_atoms(**fields)
+    samples, max_atoms, (v_lo, v_hi), (m_lo, m_hi), scale = cfg._built.function
     rng = _philox(cfg.seed, _SCAN_STREAM)
     chash = cfg.config_hash()
     rows: list[ExperimentRow] = []
@@ -706,9 +703,8 @@ def run_urbanik_scan(cfg: ExperimentConfig):
 def run_starstar_ergodic(cfg: ExperimentConfig):
     """E|N(g_n) - int f| for Birkhoff averages g_n: the uncentered distance
     to the constant the averages converge to on the suspension."""
-    sys, f = _system_and_function(cfg)
+    sys, f, _, sigma, *_ = cfg._built
     center = float(integrate(f, f.support, tol=1e-10)[0])
-    sigma = cfg.tol("sigma")
     return _depth_rows(
         cfg, lambda n: birkhoff(f, sys, n),
         lambda row, s, rows: (
@@ -721,12 +717,11 @@ def run_starstar_ergodic(cfg: ExperimentConfig):
 def run_invariant_vector(cfg: ExperimentConfig):
     """Birkhoff averages over the composite system: the star column stays at
     the exact norm of the invariant circle component."""
-    sys, f = _system_and_function(cfg)
+    sys, f, spec, sigma, *_ = cfg._built
     length = sys.params[0]
-    scale = _spec_fields(cfg.function, "function", "shape", _SHAPES)["scale"]
+    scale = spec["scale"]
     target = star_norm_exact(SimpleFunction(((scale, length),)))
     target_l2sq = scale * scale * length
-    sigma = cfg.tol("sigma")
 
     def checks(row, s, rows):
         # the transient part of the average is controlled by its L2 norm
@@ -864,14 +859,16 @@ _SCAN_STOCK = {"shape": "random_atoms", **{k: v for k, v in _declared(_random_at
 class _Scenario(NamedTuple):
     """A scenario: its runner, the config fields it reads besides scenario
     and seed, its stock settings where they differ from _STOCK, the reduced
-    settings `porlicz suite` runs it at, the system kinds it runs on and its
-    smallest depth."""
+    settings `porlicz suite` runs it at, the system kinds it runs on (any,
+    when it reads no system), its smallest depth and the table its function
+    shape is read from."""
     run: Callable
     reads: tuple
     stock: dict
     suite: dict
     kinds: tuple = ()
     min_depth: int = 1
+    shapes: dict = _SHAPES
 
 
 _PER_DEPTH = ("system", "function", "depths", "replicates", "tolerances", "expected")
@@ -897,7 +894,7 @@ _SCENARIOS = {
     "urbanik_scan": _Scenario(
         run_urbanik_scan, ("function",),
         {"function": _SCAN_STOCK, "depths": (1,), "replicates": 1000},
-        {"function": dict(_SCAN_STOCK, samples=50)}),
+        {"function": dict(_SCAN_STOCK, samples=50)}, shapes=_GENERATORS),
     "starstar_ergodic": _Scenario(
         run_starstar_ergodic, _PER_DEPTH, {},
         {"depths": (1, 2, 4), "replicates": 20_000}, _LINE),
@@ -911,16 +908,15 @@ _SCENARIOS = {
 
 def default_config(scenario: str, seed: int, **overrides) -> ExperimentConfig:
     """The stock configuration for a scenario, with field overrides."""
-    if scenario not in _SCENARIOS:
-        raise ConfigError(f"unknown scenario {scenario!r}")
-    base = {**_STOCK, **_SCENARIOS[scenario].stock, **overrides}
+    stock = _SCENARIOS[scenario].stock if scenario in _SCENARIOS else {}
+    base = {**_STOCK, **stock, **overrides}
     expected = base.get("expected", {})
     if ("expected" not in overrides and "slope" in expected
-            and not _slope_reachable(expected, base["depths"])):
+            and not _slope_reachable(_slope(expected), base["depths"])):
         # the stock slope expectation is left out when the requested depths
         # cannot reach it, so the config records only the checks that run
         base["expected"] = {k: v for k, v in expected.items() if k != "slope"}
-    return ExperimentConfig(scenario=scenario, seed=int(seed), **base)
+    return ExperimentConfig(scenario=scenario, seed=seed, **base)
 
 
 # ---------------------------------------------------------------------------

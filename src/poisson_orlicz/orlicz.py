@@ -28,14 +28,13 @@ the float range the evaluators can represent raise ValueError.
 from __future__ import annotations
 
 import math
+from typing import Callable
 
 import numpy as np
 
 from .measure import SimpleFunction, TestFunction, function_moments, integral
 
 __all__ = [
-    "PHI_KINK",
-    "PSI_KINK",
     "young_phi",
     "young_psi",
     "modular",
@@ -44,9 +43,6 @@ __all__ = [
     "orlicz_norm_amemiya",
     "golden_section_min",
 ]
-
-PHI_KINK = 1.0
-PSI_KINK = 2.0
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0  # 1/phi
 
@@ -110,6 +106,18 @@ def _norm_upper_bound(f) -> float:
     return min(math.sqrt(l2sq), 2.0 * l1)
 
 
+def _bisect(below: Callable[[float], bool], lo: float, hi: float, rtol: float) -> float:
+    """Bisection of [lo, hi] to width rtol * hi, then its midpoint: lo moves
+    up to mid while below(mid) holds, else hi comes down to it."""
+    while (hi - lo) > rtol * hi:
+        mid = 0.5 * (lo + hi)
+        if below(mid):
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
 def gauge_norm(f: TestFunction | SimpleFunction) -> float:
     """Luxemburg norm N_Phi(f) = inf{lambda > 0 : modular(f/lambda) <= 1}.
 
@@ -127,13 +135,7 @@ def gauge_norm(f: TestFunction | SimpleFunction) -> float:
             break
     else:
         return 0.0  # modular stays <= 1 down to lambda ~ 0: f is negligible
-    while (hi - lo) > _TOL * hi:
-        mid = 0.5 * (lo + hi)
-        if modular(f, scale=1.0 / mid) > 1.0:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    return _bisect(lambda lam: modular(f, scale=1.0 / lam) > 1.0, lo, hi, _TOL)
 
 
 def _dual_l2(f, theta: float) -> float:
@@ -162,13 +164,7 @@ def orlicz_norm_paper(f: TestFunction | SimpleFunction) -> float:
         lo *= 0.5
         if lo < 1e-300:
             break
-    while (hi - lo) > 1e-13 * hi:
-        mid = 0.5 * (lo + hi)
-        if _dual_l2(f, mid) > 1.0:
-            lo = mid
-        else:
-            hi = mid
-    theta = 0.5 * (lo + hi)
+    theta = _bisect(lambda t: _dual_l2(f, t) > 1.0, lo, hi, 1e-13)
     return integral(f, lambda u: np.abs(u) * np.minimum(2.0, np.abs(u) / (2.0 * theta)),
                     _QUAD_TOL)[0]
 

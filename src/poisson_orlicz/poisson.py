@@ -56,9 +56,9 @@ __all__ = [
     "reduced_moment_check",
     "equivariance_check",
     "coboundary_check",
+    "abs_moment_exact",
 ]
 
-_SEED_MASK = (1 << 64) - 1
 _QUAD_TOL = 1e-10
 
 
@@ -106,14 +106,18 @@ class MCEstimate:
 
 
 # second key word reserved for the batched single-stream estimators, so they
-# never collide with a per-replicate stream
-_BATCH_STREAM = 0x9E3779B97F4A7C15
+# never collide with a per-replicate stream: the word in use, which is
+# 0x9E3779B97F4A7C15 rounded to float64 as numpy once converted the key
+_BATCH_STREAM = 0x9E3779B97F4A8000
 
 
 def _philox(seed: int, replicate: int | None = None) -> np.random.Generator:
-    second = _BATCH_STREAM if replicate is None else int(replicate)
-    key = [int(seed) & _SEED_MASK, second & _SEED_MASK]
-    return np.random.Generator(np.random.Philox(key=key))
+    """The Philox stream keyed (seed, replicate), or (seed, _BATCH_STREAM);
+    each key word must lie in [0, 2^64)."""
+    key = (int(seed), _BATCH_STREAM if replicate is None else int(replicate))
+    if not all(0 <= word < 1 << 64 for word in key):
+        raise ValueError(f"Philox key (seed, replicate) = {key} has a word outside [0, 2^64)")
+    return np.random.Generator(np.random.Philox(key=np.array(key, dtype=np.uint64)))
 
 
 def sample_process(w: Window, rng_seed: int, replicate: int = 0) -> PoissonSample:

@@ -367,6 +367,15 @@ def test_sample_replicate_changes_draw(capsys):
     assert out0 != out1
 
 
+@pytest.mark.parametrize("flags", [["--seed", "-1"], ["--seed", "1", "--replicate", "-1"],
+                                   ["--seed", str(2 ** 64)]])
+def test_sample_key_word_out_of_range_is_refused(capsys, flags):
+    code, out, err = run_cli(capsys, ["sample", "--window", "0,1", *flags])
+    assert code == 1
+    assert "outside [0, 2^64)" in err
+    assert out == ""
+
+
 def test_sample_json_format(capsys):
     code, out, err = run_cli(capsys, ["sample", "--window", "0,3",
                                       "--seed", "5", "--format", "json"])
@@ -475,6 +484,7 @@ INVARIANT_CONFIG = {
      ("composite angle must be finite",)),
     (INVARIANT_CONFIG, {"system": {"kind": "composite", "step": -math.inf}},
      ("composite step must be finite",)),
+    (BASE_CONFIG, {"seed": -1}, "seed must be nonnegative"),
 ], ids=["null_replicates", "fractional_depth", "boolean_seed", "null_step",
         "null_sigma", "null_expected_star", "scalar_slope", "scalar_value_range",
         "zero_samples", "unreachable_slope", "string_lo", "unknown_system_key",
@@ -483,7 +493,7 @@ INVARIANT_CONFIG = {
         "star_depth_not_run", "star_key_not_a_depth", "negative_homogeneity_scale",
         "zero_homogeneity_scale", "urbanik_unread_fields", "identity_unread_fields",
         "birkhoff_unread_subsequence", "infinite_step", "nan_step",
-        "infinite_circumference", "nan_angle", "infinite_composite_step"])
+        "infinite_circumference", "nan_angle", "infinite_composite_step", "negative_seed"])
 def test_run_bad_config_is_config_error(capsys, tmp_path, base, change, field):
     path = write_config(tmp_path, "bad.json", dict(base, **change))
     code, out, err = run_cli(capsys, ["run", "--config", path])

@@ -1,7 +1,10 @@
 """Tests for the experiment drivers, verdicts, and canonical writers."""
 
+import dataclasses
+import hashlib
 import json
 import math
+import re
 import warnings
 
 import numpy as np
@@ -46,7 +49,6 @@ def test_config_requires_seed():
 
 def test_config_validation_errors():
     base = default_config("birkhoff_decay", seed=1, replicates=2000)
-    import dataclasses
     with pytest.raises(ConfigError):
         dataclasses.replace(base, replicates=999).validate()
     with pytest.raises(ConfigError):
@@ -60,7 +62,69 @@ def test_config_validation_errors():
     # system parameters are checked by the builder at load, not at run
     with pytest.raises(ConfigError, match="translation step must be finite"):
         dataclasses.replace(base, system={"kind": "translation", "step": float("inf")})
-    dataclasses.replace(base, scenario="transfer_decay", depths=(0, 1)).validate()
+    dataclasses.replace(base, scenario="transfer_decay", depths=(0, 1),
+                        system={"kind": "boole"}, expected={}).validate()
+
+
+# each: scenario, field overrides that make its stock config unrunnable, and
+# what the refusal names
+LOAD_REFUSALS = {
+    "transfer_on_translation": ("transfer_decay", {"system": {"kind": "translation"}},
+                                "transfer_decay runs on the boole system only"),
+    "invariant_on_boole": ("invariant_vector",
+                           {"system": {"kind": "boole"},
+                            "function": {"shape": "indicator", "lo": 0.0, "hi": 1.0}},
+                           "invariant_vector runs on the composite system only"),
+    "birkhoff_on_composite": ("birkhoff_decay", {"system": {"kind": "composite"}},
+                              "birkhoff_decay runs on the translation or boole system"),
+    "empty_indicator": ("birkhoff_decay",
+                        {"function": {"shape": "indicator", "lo": 1.0, "hi": 1.0}},
+                        "function spec for shape 'indicator'"),
+    "circle_on_translation": ("birkhoff_decay", {"function": {"shape": "circle"}},
+                              "function spec for shape 'circle'"),
+    "steps_count_mismatch": ("birkhoff_decay",
+                             {"function": {"shape": "steps", "breaks": [0.0, 1.0, 2.0],
+                                           "values": [1.0]}},
+                             "function spec for shape 'steps'"),
+    "generator_as_function": ("birkhoff_decay", {"function": {"shape": "random_atoms"}},
+                              "unknown function shape 'random_atoms'"),
+    "function_as_generator": ("urbanik_scan",
+                              {"function": {"shape": "indicator", "lo": 0.0, "hi": 1.0}},
+                              "unknown function shape 'indicator'; use random_atoms"),
+    "no_subsequence": ("blum_hanson", {"subsequence": None},
+                       "blum_hanson needs a subsequence"),
+    "every_depth_over_cap": ("blum_hanson",
+                             {"depths": (3, 4), "subsequence": "2^k", "subsequence_cap": 4},
+                             "subsequence 2^k exceeds subsequence_cap 4 at every depth"),
+    "stray_expected_star": ("birkhoff_decay",
+                            {"depths": (1, 2), "expected": {"star": {"99": 1.0}}},
+                            "expected.star keys 99 name no depth"),
+    "unreachable_slope": ("birkhoff_decay",
+                          {"depths": (1, 2), "expected": {"slope": {"value": -0.5}}},
+                          "expected.slope.min_depth 8 leaves fewer than two"),
+}
+
+
+@pytest.mark.parametrize("route", ["default_config", "replace", "from_dict"])
+@pytest.mark.parametrize("case", sorted(LOAD_REFUSALS))
+def test_unrunnable_config_is_refused_at_construction(case, route):
+    scenario, change, names = LOAD_REFUSALS[case]
+    stock = default_config(scenario, seed=1)
+    with pytest.raises(ConfigError, match=re.escape(names)):
+        if route == "default_config":
+            default_config(scenario, seed=1, **change)
+        elif route == "replace":
+            dataclasses.replace(stock, **change)
+        else:
+            ExperimentConfig.from_dict(dict(stock.to_dict(), **change))
+
+
+@pytest.mark.parametrize("seed, names", [(-1, "seed must be nonnegative, got -1"),
+                                         (True, "seed must be an integer, got True"),
+                                         (1.5, "seed must be an integer, got 1.5")])
+def test_bad_seed_is_refused(seed, names):
+    with pytest.raises(ConfigError, match=names):
+        default_config("birkhoff_decay", seed=seed)
 
 
 def test_config_rejects_unknown_keys():
@@ -101,10 +165,8 @@ def test_birkhoff_decay_matches_closed_form():
 
 def test_birkhoff_decay_rejects_composite():
     cfg = default_config("birkhoff_decay", seed=3, depths=(1, 2), replicates=2000)
-    import dataclasses
-    cfg = dataclasses.replace(cfg, system={"kind": "composite"})
     with pytest.raises(ConfigError):
-        run_birkhoff_decay(cfg)
+        dataclasses.replace(cfg, system={"kind": "composite"})
 
 
 def test_birkhoff_rerun_is_bit_identical():
@@ -139,7 +201,6 @@ def test_birkhoff_slope_verdict():
 def test_blum_hanson_identity_subsequence_reduces_to_birkhoff():
     kwargs = dict(depths=(1, 2, 3), replicates=2000)
     cfg_b = default_config("birkhoff_decay", seed=17, **kwargs)
-    import dataclasses
     cfg_s = dataclasses.replace(cfg_b, scenario="blum_hanson", subsequence="k",
                                 expected={})
     cfg_b = dataclasses.replace(cfg_b, expected={})
@@ -152,10 +213,8 @@ def test_blum_hanson_identity_subsequence_reduces_to_birkhoff():
 
 def test_blum_hanson_requires_subsequence():
     cfg = default_config("blum_hanson", seed=2, depths=(1, 2), replicates=2000)
-    import dataclasses
-    cfg = dataclasses.replace(cfg, subsequence=None)
     with pytest.raises(ConfigError):
-        run_blum_hanson(cfg)
+        dataclasses.replace(cfg, subsequence=None)
 
 
 def test_blum_hanson_cap_truncates_with_warning():
@@ -165,6 +224,32 @@ def test_blum_hanson_cap_truncates_with_warning():
         rows, summary = run_blum_hanson(cfg)
     assert [r.n for r in rows] == [1, 2, 3]
     assert summary["all_pass"]
+
+
+def test_blum_hanson_truncation_drops_expectations_at_dropped_depths():
+    cfg = default_config("blum_hanson", seed=9, depths=(1, 2, 3, 4, 5), replicates=2000,
+                         subsequence="2^k", subsequence_cap=8, expected={"star": {"5": 0.1}})
+    with pytest.warns(UserWarning, match="truncating to"):
+        rows, summary = run_blum_hanson(cfg)
+    assert [r.n for r in rows] == [1, 2, 3]
+    assert all(v.id != "expected_star" for r in rows for v in r.verdicts)
+    assert summary["all_pass"]
+
+
+def test_blum_hanson_truncated_run_is_the_run_of_the_kept_depths():
+    # a truncated run is the run of the config that lists only the kept depths;
+    # its CSV and JSON digest is the one the runner has always written
+    kwargs = dict(replicates=2000, subsequence="2^k", subsequence_cap=8,
+                  expected={"star": {"2": 0.5413}})
+    cfg = default_config("blum_hanson", seed=9, depths=(1, 2, 3, 4, 5), **kwargs)
+    with pytest.warns(UserWarning, match="at depths \\[4, 5\\]"):
+        rows, summary = run_blum_hanson(cfg)
+    kept = default_config("blum_hanson", seed=9, depths=(1, 2, 3), **kwargs)
+    assert (rows, summary) == run_blum_hanson(kept)
+    assert summary["config_hash"] == kept.config_hash() == "fcaa8825b44e0eb0"
+    text = result_to_csv(rows, summary) + result_to_json(cfg, rows, summary)
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "d63b418a6e6dc93d26229e2183b03cbe9e7a7329dfdb77dff24fe7ba8af462d3")
 
 
 def test_blum_hanson_verdicts_pass():
@@ -182,10 +267,8 @@ def test_blum_hanson_verdicts_pass():
 
 def test_transfer_decay_rejects_translation():
     cfg = default_config("transfer_decay", seed=4, depths=(0, 1), replicates=1500)
-    import dataclasses
-    cfg = dataclasses.replace(cfg, system={"kind": "translation", "step": 1.0})
     with pytest.raises(ConfigError):
-        run_transfer_decay(cfg)
+        dataclasses.replace(cfg, system={"kind": "translation", "step": 1.0})
 
 
 def test_transfer_decay_small_depths():
@@ -206,7 +289,6 @@ def test_transfer_decay_small_depths():
 
 def test_urbanik_scan_bounds_hold():
     cfg = default_config("urbanik_scan", seed=101)
-    import dataclasses
     fn = dict(cfg.function)
     fn["samples"] = 60
     cfg = dataclasses.replace(cfg, function=fn)
@@ -223,10 +305,8 @@ def test_urbanik_scan_bounds_hold():
 
 def test_urbanik_scan_requires_generator_spec():
     cfg = default_config("urbanik_scan", seed=1)
-    import dataclasses
-    cfg = dataclasses.replace(cfg, function={"shape": "indicator", "lo": 0, "hi": 1})
     with pytest.raises(ConfigError):
-        run_urbanik_scan(cfg)
+        dataclasses.replace(cfg, function={"shape": "indicator", "lo": 0, "hi": 1})
 
 
 # ---------------------------------------------------------------------------
@@ -268,11 +348,9 @@ def test_invariant_vector_with_transient_bump():
 
 def test_invariant_vector_requires_composite():
     cfg = default_config("invariant_vector", seed=2, depths=(1,), replicates=2000)
-    import dataclasses
-    cfg = dataclasses.replace(cfg, system={"kind": "boole"},
-                              function={"shape": "indicator", "lo": 0, "hi": 1})
     with pytest.raises(ConfigError):
-        run_invariant_vector(cfg)
+        dataclasses.replace(cfg, system={"kind": "boole"},
+                            function={"shape": "indicator", "lo": 0, "hi": 1})
 
 
 # ---------------------------------------------------------------------------

@@ -107,6 +107,21 @@ def test_sample_rejects_outside_points():
         PoissonSample(window((0, 1)), np.array([2.0]))
 
 
+def test_batched_streams_tell_large_seeds_apart():
+    f = indicator(0.0, 1.0)
+    at = lambda seed: estimate_star_norm(f, f.support, 2000, seed).mean
+    assert at(2 ** 53) != at(2 ** 53 + 1)
+
+
+def test_philox_key_words_must_fit_64_bits():
+    for seed, replicate in ((-1, 0), (-7, None), (0, -1), (2 ** 64, None), (0, 2 ** 64)):
+        with pytest.raises(ValueError, match=r"outside \[0, 2\^64\)"):
+            poisson._philox(seed, replicate)
+    # the batched stream is the one drawn when the key list went through float64
+    old = np.random.Generator(np.random.Philox(key=[5, 0x9E3779B97F4A7C15]))
+    assert poisson._philox(5).random(4).tolist() == old.random(4).tolist()
+
+
 # ---------------------------------------------------------------------------
 # centered integral
 
@@ -377,7 +392,7 @@ _NUM = st.floats(-4.0, 4.0)
 _NONZERO = st.one_of(st.floats(0.125, 4.0), st.floats(-4.0, -0.125))
 _WIDTH = st.floats(0.125, 4.0)
 
-# fields of each shape of experiments._SHAPES that is a function
+# fields of each shape of experiments._SHAPES
 _SHAPE_FIELDS = {
     "indicator": st.builds(lambda lo, w, s: {"lo": lo, "hi": lo + w, "scale": s},
                            _NUM, _WIDTH, _NONZERO),
@@ -422,7 +437,7 @@ def _functions(draw):
 def test_eval_of_a_split_is_the_eval_of_the_whole(f, points, data):
     # the contract block evaluation relies on: eval is pointwise, so any split
     # of the points gives the same bits
-    assert set(_SHAPE_FIELDS) == set(_SHAPES) - {"random_atoms"}
+    assert set(_SHAPE_FIELDS) == set(_SHAPES)
     x = np.array(points)
     cuts = sorted(data.draw(st.lists(st.integers(0, x.size), max_size=4)))
     whole = np.asarray(f.eval(x), dtype=float)
