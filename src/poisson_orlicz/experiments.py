@@ -215,8 +215,7 @@ class ExperimentConfig:
             raise ConfigError("seed is required; there is no entropy default")
         if _typed("seed", self.seed, int) < 0:
             raise ConfigError(f"seed must be nonnegative, got {self.seed}")
-        depths = [_typed("depths entry", d, int)
-                  for d in _typed("depths", self.depths, list)]
+        depths = _depths(self.depths)
         if not depths:
             raise ConfigError("depths must be non-empty")
         if any(b <= a for a, b in zip(depths, depths[1:])):
@@ -250,6 +249,14 @@ class ExperimentConfig:
             if not run:
                 raise ConfigError(f"subsequence {self.subsequence} exceeds subsequence_cap "
                                   f"{self.subsequence_cap} at every depth of {depths}")
+        # every Philox key word the run derives from seed must fit 64 bits
+        if "depths" in scenario.reads:
+            offset, where = _row_seed(0, run[-1]), f" at depths {list(run)}"
+        else:
+            offset, where = scenario.seed_offset, ""
+        if self.seed + offset >= 1 << 64:
+            raise ConfigError(f"seed must be at most {(1 << 64) - 1 - offset} for "
+                              f"{self.scenario}{where}, got {self.seed}")
         stray = sorted(set(given["expected"]["star"]) - {str(n) for n in depths})
         if stray:
             raise ConfigError(f"expected.star keys {', '.join(stray)} name no depth of {depths}")
@@ -300,6 +307,10 @@ class _Built(NamedTuple):
     sigma: float
     slope: dict | None
     depths: tuple
+
+
+def _depths(value) -> list[int]:
+    return [_typed("depths entry", d, int) for d in _typed("depths", value, list)]
 
 
 def _filled(c: dict, shapes: dict) -> dict:
@@ -861,7 +872,8 @@ class _Scenario(NamedTuple):
     and seed, its stock settings where they differ from _STOCK, the reduced
     settings `porlicz suite` runs it at, the system kinds it runs on (any,
     when it reads no system), its smallest depth and the table its function
-    shape is read from."""
+    shape is read from; a scenario that reads no depths adds at most
+    seed_offset to seed for its Philox keys."""
     run: Callable
     reads: tuple
     stock: dict
@@ -869,6 +881,7 @@ class _Scenario(NamedTuple):
     kinds: tuple = ()
     min_depth: int = 1
     shapes: dict = _SHAPES
+    seed_offset: int = 0
 
 
 _PER_DEPTH = ("system", "function", "depths", "replicates", "tolerances", "expected")
@@ -877,7 +890,8 @@ _LINE = ("translation", "boole")
 # in the order `porlicz suite` runs them
 _SCENARIOS = {
     "identity_suite": _Scenario(
-        run_identity_suite, ("replicates",), {"depths": (1,), "replicates": 4000}, {}),
+        run_identity_suite, ("replicates",), {"depths": (1,), "replicates": 4000}, {},
+        seed_offset=12),  # its checks draw from seed + 1 .. seed + 12
     "birkhoff_decay": _Scenario(
         run_birkhoff_decay, _PER_DEPTH, {"expected": {"slope": dict(_SLOPE, value=-0.5)}},
         {"depths": (1, 2, 4, 8), "replicates": 20_000}, _LINE),
@@ -912,7 +926,7 @@ def default_config(scenario: str, seed: int, **overrides) -> ExperimentConfig:
     base = {**_STOCK, **stock, **overrides}
     expected = base.get("expected", {})
     if ("expected" not in overrides and "slope" in expected
-            and not _slope_reachable(_slope(expected), base["depths"])):
+            and not _slope_reachable(_slope(expected), _depths(base["depths"]))):
         # the stock slope expectation is left out when the requested depths
         # cannot reach it, so the config records only the checks that run
         base["expected"] = {k: v for k, v in expected.items() if k != "slope"}

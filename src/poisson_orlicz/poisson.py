@@ -25,7 +25,7 @@ from fractions import Fraction
 from typing import Callable, NamedTuple
 
 import numpy as np
-from scipy import stats
+from scipy.special import gammaln, pdtrc, xlogy
 
 from .measure import (
     SimpleFunction,
@@ -231,28 +231,37 @@ _MAX_MASS = 30.0
 _LATTICE_RES = 1e-12
 _TINY_VALUE = 2.0 ** -20  # values below it are rescaled before the lattice merge
 _TAIL_EPS = 1e-12  # bound on the error of the exact oracles
+_CUTOFF_SCAN = 600  # values of K the cutoff search tries, from ceil(m)
+_CUTOFF_BLOCK = 64  # of them evaluated at a time
+
+
+def _poisson_pmf(ks: np.ndarray, m: float) -> np.ndarray:
+    """Poisson(m) pmf at the integers ks, by the formula and ufuncs of
+    scipy.stats.poisson.pmf (and bit-equal to it); its sf is pdtrc(ks, m)."""
+    return np.exp(xlogy(ks, m) - gammaln(ks + 1) - m)
 
 
 def _cutoff(v: float, m: float, other_weight: float, budget: float, centered: bool) -> tuple[int, float]:
-    """Smallest K with the certified dropped-tail bound <= budget.
+    """Smallest K among the _CUTOFF_SCAN integers from ceil(m) with the
+    certified dropped-tail bound <= budget, and that bound.
 
     The bound on E[|S| 1_{N > K}] uses P(N > K) against the other atoms and
     the exact partial-moment identities E[(N-m)1_{N>K}] = m pmf(K) and
-    E[N 1_{N>K}] = m (pmf(K) + sf(K)).
+    E[N 1_{N>K}] = m (pmf(K) + sf(K)).  The K are tried in blocks of
+    _CUTOFF_BLOCK, stopping at the first block that holds one.
     """
     start = int(math.ceil(m))
-    ks = np.arange(start, start + 600)
-    sf = stats.poisson.sf(ks, m)
-    pmf = stats.poisson.pmf(ks, m)
-    if centered:
-        bounds = sf * other_weight + abs(v) * m * pmf
-    else:
-        bounds = sf * other_weight + abs(v) * m * (pmf + sf)
-    ok = np.nonzero(bounds <= budget)[0]
-    if not ok.size:
-        raise ValueError("cannot certify the tail bound")
-    i = int(ok[0])
-    return int(ks[i]), float(bounds[i])
+    stop = start + _CUTOFF_SCAN
+    for lo in range(start, stop, _CUTOFF_BLOCK):
+        ks = np.arange(lo, min(lo + _CUTOFF_BLOCK, stop))
+        sf = pdtrc(ks, m)
+        pmf = _poisson_pmf(ks, m)
+        bounds = sf * other_weight + abs(v) * m * (pmf if centered else pmf + sf)
+        ok = np.flatnonzero(bounds <= budget)
+        if ok.size:
+            i = int(ok[0])
+            return int(ks[i]), float(bounds[i])
+    raise ValueError("cannot certify the tail bound")
 
 
 def _merge_lattice(vals: np.ndarray, probs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -267,7 +276,7 @@ def _enumerate_block(block: list[tuple[float, float, int]]) -> tuple[np.ndarray,
     probs = np.ones(1)
     for v, m, cap in block:
         ks = np.arange(cap + 1)
-        pk = stats.poisson.pmf(ks, m)
+        pk = _poisson_pmf(ks, m)
         vals = (vals[:, None] + (v * ks)[None, :]).ravel()
         probs = (probs[:, None] * pk[None, :]).ravel()
         vals, probs = _merge_lattice(vals, probs)

@@ -621,6 +621,14 @@ def test_run_missing_seed_in_config(capsys, tmp_path):
     assert "seed" in err
 
 
+def test_run_refuses_a_seed_past_the_philox_key_range(capsys, tmp_path):
+    path = write_config(tmp_path, "bigseed.json", dict(BASE_CONFIG, seed=2 ** 64 - 1))
+    code, out, err = run_cli(capsys, ["run", "--config", path])
+    assert code == 1
+    assert "seed must be at most" in err
+    assert "Traceback" not in err
+
+
 # ---------------------------------------------------------------------------
 # suite command
 
@@ -669,3 +677,13 @@ def test_console_script_roundtrip(tmp_path):
         [sys.executable, "-m", "poisson_orlicz.cli", "suite"],
         capture_output=True, text=True)
     assert proc.returncode == 1
+
+
+def test_cli_import_leaves_scipy_stats_unloaded():
+    # scipy.stats alone costs about a second of every cold start
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, poisson_orlicz.cli; print('scipy.stats' in sys.modules)"],
+        capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"

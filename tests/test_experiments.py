@@ -99,6 +99,7 @@ LOAD_REFUSALS = {
     "stray_expected_star": ("birkhoff_decay",
                             {"depths": (1, 2), "expected": {"star": {"99": 1.0}}},
                             "expected.star keys 99 name no depth"),
+    "non_list_depths": ("birkhoff_decay", {"depths": 5}, "depths must be a JSON array, got 5"),
     "unreachable_slope": ("birkhoff_decay",
                           {"depths": (1, 2), "expected": {"slope": {"value": -0.5}}},
                           "expected.slope.min_depth 8 leaves fewer than two"),
@@ -125,6 +126,22 @@ def test_unrunnable_config_is_refused_at_construction(case, route):
 def test_bad_seed_is_refused(seed, names):
     with pytest.raises(ConfigError, match=names):
         default_config("birkhoff_decay", seed=seed)
+
+
+# the largest Philox key word a run derives from its seed is seed + 1_000_003
+# (n + 1) for its deepest row n, seed + 12 in the identity suite, and the seed
+# itself in the urbanik scan; the largest seed allowed still runs
+@pytest.mark.parametrize("scenario, seed, overrides, largest", [
+    ("birkhoff_decay", 2 ** 64 - 1, {"depths": (1,), "replicates": 1000},
+     2 ** 64 - 1 - 2_000_006),
+    ("identity_suite", 2 ** 64 - 5, {"replicates": 1000}, 2 ** 64 - 13),
+    ("urbanik_scan", 2 ** 64, {}, 2 ** 64 - 1),
+])
+def test_seed_past_the_philox_key_range_is_refused_at_load(scenario, seed, overrides, largest):
+    with pytest.raises(ConfigError, match=f"seed must be at most {largest} for {scenario}"):
+        default_config(scenario, seed, **overrides)
+    _, summary = run_experiment(default_config(scenario, largest, **overrides))
+    assert summary["all_pass"] is True
 
 
 def test_config_rejects_unknown_keys():

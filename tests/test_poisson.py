@@ -5,9 +5,10 @@ from collections import defaultdict
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import integrate, stats
+from scipy.special import pdtrc
 
 from poisson_orlicz import poisson
 from poisson_orlicz.dynamics import (
@@ -221,6 +222,63 @@ def test_starstar_exact_values():
     # mixed sign: strictly below l1
     mixed = SimpleFunction(((1.0, 1.0), (-1.0, 2.0)))
     assert starstar_norm_exact(mixed) < simple_moments(mixed).l1 - 0.1
+
+
+def _log_uniform(lo, hi):
+    return st.floats(math.log(lo), math.log(hi)).map(lambda x: min(max(math.exp(x), lo), hi))
+
+
+_KS = np.arange(601)
+
+
+@settings(max_examples=300)
+@given(m=_log_uniform(1e-12, 30.0))
+@example(m=30.0)
+@example(m=1.0)
+def test_poisson_tables_are_bit_equal_to_scipy_stats(m):
+    assert np.array_equal(poisson._poisson_pmf(_KS, m), stats.poisson.pmf(_KS, m))
+    assert np.array_equal(pdtrc(_KS, m), stats.poisson.sf(_KS, m))
+
+
+def _cutoff_whole_table(v, m, other_weight, budget, centered):
+    """The cutoff search on all 600 candidates at once, from scipy.stats;
+    None when no candidate meets the budget."""
+    ks = np.arange(math.ceil(m), math.ceil(m) + 600)
+    sf = stats.poisson.sf(ks, m)
+    pmf = stats.poisson.pmf(ks, m)
+    if centered:
+        bounds = sf * other_weight + abs(v) * m * pmf
+    else:
+        bounds = sf * other_weight + abs(v) * m * (pmf + sf)
+    ok = np.nonzero(bounds <= budget)[0]
+    return None if not ok.size else (int(ks[ok[0]]), float(bounds[ok[0]]))
+
+
+# with v = 0 and unit other weight the bound is sf(K), so a budget of
+# sf(start + j) puts the cutoff at the j-th candidate: here the edges of the
+# first two blocks of 64
+_EDGE_M = 2.5
+
+
+@settings(max_examples=300)
+@given(v=st.one_of(st.just(0.0), _log_uniform(1e-6, 1e6), _log_uniform(1e-6, 1e6).map(lambda x: -x)),
+       m=_log_uniform(1e-12, 30.0),
+       other_weight=st.one_of(st.just(0.0), _log_uniform(1e-6, 1e6)),
+       budget=st.one_of(_log_uniform(1e-300, 1e-3), st.sampled_from([0.0, -1e-12])),
+       centered=st.booleans())
+@example(v=0.0, m=_EDGE_M, other_weight=1.0, budget=float(pdtrc(3, _EDGE_M)), centered=True)
+@example(v=0.0, m=_EDGE_M, other_weight=1.0, budget=float(pdtrc(66, _EDGE_M)), centered=True)
+@example(v=0.0, m=_EDGE_M, other_weight=1.0, budget=float(pdtrc(67, _EDGE_M)), centered=False)
+@example(v=0.0, m=_EDGE_M, other_weight=1.0, budget=float(pdtrc(130, _EDGE_M)), centered=True)
+@example(v=0.0, m=_EDGE_M, other_weight=1.0, budget=float(pdtrc(131, _EDGE_M)), centered=False)
+def test_blocked_cutoff_is_bit_equal_to_the_whole_table(v, m, other_weight, budget, centered):
+    want = _cutoff_whole_table(v, m, other_weight, budget, centered)
+    if want is None:
+        with pytest.raises(ValueError, match="cannot certify the tail bound"):
+            poisson._cutoff(v, m, other_weight, budget, centered)
+    else:
+        got = poisson._cutoff(v, m, other_weight, budget, centered)
+        assert got == want
 
 
 # ---------------------------------------------------------------------------
