@@ -63,6 +63,14 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise UsageError(message)
 
+    def parse_args(self, args=None, namespace=None):
+        # argparse stores [] for an inline value '--', as in ``--atoms=--``
+        parsed = super().parse_args(args, namespace)
+        for key, value in vars(parsed).items():
+            if isinstance(value, list):
+                self.error(f"argument --{key.replace('_', '-')}: expected one argument")
+        return parsed
+
 
 # ---------------------------------------------------------------------------
 # spec parsers

@@ -509,11 +509,16 @@ def _norm_columns(g: TestFunction):
 # ---------------------------------------------------------------------------
 # verdict helpers
 
-def _band_verdict(vid: str, est: MCEstimate, target: float, sigma: float,
+def _band_verdict(vid: str, est: MCEstimate, target: float | MCEstimate, sigma: float,
                   slack: float = 0.0) -> Verdict:
     """The estimate within sigma standard errors plus its truncation bound
-    (and ``slack``) of ``target``."""
-    band = sigma * est.std_error + est.truncation_bound + slack + 1e-9
+    (and ``slack``) of ``target``; a target that is itself an estimate adds
+    its standard error and truncation bound to the band."""
+    se, bound = est.std_error, est.truncation_bound
+    if isinstance(target, MCEstimate):
+        se, bound = se + target.std_error, bound + target.truncation_bound
+        target = target.mean
+    band = sigma * se + bound + slack + 1e-9
     return _verdict(vid, band - abs(est.mean - target))
 
 
@@ -751,14 +756,13 @@ def run_identity_suite(cfg: ExperimentConfig):
     w = window((0.0, 2.0))
 
     # Mecke: constant, position-dependent, and count-coupled weights
-    for i, (name, phi) in enumerate((
-        ("mecke_constant", lambda x, s: 1.0),
-        ("mecke_position", lambda x, s: x),
-        ("mecke_count_coupled", lambda x, s: x * len(s.points)),
+    for i, (name, h) in enumerate((
+        ("mecke_constant", lambda xs, others: np.ones_like(xs)),
+        ("mecke_position", lambda xs, others: xs),
+        ("mecke_count_coupled", lambda xs, others: xs * (others.size + 1)),
     ), start=1):
-        lhs, rhs = mecke_check(phi, w, R_mecke, seed + i)
-        checks.append(_verdict(name, 4.0 * (lhs.std_error + rhs.std_error) + 1e-9
-                               - abs(lhs.mean - rhs.mean)))
+        lhs, rhs = mecke_check(h, w, R_mecke, seed + i)
+        checks.append(_band_verdict(name, lhs, rhs, 4.0))
 
     # difference operator: adding a point moves the integral by exactly f(x)
     fns = (
@@ -780,14 +784,12 @@ def run_identity_suite(cfg: ExperimentConfig):
     # second moment: Var I_1(f) = int f^2
     fb = triangular_bump(1.0, 1.0, 1.5)
     est, l2sq = second_moment_check(fb, w, R, seed + 5)
-    checks.append(_verdict("l2_isometry",
-                           4.0 * est.std_error + 1e-9 - abs(est.mean - l2sq)))
+    checks.append(_band_verdict("l2_isometry", est, l2sq, 4.0))
 
     # reduced second moment: E[N(g)N(h) - N(gh)] = int g int h
     est, target = reduced_moment_check(indicator(0.0, 1.0), indicator(0.5, 1.5),
                                        w, R, seed + 6)
-    checks.append(_verdict("reduced_moment",
-                           4.0 * est.std_error + 1e-9 - abs(est.mean - target)))
+    checks.append(_band_verdict("reduced_moment", est, target, 4.0))
 
     # equivariance and coboundary under both invertible-window setups
     trans = make_translation(1.0)
@@ -812,10 +814,7 @@ def run_identity_suite(cfg: ExperimentConfig):
     # uncentered norm identities
     f_pos = piecewise_constant((0.0, 0.6, 1.4), (0.8, 1.3))
     est = estimate_starstar_norm(f_pos, w, R, seed + 9)
-    l1_pos = 0.6 * 0.8 + 0.8 * 1.3
-    checks.append(_verdict("starstar_eq_l1_nonneg",
-                           3.0 * est.std_error + est.truncation_bound + 1e-9
-                           - abs(est.mean - l1_pos)))
+    checks.append(_band_verdict("starstar_eq_l1_nonneg", est, 0.6 * 0.8 + 0.8 * 1.3, 3.0))
     f_mix = piecewise_constant((0.0, 1.0, 2.0), (1.0, -1.0))
     est = estimate_starstar_norm(f_mix, w, R, seed + 10)
     checks.append(_verdict("starstar_gap_mixed",
@@ -823,9 +822,7 @@ def run_identity_suite(cfg: ExperimentConfig):
                            - est.truncation_bound))
     ss = estimate_starstar_norm(f_mix, w, R, seed + 11)
     st = estimate_star_norm(f_mix, w, R, seed + 12)
-    checks.append(_verdict("starstar_eq_star_zero_integral",
-                           3.0 * (ss.std_error + st.std_error) + 1e-9
-                           - abs(ss.mean - st.mean)))
+    checks.append(_band_verdict("starstar_eq_star_zero_integral", ss, st, 3.0))
 
     summary = _summarize(cfg, [])
     summary["checks"] = [c._asdict() for c in checks]

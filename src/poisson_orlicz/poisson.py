@@ -11,9 +11,10 @@ independent routes to E|I_1(f)|:
   closed-form characteristic function by Gauss-Legendre panels, with a
   certified bound (Bernstein-ellipse remainder, rounding and tail) <= tol.
 
-Also: the uncentered norm E|N(f)|, and numerical checks of the Mecke
-formula, the add-one-point difference identity, the L2 isometry, the
-order-2 reduced moment identity, and equivariance/coboundary relations
+Also: the uncentered norm E|N(f)|, and numerical checks of the reduced
+(Slivnyak-)Mecke equation (Last & Penrose, Lectures on the Poisson Process,
+CUP 2017, Thm 4.1), the add-one-point difference identity, the L2 isometry,
+the order-2 reduced moment identity, and equivariance/coboundary relations
 under measure-preserving maps.
 """
 
@@ -192,6 +193,13 @@ def _truncation_bound(f: TestFunction, w: Window, quad_tol: float = _QUAD_TOL) -
     return float(min(2.0 * l1_out, math.sqrt(l2sq_out)))
 
 
+def _mc_estimate(vals: np.ndarray, seed: int, truncation_bound: float = 0.0) -> MCEstimate:
+    """Mean and standard error of the per-replicate values ``vals``."""
+    R = vals.size
+    return MCEstimate(float(vals.mean()), float(vals.std(ddof=1) / math.sqrt(R)), R,
+                      int(seed), truncation_bound)
+
+
 def _estimate_abs(f: TestFunction, w: Window, R: int, seed: int, center: float,
                   quad_tol: float = _QUAD_TOL) -> MCEstimate:
     """E|N(f 1_w) - center| from R replicates drawn as one stream, with f
@@ -202,9 +210,7 @@ def _estimate_abs(f: TestFunction, w: Window, R: int, seed: int, center: float,
     counts, pts = _counts_and_points(w, R, seed)
     vals = _eval_points(f, pts)
     devs = np.abs(_per_replicate_sums(vals, counts) - center)
-    mean = float(devs.mean())
-    se = float(devs.std(ddof=1) / math.sqrt(R)) if R > 1 else 0.0
-    return MCEstimate(mean, se, R, int(seed), _truncation_bound(f, w, quad_tol))
+    return _mc_estimate(devs, seed, _truncation_bound(f, w, quad_tol))
 
 
 def estimate_star_norm(f: TestFunction, w: Window, R: int, seed: int,
@@ -630,39 +636,27 @@ def hsu_error_floor(f: SimpleFunction, max_panels: int = _HSU_MAX_PANELS) -> flo
 # ---------------------------------------------------------------------------
 # Identity checks
 
-def _with_point(s: PoissonSample, x: float) -> PoissonSample:
-    return PoissonSample(s.window, np.append(s.points, x))
-
-
 def mecke_check(
-    phi: Callable[[float, PoissonSample], float],
+    h: Callable[[np.ndarray, np.ndarray], np.ndarray],
     w: Window,
     R: int,
     seed: int,
 ) -> tuple[MCEstimate, MCEstimate]:
-    """Both sides of E sum_{x in omega} phi(x, omega) =
-    int_w E phi(x, omega + delta_x) dx, each as a Monte Carlo estimate.
-
-    The right side integrates per sample by quadrature, adding the extra
-    point explicitly."""
+    """Both sides of the reduced Mecke equation E sum_{x in omega}
+    h(x, omega - delta_x) = int_w E h(x, omega) dx (Last & Penrose, Lectures
+    on the Poisson Process, CUP 2017, Thm 4.1), each as a Monte Carlo estimate
+    over the samples of replicates 0..R-1.  h(xs, others) is vectorized over
+    the positions xs; the left side calls it at each point with that point
+    removed, the right side integrates h(., points) over w by quadrature."""
     R = int(R)
-    lhs_vals = np.empty(R)
-    rhs_vals = np.empty(R)
+    lhs, rhs = np.empty(R), np.empty(R)
     for r in range(R):
-        s = sample_process(w, seed, r)
-        lhs_vals[r] = math.fsum(phi(float(x), s) for x in s.points)
-
-        def inner(xs, s=s):
-            xs = np.atleast_1d(np.asarray(xs, dtype=float))
-            return np.array([phi(float(x), _with_point(s, float(x))) for x in xs])
-
-        probe = TestFunction(eval=inner, support=w)
-        val, _ = integrate(probe, w, tol=1e-9, max_segments=2000)
-        rhs_vals[r] = val
-    scale = math.sqrt(R)
-    lhs = MCEstimate(float(lhs_vals.mean()), float(lhs_vals.std(ddof=1) / scale), R, int(seed), 0.0)
-    rhs = MCEstimate(float(rhs_vals.mean()), float(rhs_vals.std(ddof=1) / scale), R, int(seed), 0.0)
-    return lhs, rhs
+        pts = sample_process(w, seed, r).points
+        lhs[r] = math.fsum(float(h(pts[i:i + 1], np.concatenate((pts[:i], pts[i + 1:])))[0])
+                           for i in range(pts.size))
+        probe = TestFunction(eval=lambda xs, pts=pts: h(xs, pts), support=w)
+        rhs[r], _ = integrate(probe, w, tol=1e-9, max_segments=2000)
+    return _mc_estimate(lhs, seed), _mc_estimate(rhs, seed)
 
 
 def difference_check(
@@ -670,16 +664,16 @@ def difference_check(
 ) -> tuple[float, float]:
     """Adding one point at x moves the centered integral by exactly f(x).
 
-    The two integrals are differenced in exact rational arithmetic, so the
-    returned observed value carries no roundoff: the check is zero-tolerance.
+    f is evaluated on the sample with and without x appended, and the two
+    integrals are differenced in exact rational arithmetic: the check is
+    zero-tolerance, and an f whose eval is not pointwise fails it.
     """
     if not bool(s.window.contains(np.array([float(x)]))[0]):
         raise ValueError("x must lie inside the sample window")
-    base = [Fraction(float(t)) for t in np.asarray(f.eval(s.points), dtype=float)]
     fx = float(np.asarray(f.eval(np.array([float(x)])), dtype=float)[0])
     comp = Fraction(float(compensator))
-    with_x = sum(base, Fraction(0)) + Fraction(fx) - comp
-    without = sum(base, Fraction(0)) - comp
+    with_x, without = (sum(map(Fraction, np.asarray(f.eval(pts), dtype=float).tolist()), -comp)
+                       for pts in (np.append(s.points, float(x)), s.points))
     return float(with_x - without), fx
 
 
@@ -712,9 +706,7 @@ def reduced_moment_check(
     ng = _per_replicate_sums(gv, counts)
     nh = _per_replicate_sums(hv, counts)
     ngh = _per_replicate_sums(gv * hv, counts)
-    x = ng * nh - ngh
-    se = float(x.std(ddof=1) / math.sqrt(R)) if R > 1 else 0.0
-    lhs = MCEstimate(float(x.mean()), se, R, int(seed), 0.0)
+    lhs = _mc_estimate(ng * nh - ngh, seed)
     int_g, _ = integrate(g, w, tol=_QUAD_TOL)
     int_h, _ = integrate(h, w, tol=_QUAD_TOL)
     return lhs, float(int_g * int_h)

@@ -4,6 +4,7 @@ Each criterion is a separate test so a failure pinpoints the broken claim.
 Run with ``pytest -s tests/test_acceptance.py`` to see every line.
 """
 
+import hashlib
 import json
 import math
 import os
@@ -237,11 +238,14 @@ def test_criterion_10_starstar_properties():
     report(10, "starstar equals L1 for signs, star for zero integral", ok)
 
 
+# sha256 of `porlicz suite --seed 42` (CSV): every byte of the gate
+SUITE_CSV_SHA256 = "61feea99baf6f8f0e557060d6cd373380c7d051610e08eb4a52381f92556fc58"
+
+
 def test_criterion_11_suite_determinism(tmp_path):
     outputs = []
     for threads, name in (("1", "a.csv"), ("4", "b.csv")):
-        env = dict(os.environ)
-        env["OMP_NUM_THREADS"] = threads
+        env = dict(os.environ, OMP_NUM_THREADS=threads, OPENBLAS_NUM_THREADS=threads)
         path = tmp_path / name
         proc = subprocess.run(
             [sys.executable, "-m", "poisson_orlicz.cli", "suite",
@@ -249,5 +253,6 @@ def test_criterion_11_suite_determinism(tmp_path):
             capture_output=True, env=env)
         assert proc.returncode == 0, proc.stderr.decode()
         outputs.append(path.read_bytes())
-    report(11, "suite output byte-identical across thread counts",
-           outputs[0] == outputs[1] and len(outputs[0]) > 0)
+    report(11, "suite output byte-identical across thread counts and pinned",
+           outputs[0] == outputs[1]
+           and hashlib.sha256(outputs[0]).hexdigest() == SUITE_CSV_SHA256)

@@ -5,7 +5,7 @@ import sys
 import time
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from poisson_orlicz import cli, poisson
@@ -196,6 +196,19 @@ def test_norm_non_finite_system_value_names_field(capsys, system, message):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["norm", "--atoms=--"],
+    ["norm", "--function=--"],
+    ["norm", "--function", "indicator:0,1", "--apply", "birkhoff", "--system=--"],
+    ["norm", "--atoms", "(1,1)", "--which=--"],
+    ["sample", "--window=--", "--seed", "1"],
+])
+def test_inline_double_dash_value_is_usage_error(capsys, argv):
+    code, out, err = run_cli(capsys, argv)
+    assert code == 1 and out == ""
+    assert "expected one argument" in err
+
+
 def test_norm_needs_exactly_one_source(capsys):
     assert run_cli(capsys, ["norm"])[0] == 1
     code, _, _ = run_cli(capsys, ["norm", "--atoms", "(1,1)",
@@ -285,6 +298,18 @@ def test_norm_non_finite_atom_is_usage_error(capsys):
                                           ("(1e308,10)", "l2")])
 def test_norm_moment_overflow_is_usage_error(capsys, atoms, which):
     code, out, err = run_cli(capsys, ["norm", "--atoms", atoms, "--which", which])
+    assert code == 1
+    assert out == ""
+    assert "float range" in err
+
+
+@pytest.mark.parametrize("function, which", [("bump:3,1e154,1e154", "l2"),
+                                             ("bump:0,4e237,4e237", "l1"),
+                                             ("bump:3,1,-inf", "l1"),
+                                             ("indicator:0,1,inf", "l1")])
+def test_norm_quadrature_moment_overflow_is_usage_error(capsys, function, which):
+    # refused with a message, and no numpy overflow warning on the way
+    code, out, err = run_cli(capsys, ["norm", "--function", function, "--which", which])
     assert code == 1
     assert out == ""
     assert "float range" in err
@@ -523,6 +548,29 @@ def test_spec_parsers_return_or_refuse(parse, text):
         parse(text)
     except (UsageError, ValueError):
         pass
+
+
+# short spec strings: no example reaches a large array
+_SHORT_SPEC = st.one_of(
+    st.text(max_size=12),
+    st.tuples(st.sampled_from(["", "(", "indicator:", "bump:", "steps:", "atoms:", "circle:",
+                               "circle_plus_indicator:", "translation:", "boole",
+                               "composite:"]),
+              st.text(alphabet="()0123456789.,;:|eE+-naif ", max_size=14)).map("".join),
+)
+
+
+@given(source=st.sampled_from(["--atoms", "--function"]), text=_SHORT_SPEC)
+@example(source="--function", text="--")
+def test_norm_command_exits_0_or_1(source, text):
+    assert main(["norm", f"{source}={text}", "--which", "l1,l2"]) in (0, 1)
+
+
+@given(text=_SHORT_SPEC)
+@example(text="--")
+def test_norm_birkhoff_system_exits_0_or_1(text):
+    assert main(["norm", "--function", "indicator:0,1", "--apply", "birkhoff",
+                 f"--system={text}", "--which", "l1,l2"]) in (0, 1)
 
 
 _JSON = st.recursive(

@@ -459,10 +459,16 @@ def test_stock_config_hash_is_pinned(scenario):
     _assert_round_trip(cfg)
 
 
+# sha256 of `porlicz suite --seed 42 --format json`: every byte of the gate
+SUITE_JSON_SHA256 = "32deae830e98097520d76119ea826011a5528af6c5c949b2c254db919763a021"
+
+
 def test_suite_config_hashes_are_pinned(capsys):
     from poisson_orlicz.cli import main
     assert main(["suite", "--seed", "42", "--format", "json"]) == 0
-    docs = json.loads(capsys.readouterr().out)["scenarios"]
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == SUITE_JSON_SHA256
+    docs = json.loads(out)["scenarios"]
     assert sorted(docs) == sorted(SUITE_HASHES)
     for scenario, doc in docs.items():
         cfg = ExperimentConfig.from_dict(doc["config"])

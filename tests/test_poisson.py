@@ -525,7 +525,7 @@ def test_estimators_do_not_depend_on_the_block_size(monkeypatch):
 
 def test_mecke_constant_functional():
     w = window((0, 1))
-    lhs, rhs = mecke_check(lambda x, s: 1.0, w, 400, seed=5)
+    lhs, rhs = mecke_check(lambda xs, others: np.ones_like(xs), w, 400, seed=5)
     assert abs(lhs.mean - 1.0) <= 3 * lhs.std_error
     assert abs(rhs.mean - 1.0) < 1e-9
     assert rhs.std_error < 1e-12
@@ -533,21 +533,37 @@ def test_mecke_constant_functional():
 
 def test_mecke_campbell():
     w = window((0, 1))
-    lhs, rhs = mecke_check(lambda x, s: x, w, 400, seed=6)
+    lhs, rhs = mecke_check(lambda xs, others: xs, w, 400, seed=6)
     assert abs(lhs.mean - 0.5) <= 3 * lhs.std_error
     assert abs(rhs.mean - 0.5) <= 3 * rhs.std_error + 1e-9
 
 
 def test_mecke_count_coupled():
     w = window((0, 1))
-
-    def phi(x, s):
-        return x * s.points.size
-
-    lhs, rhs = mecke_check(phi, w, 600, seed=8)
+    # the count of the configuration the point belongs to
+    lhs, rhs = mecke_check(lambda xs, others: xs * (others.size + 1), w, 600, seed=8)
     assert abs(lhs.mean - rhs.mean) <= 3 * (lhs.std_error + rhs.std_error)
     # rhs per sample is (N+1) * int g, so its mean is (measure + 1) * 1/2
     assert abs(rhs.mean - 1.0) <= 3 * rhs.std_error
+
+
+def test_mecke_position_coupled():
+    # h reads where the other points are: both sides are (int_w x dx)^2
+    w = window((0, 1))
+    lhs, rhs = mecke_check(lambda xs, others: xs * others.sum(), w, 2000, seed=9)
+    for side in (lhs, rhs):
+        assert abs(side.mean - 0.25) <= 3 * side.std_error
+
+
+def test_mecke_left_side_removes_each_point():
+    # with h the number of other points, replicate r contributes N(N - 1) on
+    # the left and 2N on the right
+    w = window((0, 2))
+    lhs, rhs = mecke_check(lambda xs, others: np.full(xs.shape, float(others.size)),
+                           w, 50, seed=3)
+    counts = np.array([sample_process(w, 3, r).points.size for r in range(50)], dtype=float)
+    assert lhs.mean == float(np.mean(counts * (counts - 1.0)))
+    assert rhs.mean == pytest.approx(2.0 * counts.mean(), abs=1e-9)
 
 
 def test_difference_check_exact():
@@ -559,6 +575,18 @@ def test_difference_check_exact():
             for x in (0.1, 1.0, 1.7, 2.9):
                 observed, expected = difference_check(f, s, x, compensator=0.123)
                 assert observed == expected
+
+
+def test_difference_check_flags_a_batch_dependent_eval():
+    # an eval that scales by the number of points it is given is not
+    # pointwise: adding x changes every other point's value too
+    w = window((0, 3))
+    f = TestFunction(eval=lambda x: np.asarray(x, dtype=float) * np.size(x), support=w)
+    s = sample_process(w, 31, replicate=0)
+    assert s.points.size == 4
+    observed, expected = difference_check(f, s, 1.0, compensator=0.123)
+    assert expected == 1.0
+    assert observed == pytest.approx(1.0 + s.points.sum() + 4.0, abs=1e-12)
 
 
 def test_difference_check_outside_support_is_zero():
