@@ -12,6 +12,11 @@ The circle is encoded as a tagged unit-length segment placed at a large
 power-of-two offset, so one real-valued evaluation signature serves both
 parts and coordinates subtract exactly.  The translated part skips over the
 segment, so the two parts never exchange points.
+
+Each system maps windows as well as points: ``image(w, k)`` is a window
+containing T^k(w) for an integer k, the union over all preimage branches
+when k < 0.  The Boole map refuses k > 0, since the forward image of a
+window around 0 is unbounded.
 """
 
 from __future__ import annotations
@@ -23,7 +28,7 @@ from typing import Callable
 
 import numpy as np
 
-from .measure import TestFunction, Window, integrate, window, window_translate
+from .measure import TestFunction, Window, _finite, integrate, window, window_translate
 
 __all__ = [
     "DynamicalSystem",
@@ -54,16 +59,18 @@ class DynamicalSystem:
     branch of T^{-1}: T(y) = x and jac = 1/|T'(y)|, the jacs summing to 1
     wherever defined.  It computes every branch in one pass.  Callers go
     through ``preimages``, which also takes scalars.
-    ``backward_inflate(w, n)`` returns a window containing every T^{-k}(w)
-    for k <= n.  ``singularities`` are points where the forward map is
-    undefined or discontinuous, used as forced quadrature splits.
+    ``image(w, k)`` returns a window containing T^k(w) for an integer k;
+    for k < 0 that is the preimage T^{-|k|}(w) over every branch.  The
+    Boole map raises ValueError for k > 0: the forward image of a window
+    around 0 is unbounded.  ``singularities`` are points where the forward
+    map is undefined or discontinuous, used as forced quadrature splits.
     """
 
     kind: str
     params: tuple[float, ...]
     forward: Callable[[np.ndarray], np.ndarray]
     branches: Callable[[np.ndarray], tuple[tuple[np.ndarray, np.ndarray], ...]]
-    backward_inflate: Callable[[Window, int], Window]
+    image: Callable[[Window, int], Window]
     singularities: tuple[float, ...] = ()
 
     def preimages(self, x):
@@ -73,12 +80,6 @@ class DynamicalSystem:
             return tuple((float(y[0]), float(j[0]))
                          for y, j in self.branches(np.array([float(x)])))
         return self.branches(np.asarray(x, dtype=float))
-
-
-def _finite(kind: str, **params: float) -> None:
-    for name, value in params.items():
-        if not math.isfinite(value):
-            raise ValueError(f"{kind} {name} must be finite, got {value!r}")
 
 
 def make_translation(step: float = 1.0) -> DynamicalSystem:
@@ -94,18 +95,15 @@ def make_translation(step: float = 1.0) -> DynamicalSystem:
     def branches(x):
         return ((x - step, np.ones(x.shape)),)
 
-    def inflate(w: Window, n: int) -> Window:
-        pieces = []
-        for k in range(int(n) + 1):
-            pieces.extend(window_translate(w, -k * step).intervals)
-        return window(*pieces)
+    def image(w: Window, k: int) -> Window:
+        return window_translate(w, k * step)
 
     return DynamicalSystem(
         kind="translation",
         params=(step,),
         forward=fwd,
         branches=branches,
-        backward_inflate=inflate,
+        image=image,
     )
 
 
@@ -139,11 +137,14 @@ def make_boole() -> DynamicalSystem:
         y_minus = -1.0 / y_plus
         return ((y_plus, _jac(y_plus)), (y_minus, _jac(y_minus)))
 
-    def inflate(w: Window, n: int) -> Window:
+    def image(w: Window, k: int) -> Window:
+        # each preimage step moves a point at most 1 farther from 0
+        if k > 0:
+            raise ValueError("the Boole map's forward image of a window is unbounded")
         if not w:
             return w
         m = max(max(abs(lo), abs(hi)) for lo, hi in w.intervals)
-        r = m + int(n) + 1
+        r = m + abs(int(k)) + 1
         return window((-r, r))
 
     return DynamicalSystem(
@@ -151,7 +152,7 @@ def make_boole() -> DynamicalSystem:
         params=(),
         forward=fwd,
         branches=branches,
-        backward_inflate=inflate,
+        image=image,
         singularities=(0.0,),
     )
 
@@ -191,15 +192,20 @@ def make_composite(circumference: float = 1.0, angle: float = GOLDEN,
         return ((np.where(_in_circle(x), rotated, _line_shift(x, -step)),
                  np.ones(x.shape)),)
 
-    def inflate(w: Window, n: int) -> Window:
+    def image(w: Window, k: int) -> Window:
+        d = k * step
         pieces = []
         for lo, hi in w.intervals:
-            mid = 0.5 * (lo + hi)
-            if c0 <= mid < c1:
+            if lo < c1 and hi > c0:
                 pieces.append((c0, c1))
-            else:
-                for k in range(int(n) + 1):
-                    pieces.append((lo - k * step, hi - k * step))
+            # the line pieces below (off 0) and above (off length) the
+            # circle shift by d in collapsed coordinates x - off, then split
+            # where they meet the segment
+            for a, b, off in ((lo, min(hi, c0), 0.0), (max(lo, c1), hi, length)):
+                if b > a:
+                    a, b = a + d, b + d
+                    pieces += [(a - off, min(b - off, c0)),
+                               (max(a, c0 + off) + (length - off), b + (length - off))]
         return window(*pieces)
 
     wrap = c0 + math.fmod(length - math.fmod(angle, length) + length, length)
@@ -208,7 +214,7 @@ def make_composite(circumference: float = 1.0, angle: float = GOLDEN,
         params=(length, angle, step),
         forward=fwd,
         branches=branches,
-        backward_inflate=inflate,
+        image=image,
         singularities=(c0, wrap, c1),
     )
 
@@ -217,6 +223,7 @@ def circle_indicator(sys: DynamicalSystem, scale: float = 1.0) -> TestFunction:
     """Indicator of the invariant circle of a composite system."""
     if sys is None or sys.kind != "composite":
         raise ValueError("circle_indicator needs a composite system")
+    _finite("circle_indicator", scale=scale)
     length = sys.params[0]
     c0, c1 = CIRCLE_OFFSET, CIRCLE_OFFSET + length
 
@@ -252,7 +259,9 @@ def birkhoff(f: TestFunction, sys: DynamicalSystem, n: int,
              subsequence=None) -> TestFunction:
     """The depth-n Birkhoff average (1/n) sum_k f(T^{p_k} x) as a
     TestFunction.  The exponents p_k are (1, ..., n) by default; a strictly
-    increasing ``subsequence`` of n exponents gives subsequence averages."""
+    increasing ``subsequence`` of n exponents gives subsequence averages.
+    The support is the union of ``sys.image(f.support, -k)`` over
+    k = 0..max p_k."""
     n = int(n)
     if n < 1:
         raise ValueError("depth must be >= 1")
@@ -279,7 +288,8 @@ def birkhoff(f: TestFunction, sys: DynamicalSystem, n: int,
     bps = _pullback_breakpoints(sys, f.breakpoints, kmax)
     return TestFunction(
         eval=_eval,
-        support=sys.backward_inflate(f.support, kmax),
+        support=window(*(iv for k in range(kmax + 1)
+                         for iv in sys.image(f.support, -k).intervals)),
         sup_bound=f.sup_bound,
         l1_tail_bound=f.l1_tail_bound,
         l2_tail_bound=f.l2_tail_bound,
@@ -316,40 +326,15 @@ def _branch_sum(f_eval, sys: DynamicalSystem, n: int):
 
 
 def _forward_orbit(sys: DynamicalSystem, pts, n: int) -> tuple[float, ...]:
+    """The finite points T^k(p), k = 1..n, over ``pts``, sorted; a point
+    that leaves the finite reals stays out of them, so it is dropped."""
     out = set()
-    for p in pts:
-        y = float(p)
-        for _ in range(int(n)):
-            y = float(np.asarray(sys.forward(np.array([y])))[0])
-            if not math.isfinite(y):
-                break
-            out.add(y)
+    y = np.asarray(pts, dtype=float)
+    for _ in range(int(n)):
+        y = np.asarray(sys.forward(y), dtype=float)
+        y = y[np.isfinite(y)]
+        out.update(y.tolist())
     return tuple(sorted(out))
-
-
-def _forward_window(sys: DynamicalSystem, w: Window, n: int) -> Window:
-    """A window containing the n-step forward image of w (invertible kinds)."""
-    if sys.kind == "translation":
-        return window_translate(w, n * sys.params[0])
-    length, _, step = sys.params
-    c0, c1 = CIRCLE_OFFSET, CIRCLE_OFFSET + length
-    pieces = []
-    for lo, hi in w.intervals:
-        mid = 0.5 * (lo + hi)
-        if c0 <= mid < c1:
-            pieces.append((c0, c1))
-        else:
-            # shift in collapsed line coordinates, then split at the segment
-            u_lo = (lo - length if lo >= c1 else lo) + n * step
-            u_hi = (hi - length if hi >= c1 else hi) + n * step
-            if u_hi <= c0:
-                pieces.append((u_lo, u_hi))
-            elif u_lo >= c0:
-                pieces.append((u_lo + length, u_hi + length))
-            else:
-                pieces.append((u_lo, c0))
-                pieces.append((c1, u_hi + length))
-    return window(*pieces)
 
 
 def transfer_apply(f: TestFunction, sys: DynamicalSystem, n: int,
@@ -377,7 +362,7 @@ def transfer_apply(f: TestFunction, sys: DynamicalSystem, n: int,
     if not two_branch:
         return TestFunction(
             eval=signed_eval,
-            support=_forward_window(sys, f.support, n),
+            support=sys.image(f.support, n),
             sup_bound=f.sup_bound,
             l1_tail_bound=f.l1_tail_bound,
             l2_tail_bound=f.l2_tail_bound,

@@ -50,6 +50,7 @@ from .dynamics import (
 from .measure import (
     SimpleFunction,
     TestFunction,
+    _finite,
     function_moments,
     indicator,
     integrate,
@@ -370,6 +371,7 @@ def _atoms(atoms: list) -> TestFunction:
 def _circle_plus_indicator(sys: DynamicalSystem, lo: float, hi: float,
                            scale: float = 1.0, line_scale: float = 1.0) -> TestFunction:
     """The invariant circle's indicator plus one on the line."""
+    _finite("circle_plus_indicator", lo=lo, hi=hi, scale=scale, line_scale=line_scale)
     circ = circle_indicator(sys, scale)
     line = indicator(lo, hi, line_scale)
 

@@ -131,6 +131,14 @@ def window_position(w: Window, u) -> np.ndarray:
 # Function representations
 
 
+def _finite(kind: str, **params) -> None:
+    """Refuse a non-finite parameter (a number or a sequence), naming it."""
+    for name, value in params.items():
+        for v in np.asarray(value, dtype=float).ravel():
+            if not math.isfinite(v):
+                raise ValueError(f"{kind} {name} must be finite, got {float(v)!r}")
+
+
 @dataclass(frozen=True)
 class TestFunction:
     """Pointwise-evaluable real function with declared support window.
@@ -206,6 +214,7 @@ def simple_moments(f: SimpleFunction) -> Moments:
 
 def indicator(lo: float, hi: float, scale: float = 1.0) -> TestFunction:
     """scale * 1_{[lo, hi]} as a TestFunction."""
+    _finite("indicator", lo=lo, hi=hi, scale=scale)
     if not hi > lo:
         raise ValueError("need hi > lo")
 
@@ -225,6 +234,7 @@ def piecewise_constant(breaks: Sequence[float], values: Sequence[float]) -> Test
     """Step function: values[i] on [breaks[i], breaks[i+1]), 0 outside."""
     breaks = np.asarray(breaks, dtype=float)
     values = np.asarray(values, dtype=float)
+    _finite("piecewise_constant", breaks=breaks, values=values)
     if len(values) != len(breaks) - 1:
         raise ValueError("need len(values) == len(breaks) - 1")
     if np.any(np.diff(breaks) <= 0):
@@ -253,6 +263,7 @@ def piecewise_constant(breaks: Sequence[float], values: Sequence[float]) -> Test
 
 def triangular_bump(center: float, halfwidth: float, height: float = 1.0) -> TestFunction:
     """Tent function peaking at ``center`` and vanishing at distance halfwidth."""
+    _finite("triangular_bump", center=center, halfwidth=halfwidth, height=height)
     if not halfwidth > 0:
         raise ValueError("need halfwidth > 0")
 

@@ -304,15 +304,29 @@ def test_norm_moment_overflow_is_usage_error(capsys, atoms, which):
 
 
 @pytest.mark.parametrize("function, which", [("bump:3,1e154,1e154", "l2"),
-                                             ("bump:0,4e237,4e237", "l1"),
-                                             ("bump:3,1,-inf", "l1"),
-                                             ("indicator:0,1,inf", "l1")])
+                                             ("bump:0,4e237,4e237", "l1")])
 def test_norm_quadrature_moment_overflow_is_usage_error(capsys, function, which):
     # refused with a message, and no numpy overflow warning on the way
     code, out, err = run_cli(capsys, ["norm", "--function", function, "--which", which])
     assert code == 1
     assert out == ""
     assert "float range" in err
+
+
+@pytest.mark.parametrize("function, field", [
+    ("bump:3,1,-inf", "triangular_bump height"),
+    ("bump:3,1,nan", "triangular_bump height"),
+    ("indicator:0,1,inf", "indicator scale"),
+    ("steps:0,1,2|1,nan", "piecewise_constant values"),
+])
+def test_norm_non_finite_shape_value_names_field(capsys, function, field):
+    # refused when the shape is built, before any norm could print nan
+    code, out, err = run_cli(capsys, ["norm", "--function", function, "--which", "star,l1",
+                                      "--seed", "1", "--replicates", "1000"])
+    assert code == 1
+    assert out == ""
+    assert f"{field} must be finite" in err
+    assert "Traceback" not in err
 
 
 # seven atoms exceed the exact oracle, so star falls back to Hsu; a small
@@ -510,6 +524,11 @@ INVARIANT_CONFIG = {
     (INVARIANT_CONFIG, {"system": {"kind": "composite", "step": -math.inf}},
      ("composite step must be finite",)),
     (BASE_CONFIG, {"seed": -1}, "seed must be nonnegative"),
+    (BASE_CONFIG, {"function": {"shape": "indicator", "lo": 0.0, "hi": 1.0,
+                                "scale": math.nan}},
+     ("indicator scale must be finite", "nan")),
+    (INVARIANT_CONFIG, {"function": {"shape": "circle", "scale": math.nan}},
+     ("circle_indicator scale must be finite", "nan")),
 ], ids=["null_replicates", "fractional_depth", "boolean_seed", "null_step",
         "null_sigma", "null_expected_star", "scalar_slope", "scalar_value_range",
         "zero_samples", "unreachable_slope", "string_lo", "unknown_system_key",
@@ -518,7 +537,8 @@ INVARIANT_CONFIG = {
         "star_depth_not_run", "star_key_not_a_depth", "negative_homogeneity_scale",
         "zero_homogeneity_scale", "urbanik_unread_fields", "identity_unread_fields",
         "birkhoff_unread_subsequence", "infinite_step", "nan_step",
-        "infinite_circumference", "nan_angle", "infinite_composite_step", "negative_seed"])
+        "infinite_circumference", "nan_angle", "infinite_composite_step", "negative_seed",
+        "nan_scale", "nan_circle_scale"])
 def test_run_bad_config_is_config_error(capsys, tmp_path, base, change, field):
     path = write_config(tmp_path, "bad.json", dict(base, **change))
     code, out, err = run_cli(capsys, ["run", "--config", path])
@@ -566,10 +586,11 @@ def test_norm_command_exits_0_or_1(source, text):
     assert main(["norm", f"{source}={text}", "--which", "l1,l2"]) in (0, 1)
 
 
-@given(text=_SHORT_SPEC)
-@example(text="--")
-def test_norm_birkhoff_system_exits_0_or_1(text):
-    assert main(["norm", "--function", "indicator:0,1", "--apply", "birkhoff",
+@given(apply=st.sampled_from(["birkhoff", "transfer"]), text=_SHORT_SPEC)
+@example(apply="birkhoff", text="--")
+@example(apply="transfer", text="boole")
+def test_norm_birkhoff_system_exits_0_or_1(apply, text):
+    assert main(["norm", "--function", "indicator:0,1", "--apply", apply,
                  f"--system={text}", "--which", "l1,l2"]) in (0, 1)
 
 

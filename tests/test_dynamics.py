@@ -10,6 +10,7 @@ import pytest
 from poisson_orlicz.dynamics import (
     CIRCLE_OFFSET,
     GOLDEN,
+    _forward_orbit,
     birkhoff,
     circle_indicator,
     make_boole,
@@ -17,6 +18,7 @@ from poisson_orlicz.dynamics import (
     make_translation,
     transfer_apply,
 )
+from poisson_orlicz.experiments import build_function
 from poisson_orlicz.measure import (
     TestFunction,
     function_moments,
@@ -42,8 +44,10 @@ def test_translation_preimages():
 def test_translation_forward_and_inflate():
     sys = make_translation(1.0)
     assert float(sys.forward(np.array([2.5]))[0]) == 3.5
-    w = sys.backward_inflate(window((0.0, 1.0)), 3)
-    assert w.intervals == ((-3.0, 1.0),)
+    w = window((0.0, 1.0))
+    assert sys.image(w, -3).intervals == ((-3.0, -2.0),)
+    assert sys.image(w, 2).intervals == ((2.0, 3.0),)
+    assert birkhoff(indicator(0.0, 1.0), sys, 3).support.intervals == ((-3.0, 1.0),)
 
 
 def test_translation_rejects_zero_step():
@@ -100,25 +104,60 @@ def test_boole_preimage_identity_and_jacobian_sum():
 
 def test_boole_backward_inflate():
     sys = make_boole()
-    w = sys.backward_inflate(window((-2.0, 2.0)), 3)
-    assert w.intervals == ((-6.0, 6.0),)
+    w = window((-2.0, 2.0))
+    assert sys.image(w, -3).intervals == ((-6.0, 6.0),)
+    assert birkhoff(indicator(-2.0, 2.0), sys, 3).support.intervals == ((-6.0, 6.0),)
+    with pytest.raises(ValueError, match="unbounded"):
+        sys.image(w, 1)
 
 
-def test_backward_inflate_contains_branch_pullbacks():
+C0 = CIRCLE_OFFSET
+# windows below, above, straddling and inside the segment [C0, C0 + 1), and
+# one covering it
+SEGMENT_WINDOWS = [
+    window((C0 - 10.0, C0 - 8.5), (C0 - 2.25, C0 - 0.75)),
+    window((C0 + 1.2, C0 + 1.7), (C0 + 2.5, C0 + 3.9)),
+    window((C0 - 0.5, C0 + 0.5)),
+    window((C0 + 0.8, C0 + 1.6)),
+    window((C0 + 0.2, C0 + 0.6)),
+    window((C0 - 0.4, C0 + 1.4)),
+]
+
+
+def _random_points(rng, w, size):
+    lo, hi = np.array(w.intervals).T
+    pick = rng.integers(len(lo), size=size)
+    return rng.uniform(lo[pick], hi[pick])
+
+
+def test_image_contains_branch_pullbacks():
     rng = np.random.default_rng(7)
-    for sys, w in [
+    cases = [
         (make_boole(), window((-1.5, 2.0))),
         (make_translation(0.7), window((0.0, 1.0), (2.0, 2.5))),
-    ]:
-        n = 4
-        big = sys.backward_inflate(w, n)
-        for _ in range(50):
-            x = rng.uniform(*w.intervals[rng.integers(len(w.intervals))])
-            y = x
-            for _ in range(rng.integers(1, n + 1)):
+    ]
+    for sys in (make_composite(1.0, 0.3, 1.0), make_composite(1.0, 0.3, 0.45)):
+        cases += [(sys, w) for w in SEGMENT_WINDOWS]
+    for sys, w in cases:
+        for k in range(1, 5):
+            y = _random_points(rng, w, 200)
+            for _ in range(k):
                 branches = sys.preimages(y)
-                y = branches[rng.integers(len(branches))][0]
-            assert big.contains(np.array([y]))[0]
+                pick = rng.integers(len(branches), size=y.size)
+                y = np.choose(pick, [b for b, _ in branches])
+            assert np.all(sys.image(w, -k).contains(y)), (sys.kind, w, k)
+
+
+def test_image_contains_forward_images():
+    rng = np.random.default_rng(17)
+    cases = [(make_translation(-0.7), window((0.0, 1.0), (2.0, 2.5)))]
+    for sys in (make_composite(1.0, 0.3, 1.0), make_composite(1.0, 0.3, -0.45)):
+        cases += [(sys, w) for w in SEGMENT_WINDOWS]
+    for sys, w in cases:
+        x = _random_points(rng, w, 200)
+        for k in range(1, 5):
+            x = sys.forward(x)
+            assert np.all(sys.image(w, k).contains(x)), (sys.kind, w, k)
 
 
 # ---------------------------------------------------------------------------
@@ -214,6 +253,22 @@ def test_preimages_scalar_returns_floats(kind):
         for (y, j), (ya, ja) in zip(pre, arr):
             assert type(y) is float and type(j) is float
             assert y == ya[0] and j == ja[0]
+
+
+@pytest.mark.parametrize("kind", sorted(SYSTEMS))
+def test_forward_orbit_matches_pointwise_loop(kind):
+    sys = SYSTEMS[kind]()
+    pts = (0.0, 1.0, -2.5, 1e-300, 1.0 / 3.0,
+           CIRCLE_OFFSET - 0.25, CIRCLE_OFFSET + 0.5, CIRCLE_OFFSET + 1.0)
+    expected = set()
+    for p in pts:
+        y = p
+        for _ in range(5):
+            y = float(sys.forward(np.array([y]))[0])
+            if not math.isfinite(y):
+                break
+            expected.add(y)
+    assert _forward_orbit(sys, pts, 5) == tuple(sorted(expected))
 
 
 # ---------------------------------------------------------------------------
@@ -373,6 +428,31 @@ def test_transfer_composite_shifts_line_and_fixes_circle():
                           rng.uniform(-5.0, 5.0, 50)])
     assert np.array_equal(tc.eval(pts), c.eval(pts))
     assert tc.support.intervals == c.support.intervals
+
+
+# functions whose windows must be cut at the segment's ends: a line piece
+# just above it, which a backward step moves below it, and intervals
+# straddling or covering it
+def _segment_cases():
+    sys = make_composite(1.0, 0.3, 1.0)
+    near = indicator(C0 + 1.2, C0 + 1.7)
+    straddle = build_function({"shape": "circle_plus_indicator",
+                               "lo": C0 - 0.5, "hi": C0 + 0.5}, sys)
+    cover = build_function({"shape": "circle_plus_indicator",
+                            "lo": C0 - 0.4, "hi": C0 + 1.4}, sys)
+    return sys, {"above": near, "straddle": straddle, "cover": cover}
+
+
+@pytest.mark.parametrize("apply, case", [
+    (birkhoff, "above"), (birkhoff, "straddle"), (birkhoff, "cover"),
+    (transfer_apply, "straddle"), (transfer_apply, "cover"),
+])
+@pytest.mark.parametrize("depth", [1, 3])
+def test_composite_mass_conserved_near_segment(apply, case, depth):
+    sys, functions = _segment_cases()
+    f = functions[case]
+    g = apply(f, sys, depth)
+    assert abs(integrate(g, g.support)[0] - integrate(f, f.support)[0]) < 1e-9
 
 
 def test_transfer_translation_duality():
