@@ -220,15 +220,15 @@ def cmd_norm(args) -> int:
         g = SimpleFunction(parse_atoms(args.atoms))
     else:
         spec = parse_function_spec(args.function)
-        f = build_function(spec)
-        if args.apply != "none":
-            if args.system is None:
-                raise UsageError(f"--apply {args.apply} needs --system")
-            sys_d = build_system(parse_system_spec(args.system))
-            if args.apply == "birkhoff":
-                f = birkhoff(f, sys_d, args.depth)
-            else:
-                f = transfer_apply(f, sys_d, args.depth)
+        if args.apply != "none" and args.system is None:
+            raise UsageError(f"--apply {args.apply} needs --system")
+        # the system comes first: a shape laid on it (circle) needs it
+        sys_d = None if args.system is None else build_system(parse_system_spec(args.system))
+        f = build_function(spec, sys_d)
+        if args.apply == "birkhoff":
+            f = birkhoff(f, sys_d, args.depth)
+        elif args.apply == "transfer":
+            f = transfer_apply(f, sys_d, args.depth)
         try:
             g = piecewise_to_simple(f)
         except ValueError:

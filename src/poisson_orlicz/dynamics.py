@@ -229,7 +229,9 @@ def circle_indicator(sys: DynamicalSystem, scale: float = 1.0) -> TestFunction:
 
     def _eval(x, c0=c0, c1=c1, s=float(scale)):
         x = np.asarray(x, dtype=float)
-        return np.where((x >= c0) & (x < c1), s, 0.0)
+        out = np.zeros(x.shape)
+        np.copyto(out, s, where=(x >= c0) & (x < c1))
+        return out
 
     return TestFunction(
         eval=_eval,
@@ -282,7 +284,10 @@ def birkhoff(f: TestFunction, sys: DynamicalSystem, n: int,
             cur = np.asarray(fwd(cur), dtype=float)
             if k in wanted:
                 vals = np.asarray(f.eval(cur), dtype=float)
-                acc += np.where(np.isnan(vals), 0.0, vals)
+                nan = np.isnan(vals)
+                if nan.any():
+                    vals = np.where(nan, 0.0, vals)
+                acc += vals
         return acc / count
 
     bps = _pullback_breakpoints(sys, f.breakpoints, kmax)
@@ -316,7 +321,10 @@ def _branch_sum(f_eval, sys: DynamicalSystem, n: int):
             level, y, wgt = stack.pop()
             if level == n:
                 vals = np.asarray(f_eval(y), dtype=float)
-                out += wgt * np.where(np.isnan(vals), 0.0, vals)
+                nan = np.isnan(vals)
+                if nan.any():
+                    vals = np.where(nan, 0.0, vals)
+                out += wgt * vals
                 continue
             for y2, jac in preimages(y):
                 stack.append((level + 1, y2, wgt * jac))

@@ -115,15 +115,20 @@ def window_position(w: Window, u) -> np.ndarray:
     """Inverse CDF of the uniform law on ``w``: maps u in [0,1) to points.
 
     Walks the interval list by cumulative length; vectorized over ``u``.
+    A target at or past the total length, or NaN, falls in the last
+    interval, and a negative one in the first.
     """
     if not w:
         raise ValueError("empty window has no uniform law")
     u = np.asarray(u, dtype=float)
+    if len(w.intervals) == 1:
+        lo, hi = w.intervals[0]
+        return lo + u * (hi - lo)
     lengths = np.array([hi - lo for lo, hi in w.intervals])
     starts = np.array([lo for lo, _ in w.intervals])
     cum = np.concatenate([[0.0], np.cumsum(lengths)])
     target = u * cum[-1]
-    idx = np.clip(np.searchsorted(cum, target, side="right") - 1, 0, len(lengths) - 1)
+    idx = np.searchsorted(cum[1:-1], target, side="right")
     return starts[idx] + (target - cum[idx])
 
 
@@ -220,7 +225,9 @@ def indicator(lo: float, hi: float, scale: float = 1.0) -> TestFunction:
 
     def _eval(x, lo=float(lo), hi=float(hi), s=float(scale)):
         x = np.asarray(x, dtype=float)
-        return np.where((x >= lo) & (x <= hi), s, 0.0)
+        out = np.zeros(x.shape)
+        np.copyto(out, s, where=(x >= lo) & (x <= hi))
+        return out
 
     return TestFunction(
         eval=_eval,

@@ -170,7 +170,9 @@ def _eval_points(f: TestFunction, pts: np.ndarray) -> np.ndarray:
 
 
 def _per_replicate_sums(values: np.ndarray, counts: np.ndarray) -> np.ndarray:
-    csum = np.concatenate(([0.0], np.cumsum(values)))
+    csum = np.empty(values.size + 1)
+    csum[0] = 0.0
+    np.cumsum(values, out=csum[1:])
     ends = np.cumsum(counts)
     return csum[ends] - csum[ends - counts]
 

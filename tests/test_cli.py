@@ -196,6 +196,31 @@ def test_norm_non_finite_system_value_names_field(capsys, system, message):
     assert "Traceback" not in err
 
 
+# f >= 0, so Birkhoff averaging and the transfer operator both keep its l1:
+# the circle's circumference times its scale, plus the line piece's mass
+@pytest.mark.parametrize("apply", ["birkhoff", "transfer"])
+@pytest.mark.parametrize("function, l1", [
+    ("circle", 1.0),
+    ("circle:2.5", 2.5),
+    ("circle_plus_indicator:1048575.5,1048576.5", 2.0),
+    ("circle_plus_indicator:-1,1,0.5,3", 6.5),
+])
+def test_norm_circle_shapes_on_composite_system(capsys, apply, function, l1):
+    code, out, err = run_cli(capsys, ["norm", "--function", function, "--apply", apply,
+                                      "--system", "composite:1,0.3,1", "--depth", "3",
+                                      "--which", "l1"])
+    assert code == 0, err
+    assert abs(float(out.split()[1]) - l1) < 1e-9
+
+
+@pytest.mark.parametrize("extra", [[], ["--system", "translation:1"]])
+def test_norm_circle_without_composite_system_names_it(capsys, extra):
+    code, out, err = run_cli(capsys, ["norm", "--function", "circle", "--which", "l1", *extra])
+    assert code == 1 and out == ""
+    assert "circle_indicator needs a composite system" in err
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("argv", [
     ["norm", "--atoms=--"],
     ["norm", "--function=--"],

@@ -553,3 +553,74 @@ def test_transfer_composite_with_breakpoints_matches_recursion():
                 x = back(x)
             want.append(float(_eval(np.array([x]))[0]))
         assert np.array_equal(g.eval(xs), np.array(want)), n
+
+
+# ---------------------------------------------------------------------------
+# the Birkhoff and branch-sum kernels against the np.where accumulation
+
+def _birkhoff_reference(f, sys, n, x):
+    """(1/n) sum_{k=1..n} f(T^k x), a NaN value counted as 0.0."""
+    acc = np.zeros(x.shape)
+    cur = x
+    for _ in range(n):
+        cur = np.asarray(sys.forward(cur), dtype=float)
+        vals = np.asarray(f.eval(cur), dtype=float)
+        acc += np.where(np.isnan(vals), 0.0, vals)
+    return acc / n
+
+
+def _branch_sum_reference(f, sys, n, x):
+    """The depth-first branch sum, in _branch_sum's order, a NaN value
+    counted as 0.0."""
+    out = np.zeros(x.shape)
+    stack = [(0, x, np.ones(x.shape))]
+    while stack:
+        level, y, wgt = stack.pop()
+        if level == n:
+            vals = np.asarray(f.eval(y), dtype=float)
+            out += wgt * np.where(np.isnan(vals), 0.0, vals)
+            continue
+        for y2, jac in sys.preimages(y):
+            stack.append((level + 1, y2, wgt * jac))
+    return out
+
+
+def _nan_on_part(x):
+    # NaN to the right of 0.5, a signed wave on [-2, 0.5]
+    x = np.asarray(x, dtype=float)
+    inside = np.where(np.abs(x) <= 2.0, np.sin(3.0 * x) - 0.2, 0.0)
+    return np.where(x > 0.5, np.nan, inside)
+
+
+GUARD_FUNCTIONS = {
+    "nan_on_part": TestFunction(eval=_nan_on_part, support=window((-2.0, 2.0)),
+                                sup_bound=1.2, breakpoints=(-2.0, 0.5, 2.0)),
+    "negative": TestFunction(
+        eval=lambda x: indicator(-1.0, 1.5, -2.0).eval(x)
+        + triangular_bump(0.3, 1.0, -1.5).eval(x),
+        support=window((-1.0, 1.5)), sup_bound=3.5, breakpoints=(-1.0, -0.7, 0.3, 1.3, 1.5)),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(SYSTEMS))
+@pytest.mark.parametrize("name", sorted(GUARD_FUNCTIONS))
+def test_kernels_bit_equal_to_where_reference(kind, name):
+    sys, f = SYSTEMS[kind](), GUARD_FUNCTIONS[name]
+    rng = np.random.default_rng(61)
+    xs = np.concatenate([rng.uniform(-4.0, 4.0, 400), np.linspace(-3.0, 3.0, 97),
+                         [-1.0, 0.0, 1.0], CIRCLE_OFFSET + rng.uniform(0.0, 1.0, 20)])
+    for n in (1, 3):
+        got = birkhoff(f, sys, n).eval(xs)
+        assert got.tobytes() == _birkhoff_reference(f, sys, n, xs).tobytes(), n
+        got = transfer_apply(f, sys, n).eval(xs)
+        assert got.tobytes() == _branch_sum_reference(f, sys, n, xs).tobytes(), n
+
+
+def test_circle_indicator_negative_scale_keeps_positive_zero():
+    sys = make_composite(0.3, 0.1, 1.0)
+    x = np.concatenate([np.linspace(-2.0, 2.0, 41),
+                        CIRCLE_OFFSET + np.linspace(-0.5, 0.8, 131)])
+    mask = (x >= CIRCLE_OFFSET) & (x < CIRCLE_OFFSET + 0.3)
+    got = circle_indicator(sys, -1.5).eval(x)
+    assert got.tobytes() == np.where(mask, -1.5, 0.0).tobytes()
+    assert not np.signbit(got[~mask]).any()

@@ -74,6 +74,50 @@ def test_window_position_inverse_cdf():
     assert w.contains(pts).all()
 
 
+def _window_position_reference(w, u):
+    """The clip/searchsorted inverse CDF that window_position must match."""
+    u = np.asarray(u, dtype=float)
+    lengths = np.array([hi - lo for lo, hi in w.intervals])
+    starts = np.array([lo for lo, _ in w.intervals])
+    cum = np.concatenate([[0.0], np.cumsum(lengths)])
+    target = u * cum[-1]
+    idx = np.clip(np.searchsorted(cum, target, side="right") - 1, 0, len(lengths) - 1)
+    return starts[idx] + (target - cum[idx])
+
+
+@given(start=st.floats(-1e3, 1e3),
+       gaps_lengths=st.lists(st.tuples(st.floats(1e-3, 10.0), st.floats(1e-3, 10.0)),
+                             min_size=1, max_size=5),
+       u=st.lists(st.floats(0.0, 1.0, exclude_max=True), max_size=20),
+       off=st.lists(st.one_of(st.floats(-2.0, 3.0), st.just(np.nan)), max_size=5))
+def test_window_position_matches_searchsorted_reference(start, gaps_lengths, u, off):
+    pairs, x = [], start
+    for gap, length in gaps_lengths:
+        pairs.append((x + gap, x + gap + length))
+        x = x + gap + length
+    w = window(*pairs)
+    assert len(w.intervals) == len(pairs)
+    # u at and just below each inner boundary, where target meets a cut
+    cuts = np.cumsum([hi - lo for lo, hi in w.intervals])
+    edges = cuts[:-1] / cuts[-1]
+    inside = np.concatenate([[0.0, 1.0 - 2.0 ** -53], edges, np.nextafter(edges, 0.0), u])
+    got = window_position(w, inside)
+    assert got.tobytes() == _window_position_reference(w, inside).tobytes()
+    assert w.contains(got).all()
+    # u = 1.0, outside [0, 1) and off the unit interval: the same bits
+    rest = np.array([1.0] + off)
+    assert window_position(w, rest).tobytes() == _window_position_reference(w, rest).tobytes()
+
+
+def test_indicator_negative_scale_keeps_positive_zero():
+    f = indicator(-1.0, 2.0, -2.5)
+    x = np.linspace(-4.0, 4.0, 801)
+    mask = (x >= -1.0) & (x <= 2.0)
+    got = f.eval(x)
+    assert got.tobytes() == np.where(mask, -2.5, 0.0).tobytes()
+    assert not np.signbit(got[~mask]).any()
+
+
 def test_window_translate_and_intersect():
     w = window_translate(window((0, 1)), 2.5)
     assert w.intervals == ((2.5, 3.5),)
