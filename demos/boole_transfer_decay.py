@@ -12,7 +12,10 @@ the star norm of the iterates decays to zero: the system is "remotely
 infinite" and its Poisson suspension is exact.  Each iterate doubles the
 number of preimage branches: at depth n, one point costs 2^n - 1 node
 expansions (each computes both preimages of a node in one pass) and 2^n
-leaf evaluations of f.
+leaf evaluations of f.  A small batch of points, such as one quadrature
+step, expands the bottom levels of the tree level by level as one array of
+at most 2^15 leaves, so it pays a few numpy calls per tile rather than one
+per node; the sum keeps the same bits.
 """
 
 from poisson_orlicz import default_config, run_experiment

@@ -28,7 +28,7 @@ from typing import Callable
 
 import numpy as np
 
-from .measure import TestFunction, Window, _finite, integrate, window, window_translate
+from .measure import _CHUNK, TestFunction, Window, _finite, integrate, window, window_translate
 
 __all__ = [
     "DynamicalSystem",
@@ -307,27 +307,47 @@ def birkhoff(f: TestFunction, sys: DynamicalSystem, n: int,
 
 def _branch_sum(f_eval, sys: DynamicalSystem, n: int):
     """Closure evaluating sum over depth-n preimage branches of
-    f(y) * prod(inverse Jacobians).  The traversal is depth first: the
-    stack holds at most one pending sibling per level, so memory grows
-    with n, not with the 2^n leaves."""
+    f(y) * prod(inverse Jacobians).
+
+    For a batch of m points, the bottom d levels of the tree are expanded
+    level by level into tiles of 2^d rows of m points, d the largest depth
+    <= n with m 2^d <= _CHUNK; the levels above are walked depth first, the
+    stack holding at most one pending sibling per level.  A batch of more
+    than _CHUNK / 2 points, as a Monte Carlo block mostly is, gets d = 0 and
+    walks the whole tree; a quadrature batch of a few hundred points takes a
+    few tiles instead of 2^(n+1) - 1 steps.  A tile's rows are added one at a
+    time in the walk's order, the last branch first at each level, so the
+    sum has the same bits whatever d is.  Memory is bounded by one tile of
+    at most max(m, _CHUNK) leaves plus one pending sibling per walked level,
+    not by the 2^n leaves."""
     preimages = sys.preimages
 
     def _eval(x):
         x = np.asarray(x, dtype=float)
         flat = x.ravel()
-        out = np.zeros(flat.shape)
-        stack = [(0, flat, np.ones(flat.shape))]
+        m = flat.size
+        d = min(n, (_CHUNK // m).bit_length() - 1) if 0 < m <= _CHUNK else 0
+        out = np.zeros(m)
+        stack = [(0, flat, np.ones(m))]
         while stack:
             level, y, wgt = stack.pop()
-            if level == n:
-                vals = np.asarray(f_eval(y), dtype=float)
-                nan = np.isnan(vals)
-                if nan.any():
-                    vals = np.where(nan, 0.0, vals)
-                out += wgt * vals
+            if level < n - d:
+                for y2, jac in preimages(y):
+                    stack.append((level + 1, y2, wgt * jac))
                 continue
-            for y2, jac in preimages(y):
-                stack.append((level + 1, y2, wgt * jac))
+            ys, ws = y[None], wgt[None]
+            for _ in range(d):
+                pairs = preimages(ys.ravel())[::-1]
+                shape = (ws.shape[0] * len(pairs), m)
+                ys = np.stack([y2.reshape(ws.shape) for y2, _ in pairs], axis=1).reshape(shape)
+                ws = np.stack([ws * jac.reshape(ws.shape) for _, jac in pairs],
+                              axis=1).reshape(shape)
+            vals = np.asarray(f_eval(ys.ravel()), dtype=float).reshape(ys.shape)
+            nan = np.isnan(vals)
+            if nan.any():
+                vals = np.where(nan, 0.0, vals)
+            for row in ws * vals:
+                out += row
         return out.reshape(x.shape)
 
     return _eval

@@ -29,6 +29,7 @@ import numpy as np
 from scipy.special import gammaln, pdtrc, xlogy
 
 from .measure import (
+    _CHUNK,
     SimpleFunction,
     TestFunction,
     Window,
@@ -143,22 +144,6 @@ def integral_centered(f: TestFunction, s: PoissonSample, compensator: float) -> 
 # ---------------------------------------------------------------------------
 # Vectorized replicate machinery
 
-def _counts_and_points(w: Window, R: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
-    """Counts and concatenated uniform points for R replicates, one stream."""
-    rng = _philox(seed)
-    if not w:
-        return np.zeros(R, dtype=np.int64), np.empty(0)
-    counts = rng.poisson(w.measure, size=R).astype(np.int64)
-    total = int(counts.sum())
-    pts = window_position(w, rng.random(total)) if total else np.empty(0)
-    return counts, pts
-
-
-# points per evaluation block: a block's temporaries (a Birkhoff average holds
-# a few arrays of this length per forward step) stay in the CPU caches
-_CHUNK = 1 << 15
-
-
 def _eval_points(f: TestFunction, pts: np.ndarray) -> np.ndarray:
     """f.eval over the sample points in blocks of ``_CHUNK``, written into one
     float array.  ``eval`` is pointwise (see TestFunction), so the result is
@@ -169,12 +154,46 @@ def _eval_points(f: TestFunction, pts: np.ndarray) -> np.ndarray:
     return out
 
 
-def _per_replicate_sums(values: np.ndarray, counts: np.ndarray) -> np.ndarray:
-    csum = np.empty(values.size + 1)
-    csum[0] = 0.0
-    np.cumsum(values, out=csum[1:])
+def _replicate_sums(w: Window, R: int, seed: int,
+                    values: Callable[[np.ndarray], tuple[np.ndarray, ...]]) -> np.ndarray:
+    """Per-replicate sums for R replicates drawn as one stream: row i of the
+    result sums, over each replicate's points, the i-th array that
+    ``values(points)`` returns.
+
+    All R counts are drawn first.  Then the points of one block of whole
+    replicates, at most ``_CHUNK`` points or a single replicate, are drawn,
+    valued and summed at a time, so memory does not grow with the total
+    number of points.  The cumulative sum carries its last value into the
+    next block.  Split draws of one stream and a carried cumsum give the
+    same bits as one whole-array pass, so the sums do not depend on the
+    block size."""
+    if R < 1:
+        raise ValueError("need at least one replicate")
+    rng = _philox(seed)
+    counts = (rng.poisson(w.measure, size=R).astype(np.int64) if w
+              else np.zeros(R, dtype=np.int64))
     ends = np.cumsum(counts)
-    return csum[ends] - csum[ends - counts]
+    sums = carry = None
+    r0 = 0
+    while r0 < R:
+        first = int(ends[r0] - counts[r0])
+        r1 = max(r0 + 1, int(np.searchsorted(ends, first + _CHUNK, side="right")))
+        n = int(ends[r1 - 1]) - first
+        rows = values(window_position(w, rng.random(n)) if n else np.empty(0))
+        if sums is None:
+            sums = np.empty((len(rows), R))
+            # -0.0 + v is v for every v, so the first cumsum starts at v[0]
+            carry = np.full(len(rows), -0.0)
+        stop = ends[r0:r1] - first
+        start = stop - counts[r0:r1]
+        for i, v in enumerate(rows):
+            csum = np.cumsum(np.concatenate(([carry[i]], v)))
+            carry[i] = csum[-1]
+            if r0 == 0:
+                csum[0] = 0.0  # a replicate's sum starts from +0.0
+            sums[i, r0:r1] = csum[stop] - csum[start]
+        r0 = r1
+    return sums
 
 
 def _covers(outer: Window, inner: Window, tol: float = 1e-9) -> bool:
@@ -205,13 +224,12 @@ def _mc_estimate(vals: np.ndarray, seed: int, truncation_bound: float = 0.0) -> 
 def _estimate_abs(f: TestFunction, w: Window, R: int, seed: int, center: float,
                   quad_tol: float = _QUAD_TOL) -> MCEstimate:
     """E|N(f 1_w) - center| from R replicates drawn as one stream, with f
-    evaluated at their points block by block (``_eval_points``)."""
+    evaluated at their points block by block (``_replicate_sums``)."""
     R = int(R)
     if R < 1000:
         raise ValueError("need at least 10^3 replicates")
-    counts, pts = _counts_and_points(w, R, seed)
-    vals = _eval_points(f, pts)
-    devs = np.abs(_per_replicate_sums(vals, counts) - center)
+    sums, = _replicate_sums(w, R, seed, lambda pts: (_eval_points(f, pts),))
+    devs = np.abs(sums - center)
     return _mc_estimate(devs, seed, _truncation_bound(f, w, quad_tol))
 
 
@@ -685,9 +703,8 @@ def second_moment_check(
     """Sample variance of the centered integral against int_w f^2 dmu."""
     R = int(R)
     comp, _ = integrate(f, w, tol=_QUAD_TOL)
-    counts, pts = _counts_and_points(w, R, seed)
-    vals = _eval_points(f, pts)
-    devs = _per_replicate_sums(vals, counts) - comp
+    sums, = _replicate_sums(w, R, seed, lambda pts: (_eval_points(f, pts),))
+    devs = sums - comp
     centered = devs - devs.mean()
     s2 = float(np.sum(centered * centered) / (R - 1))
     m4 = float(np.mean(centered ** 4))
@@ -702,12 +719,12 @@ def reduced_moment_check(
 ) -> tuple[MCEstimate, float]:
     """MC mean of N(g)N(h) - N(gh) against (int_w g)(int_w h)."""
     R = int(R)
-    counts, pts = _counts_and_points(w, R, seed)
-    gv = _eval_points(g, pts)
-    hv = _eval_points(h, pts)
-    ng = _per_replicate_sums(gv, counts)
-    nh = _per_replicate_sums(hv, counts)
-    ngh = _per_replicate_sums(gv * hv, counts)
+
+    def values(pts):
+        gv, hv = _eval_points(g, pts), _eval_points(h, pts)
+        return gv, hv, gv * hv
+
+    ng, nh, ngh = _replicate_sums(w, R, seed, values)
     lhs = _mc_estimate(ng * nh - ngh, seed)
     int_g, _ = integrate(g, w, tol=_QUAD_TOL)
     int_h, _ = integrate(h, w, tol=_QUAD_TOL)

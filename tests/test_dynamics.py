@@ -10,6 +10,7 @@ import pytest
 from poisson_orlicz.dynamics import (
     CIRCLE_OFFSET,
     GOLDEN,
+    _branch_sum,
     _forward_orbit,
     birkhoff,
     circle_indicator,
@@ -602,18 +603,46 @@ GUARD_FUNCTIONS = {
 }
 
 
+def _guard_points(size):
+    rng = np.random.default_rng(61)
+    pool = np.concatenate([[-1.0, 0.0, 1.0], CIRCLE_OFFSET + rng.uniform(0.0, 1.0, 20),
+                           np.linspace(-3.0, 3.0, 97), rng.uniform(-4.0, 4.0, size)])
+    return rng.permutation(pool)[:size]
+
+
 @pytest.mark.parametrize("kind", sorted(SYSTEMS))
 @pytest.mark.parametrize("name", sorted(GUARD_FUNCTIONS))
 def test_kernels_bit_equal_to_where_reference(kind, name):
     sys, f = SYSTEMS[kind](), GUARD_FUNCTIONS[name]
-    rng = np.random.default_rng(61)
-    xs = np.concatenate([rng.uniform(-4.0, 4.0, 400), np.linspace(-3.0, 3.0, 97),
-                         [-1.0, 0.0, 1.0], CIRCLE_OFFSET + rng.uniform(0.0, 1.0, 20)])
-    for n in (1, 3):
-        got = birkhoff(f, sys, n).eval(xs)
-        assert got.tobytes() == _birkhoff_reference(f, sys, n, xs).tobytes(), n
-        got = transfer_apply(f, sys, n).eval(xs)
-        assert got.tobytes() == _branch_sum_reference(f, sys, n, xs).tobytes(), n
+    # batches of 1 and 97 points fit the Boole tree in one tile, 4096 points
+    # walk the top levels and tile the bottom three, and the batches around
+    # 2^15 points walk the whole tree depth first
+    for size in (1, 97, 4096, 2 ** 15 - 1, 2 ** 15, 2 ** 15 + 1):
+        xs = _guard_points(size)
+        for n in (1, 3):
+            got = birkhoff(f, sys, n).eval(xs)
+            assert got.tobytes() == _birkhoff_reference(f, sys, n, xs).tobytes(), (size, n)
+        for n in range(7) if kind == "boole" else range(1, 4):
+            got = _branch_sum(f.eval, sys, n)(xs)
+            assert got.tobytes() == _branch_sum_reference(f, sys, n, xs).tobytes(), (size, n)
+
+
+def test_branch_sum_maps_cauchy_kernels_by_letac():
+    # Boole's map is the boundary map of the inner function z - 1/z, so its
+    # transfer operator sends the Cauchy kernel P_z to P_{z - 1/z} (Letac,
+    # "Which functions preserve Cauchy laws?", Proc. AMS 67, 1977)
+    def cauchy(z):
+        a, b = z.real, z.imag
+        return lambda x: (b / math.pi) / ((np.asarray(x, dtype=float) - a) ** 2 + b * b)
+
+    sys, z = make_boole(), 0.3 + 1.0j
+    xs = np.linspace(-20.0, 20.0, 201)
+    zn = z
+    for n in range(1, 15):
+        zn = zn - 1.0 / zn
+        got = _branch_sum(cauchy(z), sys, n)(xs)
+        want = cauchy(zn)(xs)
+        assert np.max(np.abs(got - want) / want) < 1e-13, n
 
 
 def test_circle_indicator_negative_scale_keeps_positive_zero():

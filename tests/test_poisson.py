@@ -30,6 +30,7 @@ from poisson_orlicz.measure import (
     simple_to_test,
     triangular_bump,
     window,
+    window_position,
 )
 from poisson_orlicz.poisson import (
     MCEstimate,
@@ -518,6 +519,40 @@ def test_estimators_do_not_depend_on_the_block_size(monkeypatch):
     whole = results()
     monkeypatch.setattr(poisson, "_CHUNK", 7)
     assert results() == whole
+
+
+def _replicate_sums_reference(w, R, seed, f):
+    """Per-replicate sums from one whole-array draw, evaluation and cumsum."""
+    rng = poisson._philox(seed)
+    counts = rng.poisson(w.measure, size=R).astype(np.int64)
+    vals = np.asarray(f.eval(window_position(w, rng.random(int(counts.sum())))), dtype=float)
+    csum = np.empty(vals.size + 1)
+    csum[0] = 0.0
+    np.cumsum(vals, out=csum[1:])
+    ends = np.cumsum(counts)
+    return csum[ends] - csum[ends - counts]
+
+
+@pytest.mark.parametrize("chunk", [7, poisson._CHUNK])
+def test_replicate_sums_bit_equal_to_whole_array(monkeypatch, chunk):
+    # a negative bump is -0.0 off its support, and so is every partial sum
+    # of the all -0.0 function: the carried cumsum keeps those signs too
+    minus_zero = TestFunction(eval=lambda x: np.full(np.shape(x), -0.0),
+                              support=window((-2.0, 3.0)))
+    monkeypatch.setattr(poisson, "_CHUNK", chunk)
+    for f, w in ((triangular_bump(1.0, 0.5, -1.5), window((-2.0, 3.0))),
+                 (minus_zero, window((-2.0, 3.0))),
+                 (indicator(0.0, 1.0), window((-5.0, -1.0), (0.5, 40.0)))):
+        got, = poisson._replicate_sums(w, 1000, 8, lambda pts: (poisson._eval_points(f, pts),))
+        assert got.tobytes() == _replicate_sums_reference(w, 1000, 8, f).tobytes()
+
+
+def test_replicate_checks_refuse_zero_replicates():
+    g = indicator(0.0, 1.0)
+    with pytest.raises(ValueError, match="at least one replicate"):
+        second_moment_check(g, window((0.0, 1.0)), 0, seed=1)
+    with pytest.raises(ValueError, match="at least one replicate"):
+        reduced_moment_check(g, g, window((0.0, 1.0)), 0, seed=1)
 
 
 # ---------------------------------------------------------------------------
