@@ -38,7 +38,7 @@ from .poisson import (
     star_norm_hsu,
     starstar_norm_exact,
 )
-from .dynamics import birkhoff, transfer_apply
+from .dynamics import birkhoff, sampling_window, transfer_apply
 from .experiments import (
     _SCENARIOS,
     _SHAPES,
@@ -216,6 +216,8 @@ def cmd_norm(args) -> int:
         raise UsageError(f"unknown norms: {', '.join(bad)}; "
                          f"choose from {', '.join(NORM_NAMES)}")
 
+    # where the Monte Carlo norms sample g, when not its whole support
+    args.sample_window = None
     if args.atoms is not None:
         g = SimpleFunction(parse_atoms(args.atoms))
     else:
@@ -229,6 +231,7 @@ def cmd_norm(args) -> int:
             f = birkhoff(f, sys_d, args.depth)
         elif args.apply == "transfer":
             f = transfer_apply(f, sys_d, args.depth)
+            args.sample_window = sampling_window(f, sys_d, args.depth)
         try:
             g = piecewise_to_simple(f)
         except ValueError:
@@ -261,8 +264,10 @@ def _poisson_norm(name: str, g, args) -> str:
         raise UsageError(f"{name} of a non-simple function is a Monte Carlo "
                          "estimate and needs --seed")
     est_fn = estimate_star_norm if name == "star" else estimate_starstar_norm
-    est = est_fn(g, g.support, args.replicates, args.seed)
-    return f"{est.mean!r} se={est.std_error!r} trunc={est.truncation_bound!r}"
+    w = g.support if args.sample_window is None else args.sample_window
+    est = est_fn(g, w, args.replicates, args.seed)
+    fit = "" if g.fit_error is None else f" fit_est={g.fit_error!r}"
+    return f"{est.mean!r} se={est.std_error!r} trunc={est.truncation_bound!r}{fit}"
 
 
 def _moment_norm(name: str, g) -> str:

@@ -24,11 +24,20 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .measure import _CHUNK, TestFunction, Window, _finite, integrate, window, window_translate
+from .measure import (
+    _CHUNK,
+    TestFunction,
+    Window,
+    _finite,
+    integrate,
+    window,
+    window_intersect,
+    window_translate,
+)
 
 __all__ = [
     "DynamicalSystem",
@@ -41,6 +50,7 @@ __all__ = [
     "circle_indicator",
     "birkhoff",
     "transfer_apply",
+    "sampling_window",
 ]
 
 CIRCLE_OFFSET = float(2 ** 20)
@@ -49,6 +59,9 @@ GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 _BOOLE_DEPTH_LIMIT = 14
 # mass a transfer window may miss before its deficit becomes the L1 tail bound
 TRANSFER_TAIL_TOL = 1e-4
+# the Monte Carlo norms of a branching transfer iterate T-hat^n f sample its
+# grown window only within _MC_RADIUS + n of 0 (``sampling_window``)
+_MC_RADIUS = 50.0
 
 
 @dataclass(frozen=True)
@@ -119,7 +132,8 @@ def make_boole() -> DynamicalSystem:
 
     def fwd(x):
         x = np.asarray(x, dtype=float)
-        with np.errstate(divide="ignore", invalid="ignore"):
+        # T(x) of a subnormal x is beyond the float range: -+inf, no warning
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
             out = np.where(x == 0.0, np.nan, x - 1.0 / np.where(x == 0.0, 1.0, x))
         return out
 
@@ -128,9 +142,11 @@ def make_boole() -> DynamicalSystem:
         return yy / (1.0 + yy)
 
     def _y_plus(x):
-        # its own scope, so d is freed before the four outputs are built
+        # its own scope, so d is freed before the four outputs are built;
+        # the unused branch divides by d - min(x, 0) >= d, never by the
+        # d - x that rounds to 0 for x above about 1e8
         d = np.sqrt(x * x + 4.0)
-        return np.where(x >= 0.0, 0.5 * (x + d), 2.0 / (d - x))
+        return np.where(x >= 0.0, 0.5 * (x + d), 2.0 / (d - np.minimum(x, 0.0)))
 
     def branches(x):
         y_plus = _y_plus(x)
@@ -365,6 +381,181 @@ def _forward_orbit(sys: DynamicalSystem, pts, n: int) -> tuple[float, ...]:
     return tuple(sorted(out))
 
 
+# ---------------------------------------------------------------------------
+# Piecewise Chebyshev interpolants of branching transfer iterates
+#
+# On a two-branch system T-hat^n f is analytic between the forward orbit of
+# f's breakpoints (Boole's branches are analytic on the real line), so a
+# degree-16 Chebyshev interpolant per piece stands for it and the 2^n-leaf
+# branch sum runs only at the fit nodes (Trefethen, Approximation Theory and
+# Approximation Practice, SIAM 2013, ch. 7-8).
+
+_NODES = 17
+_THETA = (np.arange(_NODES) + 0.5) * (math.pi / _NODES)
+# first-kind nodes, all inside the piece: a fit never takes a value from the
+# far side of a jump at its edge
+_FIT_NODES = np.cos(_THETA)
+# the interior extrema of T_17, between the nodes, where the interpolation
+# error of a smooth function peaks: the fit is checked there
+_CHECK_NODES = np.cos(np.arange(1, _NODES) * (math.pi / _NODES))
+# row j: the weight of the value at node j in each Chebyshev coefficient
+_DCT = (2.0 / _NODES) * np.cos(np.outer(_THETA, np.arange(_NODES)))
+_DCT[:, 0] *= 0.5
+# the integral of T_k over [-1, 1]: 2 / (1 - k^2) for even k, 0 for odd k
+_T_INTEGRALS = np.array([2.0 / (1 - k * k) if k % 2 == 0 else 0.0 for k in range(_NODES)])
+# a piece is fitted when its coefficient tail plus its error at the check
+# nodes is at most _FIT_TOL sup|f|, else split; past _MAX_PIECES pieces, or
+# below a relative width of _MIN_WIDTH, an unfitted piece keeps the branch sum
+_FIT_TOL = 1e-14
+_MAX_PIECES = 2048
+_MIN_WIDTH = 1e-9
+
+
+class _Fit(NamedTuple):
+    """Pieces [a, b] with Chebyshev coefficients (one row per piece), the
+    error estimate of each, and whether it keeps the branch sum instead."""
+    a: np.ndarray
+    b: np.ndarray
+    coef: np.ndarray
+    est: np.ndarray
+    fallback: np.ndarray
+
+
+def _join(fits) -> _Fit:
+    return _Fit(*(np.concatenate(parts) for parts in zip(*fits)))
+
+
+def _clenshaw(coef: np.ndarray, k: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """sum_j coef[j, k] T_j(t) at each point, k its piece and t in [-1, 1]
+    its place on the piece, by Clenshaw's recurrence
+    b1, b2 = coef[j, k] + 2 t b1 - b2, b1 run in place."""
+    t2 = 2.0 * t
+    b1, b2 = coef[-1].take(k), np.zeros(t.shape)
+    c, s = np.empty(t.shape), np.empty(t.shape)
+    for row in coef[-2:0:-1]:
+        row.take(k, out=c)
+        np.multiply(t2, b1, out=s)
+        s += c
+        np.subtract(s, b2, out=b2)
+        b1, b2 = b2, b1
+    return coef[0].take(k) + t * b1 - b2
+
+
+def _fit_pass(func, a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Coefficients (one row per piece) of the interpolants of func at the
+    fit nodes of each piece [a, b], and each fit's error estimate: the last
+    two coefficients plus the largest miss at the check nodes, inf when a
+    value is not finite.  One call of func takes every piece's points."""
+    mid, half = 0.5 * (a + b), 0.5 * (b - a)
+    t = np.concatenate([_FIT_NODES, _CHECK_NODES])
+    x = mid[:, None] + half[:, None] * t
+    v = np.asarray(func(x.ravel()), dtype=float).reshape(x.shape)
+    with np.errstate(over="ignore", invalid="ignore"):
+        coef = np.zeros(a.shape + (_NODES,))
+        for j in range(_NODES):
+            coef += v[:, j, None] * _DCT[j]
+        piece = np.repeat(np.arange(a.size), _NODES - 1)
+        fitted = _clenshaw(np.ascontiguousarray(coef.T), piece, np.tile(_CHECK_NODES, a.size))
+        miss = np.abs(fitted.reshape(a.size, _NODES - 1) - v[:, _NODES:])
+        est = np.abs(coef[:, -2]) + np.abs(coef[:, -1]) + miss.max(axis=1)
+    return coef, np.where(np.isfinite(est), est, math.inf)
+
+
+def _split(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Split points: geometric on a piece of one sign spanning a ratio
+    above 4, so the tails are cut evenly in log |x|; else the midpoint."""
+    lo, hi = np.minimum(np.abs(a), np.abs(b)), np.maximum(np.abs(a), np.abs(b))
+    wide = (np.sign(a) == np.sign(b)) & (hi > 4.0 * lo)
+    return np.where(wide, np.sign(a) * np.sqrt(lo) * np.sqrt(hi), 0.5 * (a + b))
+
+
+def _fit_pieces(func, a: np.ndarray, b: np.ndarray, tol: float) -> _Fit:
+    """Interpolants of func on the pieces [a, b]: a pass fits every open
+    piece in one batched call, and a piece missing ``tol`` is split for the
+    next pass.  A piece that cannot be split, or would pass _MAX_PIECES
+    pieces, keeps the branch sum."""
+    done = []
+    total = a.size
+    while a.size:
+        coef, est = _fit_pass(func, a, b)
+        ok = est <= tol
+        mid = _split(a, b)
+        can = (~ok & np.isfinite(est) & (a < mid) & (mid < b)
+               & (b - a > _MIN_WIDTH * np.maximum(1.0, np.maximum(np.abs(a), np.abs(b)))))
+        if total + can.sum() > _MAX_PIECES:
+            can[:] = False
+        total += int(can.sum())
+        keep = ~can
+        coef[~ok] = 0.0
+        done.append(_Fit(a[keep], b[keep], coef[keep], np.where(ok, est, 0.0)[keep], ~ok[keep]))
+        a, b = np.concatenate([a[can], mid[can]]), np.concatenate([mid[can], b[can]])
+    return _join(done)
+
+
+def _regions(regions, cuts) -> tuple[np.ndarray, np.ndarray]:
+    """The pieces of each region (lo, hi) between the cuts inside it."""
+    a, b = [], []
+    for lo, hi in regions:
+        edges = [lo] + [c for c in cuts if lo < c < hi] + [hi]
+        a += edges[:-1]
+        b += edges[1:]
+    return np.array(a), np.array(b)
+
+
+def _interpolant(fit: _Fit, branch):
+    """The pointwise evaluator of the fitted pieces: the piece by
+    searchsorted, its coefficients gathered, then Clenshaw; a point outside
+    the pieces, or on one that keeps the branch sum, gets the branch sum."""
+    order = np.argsort(fit.a)
+    edges = np.append(fit.a[order], fit.b[order][-1])
+    coef = np.ascontiguousarray(fit.coef[order].T)
+    mid = 0.5 * (fit.a + fit.b)[order]
+    half = 0.5 * (fit.b - fit.a)[order]
+    fallback = fit.fallback[order]
+    last = order.size - 1
+
+    def _eval(x):
+        x = np.asarray(x, dtype=float)
+        flat = x.ravel()
+        k = np.searchsorted(edges, flat, side="right") - 1
+        k[flat == edges[-1]] = last
+        keep = (k >= 0) & (k <= last)
+        np.clip(k, 0, last, out=k)
+        keep &= ~fallback[k]
+        with np.errstate(over="ignore", invalid="ignore"):
+            t = (flat - mid.take(k)) / half.take(k)
+        np.copyto(t, 0.0, where=~keep)
+        out = _clenshaw(coef, k, t)
+        if not keep.all():
+            out[~keep] = branch(flat[~keep])
+        return out.reshape(x.shape)
+
+    return _eval
+
+
+def _one_signed(f: TestFunction) -> bool:
+    """Whether f keeps one sign on 63 points inside each cell between its
+    breakpoints and support ends: exact for the piecewise-linear shapes, a
+    heuristic for a general f."""
+    cells = _regions(f.support.intervals, sorted(f.breakpoints))
+    x = cells[0][:, None] + (cells[1] - cells[0])[:, None] * np.linspace(0.0, 1.0, 65)[1:-1]
+    v = np.asarray(f.eval(x.ravel()), dtype=float)
+    return not ((v > 0).any() and (v < 0).any())
+
+
+def _mass(fit: _Fit, abs_eval, q_tol: float) -> tuple[list[float], list[float]]:
+    """Masses of the pieces of a fit of a function of one sign, and their
+    errors: |integral| from the coefficients, with error est * length; a
+    piece that keeps the branch sum integrates ``abs_eval`` by quadrature."""
+    half = 0.5 * (fit.b - fit.a)
+    mass = np.abs(half * (fit.coef * _T_INTEGRALS).sum(axis=1)).tolist()
+    err = (fit.est * (fit.b - fit.a)).tolist()
+    for i in np.flatnonzero(fit.fallback):
+        w = window((fit.a[i], fit.b[i]))
+        mass[i], err[i] = integrate(TestFunction(eval=abs_eval, support=w), w, tol=q_tol)
+    return mass, err
+
+
 def transfer_apply(f: TestFunction, sys: DynamicalSystem, n: int,
                    tail_tol: float = TRANSFER_TAIL_TOL) -> TestFunction:
     """T-hat^n f: the Jacobian-weighted sum of f over depth-n preimages.
@@ -372,7 +563,13 @@ def transfer_apply(f: TestFunction, sys: DynamicalSystem, n: int,
     For the two-branch Boole map the support of the image is unbounded, so
     a finite window is grown until the mass it misses, measured through the
     conservation identity int T-hat^n |f| = int |f|, is below ``tail_tol``;
-    the remaining deficit is declared as the L1 tail bound.
+    the remaining deficit is declared as the L1 tail bound.  The image is a
+    piecewise Chebyshev interpolant on that window (see ``_fit_pieces``),
+    cut at the forward orbits of f's breakpoints and support ends; each
+    growth step fits only the new outer pieces and reads their mass from the
+    coefficients.  T-hat^n |f| reuses the fit when f has one sign
+    (``_one_signed``) and gets its own otherwise.  The largest fit error
+    estimate is declared as ``fit_error``.
     """
     n = int(n)
     if n < 0:
@@ -385,7 +582,8 @@ def transfer_apply(f: TestFunction, sys: DynamicalSystem, n: int,
                          "for two-branch systems")
 
     signed_eval = _branch_sum(f.eval, sys, n)
-    orbit = _forward_orbit(sys, f.breakpoints, n)
+    ends = [e for iv in f.support.intervals for e in iv]
+    orbit = _forward_orbit(sys, list(f.breakpoints) + ends, n)
 
     if not two_branch:
         return TestFunction(
@@ -402,36 +600,58 @@ def transfer_apply(f: TestFunction, sys: DynamicalSystem, n: int,
     if f.l1_tail_bound or f.l2_tail_bound:
         raise ValueError("transfer needs a compactly supported f (no declared tails)")
 
-    def abs_eval(x, f=f):
-        return np.abs(np.asarray(f.eval(x), dtype=float))
-
-    branch_abs = _branch_sum(abs_eval, sys, n)
+    # T-hat^n |f| is |T-hat^n f| when f has one sign, so the signed fit serves
+    one_signed = _one_signed(f)
+    if one_signed:
+        def abs_eval(x):
+            return np.abs(signed_eval(x))
+    else:
+        abs_eval = _branch_sum(lambda x: np.abs(np.asarray(f.eval(x), dtype=float)), sys, n)
     total_mass, mass_err = integrate(f, f.support, transform=np.abs, tol=1e-10)
 
+    cuts = sorted(set(orbit) | set(sys.singularities))
+    tol = _FIT_TOL * f.sup_bound
+    q_tol = max(1e-9, 0.02 * tail_tol)
     hull = max(max(abs(lo), abs(hi)) for lo, hi in f.support.intervals)
     radius = hull + n + 1.0
-    deficit = math.inf
-    w = window((-radius, radius))
-    q_tol = max(1e-9, 0.02 * tail_tol)
-    for _ in range(24):
-        w = window((-radius, radius))
-        probe = TestFunction(eval=branch_abs, support=w,
-                             breakpoints=tuple(b for b in orbit if -radius < b < radius))
-        mass_in, q_err = integrate(probe, w, tol=q_tol)
-        deficit = max(0.0, total_mass + mass_err - mass_in + q_err)
+    regions = [(-radius, radius)]
+    fits, masses, errs = [], [], []
+    for attempt in range(24):
+        pieces = _regions(regions, cuts)
+        new = _fit_pieces(signed_eval, *pieces, tol)
+        fits.append(new)
+        m, e = _mass(new if one_signed else _fit_pieces(abs_eval, *pieces, tol), abs_eval, q_tol)
+        masses += m
+        errs += e
+        deficit = max(0.0, total_mass + mass_err - math.fsum(masses) + math.fsum(errs))
         if deficit <= tail_tol:
             break
+        if attempt == 23:
+            warnings.warn(f"transfer window stopped at deficit {deficit:g} > {tail_tol:g}")
+            break
         # the missing mass falls off like c / radius: jump toward the target
-        radius = max(radius * 1.6, 1.3 * deficit * radius / tail_tol)
-    else:
-        warnings.warn(f"transfer window stopped at deficit {deficit:g} > {tail_tol:g}")
+        grown = max(radius * 1.6, 1.3 * deficit * radius / tail_tol)
+        regions = [(-grown, -radius), (radius, grown)]
+        radius = grown
 
+    fit = _join(fits)
     return TestFunction(
-        eval=signed_eval,
-        support=w,
+        eval=_interpolant(fit, signed_eval),
+        support=window((-radius, radius)),
         sup_bound=f.sup_bound,
         l1_tail_bound=deficit,
         l2_tail_bound=math.sqrt(deficit * f.sup_bound),
         breakpoints=tuple(sorted({b for b in orbit if -radius < b < radius}
                                  | set(sys.singularities))),
+        fit_error=float(fit.est.max()),
     )
+
+
+def sampling_window(g: TestFunction, sys: DynamicalSystem, n: int) -> Window:
+    """Where the Monte Carlo norms of g = T-hat^n f sample: on a branching
+    system, the part of g's grown window within _MC_RADIUS + n of 0, the
+    truncation bound covering the rest; on any other system, g's support."""
+    if len(sys.preimages(0.0)) == 1:
+        return g.support
+    r = _MC_RADIUS + n
+    return window_intersect(g.support, window((-r, r)))

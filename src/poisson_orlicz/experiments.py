@@ -45,6 +45,7 @@ from .dynamics import (
     make_boole,
     make_composite,
     make_translation,
+    sampling_window,
     transfer_apply,
 )
 from .measure import (
@@ -111,11 +112,10 @@ _SCAN_STREAM = 77001  # reserved replicate id for the urbanik sampler
 
 # Fixed bands: Birkhoff averages keep their L1 column within _L1_BAND of the
 # first row's; Boole transfer iterates (window deficit below
-# TRANSFER_TAIL_TOL) keep their mass within _MASS_BAND, and are sampled on a
-# window of radius _MC_RADIUS + depth with quadrature tolerance _MC_QUAD.
+# TRANSFER_TAIL_TOL) keep their mass within _MASS_BAND, and are sampled on
+# dynamics.sampling_window with quadrature tolerance _MC_QUAD.
 _L1_BAND = 1e-6
 _MASS_BAND = 2.0 * TRANSFER_TAIL_TOL + 1e-5
-_MC_RADIUS = 50.0
 _MC_QUAD = 1e-6
 
 CSV_COLUMNS = ("n", "star_mean", "star_se", "star_trunc", "gauge",
@@ -655,20 +655,25 @@ def run_blum_hanson(cfg: ExperimentConfig):
 
 
 def run_transfer_decay(cfg: ExperimentConfig):
-    """Star norm of transfer-operator iterates under the Boole map."""
+    """Star norm of transfer-operator iterates under the Boole map; the
+    summary's ``fit_error_estimate`` gives, by depth, the heuristic sup-norm
+    error estimate of each iterate's interpolant (0.0 for f itself)."""
     sys, f, _, sigma, *_ = cfg._built
+    fit_error = {}
 
-    def mc_window(g, n):
-        r_mc = _MC_RADIUS + n
-        return window_intersect(g.support, window((-r_mc, r_mc)))
+    def derive(n):
+        g = transfer_apply(f, sys, n)
+        fit_error[str(n)] = g.fit_error or 0.0
+        return g
 
-    return _depth_rows(
-        cfg, lambda n: transfer_apply(f, sys, n),
+    rows, summary = _depth_rows(
+        cfg, derive,
         lambda row, s, rows: (
             _constant_l1_verdict("mass_conserved", _MASS_BAND, rows, row),
             _nonincreasing_verdict(rows, row.star),
             _oracle_verdict("exact_oracle", row.star, star_norm_exact, s, sigma)),
-        window_of=mc_window, quad_tol=_MC_QUAD)
+        window_of=lambda g, n: sampling_window(g, sys, n), quad_tol=_MC_QUAD)
+    return rows, dict(summary, fit_error_estimate=fit_error)
 
 
 def run_urbanik_scan(cfg: ExperimentConfig):

@@ -159,7 +159,10 @@ class TestFunction:
     assumed to vanish outside ``support`` except for mass covered by the
     declared tail bounds on the L1 and L2 norms of f restricted to the
     complement of the support.  ``breakpoints`` lists known discontinuities or
-    kinks, used as forced quadrature subdivision points.
+    kinks, used as forced quadrature subdivision points.  ``fit_error`` is
+    None when ``eval`` computes the function itself; an interpolant standing
+    for it sets the estimated sup-norm error of the fit over the support, a
+    heuristic estimate and not a bound.
     """
 
     eval: Callable[[np.ndarray], np.ndarray]
@@ -168,6 +171,7 @@ class TestFunction:
     l1_tail_bound: float = 0.0
     l2_tail_bound: float = 0.0
     breakpoints: tuple[float, ...] = ()
+    fit_error: float | None = None
 
     __test__ = False  # keep pytest from collecting the class
 

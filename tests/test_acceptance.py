@@ -239,7 +239,7 @@ def test_criterion_10_starstar_properties():
 
 
 # sha256 of `porlicz suite --seed 42` (CSV): every byte of the gate
-SUITE_CSV_SHA256 = "61feea99baf6f8f0e557060d6cd373380c7d051610e08eb4a52381f92556fc58"
+SUITE_CSV_SHA256 = "4cd19067ebe2ebfc10bc33191c81fac24f64c0ee6649a67e7d73960af00e64aa"
 
 
 def test_criterion_11_suite_determinism(tmp_path):

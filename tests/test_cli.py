@@ -213,6 +213,21 @@ def test_norm_circle_shapes_on_composite_system(capsys, apply, function, l1):
     assert abs(float(out.split()[1]) - l1) < 1e-9
 
 
+def test_norm_transfer_star_samples_near_the_origin(capsys):
+    # the grown window of this iterate has measure about 8e4; the Monte Carlo
+    # norm samples its part within 50 + depth of 0 and bounds the rest
+    code, out, err = run_cli(capsys, ["norm", "--function", "indicator:0,1,-2",
+                                      "--apply", "transfer", "--system", "boole",
+                                      "--depth", "3", "--seed", "5", "--replicates", "2000",
+                                      "--which", "star"])
+    assert code == 0, err
+    name, mean, *fields = out.split()
+    fields = dict(f.split("=") for f in fields)
+    assert name == "star" and math.isfinite(float(mean))
+    assert math.isfinite(float(fields["trunc"])) and float(fields["trunc"]) > 0.0
+    assert 0.0 <= float(fields["fit_est"]) <= 1e-13
+
+
 @pytest.mark.parametrize("extra", [[], ["--system", "translation:1"]])
 def test_norm_circle_without_composite_system_names_it(capsys, extra):
     code, out, err = run_cli(capsys, ["norm", "--function", "circle", "--which", "l1", *extra])

@@ -6,6 +6,8 @@ from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from poisson_orlicz.dynamics import (
     CIRCLE_OFFSET,
@@ -101,6 +103,15 @@ def test_boole_preimage_identity_and_jacobian_sum():
         assert np.max(np.abs(back - xs)) < 1e-10
         total += jacs
     assert np.max(np.abs(total - 1.0)) < 1e-12
+
+
+def test_boole_preimages_of_large_points_raise_no_warning():
+    # sqrt(x^2 + 4) rounds to x above about 1e8, where the branch for x < 0
+    # would divide by zero; pytest turns that RuntimeWarning into an error
+    sys = make_boole()
+    x = np.array([1e9, 1e15, -1e15, 1e150])
+    for y, _ in sys.preimages(x):
+        assert np.all(np.abs(sys.forward(y) - x) <= 1e-15 * np.abs(x))
 
 
 def test_boole_backward_inflate():
@@ -501,8 +512,10 @@ def _boole_transfer_brute(f_exact, x, n):
 
 
 def test_transfer_boole_matches_closed_form_recursion():
-    # f = 1 - (y/20)^2 on [-20, 20]: continuous, and at least 0.6 at every
-    # depth-6 preimage of [-5, 5] (each branch moves |y| by at most 1)
+    # f = 1 - (y/20)^2 on [-20, 20]: continuous, and above 0.43 at every
+    # depth-10 preimage of [-5, 5] (each branch moves |y| by at most 1).  f
+    # declares no breakpoints, so the interpolant's pieces must end at the
+    # kinks T^k(+-20) from the orbit of its support ends
     def f_exact(y):
         return 1 - (y / 20) ** 2 if abs(y) <= 20 else Decimal(0)
 
@@ -513,11 +526,46 @@ def test_transfer_boole_matches_closed_form_recursion():
     f = TestFunction(eval=_eval, support=window((-20.0, 20.0)), sup_bound=1.0)
     sys = make_boole()
     xs = np.random.default_rng(37).uniform(-5.0, 5.0, 12)
-    for n in range(7):
+    for n in range(11):
         # tail_tol only sizes the declared support, not the pointwise values
-        got = transfer_apply(f, sys, n, tail_tol=1.0).eval(xs)
+        g = transfer_apply(f, sys, n, tail_tol=1.0)
+        assert set(_forward_orbit(sys, (-20.0, 20.0), n)) <= set(g.breakpoints), n
         want = np.array([_boole_transfer_brute(f_exact, x, n) for x in xs])
-        assert np.max(np.abs(got - want) / np.abs(want)) < 1e-13, n
+        assert np.max(np.abs(g.eval(xs) - want) / np.abs(want)) < 1e-13, n
+
+
+# ---------------------------------------------------------------------------
+# the piecewise Chebyshev interpolant of a Boole transfer iterate against
+# the branch sum it stands for
+
+_SIGNED = st.one_of(st.floats(0.125, 4.0), st.floats(-4.0, -0.125))
+_FIT_SHAPES = st.one_of(
+    st.builds(lambda lo, w, s: indicator(lo, lo + w, s),
+              st.floats(-4.0, 4.0), st.floats(0.125, 4.0), _SIGNED),
+    st.builds(triangular_bump, st.floats(-4.0, 4.0), st.floats(0.125, 4.0), _SIGNED),
+    st.lists(_SIGNED, min_size=1, max_size=4).map(
+        lambda vs: piecewise_constant([i - 2.0 for i in range(len(vs) + 1)], vs)),
+)
+
+
+@settings(max_examples=40)
+@given(f=_FIT_SHAPES, n=st.integers(1, 10), seed=st.integers(0, 2 ** 32 - 1))
+def test_transfer_interpolant_within_its_fit_estimate(f, n, seed):
+    sys = make_boole()
+    g = transfer_apply(f, sys, n)
+    (lo, hi), = g.support.intervals
+    rng = np.random.default_rng(seed)
+    xs = np.concatenate([rng.uniform(-60.0, 60.0, 300), rng.uniform(lo, hi, 100)])
+    # the branch sum jumps at the breakpoints, where either side is right
+    xs = xs[np.min(np.abs(xs[:, None] - np.array(g.breakpoints)), axis=1) >= 1e-9]
+    miss = np.abs(g.eval(xs) - _branch_sum(f.eval, sys, n)(xs))
+    assert miss.max() <= g.fit_error + 8 * np.spacing(f.sup_bound)
+
+
+def test_stock_transfer_fit_estimates_are_small():
+    sys, f = make_boole(), indicator(1.0, 2.0)
+    for n in range(1, 11):
+        assert 0.0 <= transfer_apply(f, sys, n).fit_error <= 1e-13, n
 
 
 def test_transfer_composite_with_breakpoints_matches_recursion():

@@ -298,6 +298,10 @@ def test_transfer_decay_small_depths():
     assert r0.norm_source == "simple"
     for r in rows:
         assert abs(r.l1 - 1.0) < 3e-4
+    # each depth's interpolant reports its fit error estimate, f itself 0.0
+    fit = summary["fit_error_estimate"]
+    assert sorted(fit) == ["0", "1", "2", "3"] and fit["0"] == 0.0
+    assert all(0.0 <= v <= 1e-13 for v in fit.values())
     assert rows[1].norm_source == "discretized"
 
 
@@ -460,7 +464,7 @@ def test_stock_config_hash_is_pinned(scenario):
 
 
 # sha256 of `porlicz suite --seed 42 --format json`: every byte of the gate
-SUITE_JSON_SHA256 = "32deae830e98097520d76119ea826011a5528af6c5c949b2c254db919763a021"
+SUITE_JSON_SHA256 = "da7970fbb986c6aaaa1271434a5601a5d91a2d0c073068f72bbd25fd90d8c533"
 
 
 def test_suite_config_hashes_are_pinned(capsys):
