@@ -244,28 +244,40 @@ def cmd_norm(args) -> int:
 _HSU_FALLBACK_TOL = 1e-8
 
 
+def _finite(name: str, x: float) -> float:
+    """x, or a refusal when it is not finite: the norm is beyond the float
+    range, or an overflow on the way made it nan."""
+    x = float(x)
+    if not math.isfinite(x):
+        raise UsageError(f"{name}: the value is {x!r}; it or a step on the way is beyond "
+                         f"the float range (largest float {sys.float_info.max!r})")
+    return x
+
+
 def _poisson_norm(name: str, g, args) -> str:
     """star or starstar: the exact oracle on a SimpleFunction (star falls
     back to Hsu beyond its reach, or refuses at once when Hsu cannot prove
     _HSU_FALLBACK_TOL), a seeded Monte Carlo estimate otherwise."""
     if isinstance(g, SimpleFunction):
         if name == "starstar":
-            return repr(float(starstar_norm_exact(g)))
+            return repr(_finite(name, starstar_norm_exact(g)))
         try:
-            return repr(float(star_norm_exact(g)))
+            return repr(_finite(name, star_norm_exact(g)))
         except ValueError as exc:
             floor = hsu_error_floor(g)
             if floor > _HSU_FALLBACK_TOL:
                 raise UsageError(
                     f"star: {exc}, and the Hsu fallback can prove no error bound "
                     f"below {floor:g} (needs {_HSU_FALLBACK_TOL:g})") from None
-            return repr(float(star_norm_hsu(g, tol=_HSU_FALLBACK_TOL)))
+            return repr(_finite(name, star_norm_hsu(g, tol=_HSU_FALLBACK_TOL)))
     if args.seed is None:
         raise UsageError(f"{name} of a non-simple function is a Monte Carlo "
                          "estimate and needs --seed")
     est_fn = estimate_star_norm if name == "star" else estimate_starstar_norm
     w = g.support if args.sample_window is None else args.sample_window
     est = est_fn(g, w, args.replicates, args.seed)
+    _finite(name, est.mean)
+    _finite(f"{name} standard error", est.std_error)
     fit = "" if g.fit_error is None else f" fit_est={g.fit_error!r}"
     return f"{est.mean!r} se={est.std_error!r} trunc={est.truncation_bound!r}{fit}"
 
@@ -273,10 +285,7 @@ def _poisson_norm(name: str, g, args) -> str:
 def _moment_norm(name: str, g) -> str:
     """l1 or l2 of g; refused when the moment behind it overflows."""
     mom, _ = function_moments(g, tol=1e-9)
-    if not math.isfinite(mom.l2sq if name == "l2" else mom.l1):
-        raise UsageError(f"{name}: the moment of f is beyond the float range "
-                         f"(largest float {sys.float_info.max!r})")
-    return repr(math.sqrt(mom.l2sq) if name == "l2" else float(mom.l1))
+    return repr(_finite(name, math.sqrt(mom.l2sq) if name == "l2" else float(mom.l1)))
 
 
 # name -> evaluator(g, args) giving the printed value; g is the input's

@@ -26,7 +26,6 @@ from fractions import Fraction
 from typing import Callable, NamedTuple
 
 import numpy as np
-from scipy.special import gammaln, pdtrc, xlogy
 
 from .measure import (
     _CHUNK,
@@ -256,15 +255,40 @@ _MAX_ATOMS = 6
 _MAX_MASS = 30.0
 _LATTICE_RES = 1e-12
 _TINY_VALUE = 2.0 ** -20  # values below it are rescaled before the lattice merge
+_HUGE_VALUE = 2.0 ** 512  # and values above it, so that no sum overflows
 _TAIL_EPS = 1e-12  # bound on the error of the exact oracles
 _CUTOFF_SCAN = 600  # values of K the cutoff search tries, from ceil(m)
 _CUTOFF_BLOCK = 64  # of them evaluated at a time
+_TAIL_TERMS = 32  # pmf terms summed past a block before the geometric remainder
+# log k! for every k the cutoff search and the lattice enumeration reach
+_LOG_FACT = np.array([math.lgamma(k + 1.0) for k in
+                      range(math.ceil(_MAX_MASS) + _CUTOFF_SCAN + _TAIL_TERMS + 1)])
+_KS = np.arange(_LOG_FACT.size, dtype=float)
 
 
-def _poisson_pmf(ks: np.ndarray, m: float) -> np.ndarray:
-    """Poisson(m) pmf at the integers ks, by the formula and ufuncs of
-    scipy.stats.poisson.pmf (and bit-equal to it); its sf is pdtrc(ks, m)."""
-    return np.exp(xlogy(ks, m) - gammaln(ks + 1) - m)
+def _poisson_pmf(ks, m: float) -> np.ndarray:
+    """Poisson(m) pmf exp(k log m - log k! - m) at the integers ks, an index
+    array or a slice into the log k! table."""
+    return np.exp(_KS[ks] * math.log(m) - _LOG_FACT[ks] - m)
+
+
+def _poisson_tail(lo: int, hi: int, m: float) -> tuple[np.ndarray, np.ndarray]:
+    """pmf(K) and an upper bound on P(N > K) for lo <= K < hi, lo >= m.
+
+    The tail is the sum of pmf(j) for K < j < E = hi + _TAIL_TERMS, added
+    smallest first, plus the geometric remainder pmf(E) / (1 - m/(E+1)):
+    for j >= E the ratio pmf(j+1) / pmf(j) = m/(j+1) is at most m/(E+1) < 1,
+    so the remainder bounds the rest of the series.  A computed pmf term
+    carries the rounding of k log m - log k! - m: a relative error of a few
+    (|k log m| + log k! + m) * 2^-53, under 1e-11 wherever the term is a
+    normal float (an absolute one below 2^-1022 elsewhere).  The computed
+    bound can fall below P(N > K) by that rounding alone.
+    """
+    end = hi + _TAIL_TERMS
+    p = _poisson_pmf(slice(lo, end + 1), m)
+    terms = p[1:]
+    terms[-1] /= 1.0 - m / (end + 1)
+    return p[:hi - lo], np.cumsum(terms[::-1])[:lo - hi - 1:-1]
 
 
 def _cutoff(v: float, m: float, other_weight: float, budget: float, centered: bool) -> tuple[int, float]:
@@ -273,20 +297,19 @@ def _cutoff(v: float, m: float, other_weight: float, budget: float, centered: bo
 
     The bound on E[|S| 1_{N > K}] uses P(N > K) against the other atoms and
     the exact partial-moment identities E[(N-m)1_{N>K}] = m pmf(K) and
-    E[N 1_{N>K}] = m (pmf(K) + sf(K)).  The K are tried in blocks of
+    E[N 1_{N>K}] = m (pmf(K) + P(N > K)), with P(N > K) replaced by the
+    upper bound of ``_poisson_tail``.  The K are tried in blocks of
     _CUTOFF_BLOCK, stopping at the first block that holds one.
     """
     start = int(math.ceil(m))
     stop = start + _CUTOFF_SCAN
     for lo in range(start, stop, _CUTOFF_BLOCK):
-        ks = np.arange(lo, min(lo + _CUTOFF_BLOCK, stop))
-        sf = pdtrc(ks, m)
-        pmf = _poisson_pmf(ks, m)
+        pmf, sf = _poisson_tail(lo, min(lo + _CUTOFF_BLOCK, stop), m)
         bounds = sf * other_weight + abs(v) * m * (pmf if centered else pmf + sf)
         ok = np.flatnonzero(bounds <= budget)
         if ok.size:
             i = int(ok[0])
-            return int(ks[i]), float(bounds[i])
+            return lo + i, float(bounds[i])
     raise ValueError("cannot certify the tail bound")
 
 
@@ -310,9 +333,11 @@ def _enumerate_block(block: list[tuple[float, float, int]]) -> tuple[np.ndarray,
 
 
 def _abs_moment_exact(f: SimpleFunction, center: float | None) -> float:
-    """E|sum v_i N_i - c|, error <= _TAIL_EPS: c = sum v_i m_i with the
-    centered tail bounds when ``center`` is None, else c = center with the
-    uncentered tail bounds plus |center|."""
+    """E|sum v_i N_i - c|, error <= _TAIL_EPS times the rescaling 2^e (e = 0
+    unless a value or c lies outside [_TINY_VALUE, _HUGE_VALUE]): c = sum
+    v_i m_i with the centered tail bounds when ``center`` is None, else
+    c = center with the uncentered tail bounds plus |center|.  inf when the
+    moment is beyond the float range."""
     atoms = f.atoms
     if len(atoms) > _MAX_ATOMS:
         raise ValueError(f"exact oracle handles at most {_MAX_ATOMS} atoms, got {len(atoms)}")
@@ -322,14 +347,15 @@ def _abs_moment_exact(f: SimpleFunction, center: float | None) -> float:
         return 0.0 if center is None else abs(center)
     v = np.array([a[0] for a in atoms])
     m = np.array([a[1] for a in atoms])
-    # the lattice merges on an absolute grid, so tiny values are first put at
-    # unit scale by a power of two: exact, and E|sum v_i N_i - c| is
-    # 1-homogeneous in (v, c)
+    # the lattice merges on an absolute grid and sums up to 6 * 630 values,
+    # so tiny and huge values are first put at unit scale by a power of two
+    # 2^e: exact, and E|sum v_i N_i - c| is 1-homogeneous in (v, c)
     top = max(float(np.abs(v).max()), 0.0 if center is None else abs(center))
-    scale = math.ldexp(1.0, math.frexp(top)[1]) if top < _TINY_VALUE else 1.0
-    v = v / scale
-    if center is not None:
-        center = center / scale
+    e = math.frexp(top)[1] if not _TINY_VALUE <= top <= _HUGE_VALUE else 0
+    if e:
+        v = np.ldexp(v, -e)
+        if center is not None:
+            center = math.ldexp(center, -e)
     centered = center is None
     extra = 0.0 if centered else abs(center)
     shift = -float(np.sum(v * m)) if centered else -center
@@ -363,21 +389,30 @@ def _abs_moment_exact(f: SimpleFunction, center: float | None) -> float:
     # E_a |a + b| with the split at a = -b, via prefix sums over block A
     per_b = tot_pv + vb * tot_p - 2.0 * (cum_pv[idx] + vb * cum_p[idx])
     value = float(np.sum(pb * per_b))
-    return scale * (value + 0.5 * tail_bound)
+    try:
+        return math.ldexp(value + 0.5 * tail_bound, e)
+    except OverflowError:  # the moment is beyond the float range
+        return math.inf
 
 
 def star_norm_exact(f: SimpleFunction) -> float:
-    """E|sum v_i (N_i - m_i)| by direct enumeration; error <= 1e-12."""
+    """E|sum v_i (N_i - m_i)| by direct enumeration; error <= 1e-12,
+    or 2e-12 times the largest |value| when that exceeds 2^512; inf beyond
+    the float range."""
     return _abs_moment_exact(f, None)
 
 
 def starstar_norm_exact(f: SimpleFunction) -> float:
-    """E|sum v_i N_i| by direct enumeration; error <= 1e-12."""
+    """E|sum v_i N_i| by direct enumeration; error <= 1e-12,
+    or 2e-12 times the largest |value| when that exceeds 2^512; inf beyond
+    the float range."""
     return _abs_moment_exact(f, 0.0)
 
 
 def abs_moment_exact(f: SimpleFunction, center: float = 0.0) -> float:
-    """E|sum v_i N_i - center| by direct enumeration; error <= 1e-12."""
+    """E|sum v_i N_i - center| by direct enumeration; error <= 1e-12, or
+    2e-12 times the largest of |center| and |value| when that exceeds 2^512;
+    inf beyond the float range."""
     return _abs_moment_exact(f, float(center))
 
 

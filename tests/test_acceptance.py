@@ -239,7 +239,7 @@ def test_criterion_10_starstar_properties():
 
 
 # sha256 of `porlicz suite --seed 42` (CSV): every byte of the gate
-SUITE_CSV_SHA256 = "4cd19067ebe2ebfc10bc33191c81fac24f64c0ee6649a67e7d73960af00e64aa"
+SUITE_CSV_SHA256 = "c86ab969ed9302809b7e9da3e3e906632ccb64813e5c3e9991e999c77de70bac"
 
 
 def test_criterion_11_suite_determinism(tmp_path):

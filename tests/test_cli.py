@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import subprocess
@@ -18,6 +19,7 @@ from poisson_orlicz.cli import (
 )
 from poisson_orlicz.experiments import ConfigError, ExperimentConfig
 from poisson_orlicz.measure import SimpleFunction
+from test_acceptance import SUITE_CSV_SHA256
 
 
 def run_cli(capsys, argv):
@@ -301,8 +303,8 @@ GOLDEN_NORM_LINES = {
         "gauge 1.1483314773316522",
         "orlicz 1.2247448713915892",
         "amemiya 2.0",
-        "star 0.7851675102377502",
-        "starstar 0.7851675102377509",
+        "star 0.7851675102377504",
+        "starstar 0.7851675102377511",
         "l1 1.0",
         "l2 1.224744871391589",
     ]),
@@ -341,6 +343,29 @@ def test_norm_moment_overflow_is_usage_error(capsys, atoms, which):
     assert code == 1
     assert out == ""
     assert "float range" in err
+
+
+def test_norm_huge_atom_star_is_finite(capsys):
+    # E|N - 1| * 1e308 = 2e308/e for N ~ Poisson(1), within the float range
+    code, out, err = run_cli(capsys, ["norm", "--function", "indicator:0,1,1e308",
+                                      "--which", "l1,star"])
+    assert code == 0, err
+    l1, star = out.splitlines()
+    assert l1 == "l1 1e+308"
+    assert float(star.split()[1]) == pytest.approx(2.0 * math.exp(-1.0) * 1e308, rel=1e-12)
+
+
+# the Boole iterate of a near-float-max indicator overflows in quadrature
+# and sampling on the way (numpy warns); the refusal is the behaviour tested
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_norm_non_finite_value_is_usage_error(capsys):
+    code, out, err = run_cli(capsys, ["norm", "--function", "indicator:0,1,1e308",
+                                      "--apply", "transfer", "--system", "boole",
+                                      "--depth", "3", "--which", "l1,star", "--seed", "1",
+                                      "--replicates", "1000"])
+    assert code == 1
+    assert out == ""
+    assert "star: the value is nan" in err and "float range" in err
 
 
 @pytest.mark.parametrize("function, which", [("bump:3,1e154,1e154", "l2"),
@@ -789,10 +814,26 @@ def test_console_script_roundtrip(tmp_path):
 
 
 def test_cli_import_leaves_scipy_stats_unloaded():
-    # scipy.stats alone costs about a second of every cold start
-    proc = subprocess.run(
-        [sys.executable, "-c",
-         "import sys, poisson_orlicz.cli; print('scipy.stats' in sys.modules)"],
-        capture_output=True, text=True)
+    # the package needs numpy alone; importing scipy was about half of every
+    # cold start
+    code = ("import sys, io, contextlib, poisson_orlicz.cli as c\n"
+            "def loaded():\n"
+            "    return sorted(k for k in sys.modules if k == 'scipy' or k.startswith('scipy.'))\n"
+            "print(loaded())\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    code = c.main(['norm', '--atoms', '(1,0.5);(-2,0.25)', '--which', 'star'])\n"
+            "print(code, loaded())\n")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+    assert proc.stdout.splitlines() == ["[]", "0 []"]
+
+
+def test_suite_runs_with_scipy_blocked():
+    # sys.modules["scipy"] = None makes any scipy import raise ImportError
+    code = ("import sys\n"
+            "sys.modules['scipy'] = None\n"
+            "from poisson_orlicz.cli import main\n"
+            "sys.exit(main(['suite', '--seed', '42']))\n")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True)
+    assert proc.returncode == 0, proc.stderr.decode()
+    assert hashlib.sha256(proc.stdout).hexdigest() == SUITE_CSV_SHA256

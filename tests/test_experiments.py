@@ -266,7 +266,7 @@ def test_blum_hanson_truncated_run_is_the_run_of_the_kept_depths():
     assert summary["config_hash"] == kept.config_hash() == "fcaa8825b44e0eb0"
     text = result_to_csv(rows, summary) + result_to_json(cfg, rows, summary)
     assert hashlib.sha256(text.encode()).hexdigest() == (
-        "d63b418a6e6dc93d26229e2183b03cbe9e7a7329dfdb77dff24fe7ba8af462d3")
+        "ee28ebbead9840c9001854d3c4f2c9cddea2b9febce00cd2c33683ecb07ef647")
 
 
 def test_blum_hanson_verdicts_pass():
@@ -464,7 +464,7 @@ def test_stock_config_hash_is_pinned(scenario):
 
 
 # sha256 of `porlicz suite --seed 42 --format json`: every byte of the gate
-SUITE_JSON_SHA256 = "da7970fbb986c6aaaa1271434a5601a5d91a2d0c073068f72bbd25fd90d8c533"
+SUITE_JSON_SHA256 = "1e0c98bc15750fa4c5d072b54974a38b44fed75b0c1d5ef82f46fde1408fd4fa"
 
 
 def test_suite_config_hashes_are_pinned(capsys):

@@ -8,7 +8,6 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import integrate, stats
-from scipy.special import pdtrc
 
 from poisson_orlicz import poisson
 from poisson_orlicz.dynamics import (
@@ -225,28 +224,117 @@ def test_starstar_exact_values():
     assert starstar_norm_exact(mixed) < simple_moments(mixed).l1 - 0.1
 
 
+def test_exact_huge_atom_is_one_homogeneous():
+    # values above 2^512 are put at unit scale by a power of two first, so
+    # no lattice sum overflows: E|N - 1| = 2/e for N ~ Poisson(1)
+    assert star_norm_exact(SimpleFunction(((1e308, 1.0),))) == pytest.approx(
+        2.0 * math.exp(-1.0) * 1e308, rel=1e-12)
+    # values with largest |v| in [1/2, 1) are the unit-scale form itself, so
+    # scaling by 2^1000 scales the answer exactly
+    atoms = ((0.75, 1.3), (-0.6, 2.0), (0.3125, 0.5))
+    big = tuple((v * 2.0 ** 1000, m) for v, m in atoms)
+    assert star_norm_exact(SimpleFunction(big)) == star_norm_exact(SimpleFunction(atoms)) * 2.0 ** 1000
+    assert starstar_norm_exact(SimpleFunction(big)) == starstar_norm_exact(SimpleFunction(atoms)) * 2.0 ** 1000
+    assert (abs_moment_exact(SimpleFunction(big), center=0.5 * 2.0 ** 1000)
+            == abs_moment_exact(SimpleFunction(atoms), center=0.5) * 2.0 ** 1000)
+    # a moment beyond the float range is inf, without a warning
+    assert star_norm_exact(SimpleFunction(((1.7e308, 30.0), (1.7e308, 30.0)))) == math.inf
+
+
 def _log_uniform(lo, hi):
     return st.floats(math.log(lo), math.log(hi)).map(lambda x: min(max(math.exp(x), lo), hi))
 
 
-_KS = np.arange(601)
+_KS = np.arange(631)
+_LOG_FACT = np.array([math.lgamma(k + 1.0) for k in range(700)])
+_SMALLEST_NORMAL = 2.0 ** -1022
+
+
+def _rounding_scale(ks, m):
+    """(|k log m| + log k! + m) * 2^-53: one ulp of the largest term of the
+    log-pmf at k, the size of the rounding either side's exp(log-pmf) makes."""
+    return (np.abs(ks * math.log(m)) + _LOG_FACT[ks] + m) * 2.0 ** -53
+
+
+def _full_tail(m):
+    """The cutoff search's tail bounds for its _CUTOFF_SCAN candidates, block
+    by block as ``poisson._cutoff`` builds them."""
+    start = math.ceil(m)
+    stop = start + poisson._CUTOFF_SCAN
+    blocks = [poisson._poisson_tail(lo, min(lo + poisson._CUTOFF_BLOCK, stop), m)
+              for lo in range(start, stop, poisson._CUTOFF_BLOCK)]
+    return (np.arange(start, stop), np.concatenate([b[0] for b in blocks]),
+            np.concatenate([b[1] for b in blocks]))
+
+
+# Both sides compute a pmf term as exp of a log-pmf whose rounding is a few
+# ulp of its largest term, |k log m| + log k! + m (up to 2.1e4 here), so the
+# relative gap is a small multiple of _rounding_scale: 16 of them (at most
+# 3.7e-11, at k = 630 and m = 1e-12) leaves room for a few ulp on each side;
+# the tail, a sum of such terms, gets the scale of its leading term.  Below
+# the smallest normal float the gap is absolute, up to that float: scipy
+# flushes a subnormal tail to 0.
+def _gap(tol, want):
+    return np.where(want >= _SMALLEST_NORMAL, tol * want, _SMALLEST_NORMAL)
 
 
 @settings(max_examples=300)
 @given(m=_log_uniform(1e-12, 30.0))
 @example(m=30.0)
 @example(m=1.0)
-def test_poisson_tables_are_bit_equal_to_scipy_stats(m):
-    assert np.array_equal(poisson._poisson_pmf(_KS, m), stats.poisson.pmf(_KS, m))
-    assert np.array_equal(pdtrc(_KS, m), stats.poisson.sf(_KS, m))
+def test_poisson_tables_match_scipy_stats(m):
+    tol = 16.0 * _rounding_scale(_KS, m)
+    want = stats.poisson.pmf(_KS, m)
+    got = poisson._poisson_pmf(_KS, m)
+    assert np.all(np.abs(got - want) <= _gap(tol, want))
+    ks, _, sf = _full_tail(m)
+    want = stats.poisson.sf(ks, m)
+    assert np.all(np.abs(sf - want) <= _gap(16.0 * _rounding_scale(ks + 1, m), want))
+
+
+@pytest.mark.parametrize("m", [1e-12, 0.3, 1.0, 7.3, 29.9, 30.0])
+def test_poisson_tail_bounds_the_true_tail(m):
+    # against P(N > K) = P(K + 1, m), the regularized lower incomplete gamma,
+    # at 50 digits: the tail is never below it by more than rounding, and
+    # the geometric remainder adds nothing visible above it
+    mpmath = pytest.importorskip("mpmath")
+    ks, pmf, sf = _full_tail(m)
+    start = int(ks[0])
+    for k in sorted({start, start + 1, start + 10, start + 63, start + 64, start + 65,
+                     start + 127, start + 128, start + 300, start + 599}):
+        i = k - start
+        with mpmath.workdps(50):
+            true = float(mpmath.gammainc(k + 1, 0, m, regularized=True))
+            true_pmf = float(mpmath.exp(k * mpmath.log(m) - mpmath.loggamma(k + 1) - m))
+        if true < _SMALLEST_NORMAL:
+            assert sf[i] < _SMALLEST_NORMAL
+            continue
+        tol = 16.0 * float(_rounding_scale(np.array([k + 1]), m)[0])
+        assert sf[i] >= true * (1.0 - tol), (k, sf[i], true)
+        assert sf[i] <= true * (1.0 + tol), (k, sf[i], true)
+        assert abs(pmf[i] - true_pmf) <= 16.0 * float(_rounding_scale(np.array([k]), m)[0]) * true_pmf
+
+
+@pytest.mark.parametrize("m", [0.3, 7.3, 30.0])
+def test_geometric_remainder_alone_bounds_the_tail(monkeypatch, m):
+    # with no pmf terms summed past the block, the tail at its last K is the
+    # remainder alone: it must still bound P(N > K), and not by a lot
+    mpmath = pytest.importorskip("mpmath")
+    monkeypatch.setattr(poisson, "_TAIL_TERMS", 0)
+    start = math.ceil(m)
+    for lo in (start, start + 64):
+        _, sf = poisson._poisson_tail(lo, lo + 64, m)
+        for k in (lo, lo + 32, lo + 63):
+            with mpmath.workdps(50):
+                true = float(mpmath.gammainc(k + 1, 0, m, regularized=True))
+            tol = 16.0 * float(_rounding_scale(np.array([k + 1]), m)[0])
+            assert true * (1.0 - tol) <= sf[k - lo] <= 1.5 * true, (k, sf[k - lo], true)
 
 
 def _cutoff_whole_table(v, m, other_weight, budget, centered):
-    """The cutoff search on all 600 candidates at once, from scipy.stats;
-    None when no candidate meets the budget."""
-    ks = np.arange(math.ceil(m), math.ceil(m) + 600)
-    sf = stats.poisson.sf(ks, m)
-    pmf = stats.poisson.pmf(ks, m)
+    """The cutoff search on all _CUTOFF_SCAN candidates at once, from the
+    package's own tables; None when no candidate meets the budget."""
+    ks, pmf, sf = _full_tail(m)
     if centered:
         bounds = sf * other_weight + abs(v) * m * pmf
     else:
@@ -255,10 +343,11 @@ def _cutoff_whole_table(v, m, other_weight, budget, centered):
     return None if not ok.size else (int(ks[ok[0]]), float(bounds[ok[0]]))
 
 
-# with v = 0 and unit other weight the bound is sf(K), so a budget of
-# sf(start + j) puts the cutoff at the j-th candidate: here the edges of the
-# first two blocks of 64
+# with v = 0 and unit other weight the bound is the tail at K, so a budget
+# equal to the tail at start + j puts the cutoff at the j-th candidate: here
+# the edges of the first two blocks of 64
 _EDGE_M = 2.5
+_EDGE_TAIL = _full_tail(_EDGE_M)[2]
 
 
 @settings(max_examples=300)
@@ -267,11 +356,11 @@ _EDGE_M = 2.5
        other_weight=st.one_of(st.just(0.0), _log_uniform(1e-6, 1e6)),
        budget=st.one_of(_log_uniform(1e-300, 1e-3), st.sampled_from([0.0, -1e-12])),
        centered=st.booleans())
-@example(v=0.0, m=_EDGE_M, other_weight=1.0, budget=float(pdtrc(3, _EDGE_M)), centered=True)
-@example(v=0.0, m=_EDGE_M, other_weight=1.0, budget=float(pdtrc(66, _EDGE_M)), centered=True)
-@example(v=0.0, m=_EDGE_M, other_weight=1.0, budget=float(pdtrc(67, _EDGE_M)), centered=False)
-@example(v=0.0, m=_EDGE_M, other_weight=1.0, budget=float(pdtrc(130, _EDGE_M)), centered=True)
-@example(v=0.0, m=_EDGE_M, other_weight=1.0, budget=float(pdtrc(131, _EDGE_M)), centered=False)
+@example(v=0.0, m=_EDGE_M, other_weight=1.0, budget=float(_EDGE_TAIL[0]), centered=True)
+@example(v=0.0, m=_EDGE_M, other_weight=1.0, budget=float(_EDGE_TAIL[63]), centered=True)
+@example(v=0.0, m=_EDGE_M, other_weight=1.0, budget=float(_EDGE_TAIL[64]), centered=False)
+@example(v=0.0, m=_EDGE_M, other_weight=1.0, budget=float(_EDGE_TAIL[127]), centered=True)
+@example(v=0.0, m=_EDGE_M, other_weight=1.0, budget=float(_EDGE_TAIL[128]), centered=False)
 def test_blocked_cutoff_is_bit_equal_to_the_whole_table(v, m, other_weight, budget, centered):
     want = _cutoff_whole_table(v, m, other_weight, budget, centered)
     if want is None:
