@@ -38,7 +38,7 @@ from .poisson import (
     star_norm_hsu,
     starstar_norm_exact,
 )
-from .dynamics import birkhoff, sampling_window, transfer_apply
+from .dynamics import PULLBACK_CAP, birkhoff, sampling_window, transfer_apply
 from .experiments import (
     _SCENARIOS,
     _SHAPES,
@@ -229,6 +229,11 @@ def cmd_norm(args) -> int:
         f = build_function(spec, sys_d)
         if args.apply == "birkhoff":
             f = birkhoff(f, sys_d, args.depth)
+            if not f.breakpoints_complete:
+                raise UsageError(
+                    f"--apply birkhoff at depth {args.depth}: the average has more than "
+                    f"{PULLBACK_CAP} breakpoints on a branching system; its cells and "
+                    "norms are out of reach")
         elif args.apply == "transfer":
             f = transfer_apply(f, sys_d, args.depth)
             args.sample_window = sampling_window(f, sys_d, args.depth)

@@ -37,6 +37,7 @@ from .measure import (
     window,
     window_intersect,
     window_translate,
+    window_union,
 )
 
 __all__ = [
@@ -44,6 +45,7 @@ __all__ = [
     "CIRCLE_OFFSET",
     "GOLDEN",
     "TRANSFER_TAIL_TOL",
+    "PULLBACK_CAP",
     "make_translation",
     "make_boole",
     "make_composite",
@@ -68,6 +70,10 @@ _MC_RADIUS = 50.0
 class DynamicalSystem:
     """A measure-preserving map with explicit inverse branches.
 
+    ``forward`` maps a float array to T of each point, and is pointwise:
+    its value at x depends on x alone, so mapping any slice of an array
+    gives the same bits as slicing the mapped array (``birkhoff`` maps
+    index ranges of a block).
     ``branches`` maps a float array x to one (y, jac) pair of arrays per
     branch of T^{-1}: T(y) = x and jac = 1/|T'(y)|, the jacs summing to 1
     wherever defined.  It computes every branch in one pass.  Callers go
@@ -199,9 +205,15 @@ def make_composite(circumference: float = 1.0, angle: float = GOLDEN,
         return np.where(u >= c0, u + length, u)
 
     def fwd(x):
+        # the rotation, then the line shift of only the points off the circle
         x = np.asarray(x, dtype=float)
-        rotated = c0 + np.mod(x - c0 + angle, length)
-        return np.where(_in_circle(x), rotated, _line_shift(x, step))
+        off = ~_in_circle(x)
+        if off.all():
+            return _line_shift(x, step)
+        out = np.asarray(c0 + np.mod(x - c0 + angle, length))
+        if off.any():
+            out[off] = _line_shift(x[off], step)
+        return out
 
     def branches(x):
         rotated = c0 + np.mod(x - c0 - angle, length)
@@ -260,17 +272,111 @@ def circle_indicator(sys: DynamicalSystem, scale: float = 1.0) -> TestFunction:
 # ---------------------------------------------------------------------------
 # Birkhoff averages
 
-def _pullback_breakpoints(sys: DynamicalSystem, pts, depth: int) -> tuple[float, ...] | None:
-    """All branch preimages of ``pts`` down to ``depth``; None when the
-    branch tree exceeds 20000 points."""
+# the branch preimages a Birkhoff average lists as its breakpoints on a
+# branching system, where their number doubles with each level
+PULLBACK_CAP = 20000
+# the window of exponent p is widened by _PAD (p + 1) (r_0 + r_p) on each
+# side, r_0 and r_p the largest |edge| of f's support and of the window; the
+# rounding it covers is argued in ``birkhoff``
+_PAD = 2.0 ** -40
+# a block of m points is argsorted when its windows spare a point at least
+# _SORT_STEPS log2(m) forward steps, 5 for a block of 2^15: on translation by
+# 1 of the indicator of [0, 1], such blocks spread over the support first
+# gained from the sort between depth 8 and depth 12, 4 to 6 steps spared
+# (``BENCH_17.json``)
+_SORT_STEPS = 1.0 / 3.0
+
+
+def _pullback_breakpoints(sys: DynamicalSystem, pts,
+                          depth: int) -> tuple[tuple[float, ...], bool]:
+    """All branch preimages of ``pts`` down to ``depth``, sorted, and whether
+    that is all of them.  A one-branch system keeps every one, their number
+    growing linearly with depth; on a branching system, where it doubles,
+    none are listed once the tree passes PULLBACK_CAP points."""
+    branching = len(sys.preimages(0.0)) > 1
     level = np.asarray(pts, dtype=float)
     out = set(level.tolist())
     for _ in range(int(depth)):
         level = np.concatenate([y[np.isfinite(y)] for y, _ in sys.preimages(level)])
-        if len(out) + level.size > 20000:
-            return None
+        if branching and len(out) + level.size > PULLBACK_CAP:
+            return (), False
         out.update(level.tolist())
-    return tuple(sorted(out))
+    return tuple(sorted(out)), True
+
+
+def _hull(w: Window) -> float:
+    return max((max(abs(lo), abs(hi)) for lo, hi in w.intervals), default=0.0)
+
+
+def _widen(w: Window, pad: float) -> Window:
+    return window(*((lo - pad, hi + pad) for lo, hi in w.intervals))
+
+
+class _Plan(NamedTuple):
+    """Where the points of a Birkhoff average still count (see ``birkhoff``):
+    ``edges`` holds lo and the float after hi of every interval of the
+    padded windows, ``stepped[k - 1]`` the index pairs into ``edges`` of the
+    intervals of A_k, ``summed[k - 1]`` those of W_k (None when k is not an
+    exponent), and ``skip`` the forward steps that the A_k spare a point
+    spread evenly over the support."""
+    edges: np.ndarray
+    stepped: list
+    summed: list
+    skip: float
+
+
+def _plan(f: TestFunction, sys: DynamicalSystem, powers: tuple[int, ...],
+          images: list[Window], support: Window) -> _Plan:
+    """The padded windows W_p and their nested unions A_k of the average of
+    f over ``powers``, from ``images[p] = sys.image(f.support, -p)`` and the
+    average's support."""
+    r0 = _hull(f.support)
+    wins = {p: _widen(images[p], _PAD * (p + 1) * (r0 + _hull(images[p]))) for p in powers}
+    if sys.kind == "composite":
+        # a circle point that rounds up to the circle's end c1 leaves the
+        # circle there and moves on along the line, and a rotated point may
+        # sit on either closed end: the circle joins every window when the
+        # widened support reaches it
+        c0, c1 = CIRCLE_OFFSET, CIRCLE_OFFSET + sys.params[0]
+        grown = _widen(support, _PAD * (powers[-1] + 1) * (r0 + _hull(support)))
+        if any(lo <= c1 and hi >= c0 for lo, hi in grown.intervals):
+            wins = {p: window_union(w, window((c0, c1))) for p, w in wins.items()}
+    edges: list[float] = []
+
+    def index(w: Window) -> tuple:
+        start = len(edges)
+        for lo, hi in w.intervals:
+            edges.extend((lo, math.nextafter(hi, math.inf)))
+        return tuple((i, i + 1) for i in range(start, len(edges), 2))
+
+    kmax = powers[-1]
+    stepped, summed = [()] * kmax, [None] * kmax
+    total = support.measure
+    skip = 0.0
+    reach, pairs = Window(), ()
+    for k in range(kmax, 0, -1):
+        if k in wins:
+            reach = window_union(reach, wins[k])
+            pairs = index(reach)
+            summed[k - 1] = index(wins[k])
+        stepped[k - 1] = pairs
+        skip += max(0.0, 1.0 - reach.measure / total) if total else 1.0
+    return _Plan(np.array(edges), stepped, summed, skip)
+
+
+def _ranges(pairs, b: list[int]) -> list[tuple[int, int]]:
+    """The nonempty index ranges of the intervals ``pairs`` index in
+    ``edges``, ``b`` the searchsorted positions of the edges."""
+    return [(b[i], b[j]) for i, j in pairs if b[i] < b[j]]
+
+
+def _slice(held, lo: int, hi: int) -> np.ndarray:
+    """The part [lo, hi) of the held (start, array) pieces, sorted and
+    disjoint, one of which holds all of it."""
+    for start, arr in held:
+        if start + arr.size >= hi:
+            return arr[lo - start:hi - start]
+    raise AssertionError("no held piece covers the range")
 
 
 def birkhoff(f: TestFunction, sys: DynamicalSystem, n: int,
@@ -279,7 +385,46 @@ def birkhoff(f: TestFunction, sys: DynamicalSystem, n: int,
     TestFunction.  The exponents p_k are (1, ..., n) by default; a strictly
     increasing ``subsequence`` of n exponents gives subsequence averages.
     The support is the union of ``sys.image(f.support, -k)`` over
-    k = 0..max p_k."""
+    k = 0..max p_k.
+
+    The evaluator skips what windows rule out.  W_p is
+    ``sys.image(f.support, -p)`` widened by _PAD (p + 1) (r_0 + r_p), r_0 and
+    r_p the largest |edge| of f's support and of that image, and A_k is the
+    union of W_p over the exponents p >= k.  The float iterate c_p of x lies
+    in f's support only if x lies in W_p (a NaN or infinite c_p lies in no
+    support); with u = 2^-53:
+
+    * translation by s: each step rounds once, by at most u |c_{j+1}|, and
+      so does each window edge; every |c_j| and p |s| is within r_0 + r_p
+      and the error, so c_p and the edges are within 4 (p + 1) u (r_0 + r_p)
+      of exact;
+    * Boole: for |c| > 1 the float step keeps |T c| >= (|c| - 1)(1 - u)
+      (and |c| <= 1 < |T c| + 1 otherwise), so c_p in [-r_0, r_0] puts |x|
+      within (r_0 + p)(1 + 2 p u), inside the margin of 1 that ``image``
+      adds while 2 p u (r_0 + p) < 1;
+    * composite: a line step rounds as a translation does, three times for
+      a point above the circle (where the circumference is below |c_j|); a
+      line point never enters the circle [c0, c1); a circle point stays in
+      [c0, c1] and leaves the circle only by rounding up to c1, then moves
+      along the line.  So when the widened support meets [c0, c1], the
+      circle joins every window.
+
+    When f declares no tails it vanishes off its support (see
+    TestFunction), so a point outside A_k needs no further step, and a
+    point outside W_k adds +-0.0 or a NaN counted as 0: neither changes the
+    bits of the running sum, which starts at +0.0 and is never -0.0.  When
+    the A_k spare a point spread evenly over the support at least
+    _SORT_STEPS log2(m) forward steps, m the block size, the block is
+    argsorted once, one searchsorted turns every A_k and W_k into index
+    ranges, ``forward`` (pointwise) and ``f.eval`` run on those ranges only,
+    and the averages are scattered back.  Otherwise the same loop runs with
+    the whole block as its one range.  The evaluations outside the W_k are
+    spared on top; the rule leaves them out, since on the Boole map, whose
+    A_k are all alike, they save less than the sort costs.  A NaN value
+    shows in the finished sum, checked once; only those points are summed
+    again, each value's NaN counted as 0, which gives the bits of masking
+    at every step.
+    """
     n = int(n)
     if n < 1:
         raise ValueError("depth must be >= 1")
@@ -291,30 +436,64 @@ def birkhoff(f: TestFunction, sys: DynamicalSystem, n: int,
         powers = tuple(range(1, n + 1))
     kmax = powers[-1]
     wanted = frozenset(powers)
+    images = [sys.image(f.support, -k) for k in range(kmax + 1)]
+    support = window(*(iv for w in images for iv in w.intervals))
+    plan = (None if f.l1_tail_bound or f.l2_tail_bound
+            else _plan(f, sys, powers, images, support))
+    powered = [k in wanted for k in range(1, kmax + 1)]
 
-    def _eval(x, f=f, fwd=sys.forward, wanted=wanted, kmax=kmax, count=len(powers)):
+    def _sums(x, stepped, summed, masked=False, f=f, fwd=sys.forward):
+        """Sum f over the iterates of x, each step on its index ranges; the
+        iterates of the points of a range are kept as one array, which a
+        range of the next step, lying inside it, slices."""
+        acc = np.zeros(x.size)
+        held = [(0, x)]
+        for steps, sums in zip(stepped, summed):
+            if not steps:
+                break  # the windows are nested: no later step has a range
+            held = [(lo, np.asarray(fwd(_slice(held, lo, hi)), dtype=float))
+                    for lo, hi in steps]
+            for lo, hi in sums or ():
+                vals = np.asarray(f.eval(_slice(held, lo, hi)), dtype=float)
+                acc[lo:hi] += np.where(np.isnan(vals), 0.0, vals) if masked else vals
+        return acc
+
+    def _whole(m):
+        return [((0, m),)] * kmax, [((0, m),) if p else None for p in powered]
+
+    def _eval(x, count=len(powers)):
         x = np.asarray(x, dtype=float)
-        acc = np.zeros(x.shape)
-        cur = x
-        for k in range(1, kmax + 1):
-            cur = np.asarray(fwd(cur), dtype=float)
-            if k in wanted:
-                vals = np.asarray(f.eval(cur), dtype=float)
-                nan = np.isnan(vals)
-                if nan.any():
-                    vals = np.where(nan, 0.0, vals)
-                acc += vals
-        return acc / count
+        flat = x.ravel()
+        m = flat.size
+        order = None
+        if plan is not None and m > 1 and plan.skip >= _SORT_STEPS * math.log2(m):
+            order = np.argsort(flat)
+            cur = flat[order]
+            b = np.searchsorted(cur, plan.edges).tolist()
+            acc = _sums(cur, [_ranges(s, b) for s in plan.stepped],
+                        [None if s is None else _ranges(s, b) for s in plan.summed])
+        else:
+            acc = _sums(flat, *_whole(m))
+        nan = np.isnan(acc)
+        if nan.any():
+            pts = flat[nan] if order is None else flat[order[nan]]
+            acc[nan] = _sums(pts, *_whole(pts.size), masked=True)
+        acc /= count
+        if order is None:
+            return acc.reshape(x.shape)
+        out = np.empty(m)
+        out[order] = acc
+        return out.reshape(x.shape)
 
-    bps = _pullback_breakpoints(sys, f.breakpoints, kmax)
+    bps, complete = _pullback_breakpoints(sys, f.breakpoints, kmax)
     return TestFunction(
         eval=_eval,
-        support=window(*(iv for k in range(kmax + 1)
-                         for iv in sys.image(f.support, -k).intervals)),
+        support=support,
         sup_bound=f.sup_bound,
         l1_tail_bound=f.l1_tail_bound,
         l2_tail_bound=f.l2_tail_bound,
-        breakpoints=bps if bps is not None else (),
+        breakpoints=bps,
+        breakpoints_complete=complete and f.breakpoints_complete,
     )
 
 
@@ -593,6 +772,7 @@ def transfer_apply(f: TestFunction, sys: DynamicalSystem, n: int,
             l1_tail_bound=f.l1_tail_bound,
             l2_tail_bound=f.l2_tail_bound,
             breakpoints=tuple(sorted(set(orbit) | set(sys.singularities))),
+            breakpoints_complete=f.breakpoints_complete,
         )
 
     if f.sup_bound is None:
@@ -643,6 +823,7 @@ def transfer_apply(f: TestFunction, sys: DynamicalSystem, n: int,
         l2_tail_bound=math.sqrt(deficit * f.sup_bound),
         breakpoints=tuple(sorted({b for b in orbit if -radius < b < radius}
                                  | set(sys.singularities))),
+        breakpoints_complete=f.breakpoints_complete,
         fit_error=float(fit.est.max()),
     )
 

@@ -159,7 +159,9 @@ class TestFunction:
     assumed to vanish outside ``support`` except for mass covered by the
     declared tail bounds on the L1 and L2 norms of f restricted to the
     complement of the support.  ``breakpoints`` lists known discontinuities or
-    kinks, used as forced quadrature subdivision points.  ``fit_error`` is
+    kinks, used as forced quadrature subdivision points;
+    ``breakpoints_complete`` is False when some are known to be missing, so
+    the cells between them are not the function's pieces.  ``fit_error`` is
     None when ``eval`` computes the function itself; an interpolant standing
     for it sets the estimated sup-norm error of the fit over the support, a
     heuristic estimate and not a bound.
@@ -171,6 +173,7 @@ class TestFunction:
     l1_tail_bound: float = 0.0
     l2_tail_bound: float = 0.0
     breakpoints: tuple[float, ...] = ()
+    breakpoints_complete: bool = True
     fit_error: float | None = None
 
     __test__ = False  # keep pytest from collecting the class
@@ -318,22 +321,32 @@ def piecewise_to_simple(f: TestFunction) -> SimpleFunction:
     with atoms merged by value and sorted.
 
     The cells are the support intervals refined by the declared breakpoints.
-    Constancy on each cell is spot-checked at three interior points; a
-    non-constant cell raises ValueError.
+    Constancy on each cell is spot-checked at three interior points, the
+    points np.linspace(a, b, 5)[1:-1], all cells' in one ``eval`` call; a
+    non-constant cell, or breakpoints declared incomplete, raise ValueError.
     """
     if f.l1_tail_bound or f.l2_tail_bound:
         raise ValueError("tail-bounded functions have no exact atom form")
-    atoms: dict[float, float] = {}
+    if not f.breakpoints_complete:
+        raise ValueError("the breakpoints are incomplete, so the cells are unknown")
+    cells = []
     for lo, hi in f.support.intervals:
         cuts = sorted({lo, hi, *(b for b in f.breakpoints if lo < b < hi)})
-        for a, b in zip(cuts, cuts[1:]):
-            probes = np.linspace(a, b, 5)[1:-1]
-            vals = np.asarray(f.eval(probes), dtype=float)
-            if np.any(vals != vals[0]):
-                raise ValueError(f"cell ({a}, {b}) is not constant")
-            v = float(vals[0])
-            if v != 0.0:
-                atoms[v] = atoms.get(v, 0.0) + (b - a)
+        cells += zip(cuts, cuts[1:])
+    if not cells:
+        return SimpleFunction()
+    a, b = np.array(cells).T
+    # np.linspace's arithmetic: start + j * ((stop - start) / 4)
+    probes = np.arange(1.0, 4.0) * ((b - a) / 4.0)[:, None] + a[:, None]
+    vals = np.asarray(f.eval(probes.ravel()), dtype=float).reshape(probes.shape)
+    bad = np.flatnonzero((vals != vals[:, :1]).any(axis=1))
+    if bad.size:
+        lo, hi = cells[bad[0]]
+        raise ValueError(f"cell ({lo}, {hi}) is not constant")
+    atoms: dict[float, float] = {}
+    for v, (lo, hi) in zip(vals[:, 0].tolist(), cells):
+        if v != 0.0:
+            atoms[v] = atoms.get(v, 0.0) + (hi - lo)
     return SimpleFunction(tuple(sorted(atoms.items())))
 
 

@@ -279,6 +279,26 @@ def test_norm_birkhoff_matches_closed_form(capsys):
     assert abs(got - 2 * 2.0 ** 2 * math.exp(-2.0) / math.factorial(2)) < 1e-9
 
 
+def test_norm_birkhoff_past_the_pullback_cap_exits_1_naming_it(capsys):
+    # the Boole average's breakpoints double with each level; past the cap
+    # its cells are unknown, and it used to print l1 0.0 with exit 0
+    code, out, err = run_cli(capsys, ["norm", "--function", "indicator:0,1",
+                                      "--apply", "birkhoff", "--system", "boole",
+                                      "--depth", "16", "--which", "l1"])
+    assert code == 1
+    assert out == ""
+    assert "20000" in err
+
+
+def test_norm_birkhoff_deep_translation_keeps_every_breakpoint(capsys):
+    # 40002 breakpoints, past the cap; it used to print l1 1.00005
+    code, out, err = run_cli(capsys, ["norm", "--function", "indicator:0,1",
+                                      "--apply", "birkhoff", "--system", "translation",
+                                      "--depth", "20000", "--which", "l1"])
+    assert code == 0, err
+    assert abs(float(out.split()[1]) - 1.0) < 1e-12
+
+
 def test_norm_bump_needs_seed_for_star(capsys):
     code, out, err = run_cli(capsys, ["norm", "--function", "bump:0,1",
                                       "--which", "star"])

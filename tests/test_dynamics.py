@@ -3,12 +3,14 @@ transfer operator."""
 
 import math
 from decimal import Decimal, localcontext
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from poisson_orlicz import dynamics
 from poisson_orlicz.dynamics import (
     CIRCLE_OFFSET,
     GOLDEN,
@@ -30,6 +32,7 @@ from poisson_orlicz.measure import (
     piecewise_constant,
     triangular_bump,
     window,
+    window_position,
 )
 
 
@@ -607,14 +610,17 @@ def test_transfer_composite_with_breakpoints_matches_recursion():
 # ---------------------------------------------------------------------------
 # the Birkhoff and branch-sum kernels against the np.where accumulation
 
-def _birkhoff_reference(f, sys, n, x):
-    """(1/n) sum_{k=1..n} f(T^k x), a NaN value counted as 0.0."""
+def _birkhoff_reference(f, sys, n, x, powers=None):
+    """(1/n) sum_k f(T^{p_k} x) over the exponents (1..n by default), every
+    point stepped at every step, a NaN value counted as 0.0."""
+    wanted = set(range(1, n + 1) if powers is None else powers)
     acc = np.zeros(x.shape)
     cur = x
-    for _ in range(n):
+    for k in range(1, max(wanted) + 1):
         cur = np.asarray(sys.forward(cur), dtype=float)
-        vals = np.asarray(f.eval(cur), dtype=float)
-        acc += np.where(np.isnan(vals), 0.0, vals)
+        if k in wanted:
+            vals = np.asarray(f.eval(cur), dtype=float)
+            acc += np.where(np.isnan(vals), 0.0, vals)
     return acc / n
 
 
@@ -637,7 +643,8 @@ def _branch_sum_reference(f, sys, n, x):
 def _nan_on_part(x):
     # NaN to the right of 0.5, a signed wave on [-2, 0.5]
     x = np.asarray(x, dtype=float)
-    inside = np.where(np.abs(x) <= 2.0, np.sin(3.0 * x) - 0.2, 0.0)
+    with np.errstate(invalid="ignore"):  # sin of an infinite Boole iterate
+        inside = np.where(np.abs(x) <= 2.0, np.sin(3.0 * x) - 0.2, 0.0)
     return np.where(x > 0.5, np.nan, inside)
 
 
@@ -658,6 +665,34 @@ def _guard_points(size):
     return rng.permutation(pool)[:size]
 
 
+def _near(points, ulps=3):
+    """The points and the floats up to ``ulps`` either side of each."""
+    out = [np.asarray(points, dtype=float)]
+    lo = hi = out[0]
+    for _ in range(ulps):
+        lo, hi = np.nextafter(lo, -np.inf), np.nextafter(hi, np.inf)
+        out += [lo, hi]
+    return np.concatenate(out)
+
+
+def _edge_points(f, sys, n, powers=None):
+    """Every window edge of the depth-n average, as ``sys.image`` gives it
+    and as its evaluator widens it, and every singularity, each with the
+    floats a few ulps either side."""
+    powers = tuple(range(1, n + 1)) if powers is None else powers
+    images = [sys.image(f.support, -k) for k in range(powers[-1] + 1)]
+    support = birkhoff(f, sys, n, subsequence=powers).support
+    plan = dynamics._plan(f, sys, powers, images, support)
+    edges = [e for w in images for iv in w.intervals for e in iv]
+    return _near(np.concatenate([edges, plan.edges, sys.singularities]))
+
+
+# (depth, exponents): the short averages the unsorted loop takes, the long
+# ones whose blocks the windows sort, and a k^2 subsequence up to 64
+BIRKHOFF_DEPTHS = ((1, None), (3, None), (16, None), (33, None),
+                   (8, tuple(k * k for k in range(1, 9))))
+
+
 @pytest.mark.parametrize("kind", sorted(SYSTEMS))
 @pytest.mark.parametrize("name", sorted(GUARD_FUNCTIONS))
 def test_kernels_bit_equal_to_where_reference(kind, name):
@@ -667,12 +702,90 @@ def test_kernels_bit_equal_to_where_reference(kind, name):
     # 2^15 points walk the whole tree depth first
     for size in (1, 97, 4096, 2 ** 15 - 1, 2 ** 15, 2 ** 15 + 1):
         xs = _guard_points(size)
-        for n in (1, 3):
-            got = birkhoff(f, sys, n).eval(xs)
-            assert got.tobytes() == _birkhoff_reference(f, sys, n, xs).tobytes(), (size, n)
+        for n, powers in BIRKHOFF_DEPTHS:
+            got = birkhoff(f, sys, n, subsequence=powers).eval(xs)
+            want = _birkhoff_reference(f, sys, n, xs, powers)
+            assert got.tobytes() == want.tobytes(), (size, n)
         for n in range(7) if kind == "boole" else range(1, 4):
             got = _branch_sum(f.eval, sys, n)(xs)
             assert got.tobytes() == _branch_sum_reference(f, sys, n, xs).tobytes(), (size, n)
+    for n, powers in BIRKHOFF_DEPTHS:
+        xs = _edge_points(f, sys, n, powers)
+        got = birkhoff(f, sys, n, subsequence=powers).eval(xs)
+        assert got.tobytes() == _birkhoff_reference(f, sys, n, xs, powers).tobytes(), n
+
+
+@pytest.mark.parametrize("kind", sorted(SYSTEMS))
+@pytest.mark.parametrize("name", sorted(GUARD_FUNCTIONS))
+def test_birkhoff_index_ranges_bit_equal_on_every_system(kind, name):
+    # every block of more than one point is sorted, so the index ranges run
+    # on the Boole map too, whose windows never pay for the sort
+    sys, f = SYSTEMS[kind](), GUARD_FUNCTIONS[name]
+    with mock.patch.object(dynamics, "_SORT_STEPS", 0.0):
+        for n, powers in BIRKHOFF_DEPTHS:
+            g = birkhoff(f, sys, n, subsequence=powers)
+            for xs in (_guard_points(97), _guard_points(2 ** 15), _edge_points(f, sys, n, powers)):
+                want = _birkhoff_reference(f, sys, n, xs, powers)
+                assert g.eval(xs).tobytes() == want.tobytes(), (xs.size, n)
+
+
+def test_birkhoff_follows_a_circle_point_that_rounds_off_the_circle():
+    # with angle 0.3 the rotation of the wrap point rounds up to the circle's
+    # end c1, a line point, which the line then carries into f's support
+    sys = make_composite(circumference=1.0, angle=0.3, step=1.0)
+    c1 = CIRCLE_OFFSET + 1.0
+    wrap = np.array([sys.singularities[1]])
+    assert sys.forward(wrap)[0] == c1
+    f = indicator(c1 + 0.5, c1 + 1.5)
+    xs = np.concatenate([wrap, _edge_points(f, sys, 3)])
+    for sort_steps in (dynamics._SORT_STEPS, 0.0):
+        with mock.patch.object(dynamics, "_SORT_STEPS", sort_steps):
+            got = birkhoff(f, sys, 3).eval(xs)
+        assert got.tobytes() == _birkhoff_reference(f, sys, 3, xs).tobytes()
+        assert got[0] == 1.0 / 3.0
+
+
+def _shape(draw, near):
+    lo = near + draw(st.floats(-3.0, 3.0))
+    width = draw(st.floats(0.05, 2.5))
+    height = draw(st.sampled_from([1.0, -2.0, 0.3]))
+    kind = draw(st.sampled_from(["indicator", "bump", "steps"]))
+    if kind == "indicator":
+        return indicator(lo, lo + width, height)
+    if kind == "bump":
+        return triangular_bump(lo + width / 2, width / 2, height)
+    return piecewise_constant([lo, lo + width / 3, lo + width], [height, -0.5])
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_birkhoff_bits_equal_dense_loop(data):
+    draw = data.draw
+    kind = draw(st.sampled_from(["translation", "boole", "composite"]))
+    near = 0.0
+    if kind == "translation":
+        sys = make_translation(draw(st.sampled_from([-1.0, 1.0])) * draw(st.floats(0.05, 3.0)))
+    elif kind == "boole":
+        sys = make_boole()
+    else:
+        sys = make_composite(draw(st.floats(0.25, 3.0)), draw(st.floats(-2.0, 2.0)),
+                             draw(st.floats(-3.0, 3.0)))
+        near = draw(st.sampled_from([0.0, CIRCLE_OFFSET, CIRCLE_OFFSET + sys.params[0]]))
+    f = _shape(draw, near)
+    n = draw(st.integers(1, 24))
+    powers = None
+    if draw(st.booleans()):
+        powers = tuple(sorted(draw(st.sets(st.integers(1, 40), min_size=n, max_size=n))))
+    g = birkhoff(f, sys, n, subsequence=powers)
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    edges = _edge_points(f, sys, n, powers)
+    xs = np.concatenate([rng.choice(edges, draw(st.integers(0, 200))),
+                         window_position(g.support, rng.random(draw(st.integers(0, 3000))))])
+    xs = rng.permutation(xs)
+    sort_steps = draw(st.sampled_from([dynamics._SORT_STEPS, 0.0]))
+    with mock.patch.object(dynamics, "_SORT_STEPS", sort_steps):
+        got = g.eval(xs)
+    assert got.tobytes() == _birkhoff_reference(f, sys, n, xs, powers).tobytes()
 
 
 def test_branch_sum_maps_cauchy_kernels_by_letac():

@@ -215,6 +215,19 @@ def test_birkhoff_slope_verdict():
 # ---------------------------------------------------------------------------
 # blum-hanson subsequences
 
+def test_birkhoff_decay_past_the_pullback_cap_is_discretized():
+    # at depth 16 the Boole average has more breakpoints than the cap; its
+    # row once read l1 0.0 and gauge 0.0 from a one-cell spot check
+    cfg = default_config("birkhoff_decay", seed=3, system={"kind": "boole"},
+                         depths=(12, 16), replicates=2000)
+    rows, _ = run_experiment(cfg)
+    assert [r.norm_source for r in rows] == ["simple", "discretized"]
+    deep = rows[1]
+    assert "exact_oracle" not in {v.id for v in deep.verdicts}
+    assert abs(deep.l1 - 1.0) < 1e-3
+    assert deep.gauge > 0.0
+
+
 def test_blum_hanson_identity_subsequence_reduces_to_birkhoff():
     kwargs = dict(depths=(1, 2, 3), replicates=2000)
     cfg_b = default_config("birkhoff_decay", seed=17, **kwargs)

@@ -1,5 +1,7 @@
 """Windows, simple functions, and quadrature."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -227,6 +229,29 @@ def test_simple_to_test_round_trip_merges_atoms(atoms):
         merged[v] = merged.get(v, 0.0) + m
     back = piecewise_to_simple(simple_to_test(SimpleFunction(tuple(atoms))))
     assert back == SimpleFunction(tuple(sorted(merged.items())))
+
+
+def test_piecewise_to_simple_probes_every_cell_in_one_call():
+    base = piecewise_constant([-1.0, 0.3, 0.7, 2.5, 4.0], [2.0, -1.0, 0.0, 2.0])
+    calls = []
+
+    def counted(x):
+        calls.append(np.array(x))
+        return base.eval(x)
+
+    s = piecewise_to_simple(dataclasses.replace(base, eval=counted))
+    assert s == SimpleFunction(((-1.0, 0.7 - 0.3), (2.0, 1.3 + 1.5)))
+    assert len(calls) == 1
+    # the zero step (0.7, 2.5) is off the support, so it is no cell
+    cells = [(-1.0, 0.3), (0.3, 0.7), (2.5, 4.0)]
+    per_cell = np.concatenate([np.linspace(a, b, 5)[1:-1] for a, b in cells])
+    assert calls[0].tobytes() == per_cell.tobytes()
+
+
+def test_piecewise_to_simple_refuses_incomplete_breakpoints():
+    f = dataclasses.replace(indicator(0.0, 1.0), breakpoints=(), breakpoints_complete=False)
+    with pytest.raises(ValueError, match="incomplete"):
+        piecewise_to_simple(f)
 
 
 def test_piecewise_to_simple_rejects_nonconstant():
