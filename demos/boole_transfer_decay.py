@@ -10,13 +10,13 @@ operator pushes densities forward:
 Iterating it conserves total mass exactly while flattening the density, so
 the star norm of the iterates decays to zero: the system is "remotely
 infinite" and its Poisson suspension is exact.  Each iterate doubles the
-number of preimage branches: at depth n, the branch sum at one point costs
-2^n leaf evaluations of f.  Between the forward orbit of f's breakpoints the
-iterate is analytic, so it is stored as a piecewise Chebyshev interpolant
-of degree 16: the branch sum runs only at the fit nodes, and every sample
-point and quadrature node evaluates the interpolant.  Each run reports the
-fit's estimated sup-norm error per depth (a heuristic estimate, not a
-bound) beside the truncation bound.
+number of preimage branches, so at depth n the sum has 2^n terms.  Instead
+the iterate is built one preimage step per level.  Between the forward
+orbit of f's breakpoints it is analytic, so level k is a piecewise
+Chebyshev interpolant of degree 16 of the transfer of level k-1, and every
+sample point and quadrature node evaluates level n.  Each run reports the
+summed per-level estimate of the sup-norm error by depth (a heuristic
+estimate, not a bound) beside the truncation bound.
 """
 
 from poisson_orlicz import default_config, run_experiment
@@ -34,6 +34,6 @@ for r in rows:
 print(f"\nmass stays at 1 and the star column never rises: "
       f"all_pass={summary['all_pass']}")
 print("(the n=0 row is the exact value 2/e = 0.735759 of the base")
-print("indicator; later rows are Monte Carlo over the interpolant of the")
-print("2^n-branch sum, whose estimated fit error is at most "
+print("indicator; later rows are Monte Carlo over the level-n interpolant")
+print("of the 2^n-branch sum, whose estimated fit error is at most "
       f"{max(summary['fit_error_estimate'].values()):.1e})")

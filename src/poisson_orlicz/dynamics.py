@@ -29,7 +29,6 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .measure import (
-    _CHUNK,
     TestFunction,
     Window,
     _finite,
@@ -58,7 +57,6 @@ __all__ = [
 CIRCLE_OFFSET = float(2 ** 20)
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
-_BOOLE_DEPTH_LIMIT = 14
 # mass a transfer window may miss before its deficit becomes the L1 tail bound
 TRANSFER_TAIL_TOL = 1e-4
 # the Monte Carlo norms of a branching transfer iterate T-hat^n f sample its
@@ -130,10 +128,10 @@ def make_boole() -> DynamicalSystem:
     """T(x) = x - 1/x, Lebesgue preserving with two preimage branches.
 
     The branches are y+- = (x +- sqrt(x^2 + 4)) / 2 with inverse Jacobian
-    1 / (1 + 1/y^2).  One pass computes y+ once, in a cancellation-free
-    form for either sign of x, derives y- = -1/y+ from y+ y- = -1, and
-    takes each Jacobian from the y it belongs to.  T(0) is undefined and
-    reported as NaN.
+    1 / (1 + 1/y^2).  One pass computes s = |x|/2 + hypot(x, 2)/2 >= 1, the
+    preimage on x's side up to sign, free of cancellation and overflow; the
+    other is -1/(+-s), as y+ y- = -1.  Each Jacobian is taken from the y it
+    belongs to.  T(0) is undefined and reported as NaN.
     """
 
     def fwd(x):
@@ -144,19 +142,16 @@ def make_boole() -> DynamicalSystem:
         return out
 
     def _jac(y):
-        yy = y * y
+        # y^2 / (1 + y^2) is 1.0 in floats from |y| of about 1.3e8 on, so
+        # capping |y| at 1e154, where y^2 would overflow, changes no value
+        yy = np.square(np.minimum(np.abs(y), 1e154))
         return yy / (1.0 + yy)
 
-    def _y_plus(x):
-        # its own scope, so d is freed before the four outputs are built;
-        # the unused branch divides by d - min(x, 0) >= d, never by the
-        # d - x that rounds to 0 for x above about 1e8
-        d = np.sqrt(x * x + 4.0)
-        return np.where(x >= 0.0, 0.5 * (x + d), 2.0 / (d - np.minimum(x, 0.0)))
-
     def branches(x):
-        y_plus = _y_plus(x)
-        y_minus = -1.0 / y_plus
+        s = 0.5 * np.hypot(x, 2.0) + 0.5 * np.abs(x)
+        pos = x >= 0.0
+        y_plus = np.where(pos, s, 1.0 / s)
+        y_minus = np.where(pos, -1.0 / s, -s)
         return ((y_plus, _jac(y_plus)), (y_minus, _jac(y_minus)))
 
     def image(w: Window, k: int) -> Window:
@@ -501,49 +496,33 @@ def birkhoff(f: TestFunction, sys: DynamicalSystem, n: int,
 # Transfer operator
 
 def _branch_sum(f_eval, sys: DynamicalSystem, n: int):
-    """Closure evaluating sum over depth-n preimage branches of
-    f(y) * prod(inverse Jacobians).
-
-    For a batch of m points, the bottom d levels of the tree are expanded
-    level by level into tiles of 2^d rows of m points, d the largest depth
-    <= n with m 2^d <= _CHUNK; the levels above are walked depth first, the
-    stack holding at most one pending sibling per level.  A batch of more
-    than _CHUNK / 2 points, as a Monte Carlo block mostly is, gets d = 0 and
-    walks the whole tree; a quadrature batch of a few hundred points takes a
-    few tiles instead of 2^(n+1) - 1 steps.  A tile's rows are added one at a
-    time in the walk's order, the last branch first at each level, so the
-    sum has the same bits whatever d is.  Memory is bounded by one tile of
-    at most max(m, _CHUNK) leaves plus one pending sibling per walked level,
-    not by the 2^n leaves."""
-    preimages = sys.preimages
+    """Closure evaluating f(y) times the product of the inverse Jacobians
+    along the way, y the depth-n preimage of x under a one-branch system,
+    a NaN value counted as 0."""
 
     def _eval(x):
         x = np.asarray(x, dtype=float)
-        flat = x.ravel()
-        m = flat.size
-        d = min(n, (_CHUNK // m).bit_length() - 1) if 0 < m <= _CHUNK else 0
-        out = np.zeros(m)
-        stack = [(0, flat, np.ones(m))]
-        while stack:
-            level, y, wgt = stack.pop()
-            if level < n - d:
-                for y2, jac in preimages(y):
-                    stack.append((level + 1, y2, wgt * jac))
-                continue
-            ys, ws = y[None], wgt[None]
-            for _ in range(d):
-                pairs = preimages(ys.ravel())[::-1]
-                shape = (ws.shape[0] * len(pairs), m)
-                ys = np.stack([y2.reshape(ws.shape) for y2, _ in pairs], axis=1).reshape(shape)
-                ws = np.stack([ws * jac.reshape(ws.shape) for _, jac in pairs],
-                              axis=1).reshape(shape)
-            vals = np.asarray(f_eval(ys.ravel()), dtype=float).reshape(ys.shape)
-            nan = np.isnan(vals)
-            if nan.any():
-                vals = np.where(nan, 0.0, vals)
-            for row in ws * vals:
-                out += row
-        return out.reshape(x.shape)
+        y, wgt = x.ravel(), np.ones(x.size)
+        for _ in range(n):
+            (y, jac), = sys.preimages(y)
+            wgt = wgt * jac
+        vals = np.asarray(f_eval(y), dtype=float)
+        return (np.zeros(x.size) + wgt * np.where(np.isnan(vals), 0.0, vals)).reshape(x.shape)
+
+    return _eval
+
+
+def _step(g_eval, sys: DynamicalSystem):
+    """Closure evaluating T-hat g: the sum over the preimages y of x of
+    g(y) times the inverse Jacobian at y, one call of g taking every
+    branch's points, a NaN value counted as 0."""
+
+    def _eval(x):
+        x = np.asarray(x, dtype=float)
+        pairs = sys.preimages(x.ravel())
+        vals = np.asarray(g_eval(np.concatenate([y for y, _ in pairs])), dtype=float)
+        vals = np.where(np.isnan(vals), 0.0, vals).reshape(len(pairs), x.size)
+        return sum(jac * v for (_, jac), v in zip(pairs, vals)).reshape(x.shape)
 
     return _eval
 
@@ -563,11 +542,11 @@ def _forward_orbit(sys: DynamicalSystem, pts, n: int) -> tuple[float, ...]:
 # ---------------------------------------------------------------------------
 # Piecewise Chebyshev interpolants of branching transfer iterates
 #
-# On a two-branch system T-hat^n f is analytic between the forward orbit of
+# On a two-branch system T-hat^k f is analytic between the forward orbit of
 # f's breakpoints (Boole's branches are analytic on the real line), so a
-# degree-16 Chebyshev interpolant per piece stands for it and the 2^n-leaf
-# branch sum runs only at the fit nodes (Trefethen, Approximation Theory and
-# Approximation Practice, SIAM 2013, ch. 7-8).
+# degree-16 Chebyshev interpolant per piece stands for it, and each level
+# of a ``_Chain`` fits one transfer step of the level before (Trefethen,
+# Approximation Theory and Approximation Practice, SIAM 2013, ch. 7-8).
 
 _NODES = 17
 _THETA = (np.arange(_NODES) + 0.5) * (math.pi / _NODES)
@@ -580,11 +559,13 @@ _CHECK_NODES = np.cos(np.arange(1, _NODES) * (math.pi / _NODES))
 # row j: the weight of the value at node j in each Chebyshev coefficient
 _DCT = (2.0 / _NODES) * np.cos(np.outer(_THETA, np.arange(_NODES)))
 _DCT[:, 0] *= 0.5
+# row j: T_j at each check node, cos(j i pi / 17)
+_AT_CHECK = np.cos(np.outer(np.arange(_NODES), np.arange(1, _NODES)) * (math.pi / _NODES))
 # the integral of T_k over [-1, 1]: 2 / (1 - k^2) for even k, 0 for odd k
 _T_INTEGRALS = np.array([2.0 / (1 - k * k) if k % 2 == 0 else 0.0 for k in range(_NODES)])
 # a piece is fitted when its coefficient tail plus its error at the check
 # nodes is at most _FIT_TOL sup|f|, else split; past _MAX_PIECES pieces, or
-# below a relative width of _MIN_WIDTH, an unfitted piece keeps the branch sum
+# below a relative width of _MIN_WIDTH, a piece is left unfitted
 _FIT_TOL = 1e-14
 _MAX_PIECES = 2048
 _MIN_WIDTH = 1e-9
@@ -592,7 +573,7 @@ _MIN_WIDTH = 1e-9
 
 class _Fit(NamedTuple):
     """Pieces [a, b] with Chebyshev coefficients (one row per piece), the
-    error estimate of each, and whether it keeps the branch sum instead."""
+    error estimate of each, and whether it is left unfitted."""
     a: np.ndarray
     b: np.ndarray
     coef: np.ndarray
@@ -624,18 +605,16 @@ def _fit_pass(func, a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarra
     """Coefficients (one row per piece) of the interpolants of func at the
     fit nodes of each piece [a, b], and each fit's error estimate: the last
     two coefficients plus the largest miss at the check nodes, inf when a
-    value is not finite.  One call of func takes every piece's points."""
+    value is not finite.  One call of func takes every piece's points; the
+    products with _DCT and _AT_CHECK run in einsum's own loops, not BLAS,
+    whose threads could change the bits."""
     mid, half = 0.5 * (a + b), 0.5 * (b - a)
     t = np.concatenate([_FIT_NODES, _CHECK_NODES])
     x = mid[:, None] + half[:, None] * t
     v = np.asarray(func(x.ravel()), dtype=float).reshape(x.shape)
     with np.errstate(over="ignore", invalid="ignore"):
-        coef = np.zeros(a.shape + (_NODES,))
-        for j in range(_NODES):
-            coef += v[:, j, None] * _DCT[j]
-        piece = np.repeat(np.arange(a.size), _NODES - 1)
-        fitted = _clenshaw(np.ascontiguousarray(coef.T), piece, np.tile(_CHECK_NODES, a.size))
-        miss = np.abs(fitted.reshape(a.size, _NODES - 1) - v[:, _NODES:])
+        coef = np.einsum("pj,jk->pk", v[:, :_NODES], _DCT)
+        miss = np.abs(np.einsum("pj,jk->pk", coef, _AT_CHECK) - v[:, _NODES:])
         est = np.abs(coef[:, -2]) + np.abs(coef[:, -1]) + miss.max(axis=1)
     return coef, np.where(np.isfinite(est), est, math.inf)
 
@@ -652,12 +631,15 @@ def _fit_pieces(func, a: np.ndarray, b: np.ndarray, tol: float) -> _Fit:
     """Interpolants of func on the pieces [a, b]: a pass fits every open
     piece in one batched call, and a piece missing ``tol`` is split for the
     next pass.  A piece that cannot be split, or would pass _MAX_PIECES
-    pieces, keeps the branch sum."""
+    pieces, is left unfitted: the interpolant evaluates func there."""
     done = []
     total = a.size
     while a.size:
         coef, est = _fit_pass(func, a, b)
         ok = est <= tol
+        if ok.all():
+            done.append(_Fit(a, b, coef, est, ~ok))
+            break
         mid = _split(a, b)
         can = (~ok & np.isfinite(est) & (a < mid) & (mid < b)
                & (b - a > _MIN_WIDTH * np.maximum(1.0, np.maximum(np.abs(a), np.abs(b)))))
@@ -681,10 +663,10 @@ def _regions(regions, cuts) -> tuple[np.ndarray, np.ndarray]:
     return np.array(a), np.array(b)
 
 
-def _interpolant(fit: _Fit, branch):
+def _interpolant(fit: _Fit, func):
     """The pointwise evaluator of the fitted pieces: the piece by
     searchsorted, its coefficients gathered, then Clenshaw; a point outside
-    the pieces, or on one that keeps the branch sum, gets the branch sum."""
+    the pieces, or on one left unfitted, gets ``func``, the function fitted."""
     order = np.argsort(fit.a)
     edges = np.append(fit.a[order], fit.b[order][-1])
     coef = np.ascontiguousarray(fit.coef[order].T)
@@ -699,17 +681,47 @@ def _interpolant(fit: _Fit, branch):
         k = np.searchsorted(edges, flat, side="right") - 1
         k[flat == edges[-1]] = last
         keep = (k >= 0) & (k <= last)
-        np.clip(k, 0, last, out=k)
+        np.minimum(np.maximum(k, 0, out=k), last, out=k)
         keep &= ~fallback[k]
         with np.errstate(over="ignore", invalid="ignore"):
             t = (flat - mid.take(k)) / half.take(k)
         np.copyto(t, 0.0, where=~keep)
         out = _clenshaw(coef, k, t)
         if not keep.all():
-            out[~keep] = branch(flat[~keep])
+            out[~keep] = func(flat[~keep])
         return out.reshape(x.shape)
 
     return _eval
+
+
+class _Chain:
+    """T-hat^k f for k = 1..n on a two-branch system, one preimage step per
+    level.  Level k fits T-hat p_{k-1} (``_fit_pieces``), p_{k-1} the
+    interpolant of level k-1 and p_0 = f, on [-(r + n - k), r + n - k],
+    which holds the preimages of level k+1's window (|y+-(x)| <= |x| + 1).
+    It is cut at 0 and at T(e) for every piece edge e of level k-1, f's
+    breakpoints and support ends being level 0's: at their forward orbit,
+    and at the seams where p_{k-1} may jump by its fit error.  ``grow(r)``
+    extends every level to level n's radius r by its new outer pieces and
+    returns level n's; ``evals[k]`` is p_k."""
+
+    def __init__(self, f_eval, sys: DynamicalSystem, n: int, edges, tol: float):
+        self.sys, self.tol, self.edges, self.radius = sys, tol, np.asarray(edges, dtype=float), 0.0
+        self.evals, self.fits = [f_eval] + [None] * n, [[] for _ in range(n)]
+
+    def grow(self, radius: float) -> _Fit:
+        old, edges, n = self.radius, self.edges, len(self.fits)
+        for k in range(1, n + 1):
+            hi, lo = radius + n - k, old + n - k
+            seams = np.asarray(self.sys.forward(edges), dtype=float)
+            cuts = sorted(set(seams[np.isfinite(seams)].tolist()) | set(self.sys.singularities))
+            step = _step(self.evals[k - 1], self.sys)
+            pieces = _regions([(-hi, -lo), (lo, hi)] if old else [(-hi, hi)], cuts)
+            self.fits[k - 1].append(_fit_pieces(step, *pieces, self.tol))
+            fit = _join(self.fits[k - 1])
+            self.evals[k], edges = _interpolant(fit, step), np.concatenate([fit.a, fit.b])
+        self.radius = radius
+        return self.fits[-1][-1]
 
 
 def _one_signed(f: TestFunction) -> bool:
@@ -725,7 +737,7 @@ def _one_signed(f: TestFunction) -> bool:
 def _mass(fit: _Fit, abs_eval, q_tol: float) -> tuple[list[float], list[float]]:
     """Masses of the pieces of a fit of a function of one sign, and their
     errors: |integral| from the coefficients, with error est * length; a
-    piece that keeps the branch sum integrates ``abs_eval`` by quadrature."""
+    piece left unfitted integrates ``abs_eval`` by quadrature."""
     half = 0.5 * (fit.b - fit.a)
     mass = np.abs(half * (fit.coef * _T_INTEGRALS).sum(axis=1)).tolist()
     err = (fit.est * (fit.b - fit.a)).tolist()
@@ -742,31 +754,27 @@ def transfer_apply(f: TestFunction, sys: DynamicalSystem, n: int,
     For the two-branch Boole map the support of the image is unbounded, so
     a finite window is grown until the mass it misses, measured through the
     conservation identity int T-hat^n |f| = int |f|, is below ``tail_tol``;
-    the remaining deficit is declared as the L1 tail bound.  The image is a
-    piecewise Chebyshev interpolant on that window (see ``_fit_pieces``),
-    cut at the forward orbits of f's breakpoints and support ends; each
-    growth step fits only the new outer pieces and reads their mass from the
-    coefficients.  T-hat^n |f| reuses the fit when f has one sign
-    (``_one_signed``) and gets its own otherwise.  The largest fit error
-    estimate is declared as ``fit_error``.
+    the remaining deficit is declared as the L1 tail bound.  The image is
+    built level by level, one preimage step each, as a chain of piecewise
+    Chebyshev interpolants (``_Chain``); each growth step of the window
+    extends every level by its new outer pieces only and reads their mass
+    from level n's coefficients.  T-hat^n |f| reuses the chain when f has
+    one sign (``_one_signed``) and runs as its own chain otherwise.
+    Boole's inverse Jacobians sum to 1, so T-hat does not raise the sup
+    norm and the error of level n is at most the sum of the levels' fit
+    errors: the sum of their estimates is declared as ``fit_error``.
     """
     n = int(n)
     if n < 0:
         raise ValueError("depth must be >= 0")
     if n == 0:
         return f
-    two_branch = len(sys.preimages(0.0)) > 1
-    if two_branch and n > _BOOLE_DEPTH_LIMIT:
-        raise ValueError(f"transfer depth is limited to {_BOOLE_DEPTH_LIMIT} "
-                         "for two-branch systems")
+    edges = list(f.breakpoints) + [e for iv in f.support.intervals for e in iv]
+    orbit = _forward_orbit(sys, edges, n)
 
-    signed_eval = _branch_sum(f.eval, sys, n)
-    ends = [e for iv in f.support.intervals for e in iv]
-    orbit = _forward_orbit(sys, list(f.breakpoints) + ends, n)
-
-    if not two_branch:
+    if len(sys.preimages(0.0)) == 1:
         return TestFunction(
-            eval=signed_eval,
+            eval=_branch_sum(f.eval, sys, n),
             support=sys.image(f.support, n),
             sup_bound=f.sup_bound,
             l1_tail_bound=f.l1_tail_bound,
@@ -780,27 +788,21 @@ def transfer_apply(f: TestFunction, sys: DynamicalSystem, n: int,
     if f.l1_tail_bound or f.l2_tail_bound:
         raise ValueError("transfer needs a compactly supported f (no declared tails)")
 
-    # T-hat^n |f| is |T-hat^n f| when f has one sign, so the signed fit serves
-    one_signed = _one_signed(f)
-    if one_signed:
-        def abs_eval(x):
-            return np.abs(signed_eval(x))
-    else:
-        abs_eval = _branch_sum(lambda x: np.abs(np.asarray(f.eval(x), dtype=float)), sys, n)
-    total_mass, mass_err = integrate(f, f.support, transform=np.abs, tol=1e-10)
-
-    cuts = sorted(set(orbit) | set(sys.singularities))
     tol = _FIT_TOL * f.sup_bound
+    chain = _Chain(f.eval, sys, n, edges, tol)
+    # T-hat^n |f| is |T-hat^n f| when f has one sign, so the signed chain serves
+    abs_chain = chain if _one_signed(f) else _Chain(
+        lambda x: np.abs(np.asarray(f.eval(x), dtype=float)), sys, n, edges, tol)
+    total_mass, mass_err = integrate(f, f.support, transform=np.abs, tol=1e-10)
     q_tol = max(1e-9, 0.02 * tail_tol)
     hull = max(max(abs(lo), abs(hi)) for lo, hi in f.support.intervals)
     radius = hull + n + 1.0
-    regions = [(-radius, radius)]
-    fits, masses, errs = [], [], []
+    masses, errs = [], []
     for attempt in range(24):
-        pieces = _regions(regions, cuts)
-        new = _fit_pieces(signed_eval, *pieces, tol)
-        fits.append(new)
-        m, e = _mass(new if one_signed else _fit_pieces(abs_eval, *pieces, tol), abs_eval, q_tol)
+        new = chain.grow(radius)
+        if abs_chain is not chain:
+            new = abs_chain.grow(radius)
+        m, e = _mass(new, lambda x: np.abs(abs_chain.evals[-1](x)), q_tol)
         masses += m
         errs += e
         deficit = max(0.0, total_mass + mass_err - math.fsum(masses) + math.fsum(errs))
@@ -810,13 +812,10 @@ def transfer_apply(f: TestFunction, sys: DynamicalSystem, n: int,
             warnings.warn(f"transfer window stopped at deficit {deficit:g} > {tail_tol:g}")
             break
         # the missing mass falls off like c / radius: jump toward the target
-        grown = max(radius * 1.6, 1.3 * deficit * radius / tail_tol)
-        regions = [(-grown, -radius), (radius, grown)]
-        radius = grown
+        radius = max(radius * 1.6, 1.3 * deficit * radius / tail_tol)
 
-    fit = _join(fits)
     return TestFunction(
-        eval=_interpolant(fit, signed_eval),
+        eval=chain.evals[-1],
         support=window((-radius, radius)),
         sup_bound=f.sup_bound,
         l1_tail_bound=deficit,
@@ -824,7 +823,7 @@ def transfer_apply(f: TestFunction, sys: DynamicalSystem, n: int,
         breakpoints=tuple(sorted({b for b in orbit if -radius < b < radius}
                                  | set(sys.singularities))),
         breakpoints_complete=f.breakpoints_complete,
-        fit_error=float(fit.est.max()),
+        fit_error=math.fsum(max(float(fit.est.max()) for fit in level) for level in chain.fits),
     )
 
 

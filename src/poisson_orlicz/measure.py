@@ -42,9 +42,9 @@ __all__ = [
     "piecewise_to_simple",
 ]
 
-# points per evaluation block, for the Monte Carlo sample blocks and the
-# branch-sum tiles alike: a block's temporaries (a Birkhoff average holds a
-# few arrays of this length per forward step) stay in the CPU caches
+# points per Monte Carlo sample block: a block's temporaries (a Birkhoff
+# average holds a few arrays of this length per forward step) stay in the
+# CPU caches
 _CHUNK = 1 << 15
 
 # ---------------------------------------------------------------------------

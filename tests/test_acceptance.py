@@ -239,7 +239,7 @@ def test_criterion_10_starstar_properties():
 
 
 # sha256 of `porlicz suite --seed 42` (CSV): every byte of the gate
-SUITE_CSV_SHA256 = "c86ab969ed9302809b7e9da3e3e906632ccb64813e5c3e9991e999c77de70bac"
+SUITE_CSV_SHA256 = "de4efe43ae8a12d4d6ce23eb9e64bdd94e83f429087640d5be73300551452f4e"
 
 
 def test_criterion_11_suite_determinism(tmp_path):

@@ -117,6 +117,22 @@ def test_boole_preimages_of_large_points_raise_no_warning():
         assert np.all(np.abs(sys.forward(y) - x) <= 1e-15 * np.abs(x))
 
 
+def test_boole_preimages_near_the_float_max_stay_finite():
+    # x^2 and x + sqrt(x^2 + 4) overflow here; the preimages must not, and
+    # pytest turns any RuntimeWarning into an error
+    big = np.finfo(float).max
+    x = np.array([1e200, -1e200, big, -big])
+    pairs = make_boole().preimages(x)
+    total = np.zeros(x.shape)
+    for y, jac in pairs:
+        assert np.all(np.isfinite(y))
+        assert np.all((jac >= 0.0) & (jac <= 1.0))
+        total += jac
+    assert np.array_equal(total, np.ones(x.shape))
+    (y_plus, _), (y_minus, _) = pairs
+    assert np.array_equal(np.where(x > 0, y_plus, -y_minus), np.abs(x))
+
+
 def test_boole_backward_inflate():
     sys = make_boole()
     w = window((-2.0, 2.0))
@@ -424,10 +440,14 @@ def test_transfer_boole_positivity():
     assert np.min(g.eval(xs)) >= 0.0
 
 
-def test_transfer_boole_depth_limit():
-    sys = make_boole()
-    with pytest.raises(ValueError):
-        transfer_apply(indicator(1.0, 2.0), sys, 15)
+@pytest.mark.parametrize("n", [20, 64])
+def test_transfer_boole_deep_iterates_conserve_mass(n):
+    # depths whose 2^n preimage leaves are out of reach: the mass inside the
+    # grown window plus the declared deficit must still be 1
+    g = transfer_apply(indicator(1.0, 2.0), make_boole(), n)
+    moments, err = function_moments(g, tol=1e-9)
+    assert g.l1_tail_bound <= 1e-4
+    assert abs(moments.l1 - 1.0) <= g.l1_tail_bound + err
 
 
 def test_transfer_composite_shifts_line_and_fixes_circle():
@@ -538,8 +558,8 @@ def test_transfer_boole_matches_closed_form_recursion():
 
 
 # ---------------------------------------------------------------------------
-# the piecewise Chebyshev interpolant of a Boole transfer iterate against
-# the branch sum it stands for
+# the level chain of a Boole transfer iterate against the 2^n-leaf branch
+# sum it stands for
 
 _SIGNED = st.one_of(st.floats(0.125, 4.0), st.floats(-4.0, -0.125))
 _FIT_SHAPES = st.one_of(
@@ -561,7 +581,7 @@ def test_transfer_interpolant_within_its_fit_estimate(f, n, seed):
     xs = np.concatenate([rng.uniform(-60.0, 60.0, 300), rng.uniform(lo, hi, 100)])
     # the branch sum jumps at the breakpoints, where either side is right
     xs = xs[np.min(np.abs(xs[:, None] - np.array(g.breakpoints)), axis=1) >= 1e-9]
-    miss = np.abs(g.eval(xs) - _branch_sum(f.eval, sys, n)(xs))
+    miss = np.abs(g.eval(xs) - _branch_sum_reference(f, sys, n, xs))
     assert miss.max() <= g.fit_error + 8 * np.spacing(f.sup_bound)
 
 
@@ -625,8 +645,9 @@ def _birkhoff_reference(f, sys, n, x, powers=None):
 
 
 def _branch_sum_reference(f, sys, n, x):
-    """The depth-first branch sum, in _branch_sum's order, a NaN value
-    counted as 0.0."""
+    """The depth-first sum over all 2^n (or 1) preimage branches, a NaN
+    value counted as 0.0: bit for bit the one-branch loop ``_branch_sum``,
+    and what the Boole level chain stands for."""
     out = np.zeros(x.shape)
     stack = [(0, x, np.ones(x.shape))]
     while stack:
@@ -697,16 +718,15 @@ BIRKHOFF_DEPTHS = ((1, None), (3, None), (16, None), (33, None),
 @pytest.mark.parametrize("name", sorted(GUARD_FUNCTIONS))
 def test_kernels_bit_equal_to_where_reference(kind, name):
     sys, f = SYSTEMS[kind](), GUARD_FUNCTIONS[name]
-    # batches of 1 and 97 points fit the Boole tree in one tile, 4096 points
-    # walk the top levels and tile the bottom three, and the batches around
-    # 2^15 points walk the whole tree depth first
+    # from one point to just past one 2^15-point Monte Carlo block
     for size in (1, 97, 4096, 2 ** 15 - 1, 2 ** 15, 2 ** 15 + 1):
         xs = _guard_points(size)
         for n, powers in BIRKHOFF_DEPTHS:
             got = birkhoff(f, sys, n, subsequence=powers).eval(xs)
             want = _birkhoff_reference(f, sys, n, xs, powers)
             assert got.tobytes() == want.tobytes(), (size, n)
-        for n in range(7) if kind == "boole" else range(1, 4):
+        # a one-branch system's transfer iterate is the branch sum itself
+        for n in range(1, 4) if kind != "boole" else ():
             got = _branch_sum(f.eval, sys, n)(xs)
             assert got.tobytes() == _branch_sum_reference(f, sys, n, xs).tobytes(), (size, n)
     for n, powers in BIRKHOFF_DEPTHS:
@@ -791,19 +811,24 @@ def test_birkhoff_bits_equal_dense_loop(data):
 def test_branch_sum_maps_cauchy_kernels_by_letac():
     # Boole's map is the boundary map of the inner function z - 1/z, so its
     # transfer operator sends the Cauchy kernel P_z to P_{z - 1/z} (Letac,
-    # "Which functions preserve Cauchy laws?", Proc. AMS 67, 1977)
+    # "Which functions preserve Cauchy laws?", Proc. AMS 67, 1977).  The
+    # level chain, with no breakpoints to follow, must stay within its
+    # summed fit estimate of the closed form
     def cauchy(z):
         a, b = z.real, z.imag
         return lambda x: (b / math.pi) / ((np.asarray(x, dtype=float) - a) ** 2 + b * b)
 
     sys, z = make_boole(), 0.3 + 1.0j
     xs = np.linspace(-20.0, 20.0, 201)
-    zn = z
-    for n in range(1, 15):
-        zn = zn - 1.0 / zn
-        got = _branch_sum(cauchy(z), sys, n)(xs)
-        want = cauchy(zn)(xs)
-        assert np.max(np.abs(got - want) / want) < 1e-13, n
+    zn, depth = z, 0
+    for n in (16, 64, 256):
+        while depth < n:
+            zn, depth = zn - 1.0 / zn, depth + 1
+        chain = dynamics._Chain(cauchy(z), sys, n, (), dynamics._FIT_TOL / math.pi)
+        chain.grow(20.0)
+        estimate = math.fsum(max(float(fit.est.max()) for fit in level) for level in chain.fits)
+        miss = np.abs(chain.evals[-1](xs) - cauchy(zn)(xs))
+        assert miss.max() <= estimate + 4 * np.spacing(1.0 / math.pi), n
 
 
 def test_circle_indicator_negative_scale_keeps_positive_zero():

@@ -477,7 +477,7 @@ def test_stock_config_hash_is_pinned(scenario):
 
 
 # sha256 of `porlicz suite --seed 42 --format json`: every byte of the gate
-SUITE_JSON_SHA256 = "1e0c98bc15750fa4c5d072b54974a38b44fed75b0c1d5ef82f46fde1408fd4fa"
+SUITE_JSON_SHA256 = "82bf2bd3212c01dc5afd9e9973a5ac47f3297bda2e4ec5db649ff4fe14292081"
 
 
 def test_suite_config_hashes_are_pinned(capsys):
