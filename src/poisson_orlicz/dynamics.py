@@ -793,7 +793,8 @@ def transfer_apply(f: TestFunction, sys: DynamicalSystem, n: int,
     # T-hat^n |f| is |T-hat^n f| when f has one sign, so the signed chain serves
     abs_chain = chain if _one_signed(f) else _Chain(
         lambda x: np.abs(np.asarray(f.eval(x), dtype=float)), sys, n, edges, tol)
-    total_mass, mass_err = integrate(f, f.support, transform=np.abs, tol=1e-10)
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below when not finite
+        total_mass, mass_err = integrate(f, f.support, transform=np.abs, tol=1e-10)
     q_tol = max(1e-9, 0.02 * tail_tol)
     hull = max(max(abs(lo), abs(hi)) for lo, hi in f.support.intervals)
     radius = hull + n + 1.0
@@ -805,7 +806,13 @@ def transfer_apply(f: TestFunction, sys: DynamicalSystem, n: int,
         m, e = _mass(new, lambda x: np.abs(abs_chain.evals[-1](x)), q_tol)
         masses += m
         errs += e
-        deficit = max(0.0, total_mass + mass_err - math.fsum(masses) + math.fsum(errs))
+        deficit = total_mass + mass_err - math.fsum(masses) + math.fsum(errs)
+        if not math.isfinite(deficit):
+            # an overflow in a quadrature or a fit: max(0.0, nan) would pass as 0
+            raise ValueError(
+                f"transfer: the missed mass is {deficit!r}; a mass or a step on the way "
+                f"is beyond the float range (largest float {float(np.finfo(float).max)!r})")
+        deficit = max(0.0, deficit)
         if deficit <= tail_tol:
             break
         if attempt == 23:

@@ -384,6 +384,15 @@ def _gk_batch(func, mid: np.ndarray, half) -> tuple[np.ndarray, np.ndarray]:
     |K15 - G7| is a heuristic estimate of the K15 error, not a proven
     bound; it is kept pessimistic rather than applying the usual
     (200 d)^1.5 sharpening.
+
+    A segment's bits depend on the other segments of the same call and on
+    the BLAS: the weighted sums are one matrix-vector product over all rows,
+    and a many-row product may round a row differently from a one-row
+    product of the same values.  On the 2000 per-replicate node rows of each
+    Mecke check of ``porlicz suite --seed 42``, one (2000, 15) product
+    differed in the last bits from 2000 one-row products on 2000, 2000 and
+    1146 rows; batching calls therefore changes output bytes.  ROADMAP
+    item 5's elementwise weighted sum, which rounds each row alone, mends it.
     """
     x = mid[:, None] + np.multiply.outer(half, _GK_NODES)
     y = np.asarray(func(x.ravel()), dtype=float).reshape(x.shape)
@@ -438,10 +447,13 @@ def integrate(
         return 0.0, 0.0
 
     vals, errs = _gk_batch(func, 0.5 * (his + los), 0.5 * (his - los))
-    heap = [(-errs[i], los[i], his[i], vals[i], errs[i]) for i in range(len(los))]
-    heapq.heapify(heap)
     total_val = float(vals.sum())
     total_err = float(errs.sum())
+    if total_err <= tol:
+        # a finite err needs every segment's value finite: one pass was enough
+        return total_val, total_err
+    heap = [(-errs[i], los[i], his[i], vals[i], errs[i]) for i in range(len(los))]
+    heapq.heapify(heap)
 
     while total_err > tol and len(heap) < max_segments:
         # split the biggest contributors in one batched evaluation

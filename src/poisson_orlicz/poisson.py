@@ -87,8 +87,12 @@ class PoissonSample:
     def __post_init__(self):
         pts = np.atleast_1d(np.asarray(self.points, dtype=float))
         object.__setattr__(self, "points", pts)
-        if pts.size and not np.all(self.window.contains(pts)):
-            raise ValueError("sample points must lie inside the window")
+        _check_inside(self.window, pts)
+
+
+def _check_inside(w: Window, pts: np.ndarray) -> None:
+    if pts.size and not np.all(w.contains(pts)):
+        raise ValueError("sample points must lie inside the window")
 
 
 @dataclass(frozen=True)
@@ -121,6 +125,29 @@ def _philox(seed: int, replicate: int | None = None) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=np.array(key, dtype=np.uint64)))
 
 
+_PHILOX_ZEROS = np.zeros(4, dtype=np.uint64)  # read, not kept, by the state setter
+
+
+def _replicate_points(rng: np.random.Generator, w: Window, seed: int,
+                      replicate: int) -> np.ndarray:
+    """The points of replicate ``replicate``: rng's Philox is rekeyed to
+    (seed, replicate) at counter 0 with an empty buffer, the state of a fresh
+    ``Philox(key=(seed, replicate))``, then draws a Poisson(measure(w)) count
+    and the points, uniform via the inverse CDF.  Rekeying skips the entropy
+    draw a fresh generator makes; the key words are checked by ``_philox``."""
+    rng.bit_generator.state = {
+        "bit_generator": "Philox",
+        "state": {"counter": _PHILOX_ZEROS,
+                  "key": np.array((seed, replicate), dtype=np.uint64)},
+        "buffer": _PHILOX_ZEROS,
+        "buffer_pos": 4,
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
+    k = int(rng.poisson(w.measure)) if w else 0
+    return window_position(w, rng.random(k)) if k else np.empty(0)
+
+
 def sample_process(w: Window, rng_seed: int, replicate: int = 0) -> PoissonSample:
     """One Poisson(measure(w)) sample; points uniform via the inverse CDF.
 
@@ -128,9 +155,7 @@ def sample_process(w: Window, rng_seed: int, replicate: int = 0) -> PoissonSampl
     stream, so replicates may be drawn in any order.
     """
     rng = _philox(rng_seed, replicate)
-    k = int(rng.poisson(w.measure)) if w else 0
-    pts = window_position(w, rng.random(k)) if k else np.empty(0)
-    return PoissonSample(w, pts)
+    return PoissonSample(w, _replicate_points(rng, w, int(rng_seed), int(replicate)))
 
 
 def integral_centered(f: TestFunction, s: PoissonSample, compensator: float) -> float:
@@ -702,14 +727,20 @@ def mecke_check(
     on the Poisson Process, CUP 2017, Thm 4.1), each as a Monte Carlo estimate
     over the samples of replicates 0..R-1.  h(xs, others) is vectorized over
     the positions xs; the left side calls it at each point with that point
-    removed, the right side integrates h(., points) over w by quadrature."""
+    removed, the right side integrates h(., points) over w by quadrature.
+
+    Replicate r draws the points of ``sample_process(w, seed, r)``, from one
+    generator rekeyed per replicate; all are checked to lie in w at once."""
     R = int(R)
+    rng = _philox(seed, max(R - 1, 0))
+    samples = [_replicate_points(rng, w, int(seed), r) for r in range(R)]
+    if samples:
+        _check_inside(w, np.concatenate(samples))
     lhs, rhs = np.empty(R), np.empty(R)
-    for r in range(R):
-        pts = sample_process(w, seed, r).points
+    probe = TestFunction(eval=lambda xs: h(xs, pts), support=w)  # the loop's current pts
+    for r, pts in enumerate(samples):
         lhs[r] = math.fsum(float(h(pts[i:i + 1], np.concatenate((pts[:i], pts[i + 1:])))[0])
                            for i in range(pts.size))
-        probe = TestFunction(eval=lambda xs, pts=pts: h(xs, pts), support=w)
         rhs[r], _ = integrate(probe, w, tol=1e-9, max_segments=2000)
     return _mc_estimate(lhs, seed), _mc_estimate(rhs, seed)
 

@@ -1,12 +1,14 @@
 """Windows, simple functions, and quadrature."""
 
 import dataclasses
+import math
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from poisson_orlicz import measure
 from poisson_orlicz.measure import (
     SimpleFunction,
     TestFunction,
@@ -196,6 +198,27 @@ def test_integrate_reports_nonconvergence():
     f = TestFunction(eval=wiggle, support=window((0, 1)), sup_bound=1.0)
     val, err = integrate(f, window((0, 1)), tol=1e-12, max_segments=64)
     assert err > 1e-12  # reported, never silent
+
+
+def test_integrate_stops_after_one_pass_that_meets_tol(monkeypatch):
+    # a linear f: the first pass over the initial segments is the whole job,
+    # and its totals are those of that one batch
+    f = TestFunction(eval=lambda x: 3.0 * x - 1.0, support=window((0, 1), (2, 4)))
+    batches = []
+    real = measure._gk_batch
+    monkeypatch.setattr(measure, "_gk_batch",
+                        lambda func, mid, half: batches.append(mid) or real(func, mid, half))
+    val, err = integrate(f, tol=1e-9)
+    assert len(batches) == 1 and batches[0].tolist() == [0.5, 3.0]
+    vals, errs = real(f.eval, np.array([0.5, 3.0]), np.array([0.5, 1.0]))
+    assert (val, err) == (float(vals.sum()), float(errs.sum()))
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_integrate_never_returns_a_finite_total_from_overflowed_segments():
+    # each K15 sum of 1e308 overflows: the one-pass exit must not take it
+    val, err = integrate(indicator(0.0, 1.0, 1e308), tol=1e-9)
+    assert not (math.isfinite(val) and math.isfinite(err))
 
 
 def test_triangular_bump_moments():

@@ -690,6 +690,39 @@ def test_mecke_left_side_removes_each_point():
     assert rhs.mean == pytest.approx(2.0 * counts.mean(), abs=1e-9)
 
 
+@pytest.mark.parametrize("w, seed", [(window((0, 0.5)), 11),
+                                     (window((0, 0.5), (3, 4)), 12)])
+def test_mecke_hands_h_the_points_of_sample_process(w, seed):
+    seen = []
+
+    def h(xs, others):
+        seen.append((xs.copy(), others.copy()))
+        return np.ones_like(xs)
+
+    R = 40
+    mecke_check(h, w, R, seed)
+    calls = iter(seen)
+    empty = 0
+    for r in range(R):
+        pts = sample_process(w, seed, r).points
+        empty += pts.size == 0
+        for i in range(pts.size):  # the left side: each point, the others without it
+            xs, others = next(calls)
+            assert np.array_equal(xs, pts[i:i + 1])
+            assert np.array_equal(others, np.delete(pts, i))
+        xs, others = next(calls)  # the right side: h(., points) at the quadrature nodes
+        assert xs.size == 15 * len(w.intervals) and np.array_equal(others, pts)
+    assert next(calls, None) is None
+    assert empty  # a replicate with no points is among them
+
+
+def test_mecke_refuses_a_seed_outside_the_philox_key():
+    h = lambda xs, others: np.ones_like(xs)
+    for seed in (2 ** 64, -1):
+        with pytest.raises(ValueError, match=r"outside \[0, 2\^64\)"):
+            mecke_check(h, window((0, 1)), 3, seed)
+
+
 def test_difference_check_exact():
     w = window((0, 3))
     for f in (indicator(0, 1), triangular_bump(1.5, 1.0, 0.7),
