@@ -753,13 +753,13 @@ def transfer_apply(f: TestFunction, sys: DynamicalSystem, n: int,
 
     For the two-branch Boole map the support of the image is unbounded, so
     a finite window is grown until the mass it misses, measured through the
-    conservation identity int T-hat^n |f| = int |f|, is below ``tail_tol``;
-    the remaining deficit is declared as the L1 tail bound.  The image is
-    built level by level, one preimage step each, as a chain of piecewise
-    Chebyshev interpolants (``_Chain``); each growth step of the window
-    extends every level by its new outer pieces only and reads their mass
-    from level n's coefficients.  T-hat^n |f| reuses the chain when f has
-    one sign (``_one_signed``) and runs as its own chain otherwise.
+    conservation identity int T-hat^n |f| = int |f|, is below ``tail_tol``
+    times max(1, int |f|); the remaining deficit is declared as the L1 tail
+    bound.  The image is built level by level, one preimage step each, as a
+    chain of piecewise Chebyshev interpolants (``_Chain``); each growth step
+    of the window extends every level by its new outer pieces only and reads
+    their mass from level n's coefficients.  T-hat^n |f| reuses the chain
+    when f has one sign (``_one_signed``) and runs as its own chain otherwise.
     Boole's inverse Jacobians sum to 1, so T-hat does not raise the sup
     norm and the error of level n is at most the sum of the levels' fit
     errors: the sum of their estimates is declared as ``fit_error``.
@@ -795,7 +795,9 @@ def transfer_apply(f: TestFunction, sys: DynamicalSystem, n: int,
         lambda x: np.abs(np.asarray(f.eval(x), dtype=float)), sys, n, edges, tol)
     with np.errstate(over="ignore", invalid="ignore"):  # refused below when not finite
         total_mass, mass_err = integrate(f, f.support, transform=np.abs, tol=1e-10)
-    q_tol = max(1e-9, 0.02 * tail_tol)
+    # the window's tolerances are relative to the mass once it exceeds 1
+    unit = max(1.0, total_mass)
+    target, q_tol = tail_tol * unit, max(1e-9, 0.02 * tail_tol) * unit
     hull = max(max(abs(lo), abs(hi)) for lo, hi in f.support.intervals)
     radius = hull + n + 1.0
     masses, errs = [], []
@@ -813,13 +815,13 @@ def transfer_apply(f: TestFunction, sys: DynamicalSystem, n: int,
                 f"transfer: the missed mass is {deficit!r}; a mass or a step on the way "
                 f"is beyond the float range (largest float {float(np.finfo(float).max)!r})")
         deficit = max(0.0, deficit)
-        if deficit <= tail_tol:
+        if deficit <= target:
             break
         if attempt == 23:
-            warnings.warn(f"transfer window stopped at deficit {deficit:g} > {tail_tol:g}")
+            warnings.warn(f"transfer window stopped at deficit {deficit:g} > {target:g}")
             break
         # the missing mass falls off like c / radius: jump toward the target
-        radius = max(radius * 1.6, 1.3 * deficit * radius / tail_tol)
+        radius = max(radius * 1.6, 1.3 * deficit * radius / target)
 
     return TestFunction(
         eval=chain.evals[-1],

@@ -112,7 +112,8 @@ _SCAN_STREAM = 77001  # reserved replicate id for the urbanik sampler
 
 # Fixed bands: Birkhoff averages keep their L1 column within _L1_BAND of the
 # first row's; Boole transfer iterates (window deficit below
-# TRANSFER_TAIL_TOL) keep their mass within _MASS_BAND, and are sampled on
+# TRANSFER_TAIL_TOL times max(1, mass)) keep their mass within _MASS_BAND
+# times max(1, the first row's L1), and are sampled on
 # dynamics.sampling_window with quadrature tolerance _MC_QUAD.
 _L1_BAND = 1e-6
 _MASS_BAND = 2.0 * TRANSFER_TAIL_TOL + 1e-5
@@ -547,9 +548,12 @@ def _nonincreasing_verdict(rows: list[ExperimentRow], est: MCEstimate) -> Verdic
 
 
 def _constant_l1_verdict(vid: str, band: float, rows: list[ExperimentRow],
-                         row: ExperimentRow) -> Verdict:
-    """The row's L1 column within ``band`` of the first row's."""
+                         row: ExperimentRow, relative: bool = False) -> Verdict:
+    """The row's L1 column within ``band`` of the first row's; a
+    ``relative`` band is scaled by max(1, the first row's L1)."""
     first = rows[0].l1 if rows else row.l1
+    if relative:
+        band *= max(1.0, first)
     return _verdict(vid, band - abs(row.l1 - first))
 
 
@@ -669,7 +673,7 @@ def run_transfer_decay(cfg: ExperimentConfig):
     rows, summary = _depth_rows(
         cfg, derive,
         lambda row, s, rows: (
-            _constant_l1_verdict("mass_conserved", _MASS_BAND, rows, row),
+            _constant_l1_verdict("mass_conserved", _MASS_BAND, rows, row, relative=True),
             _nonincreasing_verdict(rows, row.star),
             _oracle_verdict("exact_oracle", row.star, star_norm_exact, s, sigma)),
         window_of=lambda g, n: sampling_window(g, sys, n), quad_tol=_MC_QUAD)

@@ -14,6 +14,7 @@ representations:
 
 from __future__ import annotations
 
+import functools
 import heapq
 import math
 from dataclasses import dataclass
@@ -203,11 +204,20 @@ class SimpleFunction:
     def total_mass(self) -> float:
         return float(sum(m for _, m in self.atoms))
 
+    @functools.cached_property
+    def _arrays(self) -> tuple[np.ndarray, np.ndarray]:
+        # built on first use and kept in the instance __dict__, which the
+        # frozen dataclass leaves writable; ``atoms`` stays the only field
+        if self.atoms:
+            v, m = (np.array(c, dtype=float) for c in zip(*self.atoms))
+        else:
+            v, m = np.empty(0), np.empty(0)
+        v.flags.writeable = m.flags.writeable = False
+        return v, m
+
     def values_masses(self) -> tuple[np.ndarray, np.ndarray]:
-        if not self.atoms:
-            return np.empty(0), np.empty(0)
-        v, m = zip(*self.atoms)
-        return np.array(v, dtype=float), np.array(m, dtype=float)
+        """The values and masses of the atoms as read-only arrays, built once."""
+        return self._arrays
 
 
 class Moments(NamedTuple):

@@ -21,8 +21,10 @@ bounded factor, and the gap is surfaced rather than hidden.
 
 Each evaluator is written once, on L^1(mu): every integral it needs goes
 through ``measure.integral``, which is the exact atom sum on a SimpleFunction
-and adaptive quadrature on a TestFunction.  Inputs whose moments fall outside
-the float range the evaluators can represent raise ValueError.
+and adaptive quadrature on a TestFunction.  The gauge's lambda and the duality
+form's theta are each the root of a monotone residual, found by one ITP root
+finder (``_root``).  Inputs whose moments fall outside the float range the
+evaluators can represent raise ValueError.
 """
 
 from __future__ import annotations
@@ -63,7 +65,8 @@ def young_phi(x):
     x = np.asarray(x, dtype=float)
     if np.any(x < 0):
         raise ValueError("young_phi domain is x >= 0")
-    out = np.where(x <= 1.0, x * x, 2.0 * x - 1.0)
+    with np.errstate(over="ignore"):  # x * x past 1.3e154, where 2x - 1 is taken
+        out = np.where(x <= 1.0, x * x, 2.0 * x - 1.0)
     return out if out.ndim else float(out)
 
 
@@ -77,8 +80,10 @@ def young_psi(y):
 
 
 def modular(f: TestFunction | SimpleFunction, scale: float = 1.0) -> float:
-    """integral Phi(|scale * f|) dmu; exact on SimpleFunction, quadrature otherwise."""
-    val, _ = integral(f, lambda v: young_phi(np.abs(scale * v)), _QUAD_TOL)
+    """integral Phi(|scale * f|) dmu; exact on SimpleFunction, quadrature
+    otherwise; inf, without a warning, once it leaves the float range."""
+    with np.errstate(over="ignore"):
+        val, _ = integral(f, lambda v: young_phi(np.abs(scale * v)), _QUAD_TOL)
     return val if math.isfinite(val) else math.inf
 
 
@@ -106,41 +111,84 @@ def _norm_upper_bound(f) -> float:
     return min(math.sqrt(l2sq), 2.0 * l1)
 
 
-def _bisect(below: Callable[[float], bool], lo: float, hi: float, rtol: float) -> float:
-    """Bisection of [lo, hi] to width rtol * hi, then its midpoint: lo moves
-    up to mid while below(mid) holds, else hi comes down to it."""
-    while (hi - lo) > rtol * hi:
+def _root(func: Callable[[float], float], lo: float, hi: float, rtol: float,
+          y_lo: float, y_hi: float) -> float:
+    """Root of an increasing residual func on [lo, hi] by ITP (interpolate,
+    truncate, project; Oliveira & Takahashi, ACM TOMS 47(1), 2020, art. 5),
+    to bracket width rtol * lo, then its midpoint.
+
+    y_lo and y_hi are func(lo) and func(hi), already known to the caller.  A
+    bracket with no sign change returns the end the root lies beyond, as
+    bisection would; an exactly zero residual returns its point.  Each step
+    evaluates func once, at the regula falsi point pulled toward the
+    midpoint by kappa1 (hi - lo)^2 (kappa1 = 0.2 / initial width, kappa2 = 2)
+    and kept within the radius that bounds the steps by bisection's n_half
+    plus n0 = 1.
+    """
+    if y_lo >= 0.0:
+        return lo
+    if y_hi <= 0.0:
+        return hi
+    if hi - lo <= rtol * lo:
+        return 0.5 * (lo + hi)
+    eps = 0.5 * rtol * lo
+    kappa1 = 0.2 / (hi - lo)
+    steps_left = math.ceil(math.log2((hi - lo) / (2.0 * eps))) + 1  # n_half + n0
+    while hi - lo > rtol * lo:
         mid = 0.5 * (lo + hi)
-        if below(mid):
-            lo = mid
+        radius = eps * 2.0 ** steps_left - 0.5 * (hi - lo)
+        x = (hi * y_lo - lo * y_hi) / (y_lo - y_hi)
+        if not math.isfinite(x):
+            x = mid
+        sigma = math.copysign(1.0, mid - x)
+        delta = kappa1 * (hi - lo) ** 2
+        x = x + sigma * delta if delta <= abs(mid - x) else mid
+        if abs(x - mid) > radius:
+            x = mid - sigma * radius
+        y = func(x)
+        if y > 0.0:
+            hi, y_hi = x, y
+        elif y < 0.0:
+            lo, y_lo = x, y
         else:
-            hi = mid
+            return x
+        steps_left -= 1
     return 0.5 * (lo + hi)
 
 
 def gauge_norm(f: TestFunction | SimpleFunction) -> float:
     """Luxemburg norm N_Phi(f) = inf{lambda > 0 : modular(f/lambda) <= 1}.
 
-    Bisection on lambda using strict monotonicity of the modular; the Young
-    pair is Delta_2-regular so modular(f/N) = 1 at the optimum.  Relative
-    error <= _TOL.
+    The residual 1 - modular(f/lambda) increases strictly in lambda; the
+    Young pair is Delta_2-regular, so it vanishes at the norm, which the ITP
+    root finder ``_root`` locates from a bracket halved down from
+    ``_norm_upper_bound``.  Relative error <= _TOL.
     """
     if not f.total_mass:
         return 0.0
+
+    def residual(lam: float) -> float:
+        return 1.0 - modular(f, scale=1.0 / lam)
+
     hi = _norm_upper_bound(f)
-    lo = hi
+    lo, y_hi = hi, None
     for _ in range(200):
         lo *= 0.5
-        if modular(f, scale=1.0 / lo) > 1.0:
+        y_lo = residual(lo)
+        if y_lo < 0.0:
             break
+        hi, y_hi = lo, y_lo
     else:
         return 0.0  # modular stays <= 1 down to lambda ~ 0: f is negligible
-    return _bisect(lambda lam: modular(f, scale=1.0 / lam) > 1.0, lo, hi, _TOL)
+    return _root(residual, lo, hi, _TOL, y_lo, residual(hi) if y_hi is None else y_hi)
 
 
 def _dual_l2(f, theta: float) -> float:
-    """||g_theta||_2^2 for the KKT candidate g = min(2, |f| / (2 theta))."""
-    return integral(f, lambda v: np.minimum(2.0, np.abs(v) / (2.0 * theta)) ** 2, _QUAD_TOL)[0]
+    """||g_theta||_2^2 for the KKT candidate g = min(2, |f| / (2 theta)); a
+    ratio past the float range is clipped to 2 without a warning."""
+    with np.errstate(over="ignore"):
+        return integral(f, lambda v: np.minimum(2.0, np.abs(v) / (2.0 * theta)) ** 2,
+                        _QUAD_TOL)[0]
 
 
 def orlicz_norm_paper(f: TestFunction | SimpleFunction) -> float:
@@ -149,7 +197,8 @@ def orlicz_norm_paper(f: TestFunction | SimpleFunction) -> float:
     N_Psi(g) = max(||g||_2, ||g||_inf / 2) <= 1 constrains g to 0 <= g <= 2,
     ||g||_2 <= 1.  The maximizer is g = min(2, |f| / (2 theta)); theta = 0
     (g identically 2) whenever 4 mu(supp f) <= 1, otherwise theta solves
-    ||g_theta||_2 = 1 by bisection.
+    ||g_theta||_2 = 1, found by the ITP root finder ``_root`` on the residual
+    1 - ||g_theta||_2^2 from a bracket halved down from ||f||_2 / 2.
     """
     if not f.total_mass:
         return 0.0
@@ -157,16 +206,21 @@ def orlicz_norm_paper(f: TestFunction | SimpleFunction) -> float:
     if 4.0 * f.total_mass <= 1.0:
         return 2.0 * l1
 
+    def residual(theta: float) -> float:
+        return 1.0 - _dual_l2(f, theta)
+
     # bracket: g unclipped satisfies the constraint at theta_hi = ||f||_2 / 2
     hi = math.sqrt(l2sq) / 2.0
-    lo = hi
-    while _dual_l2(f, lo) < 1.0:
+    lo, y_lo = hi, residual(hi)
+    y_hi = y_lo
+    while y_lo > 0.0 and lo >= 1e-300:
+        hi, y_hi = lo, y_lo
         lo *= 0.5
-        if lo < 1e-300:
-            break
-    theta = _bisect(lambda t: _dual_l2(f, t) > 1.0, lo, hi, 1e-13)
-    return integral(f, lambda u: np.abs(u) * np.minimum(2.0, np.abs(u) / (2.0 * theta)),
-                    _QUAD_TOL)[0]
+        y_lo = residual(lo)
+    theta = _root(residual, lo, hi, 1e-13, y_lo, y_hi)
+    with np.errstate(over="ignore"):
+        return integral(f, lambda u: np.abs(u) * np.minimum(2.0, np.abs(u) / (2.0 * theta)),
+                        _QUAD_TOL)[0]
 
 
 def golden_section_min(func, a: float, b: float, tol: float = 1e-12) -> tuple[float, float]:

@@ -239,7 +239,7 @@ def test_criterion_10_starstar_properties():
 
 
 # sha256 of `porlicz suite --seed 42` (CSV): every byte of the gate
-SUITE_CSV_SHA256 = "de4efe43ae8a12d4d6ce23eb9e64bdd94e83f429087640d5be73300551452f4e"
+SUITE_CSV_SHA256 = "0f228752e998943ee1ca167a06d9bb9d5f6e31c015d35581ecc9a600097fe6f6"
 
 
 def test_criterion_11_suite_determinism(tmp_path):

@@ -279,7 +279,7 @@ def test_blum_hanson_truncated_run_is_the_run_of_the_kept_depths():
     assert summary["config_hash"] == kept.config_hash() == "fcaa8825b44e0eb0"
     text = result_to_csv(rows, summary) + result_to_json(cfg, rows, summary)
     assert hashlib.sha256(text.encode()).hexdigest() == (
-        "ee28ebbead9840c9001854d3c4f2c9cddea2b9febce00cd2c33683ecb07ef647")
+        "f225b38ca0ee896ba79e1417d928257aee81eb98b8a0cc680e720101eaa37232")
 
 
 def test_blum_hanson_verdicts_pass():
@@ -299,6 +299,18 @@ def test_transfer_decay_rejects_translation():
     cfg = default_config("transfer_decay", seed=4, depths=(0, 1), replicates=1500)
     with pytest.raises(ConfigError):
         dataclasses.replace(cfg, system={"kind": "translation", "step": 1.0})
+
+
+@pytest.mark.parametrize("scale", [1e4, 1e8])
+def test_transfer_decay_of_a_large_scale_conserves_its_mass(scale):
+    # the window and the mass_conserved band are relative to the mass past 1;
+    # with absolute ones the depth-3 mass of the 1e4 indicator fell to 1415
+    cfg = default_config("transfer_decay", seed=6501, depths=(0, 1, 2, 3), replicates=1500)
+    cfg = dataclasses.replace(cfg, function=dict(cfg.function, scale=scale))
+    rows, summary = run_transfer_decay(cfg)
+    assert summary["all_pass"]
+    assert all(v.passed for r in rows for v in r.verdicts)
+    assert all(abs(r.l1 - scale) <= 1e-6 * scale for r in rows)
 
 
 def test_transfer_decay_small_depths():
@@ -477,7 +489,7 @@ def test_stock_config_hash_is_pinned(scenario):
 
 
 # sha256 of `porlicz suite --seed 42 --format json`: every byte of the gate
-SUITE_JSON_SHA256 = "82bf2bd3212c01dc5afd9e9973a5ac47f3297bda2e4ec5db649ff4fe14292081"
+SUITE_JSON_SHA256 = "aaa0080e646173c9cb750ed8b826b16147f9eb8b30bd303dd71f186af8928460"
 
 
 def test_suite_config_hashes_are_pinned(capsys):

@@ -1,11 +1,14 @@
 """Young pair, modular, gauge norm, and the two Orlicz-norm evaluators."""
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
+
+from poisson_orlicz import orlicz
 
 from poisson_orlicz.measure import (
     SimpleFunction,
@@ -267,3 +270,87 @@ def test_norm_brackets_on_direct_evaluators():
     assert math.isfinite(amemiya) and amemiya > 0
     assert l1 == 1.0
     assert abs(math.sqrt(l2sq) - math.sqrt(1.5)) < 1e-12
+
+
+# atoms with values and masses log-uniform in [1e-60, 1e60]: up to four of
+# them keep ||f||_1, ||f||_2^2 and their ratio inside _MOMENT_RANGE
+_LOG_ATOM = st.tuples(st.floats(-60.0, 60.0), st.booleans(), st.floats(-60.0, 60.0)).map(
+    lambda t: ((-1.0 if t[1] else 1.0) * 10.0 ** t[0], 10.0 ** t[2]))
+_LOG_ATOMS = st.lists(_LOG_ATOM, min_size=1, max_size=4).map(lambda a: SimpleFunction(tuple(a)))
+
+
+@given(_LOG_ATOMS)
+@example(SimpleFunction(((1.25, 0.68),)))
+def test_gauge_is_certified_within_tol(f):
+    # the root of 1 - modular(f/lambda) lies within _TOL of the returned norm
+    lam = gauge_norm(f)
+    tol = orlicz._TOL
+    assert modular(f, scale=1.0 / (lam * (1.0 + tol))) <= 1.0
+    assert modular(f, scale=1.0 / (lam * (1.0 - tol))) >= 1.0
+
+
+@given(_LOG_ATOMS, st.floats(-30.0, 30.0))
+def test_gauge_homogeneity_over_the_range(f, log_c):
+    c = 10.0 ** log_c
+    cf = SimpleFunction(tuple((c * v, m) for v, m in f.atoms))
+    assert abs(gauge_norm(cf) - c * gauge_norm(f)) <= 2e-10 * c * gauge_norm(f)
+
+
+@given(_LOG_ATOMS)
+@example(SimpleFunction(((1.25, 0.68),)))  # the first Orlicz bracket has zero width
+def test_gauge_orlicz_bracket_over_the_range(f):
+    gauge, paper = gauge_norm(f), orlicz_norm_paper(f)
+    assert gauge * (1.0 - 2e-10) <= paper <= 2.0 * gauge * (1.0 + 2e-10)
+
+
+@given(_LOG_ATOMS)
+def test_root_takes_at_most_bisections_steps_plus_one(f):
+    # ITP's worst case is bisection's n_half steps on the same bracket and
+    # stop rule, plus n0 = 1
+    calls = []
+
+    def counted(func, lo, hi, rtol, y_lo, y_hi):
+        count = [0]
+
+        def inner(x):
+            count[0] += 1
+            return func(x)
+
+        root = real(inner, lo, hi, rtol, y_lo, y_hi)
+        n_half = math.ceil(math.log2((hi - lo) / (rtol * lo))) if hi - lo > rtol * lo else 0
+        calls.append((count[0], n_half))
+        return root
+
+    real = orlicz._root
+    with mock.patch.object(orlicz, "_root", counted):
+        gauge_norm(f)
+        orlicz_norm_paper(f)
+    assert calls
+    assert all(count <= n_half + 1 for count, n_half in calls)
+
+
+def test_root_returns_without_evaluating_on_a_closed_bracket():
+    def never(x):
+        raise AssertionError("evaluated")
+
+    assert orlicz._root(never, 2.0, 2.0, 1e-13, -1e-16, -1e-16) == 2.0
+    assert orlicz._root(never, 1.0, 2.0, 1e-13, 0.0, 1.0) == 1.0  # exact zero at lo
+    assert orlicz._root(never, 1.0, 2.0, 1e-13, -1.0, 0.0) == 2.0  # exact zero at hi
+    narrow = 1.0 + 2.0 ** -46  # already narrower than rtol * lo: the midpoint
+    assert orlicz._root(never, 1.0, narrow, 1e-13, -1.0, 1.0) == 1.0 + 2.0 ** -47
+
+
+def test_root_returns_an_exact_zero():
+    assert orlicz._root(lambda x: x - 1.5, 1.0, 2.0, 1e-13, -0.5, 0.5) == 1.5
+
+
+def test_root_on_a_smooth_residual_beats_bisection():
+    calls = []
+
+    def residual(x):
+        calls.append(x)
+        return x * x - 2.0
+
+    root = orlicz._root(residual, 1.0, 2.0, 1e-13, -1.0, 2.0)
+    assert abs(root - math.sqrt(2.0)) <= 1e-13
+    assert len(calls) <= 10  # bisection takes 44
