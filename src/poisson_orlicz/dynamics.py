@@ -261,6 +261,7 @@ def circle_indicator(sys: DynamicalSystem, scale: float = 1.0) -> TestFunction:
         support=window((c0, c1)),
         sup_bound=abs(float(scale)),
         breakpoints=(c0, c1),
+        constant_cells=True,
     )
 
 
@@ -280,6 +281,17 @@ _PAD = 2.0 ** -40
 # gained from the sort between depth 8 and depth 12, 4 to 6 steps spared
 # (``BENCH_17.json``)
 _SORT_STEPS = 1.0 / 3.0
+# the points an average may pull back, (depth + 1) per breakpoint on one
+# branch; a deeper average is refused before any per-exponent list is built
+_MAX_PULLBACKS = 10 ** 6
+# a tabled average lays _CELL_BUCKETS buckets per narrowest cell over its
+# cut hull, at most _MAX_BUCKETS (see ``birkhoff``)
+_CELL_BUCKETS = 512
+_MAX_BUCKETS = 1 << 16
+# the unit roundoff and the smallest subnormal: a rounded result is within
+# _U |result| + _ETA of the exact one
+_U = 2.0 ** -53
+_ETA = 2.0 ** -1074
 
 
 def _pullback_breakpoints(sys: DynamicalSystem, pts,
@@ -374,6 +386,91 @@ def _slice(held, lo: int, hi: int) -> np.ndarray:
     raise AssertionError("no held piece covers the range")
 
 
+class _CellTable(NamedTuple):
+    """A Birkhoff average read from its bucket table (see ``birkhoff``):
+    ``cells[i]`` is the average on the cell between ``cuts[i]`` and
+    ``cuts[i + 1]``, NaN where the cell's midpoint lies within ``guard`` of
+    either, and ``table[j]`` the value of bucket j, the x with
+    t = (x - lo) scale + 1 in [j, j + 1), NaN where the bucket is flagged."""
+    cuts: np.ndarray
+    guard: float
+    cells: np.ndarray
+    lo: float
+    hi: float
+    scale: float
+    table: np.ndarray
+    stepped: Callable[[np.ndarray], np.ndarray]
+
+    def _bucket(self, flat):
+        # a NaN and a point beyond the hull land in a flagged end bucket.  t
+        # dies before the caller's gather allocates its result, which can
+        # then take t's block: with both alive an mc_decay unit took
+        # 35,000-44,000 minor page faults, with t freed first 350-13,000 as
+        # the heap's layout varies
+        t = np.fmax(flat, self.lo)
+        np.fmin(t, self.hi, out=t)
+        t -= self.lo
+        t *= self.scale
+        t += 1.0
+        return t.astype(np.intp)
+
+    def __call__(self, x):
+        x = np.asarray(x, dtype=float)
+        flat = x.ravel()
+        out = self.table[self._bucket(flat)]
+        miss = np.flatnonzero(np.isnan(out))
+        if miss.size:
+            # the cell of each by search; stepped when within the guard of a
+            # cut, beyond the hull or not finite
+            cuts, guard = self.cuts, self.guard
+            y = np.clip(flat[miss], self.lo, self.hi)
+            i = np.clip(np.searchsorted(cuts, y, side="right"), 1, cuts.size - 1)
+            got = np.where((y - cuts[i - 1] > guard) & (cuts[i] - y > guard),
+                           self.cells[i - 1], np.nan)
+            rest = np.flatnonzero(np.isnan(got))
+            if rest.size:
+                got[rest] = self.stepped(flat[miss[rest]])
+            out[miss] = got
+        return out.reshape(x.shape)
+
+
+def _cell_table(f: TestFunction, sys: DynamicalSystem, kmax: int, stepped):
+    """The bucket table of ``stepped``, the depth-``kmax`` average of f on
+    a one-branch system, or ``stepped`` itself when the guard is not small
+    against the cuts (see ``birkhoff``)."""
+    ends = [e for iv in f.support.intervals for e in iv]
+    cuts = np.array(_pullback_breakpoints(
+        sys, [*f.breakpoints, *ends, *sys.singularities], kmax)[0])
+    lo, hi = float(cuts[0]), float(cuts[-1])
+    big = max(-lo, hi) + kmax * sum(abs(p) for p in sys.params)
+    guard = 16.0 * (kmax + 1) * (_U * big + _ETA)
+    if not guard < 0.25 * big:
+        return stepped
+    a, b = cuts[:-1], cuts[1:]
+    mid = 0.5 * a + 0.5 * b
+    cells = np.where((mid - a > guard) & (b - mid > guard), stepped(mid), np.nan)
+    count = (hi - lo) / np.diff(cuts).min() * _CELL_BUCKETS
+    nb = _MAX_BUCKETS if not count < _MAX_BUCKETS else math.ceil(count)
+    scale = nb / (hi - lo)
+    # bucket j lies in the cell after the cuts whose t is below j + 1/2,
+    # and the buckets from one before to one after a cut's guarded t-range
+    # are flagged, which covers the rounding of t; both ends of those
+    # ranges grow with the cut, so the ranges merge where they meet
+    tc = (cuts - lo) * scale + 1.0
+    past = np.clip(np.floor(tc - 0.5) + 1.0, 0.0, nb + 2.0).astype(np.intp)
+    table = np.repeat(np.concatenate([[np.nan], cells, [np.nan]]),
+                      np.diff(past, prepend=0, append=nb + 2))
+    reach = guard * scale
+    first = np.clip(np.floor(tc - reach) - 1.0, 0.0, nb + 2.0).astype(np.intp)
+    stop = np.clip(np.floor(tc + reach) + 2.0, 0.0, nb + 2.0).astype(np.intp)
+    new = np.concatenate([[True], first[1:] > stop[:-1]])
+    ends = np.column_stack([first[new], stop[np.roll(new, -1)]]).ravel()
+    flagged = np.repeat(np.arange(ends.size + 1) % 2 == 1,
+                        np.diff(ends, prepend=0, append=nb + 2))
+    table[flagged] = np.nan
+    return _CellTable(cuts, guard, cells, lo, hi, scale, table, stepped)
+
+
 def birkhoff(f: TestFunction, sys: DynamicalSystem, n: int,
              subsequence=None) -> TestFunction:
     """The depth-n Birkhoff average (1/n) sum_k f(T^{p_k} x) as a
@@ -419,6 +516,52 @@ def birkhoff(f: TestFunction, sys: DynamicalSystem, n: int,
     shows in the finished sum, checked once; only those points are summed
     again, each value's NaN counted as 0, which gives the bits of masking
     at every step.
+
+    That stepping evaluator is the definition of the average.  When f declares
+    ``constant_cells`` and no tails, its support is nonempty, its breakpoints
+    are complete and the system has one branch, a bucket table built once
+    caches the average's value on each cell, and only the points rounding
+    could move off that value are stepped.
+
+    The cuts are the pullbacks, to depth K = max p_k, of f's breakpoints and
+    support ends and of ``sys.singularities``, where a step jumps: without the
+    wrap point's, a circle point that rounds off the circle at c1, and then
+    moves on along the line into f's support, would get its cell's value.  Let
+    R be the largest |cut|, M = R + K sum|sys.params|, eta = 2^-1074 and G =
+    16 (K + 1)(u M + eta); the table is built only when G < M/4.  For x in the
+    cut hull, every float iterate c_k of x, every pulled-back cut q_k and
+    every value rounded on the way lies within 2M.  A step rounds at most four
+    times, each by at most 2uM + eta: once on translation, three times on a
+    composite line step (x - length, + step, + length), up to four times on a
+    rotation (x - c0, + angle, mod's + length, c0 + r).  The wrap point,
+    computed in floats, adds one step to its cuts.  So for k <= K, c_k and q_k
+    are together within 4 (2k + 1)(2uM + eta) < G of exact.
+
+    Take x farther than G from every cut; a float difference beyond the float
+    G is beyond it exactly, rounding being monotone.  Then, by induction on k,
+    every c_k lies strictly on the side of every breakpoint, support end and
+    singularity that the exact T^k x lies on: the branch a step takes (circle
+    or line, either side of the skipped segment, either side of the rotation's
+    wrap) is decided by such sides, so it is the exact one and the errors add
+    up as on a translation.  The midpoint m of x's cell is also farther than G
+    from both its cuts, or the cell's value is NaN.  So c_k(x) and c_k(m) lie
+    in one open cell of f for every k, each term has the same bits, and so has
+    the sum in its fixed order.
+
+    The table lays min(2^16, 512 (hull width)/(narrowest cell)) uniform
+    buckets over the cut hull and flags every bucket within one of a cut's
+    G-range; the bucket of slack covers the rounding of the index.  It holds
+    NaN in the flagged buckets and in both end slots.  ``eval`` clips x to the
+    hull, reads bucket (x - lo) scale + 1, and sends a NaN to a search over
+    the cuts: its cell's value when it is farther than G from both ends, else
+    the stepping evaluator, which also takes every point beyond the hull and
+    every non-finite one.  Boole averages keep stepping: no rounding argument
+    bounds its expanding branches, and its cut count doubles per level
+    (PULLBACK_CAP).
+
+    An average whose (K + 1) max(1, #breakpoints) pulled-back points exceed
+    _MAX_PULLBACKS is refused with ValueError before any per-exponent list is
+    built.
     """
     n = int(n)
     if n < 1:
@@ -427,9 +570,13 @@ def birkhoff(f: TestFunction, sys: DynamicalSystem, n: int,
         powers = tuple(int(p) for p in subsequence)
         if len(powers) != n or any(b <= a for a, b in zip(powers, powers[1:])) or powers[0] < 1:
             raise ValueError("subsequence must be strictly increasing, length n, min >= 1")
-    else:
+    kmax = n if subsequence is None else powers[-1]
+    pullbacks = (kmax + 1) * max(1, len(f.breakpoints))
+    if pullbacks > _MAX_PULLBACKS:
+        raise ValueError(f"a Birkhoff average to depth {kmax} pulls back {pullbacks} "
+                         f"breakpoints, over the limit of {_MAX_PULLBACKS}")
+    if subsequence is None:
         powers = tuple(range(1, n + 1))
-    kmax = powers[-1]
     wanted = frozenset(powers)
     images = [sys.image(f.support, -k) for k in range(kmax + 1)]
     support = window(*(iv for w in images for iv in w.intervals))
@@ -480,9 +627,11 @@ def birkhoff(f: TestFunction, sys: DynamicalSystem, n: int,
         out[order] = acc
         return out.reshape(x.shape)
 
+    tabled = (f.constant_cells and f.breakpoints_complete and bool(f.support)
+              and plan is not None and len(sys.preimages(0.0)) == 1)
     bps, complete = _pullback_breakpoints(sys, f.breakpoints, kmax)
     return TestFunction(
-        eval=_eval,
+        eval=_cell_table(f, sys, kmax, _eval) if tabled else _eval,
         support=support,
         sup_bound=f.sup_bound,
         l1_tail_bound=f.l1_tail_bound,

@@ -299,6 +299,18 @@ def test_norm_birkhoff_deep_translation_keeps_every_breakpoint(capsys):
     assert abs(float(out.split()[1]) - 1.0) < 1e-12
 
 
+def test_norm_birkhoff_past_the_pullback_limit_exits_1_at_once(capsys):
+    # it used to build one window per exponent and was killed for memory
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, ["norm", "--function", "indicator:0,1",
+                                      "--apply", "birkhoff", "--system", "translation",
+                                      "--depth", "100000000", "--which", "l1"])
+    assert time.perf_counter() - start < 1.0
+    assert code == 1
+    assert out == ""
+    assert "depth 100000000" in err and "200000002" in err
+
+
 def test_norm_bump_needs_seed_for_star(capsys):
     code, out, err = run_cli(capsys, ["norm", "--function", "bump:0,1",
                                       "--which", "star"])

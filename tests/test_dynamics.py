@@ -2,6 +2,7 @@
 transfer operator."""
 
 import math
+import warnings
 from decimal import Decimal, localcontext
 from unittest import mock
 
@@ -10,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from poisson_orlicz import dynamics
+from poisson_orlicz import dynamics, experiments
 from poisson_orlicz.dynamics import (
     CIRCLE_OFFSET,
     GOLDEN,
@@ -839,3 +840,154 @@ def test_circle_indicator_negative_scale_keeps_positive_zero():
     got = circle_indicator(sys, -1.5).eval(x)
     assert got.tobytes() == np.where(mask, -1.5, 0.0).tobytes()
     assert not np.signbit(got[~mask]).any()
+
+
+# ---------------------------------------------------------------------------
+# Birkhoff averages read from their bucket table
+
+def _table_points(g):
+    """Every cut, bucket edge and flagged-bucket boundary of the table of
+    ``g``, each with the floats up to 3 ulps either side, and the floats up
+    to 64 ulps either side of each cut, where the float iterates of a
+    point can cross a breakpoint that the exact ones do not."""
+    t = g.eval
+    assert isinstance(t, dynamics._CellTable)
+    nb = t.table.size - 2
+    edges = t.lo + np.arange(nb + 1) / t.scale
+    flips = np.flatnonzero(np.diff(np.isnan(t.table))) + 1
+    return np.concatenate([_near(np.concatenate([edges, edges[np.clip(flips - 1, 0, nb)]])),
+                           _near(t.cuts, ulps=64)])
+
+
+def _assert_table_bits(g, f, sys, n, powers=None, extra=()):
+    """g.eval on its support, its table points and ``extra`` against the
+    dense reference, bit for bit."""
+    rng = np.random.default_rng(n)
+    xs = np.concatenate([window_position(g.support, rng.random(2 ** 12)),
+                         _table_points(g), np.asarray(extra, dtype=float)])
+    got = g.eval(xs)
+    assert got.tobytes() == _birkhoff_reference(f, sys, n, xs, powers).tobytes(), n
+
+
+TABLE_CASES = {
+    "indicator_translation": (lambda: make_translation(1.0), lambda s: indicator(0.0, 1.0)),
+    "steps_translation": (lambda: make_translation(0.7),
+                          lambda s: piecewise_constant([-1.0, 0.2, 0.9, 2.5], [1.5, 0.0, -2.0])),
+    "indicator_tenth_translation": (lambda: make_translation(0.1),
+                                    lambda s: indicator(0.0, 1.0)),
+    "indicator_back_translation": (lambda: make_translation(-0.05),
+                                   lambda s: indicator(0.3, 0.45, -3.0)),
+    "circle": (make_composite, lambda s: circle_indicator(s)),
+    "circle_plus_indicator": (
+        lambda: make_composite(circumference=1.0, angle=0.3, step=1.0),
+        lambda s: build_function({"shape": "circle_plus_indicator", "lo": CIRCLE_OFFSET - 2.5,
+                                  "hi": CIRCLE_OFFSET - 1.0, "scale": 2.0}, s)),
+    "atoms_composite": (lambda: make_composite(0.5, -0.2, -1.5),
+                        lambda s: build_function({"shape": "atoms",
+                                                  "atoms": [[1.0, 0.5], [-2.0, 0.25]]})),
+}
+
+
+@pytest.mark.parametrize("name", sorted(TABLE_CASES))
+@pytest.mark.parametrize("n", (1, 4, 33))
+def test_table_bits_equal_the_reference_at_every_cut_and_bucket_edge(name, n):
+    make_sys, make_f = TABLE_CASES[name]
+    sys = make_sys()
+    f = make_f(sys)
+    assert f.constant_cells
+    g = birkhoff(f, sys, n)
+    _assert_table_bits(g, f, sys, n, extra=sys.singularities)
+
+
+def test_table_bits_equal_the_reference_at_the_wrap_singularity():
+    # with angle 0.3 the wrap point 1048576.7 rotates to the circle's end in
+    # floats and moves on along the line: it is stepped, its neighbours not
+    sys = make_composite(circumference=1.0, angle=0.3, step=1.0)
+    wrap = sys.singularities[1]
+    assert wrap == 1048576.7
+    c1 = CIRCLE_OFFSET + 1.0
+    for f in (indicator(c1 + 0.5, c1 + 1.5), circle_indicator(sys), indicator(c1, c1 + 3.0)):
+        for n in (1, 3, 32):
+            g = birkhoff(f, sys, n)
+            _assert_table_bits(g, f, sys, n, extra=_near([wrap], ulps=50))
+    g = birkhoff(indicator(c1 + 0.5, c1 + 1.5), sys, 3)
+    assert g.eval(np.array([wrap]))[0] == 1.0 / 3.0
+
+
+def test_table_with_every_cut_inside_one_guard():
+    # a step of 1e-300 leaves every pulled-back cut on its breakpoint: the
+    # points near one go to stepping, the rest read their cell
+    sys, f = make_translation(1e-300), indicator(0.0, 1.0, 2.0)
+    for n in (1, 20):
+        g = birkhoff(f, sys, n)
+        t = g.eval
+        assert np.ptp(t.cuts[t.cuts < 0.5]) <= t.guard
+        _assert_table_bits(g, f, sys, n, extra=_near([0.0, 1.0, 1e-300, -1e-300], ulps=40))
+
+
+def test_table_bucket_cap_binds():
+    sys, f = make_translation(GOLDEN), piecewise_constant([0.0, 1e-3, 1.0], [1.0, -1.0])
+    n = 40
+    g = birkhoff(f, sys, n)
+    assert g.eval.table.size - 2 == dynamics._MAX_BUCKETS
+    _assert_table_bits(g, f, sys, n)
+
+
+def test_table_bits_on_the_k_squared_subsequence():
+    powers = tuple(k * k for k in range(1, 9))
+    for sys, f in ((make_translation(1.0), indicator(0.0, 1.0)),
+                   (make_composite(), circle_indicator(make_composite()))):
+        g = birkhoff(f, sys, 8, subsequence=powers)
+        assert isinstance(g.eval, dynamics._CellTable)
+        _assert_table_bits(g, f, sys, 8, powers)
+
+
+def test_table_takes_non_finite_points_without_a_warning():
+    sys = make_composite()
+    for f, s in ((indicator(0.0, 1.0), make_translation(0.5)),
+                 (circle_indicator(sys), sys)):
+        g = birkhoff(f, s, 8)
+        xs = np.array([np.nan, np.inf, -np.inf, 0.25, -1e308, 1.7e308, CIRCLE_OFFSET + 0.5])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = g.eval(xs)
+        with np.errstate(invalid="ignore"):  # the rotation of inf, stepped with the rest
+            want = _birkhoff_reference(f, s, 8, xs)
+        assert got.tobytes() == want.tobytes()
+
+
+def test_empty_support_boole_and_undeclared_functions_keep_stepping():
+    empty = build_function({"shape": "steps", "breaks": [0.0, 1.0], "values": [0.0]})
+    assert empty.constant_cells and not empty.support
+    g = birkhoff(empty, make_translation(1.0), 3)
+    assert not isinstance(g.eval, dynamics._CellTable)
+    xs = np.linspace(-4.0, 2.0, 61)
+    assert g.eval(xs).tobytes() == _birkhoff_reference(empty, make_translation(1.0), 3,
+                                                        xs).tobytes()
+    assert not isinstance(birkhoff(indicator(0.0, 1.0), make_boole(), 3).eval,
+                          dynamics._CellTable)
+    bump = triangular_bump(0.5, 0.5)
+    assert not bump.constant_cells
+    assert not isinstance(birkhoff(bump, make_translation(1.0), 3).eval, dynamics._CellTable)
+    tails = TestFunction(eval=indicator(0.0, 1.0).eval, support=window((0.0, 1.0)),
+                         l1_tail_bound=1e-3, breakpoints=(0.0, 1.0), constant_cells=True)
+    assert not isinstance(birkhoff(tails, make_translation(1.0), 3).eval, dynamics._CellTable)
+
+
+@pytest.mark.parametrize("scenario", ["birkhoff_decay", "starstar_ergodic",
+                                      "invariant_vector", "blum_hanson"])
+def test_stock_row_averages_are_tabled_bit_for_bit(scenario):
+    # the stock rows, and the suite's rows for blum_hanson, each on 2^15
+    # points of its support
+    suite = experiments._SCENARIOS[scenario].suite if scenario == "blum_hanson" else {}
+    cfg = experiments.default_config(scenario, seed=42, **suite)
+    sys, f = cfg._built.system, cfg._built.function
+    assert f.constant_cells
+    formula = None if cfg.subsequence is None else experiments._SUBSEQUENCES[cfg.subsequence]
+    rng = np.random.default_rng(21)
+    for n in cfg._built.depths:
+        powers = None if formula is None else tuple(formula(k) for k in range(1, n + 1))
+        g = birkhoff(f, sys, n, subsequence=powers)
+        assert isinstance(g.eval, dynamics._CellTable), n
+        xs = window_position(g.support, rng.random(2 ** 15))
+        assert g.eval(xs).tobytes() == _birkhoff_reference(f, sys, n, xs, powers).tobytes(), n
