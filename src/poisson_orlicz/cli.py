@@ -310,10 +310,19 @@ NORM_NAMES = tuple(_NORMS)
 # ---------------------------------------------------------------------------
 # sample command
 
+# the largest window measure ``sample`` draws over: it prints one line per
+# point, about measure(w) of them, and numpy's Poisson draw refuses a large
+# mean with a bare "lam value too large"
+_MAX_SAMPLE_MEASURE = 1e6
+
+
 def cmd_sample(args) -> int:
     if args.seed is None:
         raise UsageError("sample needs --seed; there is no entropy default")
     w = _parse_window(args.window)
+    if not w.measure <= _MAX_SAMPLE_MEASURE:
+        raise UsageError(f"sample: the window's measure {w.measure:g} is over the cap of "
+                         f"{_MAX_SAMPLE_MEASURE:g}, since every point is printed")
     s = sample_process(w, args.seed, args.replicate)
     if args.format == "json":
         doc = {

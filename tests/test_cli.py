@@ -538,6 +538,16 @@ def test_sample_json_format(capsys):
     assert doc["count"] == len(doc["points"])
 
 
+@pytest.mark.parametrize("span", ["0,1e12", "-1e308,0;0,1e308"])
+def test_sample_refuses_an_oversized_window_before_drawing(capsys, span):
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, ["sample", f"--window={span}", "--seed", "1"])
+    assert time.perf_counter() - start < 1.0
+    assert code == 1 and out == ""
+    assert f"cap of {cli._MAX_SAMPLE_MEASURE:g}" in err
+    assert ("1e+12" if span == "0,1e12" else "inf") in err
+
+
 def test_sample_bad_window(capsys):
     code, out, err = run_cli(capsys, ["sample", "--window", "2,1",
                                       "--seed", "5"])

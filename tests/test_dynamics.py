@@ -4,7 +4,6 @@ transfer operator."""
 import math
 import warnings
 from decimal import Decimal, localcontext
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -698,19 +697,15 @@ def _near(points, ulps=3):
 
 
 def _edge_points(f, sys, n, powers=None):
-    """Every window edge of the depth-n average, as ``sys.image`` gives it
-    and as its evaluator widens it, and every singularity, each with the
-    floats a few ulps either side."""
-    powers = tuple(range(1, n + 1)) if powers is None else powers
-    images = [sys.image(f.support, -k) for k in range(powers[-1] + 1)]
-    support = birkhoff(f, sys, n, subsequence=powers).support
-    plan = dynamics._plan(f, sys, powers, images, support)
+    """Every window edge ``sys.image`` gives the depth-n average, and every
+    singularity, each with the floats a few ulps either side."""
+    kmax = n if powers is None else powers[-1]
+    images = [sys.image(f.support, -k) for k in range(kmax + 1)]
     edges = [e for w in images for iv in w.intervals for e in iv]
-    return _near(np.concatenate([edges, plan.edges, sys.singularities]))
+    return _near(np.concatenate([edges, sys.singularities]))
 
 
-# (depth, exponents): the short averages the unsorted loop takes, the long
-# ones whose blocks the windows sort, and a k^2 subsequence up to 64
+# (depth, exponents): short and long averages, and a k^2 subsequence up to 64
 BIRKHOFF_DEPTHS = ((1, None), (3, None), (16, None), (33, None),
                    (8, tuple(k * k for k in range(1, 9))))
 
@@ -736,20 +731,6 @@ def test_kernels_bit_equal_to_where_reference(kind, name):
         assert got.tobytes() == _birkhoff_reference(f, sys, n, xs, powers).tobytes(), n
 
 
-@pytest.mark.parametrize("kind", sorted(SYSTEMS))
-@pytest.mark.parametrize("name", sorted(GUARD_FUNCTIONS))
-def test_birkhoff_index_ranges_bit_equal_on_every_system(kind, name):
-    # every block of more than one point is sorted, so the index ranges run
-    # on the Boole map too, whose windows never pay for the sort
-    sys, f = SYSTEMS[kind](), GUARD_FUNCTIONS[name]
-    with mock.patch.object(dynamics, "_SORT_STEPS", 0.0):
-        for n, powers in BIRKHOFF_DEPTHS:
-            g = birkhoff(f, sys, n, subsequence=powers)
-            for xs in (_guard_points(97), _guard_points(2 ** 15), _edge_points(f, sys, n, powers)):
-                want = _birkhoff_reference(f, sys, n, xs, powers)
-                assert g.eval(xs).tobytes() == want.tobytes(), (xs.size, n)
-
-
 def test_birkhoff_follows_a_circle_point_that_rounds_off_the_circle():
     # with angle 0.3 the rotation of the wrap point rounds up to the circle's
     # end c1, a line point, which the line then carries into f's support
@@ -759,11 +740,26 @@ def test_birkhoff_follows_a_circle_point_that_rounds_off_the_circle():
     assert sys.forward(wrap)[0] == c1
     f = indicator(c1 + 0.5, c1 + 1.5)
     xs = np.concatenate([wrap, _edge_points(f, sys, 3)])
-    for sort_steps in (dynamics._SORT_STEPS, 0.0):
-        with mock.patch.object(dynamics, "_SORT_STEPS", sort_steps):
-            got = birkhoff(f, sys, 3).eval(xs)
-        assert got.tobytes() == _birkhoff_reference(f, sys, 3, xs).tobytes()
-        assert got[0] == 1.0 / 3.0
+    got = birkhoff(f, sys, 3).eval(xs)
+    assert got.tobytes() == _birkhoff_reference(f, sys, 3, xs).tobytes()
+    assert got[0] == 1.0 / 3.0
+
+
+def test_composite_forward_rotates_only_circle_points_without_a_warning():
+    # np.mod of +-inf warns: a block mixing them with circle points must
+    # rotate only the circle points, each with its own bits
+    sys, f = make_composite(), triangular_bump(0.5, 0.5)
+    xs = np.array([np.inf, -np.inf, np.nan, CIRCLE_OFFSET + 0.5, 0.3] * 1000)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = birkhoff(f, sys, 3).eval(xs)
+        want = _birkhoff_reference(f, sys, 3, xs)
+        block = sys.forward(xs[:5])
+        alone = np.concatenate([sys.forward(xs[i:i + 1]) for i in range(5)])
+    assert got.tobytes() == want.tobytes()
+    assert block.tobytes() == alone.tobytes()
+    assert block[3] == CIRCLE_OFFSET + np.mod(0.5 + GOLDEN, 1.0)
+    assert block[4] == 1.3
 
 
 def _shape(draw, near):
@@ -803,9 +799,7 @@ def test_birkhoff_bits_equal_dense_loop(data):
     xs = np.concatenate([rng.choice(edges, draw(st.integers(0, 200))),
                          window_position(g.support, rng.random(draw(st.integers(0, 3000))))])
     xs = rng.permutation(xs)
-    sort_steps = draw(st.sampled_from([dynamics._SORT_STEPS, 0.0]))
-    with mock.patch.object(dynamics, "_SORT_STEPS", sort_steps):
-        got = g.eval(xs)
+    got = g.eval(xs)
     assert got.tobytes() == _birkhoff_reference(f, sys, n, xs, powers).tobytes()
 
 
@@ -951,7 +945,6 @@ def test_table_takes_non_finite_points_without_a_warning():
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             got = g.eval(xs)
-        with np.errstate(invalid="ignore"):  # the rotation of inf, stepped with the rest
             want = _birkhoff_reference(f, s, 8, xs)
         assert got.tobytes() == want.tobytes()
 
