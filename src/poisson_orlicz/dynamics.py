@@ -582,17 +582,19 @@ def _join(fits) -> _Fit:
 def _clenshaw(coef: np.ndarray, k: np.ndarray, t: np.ndarray) -> np.ndarray:
     """sum_j coef[j, k] T_j(t) at each point, k its piece and t in [-1, 1]
     its place on the piece, by Clenshaw's recurrence
-    b1, b2 = coef[j, k] + 2 t b1 - b2, b1 run in place."""
+    b1, b2 = coef[j, k] + 2 t b1 - b2, b1 run in place.  k must lie in
+    [0, pieces): the gathers clip, so numpy neither checks bounds nor
+    buffers ``out``."""
     t2 = 2.0 * t
-    b1, b2 = coef[-1].take(k), np.zeros(t.shape)
+    b1, b2 = coef[-1].take(k, mode="clip"), np.zeros(t.shape)
     c, s = np.empty(t.shape), np.empty(t.shape)
     for row in coef[-2:0:-1]:
-        row.take(k, out=c)
+        row.take(k, out=c, mode="clip")
         np.multiply(t2, b1, out=s)
         s += c
         np.subtract(s, b2, out=b2)
         b1, b2 = b2, b1
-    return coef[0].take(k) + t * b1 - b2
+    return coef[0].take(k, mode="clip") + t * b1 - b2
 
 
 def _fit_pass(func, a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -678,7 +680,7 @@ def _interpolant(fit: _Fit, func):
         np.minimum(np.maximum(k, 0, out=k), last, out=k)
         keep &= ~fallback[k]
         with np.errstate(over="ignore", invalid="ignore"):
-            t = (flat - mid.take(k)) / half.take(k)
+            t = (flat - mid.take(k, mode="clip")) / half.take(k, mode="clip")
         np.copyto(t, 0.0, where=~keep)
         out = _clenshaw(coef, k, t)
         if not keep.all():

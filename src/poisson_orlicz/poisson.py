@@ -281,7 +281,7 @@ _MAX_MASS = 30.0
 _LATTICE_RES = 1e-12
 _TINY_VALUE = 2.0 ** -20  # values below it are rescaled before the lattice merge
 _HUGE_VALUE = 2.0 ** 512  # and values above it, so that no sum overflows
-_TAIL_EPS = 1e-12  # bound on the error of the exact oracles
+_TAIL_EPS = 1e-12  # budget for the dropped tails of the exact oracles
 _CUTOFF_SCAN = 600  # values of K the cutoff search tries, from ceil(m)
 _CUTOFF_BLOCK = 64  # of them evaluated at a time
 _TAIL_TERMS = 32  # pmf terms summed past a block before the geometric remainder
@@ -291,17 +291,22 @@ _LOG_FACT = np.array([math.lgamma(k + 1.0) for k in
 _KS = np.arange(_LOG_FACT.size, dtype=float)
 
 
-def _poisson_pmf(ks, m: float) -> np.ndarray:
-    """Poisson(m) pmf exp(k log m - log k! - m) at the integers ks, an index
-    array or a slice into the log k! table."""
-    return np.exp(_KS[ks] * math.log(m) - _LOG_FACT[ks] - m)
+def _poisson_table(m: np.ndarray, width: int) -> np.ndarray:
+    """Poisson(m_i) pmf exp(k log m_i - log k! - m_i) at k = 0 .. width-1,
+    a row per mass, with each log m_i from ``math.log``.  Each entry is the
+    same elementwise computation at any width, so a wider table extends a
+    narrower one bit for bit."""
+    log_m = np.array([math.log(x) for x in m.tolist()])
+    return np.exp(_KS[:width] * log_m[:, None] - _LOG_FACT[:width] - m[:, None])
 
 
-def _poisson_tail(lo: int, hi: int, m: float) -> tuple[np.ndarray, np.ndarray]:
-    """pmf(K) and an upper bound on P(N > K) for lo <= K < hi, lo >= m.
+def _tail_bounds(table: np.ndarray, m: np.ndarray, first: np.ndarray,
+                 size: int) -> tuple[np.ndarray, np.ndarray]:
+    """pmf(K) and an upper bound on P(N > K) for K = first_i .. first_i +
+    size - 1, first_i >= m_i, each row read from the same row of ``table``.
 
-    The tail is the sum of pmf(j) for K < j < E = hi + _TAIL_TERMS, added
-    smallest first, plus the geometric remainder pmf(E) / (1 - m/(E+1)):
+    The tail is the sum of pmf(j) for K < j < E = first + size + _TAIL_TERMS,
+    added smallest first, plus the geometric remainder pmf(E) / (1 - m/(E+1)):
     for j >= E the ratio pmf(j+1) / pmf(j) = m/(j+1) is at most m/(E+1) < 1,
     so the remainder bounds the rest of the series.  A computed pmf term
     carries the rounding of k log m - log k! - m: a relative error of a few
@@ -309,69 +314,111 @@ def _poisson_tail(lo: int, hi: int, m: float) -> tuple[np.ndarray, np.ndarray]:
     normal float (an absolute one below 2^-1022 elsewhere).  The computed
     bound can fall below P(N > K) by that rounding alone.
     """
-    end = hi + _TAIL_TERMS
-    p = _poisson_pmf(slice(lo, end + 1), m)
-    terms = p[1:]
-    terms[-1] /= 1.0 - m / (end + 1)
-    return p[:hi - lo], np.cumsum(terms[::-1])[:lo - hi - 1:-1]
+    span = size + _TAIL_TERMS + 1  # the columns K = first .. E
+    rows = np.arange(first.size) * table.shape[1] + first
+    p = table.take(rows[:, None] + np.arange(span))
+    terms = p[:, 1:]
+    terms[:, -1] /= 1.0 - m / (first + span)
+    return p[:, :size], terms[:, ::-1].cumsum(axis=1)[:, :-size - 1:-1]
 
 
-def _cutoff(v: float, m: float, other_weight: float, budget: float, centered: bool) -> tuple[int, float]:
-    """Smallest K among the _CUTOFF_SCAN integers from ceil(m) with the
-    certified dropped-tail bound <= budget, and that bound.
+def _cutoffs(v: np.ndarray, m: np.ndarray, other: np.ndarray, budget: float,
+             centered: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per atom, the smallest K among the _CUTOFF_SCAN integers from
+    ceil(m_i) with the certified dropped-tail bound <= budget, that bound,
+    and a ``_poisson_table`` of the masses reaching every such K.
 
-    The bound on E[|S| 1_{N > K}] uses P(N > K) against the other atoms and
-    the exact partial-moment identities E[(N-m)1_{N>K}] = m pmf(K) and
-    E[N 1_{N>K}] = m (pmf(K) + P(N > K)), with P(N > K) replaced by the
-    upper bound of ``_poisson_tail``.  The K are tried in blocks of
-    _CUTOFF_BLOCK, stopping at the first block that holds one.
+    The bound on E[|S| 1_{N_i > K}] uses P(N_i > K) against ``other``, the
+    weight of the other atoms, and the exact partial-moment identities
+    E[(N-m)1_{N>K}] = m pmf(K) and E[N 1_{N>K}] = m (pmf(K) + P(N > K)),
+    with P(N > K) replaced by the upper bound of ``_tail_bounds``.  The K
+    are tried in blocks of _CUTOFF_BLOCK for all atoms at once, each atom
+    keeping the first block that holds its K; the search stops at the first
+    block after which every atom has one.  The table holds k <= ceil(max m)
+    + _CUTOFF_BLOCK + _TAIL_TERMS, what the first block reads, and is
+    rebuilt wider when a later block reads past it.
     """
-    start = int(math.ceil(m))
-    stop = start + _CUTOFF_SCAN
-    for lo in range(start, stop, _CUTOFF_BLOCK):
-        pmf, sf = _poisson_tail(lo, min(lo + _CUTOFF_BLOCK, stop), m)
-        bounds = sf * other_weight + abs(v) * m * (pmf if centered else pmf + sf)
-        ok = np.flatnonzero(bounds <= budget)
-        if ok.size:
-            i = int(ok[0])
-            return lo + i, float(bounds[i])
+    start = np.ceil(m).astype(np.int64)
+    scale = (np.abs(v) * m)[:, None]
+    other = other[:, None]
+    caps = np.full(m.size, -1)
+    bounds = np.empty(m.size)
+    rows = np.arange(m.size)
+    table = np.empty((m.size, 0))
+    for offset in range(0, _CUTOFF_SCAN, _CUTOFF_BLOCK):
+        size = min(_CUTOFF_BLOCK, _CUTOFF_SCAN - offset)
+        first = start + offset
+        width = int(first.max()) + size + _TAIL_TERMS + 1
+        if table.shape[1] < width:
+            table = _poisson_table(m, width)
+        pmf, sf = _tail_bounds(table, m, first, size)
+        b = sf * other + scale * (pmf if centered else pmf + sf)
+        j = (b <= budget).argmax(axis=1)  # the first K within budget, else 0
+        bj = b[rows, j]
+        new = (bj <= budget) & (caps < 0)
+        caps = np.where(new, first + j, caps)
+        bounds = np.where(new, bj, bounds)
+        if caps.min() >= 0:
+            return caps, bounds, table
     raise ValueError("cannot certify the tail bound")
 
 
 def _merge_lattice(vals: np.ndarray, probs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    grid = np.round(vals / _LATTICE_RES)
-    uniq, inverse = np.unique(grid, return_inverse=True)
-    merged = np.bincount(inverse, weights=probs)
-    return uniq * _LATTICE_RES, merged
+    """The lattice values rounded to the _LATTICE_RES grid, sorted, with the
+    probabilities of equal grid points summed in input order."""
+    grid = vals / _LATTICE_RES
+    np.rint(grid, out=grid)  # np.round's half-to-even at 0 decimals
+    order = grid.argsort()
+    grid = grid.take(order)
+    new = grid[1:] != grid[:-1]
+    if new.all():
+        return grid * _LATTICE_RES, probs.take(order)
+    run = np.empty(order.size, dtype=np.int64)
+    run[order] = np.concatenate(([0], np.cumsum(new)))
+    return grid[np.concatenate(([True], new))] * _LATTICE_RES, np.bincount(run, weights=probs)
 
 
-def _enumerate_block(block: list[tuple[float, float, int]]) -> tuple[np.ndarray, np.ndarray]:
+def _enumerate_block(block: list[tuple[float, np.ndarray]]) -> tuple[np.ndarray, np.ndarray]:
+    """The sorted lattice of sum v N over the block's atoms, each given by
+    its value and its pmf row at k = 0 .. cap, and its probabilities."""
     vals = np.zeros(1)
     probs = np.ones(1)
-    for v, m, cap in block:
-        ks = np.arange(cap + 1)
-        pk = _poisson_pmf(ks, m)
-        vals = (vals[:, None] + (v * ks)[None, :]).ravel()
-        probs = (probs[:, None] * pk[None, :]).ravel()
+    for v, pk in block:
+        vals = (vals[:, None] + v * _KS[:pk.size]).ravel()
+        probs = (probs[:, None] * pk).ravel()
         vals, probs = _merge_lattice(vals, probs)
     return vals, probs
 
 
 def _abs_moment_exact(f: SimpleFunction, center: float | None) -> float:
-    """E|sum v_i N_i - c|, error <= _TAIL_EPS times the rescaling 2^e (e = 0
-    unless a value or c lies outside [_TINY_VALUE, _HUGE_VALUE]): c = sum
-    v_i m_i with the centered tail bounds when ``center`` is None, else
-    c = center with the uncentered tail bounds plus |center|.  inf when the
-    moment is beyond the float range."""
+    """E|sum v_i N_i - c|: c = sum v_i m_i with the centered tail bounds
+    when ``center`` is None, else c = center with the uncentered tail bounds
+    plus |center|.  inf when the moment is beyond the float range.
+
+    The error is at most 2^e (_TAIL_EPS / 2 + J _LATTICE_RES / 2) for J
+    atoms, the rescaling 2^e (e = 0 unless a value or c lies outside
+    [_TINY_VALUE, _HUGE_VALUE]): the dropped tails, whose bound is halved by
+    adding its midpoint, and the grid the J lattice merges round to.  On
+    top comes the floating-point rounding of the pmf terms and the sums,
+    an estimate, not a proven bound: 1e-13 (sum |v_i| m_i + |c|).
+
+    One ``_cutoffs`` pass finds every atom's cutoff K_i and builds one
+    Poisson table, a row per atom, from which the enumeration slices the
+    pmf at k = 0 .. K_i.  The atoms are split into two blocks of balanced
+    lattice size (meet in the middle); each block's lattice of sums is
+    merged atom by atom onto the grid, which leaves it sorted, and the
+    moment is a prefix-sum reduction of one block against the other.
+    """
     atoms = f.atoms
+    if center is not None and not math.isfinite(center):
+        raise ValueError(f"exact oracle needs a finite center, got {center}")
     if len(atoms) > _MAX_ATOMS:
         raise ValueError(f"exact oracle handles at most {_MAX_ATOMS} atoms, got {len(atoms)}")
     if any(m > _MAX_MASS for _, m in atoms):
         raise ValueError(f"exact oracle handles masses up to {_MAX_MASS}")
     if not atoms:
         return 0.0 if center is None else abs(center)
-    v = np.array([a[0] for a in atoms])
-    m = np.array([a[1] for a in atoms])
+    v, m = f.values_masses()
     # the lattice merges on an absolute grid and sums up to 6 * 630 values,
     # so tiny and huge values are first put at unit scale by a power of two
     # 2^e: exact, and E|sum v_i N_i - c| is 1-homogeneous in (v, c)
@@ -383,15 +430,13 @@ def _abs_moment_exact(f: SimpleFunction, center: float | None) -> float:
             center = math.ldexp(center, -e)
     centered = center is None
     extra = 0.0 if centered else abs(center)
-    shift = -float(np.sum(v * m)) if centered else -center
+    shift = -float((v * m).sum()) if centered else -center
     weights = np.abs(v) * (np.sqrt(m) if centered else m)
-    caps = []
+    other = weights.sum() - weights + extra
+    caps, bounds, table = _cutoffs(v, m, other, _TAIL_EPS / len(atoms), centered)
+    caps = caps.tolist()
     tail_bound = 0.0
-    per_atom = _TAIL_EPS / len(atoms)
-    for i in range(len(atoms)):
-        other = float(weights.sum() - weights[i]) + extra
-        cap, b = _cutoff(float(v[i]), float(m[i]), other, per_atom, centered)
-        caps.append(cap)
+    for b in bounds.tolist():
         tail_bound += b
 
     # meet in the middle: split atoms into two blocks of balanced lattice size
@@ -399,21 +444,20 @@ def _abs_moment_exact(f: SimpleFunction, center: float | None) -> float:
     log_size = [0.0, 0.0]
     for i in sorted(range(len(atoms)), key=lambda j: -caps[j]):
         side = 0 if log_size[0] <= log_size[1] else 1
-        blocks[side].append((float(v[i]), float(m[i]), caps[i]))
+        blocks[side].append((float(v[i]), table[i, :caps[i] + 1]))
         log_size[side] += math.log(caps[i] + 1)
     va, pa = _enumerate_block(blocks[0])
     vb, pb = _enumerate_block(blocks[1])
 
-    order = np.argsort(va, kind="stable")
-    va, pa = va[order], pa[order]
-    cum_p = np.concatenate(([0.0], np.cumsum(pa)))
-    cum_pv = np.concatenate(([0.0], np.cumsum(pa * va)))
+    cum_p, cum_pv = np.zeros((2, pa.size + 1))
+    pa.cumsum(out=cum_p[1:])
+    (pa * va).cumsum(out=cum_pv[1:])
     tot_p, tot_pv = cum_p[-1], cum_pv[-1]
     vb = vb + shift
     idx = np.searchsorted(va, -vb, side="left")
     # E_a |a + b| with the split at a = -b, via prefix sums over block A
-    per_b = tot_pv + vb * tot_p - 2.0 * (cum_pv[idx] + vb * cum_p[idx])
-    value = float(np.sum(pb * per_b))
+    per_b = tot_pv + vb * tot_p - 2.0 * (cum_pv.take(idx) + vb * cum_p.take(idx))
+    value = float((pb * per_b).sum())
     try:
         return math.ldexp(value + 0.5 * tail_bound, e)
     except OverflowError:  # the moment is beyond the float range
@@ -421,23 +465,27 @@ def _abs_moment_exact(f: SimpleFunction, center: float | None) -> float:
 
 
 def star_norm_exact(f: SimpleFunction) -> float:
-    """E|sum v_i (N_i - m_i)| by direct enumeration; error <= 1e-12,
-    or 2e-12 times the largest |value| when that exceeds 2^512; inf beyond
-    the float range."""
+    """E|sum v_i (N_i - m_i)| by direct enumeration; inf beyond the float
+    range.  Error at most (1 + J) 5e-13 for J atoms from the tails and the
+    grid, times 2 max |v_i| when that exceeds 2^512, plus rounding
+    estimated, not proven, at 2e-13 sum |v_i| m_i (``_abs_moment_exact``)."""
     return _abs_moment_exact(f, None)
 
 
 def starstar_norm_exact(f: SimpleFunction) -> float:
-    """E|sum v_i N_i| by direct enumeration; error <= 1e-12,
-    or 2e-12 times the largest |value| when that exceeds 2^512; inf beyond
-    the float range."""
+    """E|sum v_i N_i| by direct enumeration; inf beyond the float range.
+    Error at most (1 + J) 5e-13 for J atoms from the tails and the grid,
+    times 2 max |v_i| when that exceeds 2^512, plus rounding estimated, not
+    proven, at 1e-13 sum |v_i| m_i (``_abs_moment_exact``)."""
     return _abs_moment_exact(f, 0.0)
 
 
 def abs_moment_exact(f: SimpleFunction, center: float = 0.0) -> float:
-    """E|sum v_i N_i - center| by direct enumeration; error <= 1e-12, or
-    2e-12 times the largest of |center| and |value| when that exceeds 2^512;
-    inf beyond the float range."""
+    """E|sum v_i N_i - center| by direct enumeration; inf beyond the float
+    range, and a non-finite center is refused.  Error at most (1 + J) 5e-13
+    for J atoms from the tails and the grid, times 2 max(|center|, |v_i|)
+    when that exceeds 2^512, plus rounding estimated, not proven, at
+    1e-13 (sum |v_i| m_i + |center|) (``_abs_moment_exact``)."""
     return _abs_moment_exact(f, float(center))
 
 

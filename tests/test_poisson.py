@@ -256,12 +256,21 @@ def _rounding_scale(ks, m):
     return (np.abs(ks * math.log(m)) + _LOG_FACT[ks] + m) * 2.0 ** -53
 
 
+def _tail(m, lo, size):
+    """pmf(K) and the tail bound at K = lo .. lo + size - 1 for one mass m,
+    from the package's table wide enough for them."""
+    masses = np.array([m])
+    table = poisson._poisson_table(masses, lo + size + poisson._TAIL_TERMS + 1)
+    pmf, sf = poisson._tail_bounds(table, masses, np.array([lo]), size)
+    return pmf[0], sf[0]
+
+
 def _full_tail(m):
     """The cutoff search's tail bounds for its _CUTOFF_SCAN candidates, block
-    by block as ``poisson._cutoff`` builds them."""
+    by block as ``poisson._cutoffs`` builds them."""
     start = math.ceil(m)
     stop = start + poisson._CUTOFF_SCAN
-    blocks = [poisson._poisson_tail(lo, min(lo + poisson._CUTOFF_BLOCK, stop), m)
+    blocks = [_tail(m, lo, min(poisson._CUTOFF_BLOCK, stop - lo))
               for lo in range(start, stop, poisson._CUTOFF_BLOCK)]
     return (np.arange(start, stop), np.concatenate([b[0] for b in blocks]),
             np.concatenate([b[1] for b in blocks]))
@@ -285,7 +294,7 @@ def _gap(tol, want):
 def test_poisson_tables_match_scipy_stats(m):
     tol = 16.0 * _rounding_scale(_KS, m)
     want = stats.poisson.pmf(_KS, m)
-    got = poisson._poisson_pmf(_KS, m)
+    got = poisson._poisson_table(np.array([m]), _KS.size)[0]
     assert np.all(np.abs(got - want) <= _gap(tol, want))
     ks, _, sf = _full_tail(m)
     want = stats.poisson.sf(ks, m)
@@ -323,7 +332,7 @@ def test_geometric_remainder_alone_bounds_the_tail(monkeypatch, m):
     monkeypatch.setattr(poisson, "_TAIL_TERMS", 0)
     start = math.ceil(m)
     for lo in (start, start + 64):
-        _, sf = poisson._poisson_tail(lo, lo + 64, m)
+        _, sf = _tail(m, lo, 64)
         for k in (lo, lo + 32, lo + 63):
             with mpmath.workdps(50):
                 true = float(mpmath.gammainc(k + 1, 0, m, regularized=True))
@@ -365,10 +374,246 @@ def test_blocked_cutoff_is_bit_equal_to_the_whole_table(v, m, other_weight, budg
     want = _cutoff_whole_table(v, m, other_weight, budget, centered)
     if want is None:
         with pytest.raises(ValueError, match="cannot certify the tail bound"):
-            poisson._cutoff(v, m, other_weight, budget, centered)
+            _cutoffs([(v, m, other_weight)], budget, centered)
     else:
-        got = poisson._cutoff(v, m, other_weight, budget, centered)
-        assert got == want
+        assert _cutoffs([(v, m, other_weight)], budget, centered) == [want]
+
+
+def _cutoffs(atoms, budget, centered):
+    """``poisson._cutoffs`` on (value, mass, other weight) triples, as a list
+    of (K, bound) pairs; its table must hold the pmf of every mass at every
+    k <= K."""
+    v, m, other = (np.array(c, dtype=float) for c in zip(*atoms))
+    caps, bounds, table = poisson._cutoffs(v, m, other, budget, centered)
+    for mass, cap, row in zip(m, caps, table):
+        assert np.array_equal(row[:cap + 1], poisson._poisson_table(np.array([mass]), cap + 1)[0])
+    return [(int(k), float(b)) for k, b in zip(caps, bounds)]
+
+
+_CUTOFF_ATOM = st.tuples(
+    st.one_of(st.just(0.0), _log_uniform(1e-6, 1e6), _log_uniform(1e-6, 1e6).map(lambda x: -x)),
+    _log_uniform(1e-12, 30.0),
+    st.one_of(st.just(0.0), _log_uniform(1e-6, 1e6)))
+
+
+@settings(max_examples=200)
+@given(atoms=st.lists(_CUTOFF_ATOM, min_size=1, max_size=6),
+       budget=st.one_of(_log_uniform(1e-300, 1e-3), st.sampled_from([0.0, -1e-12])),
+       centered=st.booleans())
+# cutoffs in the second, first and fourth blocks of 64 (K = 103, 1, 241)
+@example(atoms=[(0.0, _EDGE_M, 1.0), (0.0, 0.5, 0.0), (1.0, 29.0, 1e6)],
+         budget=float(_EDGE_TAIL[100]), centered=True)
+# two equal atoms at the first candidate of the second block, one in the first
+@example(atoms=[(0.0, _EDGE_M, 1.0)] * 2 + [(1e-6, 1e-12, 1e-6)],
+         budget=float(_EDGE_TAIL[64]), centered=False)
+def test_cutoffs_of_several_atoms_are_each_the_whole_table(atoms, budget, centered):
+    # all atoms are searched block by block at once; each keeps the cutoff
+    # its own whole-table search finds, and one atom without one refuses all
+    want = [_cutoff_whole_table(v, m, other, budget, centered) for v, m, other in atoms]
+    if None in want:
+        with pytest.raises(ValueError, match="cannot certify the tail bound"):
+            _cutoffs(atoms, budget, centered)
+    else:
+        assert _cutoffs(atoms, budget, centered) == want
+
+
+@pytest.mark.parametrize("center", [math.inf, -math.inf, math.nan])
+@pytest.mark.filterwarnings("error")
+def test_exact_refuses_a_non_finite_center(center):
+    # refused before any table is built, with the centre in the message
+    for atoms in ((), ((1.0, 0.5), (-2.0, 3.0))):
+        with pytest.raises(ValueError, match=f"finite center, got {center}"):
+            abs_moment_exact(SimpleFunction(atoms), center=center)
+
+
+def _stated_error(f, center):
+    """The exact oracles' stated error at unit scale (2^e = 1): half the
+    tail budget, half a grid step per lattice merge, and the rounding
+    estimate 1e-13 (sum |v| m + |c|)."""
+    v, m = f.values_masses()
+    return (0.5 * poisson._TAIL_EPS + 0.5 * len(f.atoms) * poisson._LATTICE_RES
+            + 1e-13 * (float(np.abs(v) @ m) + abs(center)))
+
+
+_GRID_MASSES = (0.3, 1.0, 4.5, 12.0, 25.0, 29.9)
+
+
+@pytest.mark.parametrize("v", [0.75, 1.0, 3.0])
+def test_exact_oracles_on_equal_atoms_within_the_stated_error(v):
+    # k equal atoms are v N with N ~ Poisson(k m): E|v N| = v k m, and
+    # E|v (N - k m)| = v 2 e^-lam lam^(n+1) / n! with lam = k m, n = floor(lam).
+    # The uncentered values miss by up to 1.3e-11 (v = 3, k m = 150), past the
+    # tail budget alone: the pmf terms carry the rounding of k log m - log k! - m
+    mpmath = pytest.importorskip("mpmath")
+    for k in range(1, 7):
+        for m in _GRID_MASSES:
+            f = SimpleFunction(((v, m),) * k)
+            with mpmath.workdps(50):
+                lam = k * mpmath.mpf(m)
+                n = int(mpmath.floor(lam))
+                centered = v * 2 * mpmath.exp(-lam) * lam ** (n + 1) / mpmath.factorial(n)
+                uncentered = v * lam
+                got = star_norm_exact(f)
+                assert abs(got - centered) <= _stated_error(f, v * float(lam)), (k, m)
+                got = starstar_norm_exact(f)
+                assert abs(got - uncentered) <= _stated_error(f, 0.0), (k, m)
+
+
+@pytest.mark.parametrize("v", [-3.0, 0.75, 1.0])
+def test_exact_single_atom_about_a_center_within_the_stated_error(v):
+    # E|v N - c| = |v| ((m - t) + 2 sum_{k <= t} (t - k) pmf(k)), t = c / v
+    mpmath = pytest.importorskip("mpmath")
+    for m in _GRID_MASSES:
+        for c in (v * 0.5 * m, v * (m + 0.3), v * (2.0 * m + 1.0), -v, 0.0):
+            f = SimpleFunction(((v, m),))
+            with mpmath.workdps(50):
+                t = mpmath.mpf(c) / v
+                below = sum((t - k) * mpmath.exp(k * mpmath.log(m) - mpmath.loggamma(k + 1) - m)
+                            for k in range(max(int(mpmath.floor(t)) + 1, 0)))
+                want = abs(v) * ((m - t) + 2 * below)
+                got = abs_moment_exact(f, center=c)
+                assert abs(got - want) <= _stated_error(f, c), (m, c)
+
+
+# ---------------------------------------------------------------------------
+# frozen reference: the exact oracle as it stood before its whole-atom array
+# passes, with a cutoff search per atom, np.unique merges and a re-sort of
+# block A; the package's oracle must give its bits and refusals
+
+_REF_TAIL_EPS, _REF_RES = 1e-12, 1e-12
+_REF_SCAN, _REF_BLOCK, _REF_TERMS = 600, 64, 32
+_REF_KS = np.arange(700, dtype=float)
+
+
+def _ref_pmf(ks, m):
+    return np.exp(_REF_KS[ks] * math.log(m) - _LOG_FACT[ks] - m)
+
+
+def _ref_tail(lo, hi, m):
+    end = hi + _REF_TERMS
+    p = _ref_pmf(slice(lo, end + 1), m)
+    terms = p[1:]
+    terms[-1] /= 1.0 - m / (end + 1)
+    return p[:hi - lo], np.cumsum(terms[::-1])[:lo - hi - 1:-1]
+
+
+def _ref_cutoff(v, m, other_weight, budget, centered):
+    start = int(math.ceil(m))
+    stop = start + _REF_SCAN
+    for lo in range(start, stop, _REF_BLOCK):
+        pmf, sf = _ref_tail(lo, min(lo + _REF_BLOCK, stop), m)
+        bounds = sf * other_weight + abs(v) * m * (pmf if centered else pmf + sf)
+        ok = np.flatnonzero(bounds <= budget)
+        if ok.size:
+            i = int(ok[0])
+            return lo + i, float(bounds[i])
+    raise ValueError("cannot certify the tail bound")
+
+
+def _ref_merge(vals, probs):
+    grid = np.round(vals / _REF_RES)
+    uniq, inverse = np.unique(grid, return_inverse=True)
+    return uniq * _REF_RES, np.bincount(inverse, weights=probs)
+
+
+def _ref_block(block):
+    vals, probs = np.zeros(1), np.ones(1)
+    for v, m, cap in block:
+        ks = np.arange(cap + 1)
+        vals = (vals[:, None] + (v * ks)[None, :]).ravel()
+        probs = (probs[:, None] * _ref_pmf(ks, m)[None, :]).ravel()
+        vals, probs = _ref_merge(vals, probs)
+    return vals, probs
+
+
+def _ref_abs_moment(f, center):
+    atoms = f.atoms
+    if len(atoms) > 6:
+        raise ValueError(f"exact oracle handles at most 6 atoms, got {len(atoms)}")
+    if any(m > 30.0 for _, m in atoms):
+        raise ValueError("exact oracle handles masses up to 30.0")
+    if not atoms:
+        return 0.0 if center is None else abs(center)
+    v = np.array([a[0] for a in atoms])
+    m = np.array([a[1] for a in atoms])
+    top = max(float(np.abs(v).max()), 0.0 if center is None else abs(center))
+    e = math.frexp(top)[1] if not 2.0 ** -20 <= top <= 2.0 ** 512 else 0
+    if e:
+        v = np.ldexp(v, -e)
+        if center is not None:
+            center = math.ldexp(center, -e)
+    centered = center is None
+    extra = 0.0 if centered else abs(center)
+    shift = -float(np.sum(v * m)) if centered else -center
+    weights = np.abs(v) * (np.sqrt(m) if centered else m)
+    caps, tail_bound = [], 0.0
+    for i in range(len(atoms)):
+        other = float(weights.sum() - weights[i]) + extra
+        cap, b = _ref_cutoff(float(v[i]), float(m[i]), other, _REF_TAIL_EPS / len(atoms), centered)
+        caps.append(cap)
+        tail_bound += b
+    blocks, log_size = ([], []), [0.0, 0.0]
+    for i in sorted(range(len(atoms)), key=lambda j: -caps[j]):
+        side = 0 if log_size[0] <= log_size[1] else 1
+        blocks[side].append((float(v[i]), float(m[i]), caps[i]))
+        log_size[side] += math.log(caps[i] + 1)
+    va, pa = _ref_block(blocks[0])
+    vb, pb = _ref_block(blocks[1])
+    order = np.argsort(va, kind="stable")
+    va, pa = va[order], pa[order]
+    cum_p = np.concatenate(([0.0], np.cumsum(pa)))
+    cum_pv = np.concatenate(([0.0], np.cumsum(pa * va)))
+    tot_p, tot_pv = cum_p[-1], cum_pv[-1]
+    vb = vb + shift
+    idx = np.searchsorted(va, -vb, side="left")
+    per_b = tot_pv + vb * tot_p - 2.0 * (cum_pv[idx] + vb * cum_p[idx])
+    value = float(np.sum(pb * per_b))
+    try:
+        return math.ldexp(value + 0.5 * tail_bound, e)
+    except OverflowError:
+        return math.inf
+
+
+def _outcome(oracle, f, center):
+    try:
+        return repr(oracle(f, center))  # repr round-trips every float bit
+    except ValueError as exc:
+        return f"ValueError: {exc}"
+
+
+_SIGNED = _log_uniform(1e-300, 1e300).flatmap(lambda x: st.sampled_from([x, -x]))
+# one mass in twenty is past the oracle's domain, so refusals are compared too
+_MASS = st.integers(0, 19).flatmap(
+    lambda i: st.just(30.5) if i == 0 else _log_uniform(1e-12, 30.0))
+
+
+@st.composite
+def _oracle_inputs(draw):
+    atoms = draw(st.lists(st.tuples(_SIGNED, _MASS), min_size=1, max_size=6))
+    kind = draw(st.sampled_from(["centered", "uncentered", "explicit", "near the mean"]))
+    if kind == "centered":
+        return atoms, None
+    if kind == "uncentered":
+        return atoms, 0.0
+    if kind == "explicit":
+        return atoms, draw(_SIGNED)
+    return atoms, draw(st.floats(-2.0, 2.0)) * math.fsum(v * m for v, m in atoms)
+
+
+@settings(max_examples=400, deadline=None)
+@given(inputs=_oracle_inputs())
+@example(inputs=(((3.0, 29.9),) * 6, 0.0))
+@example(inputs=(((1.0, 0.25), (-1.0, 0.25)), None))
+@example(inputs=(((1e-300, 30.0), (-1e300, 1e-12)), 1e-300))
+@example(inputs=(((1.0, 1.0), (1.0, 2.0), (2.0, 0.5), (0.5, 4.0)), 1.5))
+# a mass whose np.log is one ulp off math.log, which moves the bits
+@example(inputs=(((1.0, 2.6304043022953887), (-0.7, 1.3)), None))
+@example(inputs=(((1.0, 0.1),) * 7, None))
+@example(inputs=(((1.0, 30.0), (2.0, 30.5)), 0.0))
+def test_exact_oracle_is_bit_equal_to_the_frozen_reference(inputs):
+    atoms, center = inputs
+    f = SimpleFunction(tuple(atoms))
+    assert _outcome(poisson._abs_moment_exact, f, center) == _outcome(_ref_abs_moment, f, center)
 
 
 # ---------------------------------------------------------------------------
