@@ -19,6 +19,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 
 from .measure import (
@@ -199,10 +200,27 @@ def _parse_window(token: str):
 # ---------------------------------------------------------------------------
 # norm command
 
+def _check_output(path: str) -> None:
+    """Refuse an --output path that cannot be written, before any work."""
+    parent = os.path.dirname(path) or "."
+    if os.path.isdir(path):
+        problem = "it is a directory"
+    elif not os.path.isdir(parent):
+        problem = f"there is no directory {parent!r}"
+    elif not os.access(path if os.path.exists(path) else parent, os.W_OK):
+        problem = "permission denied"
+    else:
+        return
+    raise UsageError(f"cannot write --output {path!r}: {problem}")
+
+
 def _emit(text: str, path: str | None) -> None:
     if path:
-        with open(path, "w") as fh:
-            fh.write(text)
+        try:
+            with open(path, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise UsageError(f"cannot write --output {path!r}: {exc.strerror or exc}") from None
     else:
         sys.stdout.write(text)
 
@@ -347,11 +365,13 @@ def cmd_run(args) -> int:
     try:
         with open(args.config) as fh:
             raw = json.load(fh)
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise UsageError(f"cannot read config: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise UsageError(f"config parse error at line {exc.lineno}, "
                          f"column {exc.colno}: {exc.msg}") from exc
+    except RecursionError:
+        raise UsageError("config parse error: it nests too deeply") from None
     cfg = ExperimentConfig.from_dict(raw)
     rows, summary = run_experiment(cfg)
     if args.format == "json":
@@ -435,6 +455,8 @@ def main(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
+        if args.output:
+            _check_output(args.output)
         return args.func(args)
     except (UsageError, ValueError, QuadratureError) as exc:
         # ConfigError is a ValueError

@@ -393,6 +393,23 @@ _G7_WEIGHTS = np.array([
 ])
 
 
+def _gk_nodes(mid: np.ndarray, half) -> np.ndarray:
+    """The (segments, 15) Kronrod nodes of the segments mid +- half."""
+    return mid[:, None] + np.multiply.outer(half, _GK_NODES)
+
+
+def _gk_reduce(y: np.ndarray, half) -> tuple[np.ndarray, np.ndarray]:
+    """K15 values and |K15 - G7| error estimates from the (segments, 15)
+    integrand values ``y`` at the nodes of segments of half-width ``half``.
+
+    Each row is reduced alone, by one length-15 dot per weight set, so a
+    segment's bits do not depend on the other rows of ``y``, on how many
+    there are, or on the BLAS threads."""
+    k15 = np.vecdot(y, _K15_WEIGHTS) * half
+    g7 = np.vecdot(y, _G7_WEIGHTS) * half
+    return k15, np.abs(k15 - g7)
+
+
 def _gk_batch(func, mid: np.ndarray, half) -> tuple[np.ndarray, np.ndarray]:
     """K15 values and |K15 - G7| error estimates for the segments mid +- half,
     one half-width per segment.
@@ -401,20 +418,13 @@ def _gk_batch(func, mid: np.ndarray, half) -> tuple[np.ndarray, np.ndarray]:
     bound; it is kept pessimistic rather than applying the usual
     (200 d)^1.5 sharpening.
 
-    A segment's bits depend on the other segments of the same call and on
-    the BLAS: the weighted sums are one matrix-vector product over all rows,
-    and a many-row product may round a row differently from a one-row
-    product of the same values.  On the 2000 per-replicate node rows of each
-    Mecke check of ``porlicz suite --seed 42``, one (2000, 15) product
-    differed in the last bits from 2000 one-row products on 2000, 2000 and
-    1146 rows; batching calls therefore changes output bytes.  ROADMAP
-    item 5's elementwise weighted sum, which rounds each row alone, mends it.
+    A segment's value and error are bit for bit those of a one-segment
+    call: ``func`` is pointwise (see TestFunction) and ``_gk_reduce``
+    reduces each row alone, so segments may be batched in any grouping.
     """
-    x = mid[:, None] + np.multiply.outer(half, _GK_NODES)
+    x = _gk_nodes(mid, half)
     y = np.asarray(func(x.ravel()), dtype=float).reshape(x.shape)
-    k15 = (y @ _K15_WEIGHTS) * half
-    g7 = (y @ _G7_WEIGHTS) * half
-    return k15, np.abs(k15 - g7)
+    return _gk_reduce(y, half)
 
 
 def _initial_segments(w: Window, points: Sequence[float]) -> tuple[np.ndarray, np.ndarray]:
@@ -426,6 +436,16 @@ def _initial_segments(w: Window, points: Sequence[float]) -> tuple[np.ndarray, n
             los.append(a)
             his.append(b)
     return np.array(los), np.array(his)
+
+
+def _first_segments(f: TestFunction, w: Window) -> tuple[np.ndarray, np.ndarray]:
+    """The (lo, hi) ends of ``integrate``'s first-pass segments of f over w:
+    the intervals of w cut at the declared breakpoints of f and the ends of
+    its support intervals."""
+    forced = list(f.breakpoints)
+    for lo, hi in f.support.intervals:
+        forced += [lo, hi]
+    return _initial_segments(w, forced)
 
 
 def integrate(
@@ -455,10 +475,7 @@ def integrate(
     else:
         func = lambda x: np.asarray(transform(np.asarray(f.eval(x), dtype=float)), dtype=float)
 
-    forced = list(f.breakpoints)
-    for lo, hi in f.support.intervals:
-        forced += [lo, hi]
-    los, his = _initial_segments(w, forced)
+    los, his = _first_segments(f, w)
     if len(los) == 0:
         return 0.0, 0.0
 

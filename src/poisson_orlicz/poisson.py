@@ -32,6 +32,9 @@ from .measure import (
     SimpleFunction,
     TestFunction,
     Window,
+    _first_segments,
+    _gk_nodes,
+    _gk_reduce,
     function_moments,
     integrate,
     piecewise_to_simple,
@@ -128,13 +131,14 @@ def _philox(seed: int, replicate: int | None = None) -> np.random.Generator:
 _PHILOX_ZEROS = np.zeros(4, dtype=np.uint64)  # read, not kept, by the state setter
 
 
-def _replicate_points(rng: np.random.Generator, w: Window, seed: int,
-                      replicate: int) -> np.ndarray:
-    """The points of replicate ``replicate``: rng's Philox is rekeyed to
+def _replicate_uniforms(rng: np.random.Generator, mass: float, seed: int,
+                        replicate: int) -> np.ndarray:
+    """The uniforms of replicate ``replicate``: rng's Philox is rekeyed to
     (seed, replicate) at counter 0 with an empty buffer, the state of a fresh
-    ``Philox(key=(seed, replicate))``, then draws a Poisson(measure(w)) count
-    and the points, uniform via the inverse CDF.  Rekeying skips the entropy
-    draw a fresh generator makes; the key words are checked by ``_philox``."""
+    ``Philox(key=(seed, replicate))``, then draws a Poisson(mass) count and
+    that many uniforms in [0, 1); a window of measure ``mass`` places them
+    by ``window_position``.  Rekeying skips the entropy draw a fresh
+    generator makes; the key words are checked by ``_philox``."""
     rng.bit_generator.state = {
         "bit_generator": "Philox",
         "state": {"counter": _PHILOX_ZEROS,
@@ -144,8 +148,7 @@ def _replicate_points(rng: np.random.Generator, w: Window, seed: int,
         "has_uint32": 0,
         "uinteger": 0,
     }
-    k = int(rng.poisson(w.measure)) if w else 0
-    return window_position(w, rng.random(k)) if k else np.empty(0)
+    return rng.random(int(rng.poisson(mass))) if mass else np.empty(0)
 
 
 def sample_process(w: Window, rng_seed: int, replicate: int = 0) -> PoissonSample:
@@ -155,7 +158,8 @@ def sample_process(w: Window, rng_seed: int, replicate: int = 0) -> PoissonSampl
     stream, so replicates may be drawn in any order.
     """
     rng = _philox(rng_seed, replicate)
-    return PoissonSample(w, _replicate_points(rng, w, int(rng_seed), int(replicate)))
+    u = _replicate_uniforms(rng, w.measure, int(rng_seed), int(replicate))
+    return PoissonSample(w, window_position(w, u) if u.size else np.empty(0))
 
 
 def integral_centered(f: TestFunction, s: PoissonSample, compensator: float) -> float:
@@ -764,6 +768,23 @@ def hsu_error_floor(f: SimpleFunction, max_panels: int = _HSU_MAX_PANELS) -> flo
 # ---------------------------------------------------------------------------
 # Identity checks
 
+def _replicate_draws(w: Window, R: int, seed: int) -> tuple[np.ndarray, list[int]]:
+    """The points of ``sample_process(w, seed, r)`` for r = 0..R-1 in one
+    array, replicate r's at [cuts[r], cuts[r + 1]), and the list ``cuts``.
+
+    One generator is rekeyed per replicate; the uniforms of all replicates
+    go through ``window_position`` at once, which is pointwise, and all
+    points are checked to lie in w at once."""
+    rng = _philox(seed, max(R - 1, 0))
+    mass = w.measure
+    uniforms = [_replicate_uniforms(rng, mass, int(seed), r) for r in range(R)]
+    cuts = np.cumsum([0] + [u.size for u in uniforms]).tolist()
+    pts = np.concatenate(uniforms) if uniforms else np.empty(0)
+    pts = window_position(w, pts) if pts.size else pts
+    _check_inside(w, pts)
+    return pts, cuts
+
+
 def mecke_check(
     h: Callable[[np.ndarray, np.ndarray], np.ndarray],
     w: Window,
@@ -777,19 +798,37 @@ def mecke_check(
     the positions xs; the left side calls it at each point with that point
     removed, the right side integrates h(., points) over w by quadrature.
 
-    Replicate r draws the points of ``sample_process(w, seed, r)``, from one
-    generator rekeyed per replicate; all are checked to lie in w at once."""
+    Replicate r draws the points of ``sample_process(w, seed, r)``, all
+    replicates in one pass (``_replicate_draws``).
+
+    The right side is ``integrate``'s first pass (tol 1e-9) for all
+    replicates at once: h(nodes, points) once per replicate at the Kronrod
+    nodes of w's intervals, then one row-by-row reduction.  A replicate
+    whose summed error estimate is above tol, or not finite, goes through
+    ``integrate`` itself.  Rows reduce alone, so each value is bit for bit
+    that replicate's ``integrate`` call."""
     R = int(R)
-    rng = _philox(seed, max(R - 1, 0))
-    samples = [_replicate_points(rng, w, int(seed), r) for r in range(R)]
-    if samples:
-        _check_inside(w, np.concatenate(samples))
-    lhs, rhs = np.empty(R), np.empty(R)
-    probe = TestFunction(eval=lambda xs: h(xs, pts), support=w)  # the loop's current pts
-    for r, pts in enumerate(samples):
-        lhs[r] = math.fsum(float(h(pts[i:i + 1], np.concatenate((pts[:i], pts[i + 1:])))[0])
-                           for i in range(pts.size))
-        rhs[r], _ = integrate(probe, w, tol=1e-9, max_segments=2000)
+    tol = 1e-9
+    pts, cuts = _replicate_draws(w, R, seed)
+
+    def probe(pts):
+        return TestFunction(eval=lambda xs: h(xs, pts), support=w)
+
+    los, his = _first_segments(probe(pts), w)  # those of every replicate's probe
+    half = 0.5 * (his - los)
+    nodes = _gk_nodes(0.5 * (his + los), half)
+    y = np.empty((R,) + nodes.shape)
+    lhs = np.empty(R)
+    for r in range(R):
+        own = pts[cuts[r]:cuts[r + 1]]
+        lhs[r] = math.fsum(float(h(own[i:i + 1], np.concatenate((own[:i], own[i + 1:])))[0])
+                           for i in range(own.size))
+        if nodes.size:
+            y[r] = np.asarray(h(nodes.ravel(), own), dtype=float).reshape(nodes.shape)
+    k15, err = _gk_reduce(y, half)
+    rhs, errs = k15.sum(axis=1), err.sum(axis=1)
+    for r in np.flatnonzero(~(errs <= tol)):
+        rhs[r], _ = integrate(probe(pts[cuts[r]:cuts[r + 1]]), w, tol=tol, max_segments=2000)
     return _mc_estimate(lhs, seed), _mc_estimate(rhs, seed)
 
 

@@ -239,7 +239,7 @@ def test_criterion_10_starstar_properties():
 
 
 # sha256 of `porlicz suite --seed 42` (CSV): every byte of the gate
-SUITE_CSV_SHA256 = "0f228752e998943ee1ca167a06d9bb9d5f6e31c015d35581ecc9a600097fe6f6"
+SUITE_CSV_SHA256 = "d6fa7138d127a2db2e463cea212c5fc74fbdccf63750962bf6286bc68f9f2742"
 
 
 def test_criterion_11_suite_determinism(tmp_path):

@@ -1,12 +1,15 @@
+import contextlib
 import hashlib
+import io
 import json
 import math
+import os
 import subprocess
 import sys
 import time
 
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from poisson_orlicz import cli, poisson
@@ -341,13 +344,13 @@ GOLDEN_NORM_LINES = {
         "l2 1.224744871391589",
     ]),
     "bump": (["--function", "bump:0,1", "--seed", "3", "--replicates", "1000"], [
-        "gauge 0.8138593383822343",
-        "orlicz 0.8164965809277248",
-        "amemiya 1.6249999999999971",
-        "star 0.6460560356831708 se=0.016921031825083442 trunc=0.0",
+        "gauge 0.8138593383822342",
+        "orlicz 0.816496580927725",
+        "amemiya 1.6249999999999976",
+        "star 0.6460560356831708 se=0.016921031825083446 trunc=0.0",
         "starstar 0.9959653999425406 se=0.026535094331539052 trunc=0.0",
-        "l1 0.999999999999997",
-        "l2 0.8164965809277248",
+        "l1 0.9999999999999969",
+        "l2 0.8164965809277247",
     ]),
 }
 
@@ -488,6 +491,41 @@ def test_norm_output_file(capsys, tmp_path):
     assert code == 0
     assert out == ""
     assert path.read_text() == "l1 1.0\n"
+
+
+_UNWRITABLE = "/nonexistent/dir/x.csv"
+
+
+@pytest.mark.parametrize("argv", [
+    ["norm", "--atoms", "(1,1)", "--which", "l1"],
+    ["sample", "--window", "0,2", "--seed", "1"],
+    ["run", "--config", "absent.json"],
+    ["suite", "--seed", "42"],
+], ids=lambda argv: argv[0])
+@pytest.mark.parametrize("output", [_UNWRITABLE, "."])
+def test_unwritable_output_is_refused_before_any_work(capsys, monkeypatch, argv, output):
+    # the command itself never runs: the path is checked first
+    monkeypatch.setattr(cli, f"cmd_{argv[0]}", lambda args: pytest.fail("the command ran"))
+    code, out, err = run_cli(capsys, argv + ["--output", output])
+    assert code == 1 and out == ""
+    assert err.startswith(f"error: cannot write --output {output!r}: ")
+    assert ("no directory '/nonexistent/dir'" if output == _UNWRITABLE
+            else "it is a directory") in err
+
+
+def test_output_write_failure_is_a_usage_error(capsys, monkeypatch, tmp_path):
+    # a path that passes the check but cannot be opened when the result is
+    # written still ends in exit 1 naming it
+    path = str(tmp_path / "x.txt")
+
+    def refuse(*args, **kwargs):
+        raise PermissionError(13, "Permission denied")
+
+    monkeypatch.setattr("builtins.open", refuse)
+    code, out, err = run_cli(capsys, ["norm", "--atoms", "(1,1)", "--which", "l1",
+                                      "--output", path])
+    assert code == 1
+    assert err == f"error: cannot write --output {path!r}: Permission denied\n"
 
 
 # ---------------------------------------------------------------------------
@@ -868,6 +906,116 @@ def test_suite_json_shape(capsys):
     assert sorted(doc["scenarios"]) == sorted(
         ["identity_suite", "birkhoff_decay", "blum_hanson", "transfer_decay",
          "urbanik_scan", "starstar_ergodic", "invariant_vector"])
+
+
+# ---------------------------------------------------------------------------
+# argv fuzz: run, suite and sample end in exit 0, 1 or 2, never a traceback
+
+def _exit_code(argv):
+    out, err = io.StringIO(), io.StringIO()
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+    except SystemExit as exc:  # --help
+        code = exc.code
+    assert code in (0, 1, 2), (argv, code)
+
+
+_SEEDS = st.one_of(st.integers(-3, 40), st.integers(2**64 - 2_000_000, 2**64 + 2),
+                   st.sampled_from(["", "x", "1.5", "1e3", " 7", "1_0", "--"]))
+_OUTPUTS = st.sampled_from([None, "", "out.txt", ".", "nowhere/out.txt"])
+
+
+def _with_output(argv, output, tmp):
+    if output is None:
+        return argv
+    path = output if output in ("", ".") else os.path.join(tmp, output)
+    return argv + ["--output", path]
+
+
+def _argv(command, pairs, drop, stray):
+    """``command`` with its flag pairs, pair ``drop`` left out (none when it
+    is out of range), then the stray tokens."""
+    return [command] + [x for i, pair in enumerate(pairs) if i != drop for x in pair] + stray
+
+
+_DROP = st.integers(-1, 4)
+_STRAY = st.lists(st.sampled_from(["--", "-h", "--bogus", "1", "--seed", "--output"]),
+                  max_size=1)
+
+
+@settings(max_examples=60)
+@given(case=st.tuples(
+    st.sampled_from(["0,1", "0,2;3,4", "0,1e-300", "1,0", "0,nan", "0,1e7", "-1e308,1e308",
+                     "0,1;0.5,2", "", ";", "0,1,2", "a,b"])
+    | st.text(alphabet="0123456789.,;eE+-naif ", max_size=10),
+    _SEEDS, st.one_of(st.integers(-2, 3), st.just(2**64), st.just("r")),
+    st.sampled_from(["text", "json", "xml"]), _OUTPUTS, _DROP, _STRAY))
+@example(case=("0,1", 5, 2**64, "text", None, -1, []))
+@example(case=("0,1", 5, 0, "json", "nowhere/out.txt", -1, []))
+def test_sample_argv_exits_0_1_or_2(tmp_path_factory, case):
+    window, seed, replicate, fmt, output, drop, stray = case
+    pairs = [("--window", window), ("--seed", str(seed)), ("--replicate", str(replicate)),
+             ("--format", fmt)]
+    argv = _with_output(_argv("sample", pairs, drop, stray), output,
+                        str(tmp_path_factory.mktemp("sample")))
+    _exit_code(argv)
+
+
+@settings(max_examples=12)
+@given(seed=_SEEDS, fmt=st.sampled_from(["csv", "json", "tsv"]), output=_OUTPUTS,
+       drop=_DROP, stray=_STRAY)
+@example(seed=2**64 - 13, fmt="csv", output=None, drop=-1, stray=[])
+@example(seed=1, fmt="csv", output="nowhere/out.txt", drop=-1, stray=[])
+def test_suite_argv_exits_0_1_or_2(tmp_path_factory, seed, fmt, output, drop, stray):
+    argv = _argv("suite", [("--seed", str(seed)), ("--format", fmt)], drop, stray)
+    _exit_code(_with_output(argv, output, str(tmp_path_factory.mktemp("suite"))))
+
+
+# small JSON: no example reaches a long run
+_SMALL_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers(-2, 12) | st.floats() | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=6,
+)
+_RUN_BASES = [
+    dict(BASE_CONFIG, replicates=1000, depths=[1, 2]),
+    dict(URBANIK_CONFIG),
+    {"scenario": "transfer_decay", "system": {"kind": "boole"},
+     "function": {"shape": "indicator", "lo": 1.0, "hi": 2.0},
+     "depths": [0, 1], "replicates": 1000, "seed": 3},
+]
+
+
+@settings(max_examples=40)
+@given(case=st.tuples(
+    st.sampled_from(_RUN_BASES),
+    st.lists(st.tuples(st.sampled_from(["scenario", "system", "function", "depths", "seed",
+                                        "replicates", "tolerances", "expected", "bogus"]),
+                       _SMALL_JSON | _SEEDS), max_size=2),
+    st.sampled_from(["json", "nested", "bytes", "missing", "dir"]),
+    st.sampled_from(["csv", "json", "yaml"]), _OUTPUTS, _DROP, _STRAY))
+@example(case=(_RUN_BASES[0], [], "nested", "csv", None, -1, []))
+@example(case=(_RUN_BASES[0], [], "bytes", "csv", None, -1, []))
+@example(case=(_RUN_BASES[0], [("depths", [2**63])], "json", "json", "out.txt", -1, []))
+def test_run_argv_exits_0_1_or_2(tmp_path_factory, case):
+    base, changes, kind, fmt, output, drop, stray = case
+    tmp = str(tmp_path_factory.mktemp("run"))
+    path = os.path.join(tmp, "cfg.json")
+    if kind == "json":
+        with open(path, "w") as fh:
+            json.dump(dict(base, **dict(changes)), fh)
+    elif kind == "nested":  # JSON nested past the parser's recursion limit
+        with open(path, "w") as fh:
+            fh.write("[" * 100_000 + "]" * 100_000)
+    elif kind == "bytes":
+        with open(path, "wb") as fh:
+            fh.write(b"\xff\xfe{")
+    elif kind == "dir":
+        path = tmp
+    argv = _argv("run", [("--config", path), ("--format", fmt)], drop, stray)
+    _exit_code(_with_output(argv, output, tmp))
 
 
 # ---------------------------------------------------------------------------

@@ -279,7 +279,7 @@ def test_blum_hanson_truncated_run_is_the_run_of_the_kept_depths():
     assert summary["config_hash"] == kept.config_hash() == "fcaa8825b44e0eb0"
     text = result_to_csv(rows, summary) + result_to_json(cfg, rows, summary)
     assert hashlib.sha256(text.encode()).hexdigest() == (
-        "f225b38ca0ee896ba79e1417d928257aee81eb98b8a0cc680e720101eaa37232")
+        "ee0c3d22c1c98a1683dc0baf77914bd05ccef3867acc946070ddbbd459dbfe1e")
 
 
 def test_blum_hanson_verdicts_pass():
@@ -489,7 +489,7 @@ def test_stock_config_hash_is_pinned(scenario):
 
 
 # sha256 of `porlicz suite --seed 42 --format json`: every byte of the gate
-SUITE_JSON_SHA256 = "aaa0080e646173c9cb750ed8b826b16147f9eb8b30bd303dd71f186af8928460"
+SUITE_JSON_SHA256 = "72f9e8fb27565b0d16d0b22ae0e5cc09f6adf46e6ef0664ab8e8496bccf9dc5a"
 
 
 def test_suite_config_hashes_are_pinned(capsys):

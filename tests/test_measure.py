@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from poisson_orlicz import measure
@@ -212,6 +212,24 @@ def test_integrate_stops_after_one_pass_that_meets_tol(monkeypatch):
     assert len(batches) == 1 and batches[0].tolist() == [0.5, 3.0]
     vals, errs = real(f.eval, np.array([0.5, 3.0]), np.array([0.5, 1.0]))
     assert (val, err) == (float(vals.sum()), float(errs.sum()))
+
+
+@settings(max_examples=25)
+@given(case=st.tuples(st.integers(0, 2**32 - 1), st.integers(1, 3000), st.floats(-5.0, 5.0)))
+@example(case=(1, 3000, 5.0))
+@example(case=(2, 200, -5.0))
+def test_gk_batch_segments_are_bit_equal_to_one_segment_calls(case):
+    # each row is reduced alone: a segment's K15 value and error do not
+    # depend on the other segments of its call
+    seed, n, scale = case
+    rng = np.random.default_rng(seed)
+    mid = rng.uniform(-50.0, 50.0, n)
+    half = np.exp(rng.uniform(-5.0, 5.0, n))
+    func = lambda x: math.exp(scale) * np.sin(3.0 * x) * np.exp(np.cos(x)) + x * x
+    vals, errs = measure._gk_batch(func, mid, half)
+    for i in range(n):
+        v, e = measure._gk_batch(func, mid[i:i + 1], half[i:i + 1])
+        assert (vals[i].tobytes(), errs[i].tobytes()) == (v.tobytes(), e.tobytes()), i
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")

@@ -9,7 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import integrate, stats
 
-from poisson_orlicz import poisson
+from poisson_orlicz import measure, poisson
 from poisson_orlicz.dynamics import (
     CIRCLE_OFFSET,
     birkhoff,
@@ -959,6 +959,55 @@ def test_mecke_hands_h_the_points_of_sample_process(w, seed):
         assert xs.size == 15 * len(w.intervals) and np.array_equal(others, pts)
     assert next(calls, None) is None
     assert empty  # a replicate with no points is among them
+
+
+def _mecke_reference(h, w, R, seed):
+    """The per-replicate sides of the Mecke check, one replicate at a time:
+    the points of ``sample_process``, each point's h against the others
+    summed by fsum, and one ``integrate`` call for the right side."""
+    lhs, rhs = np.empty(R), np.empty(R)
+    for r in range(R):
+        pts = sample_process(w, seed, r).points
+        lhs[r] = math.fsum(float(h(pts[i:i + 1], np.delete(pts, i))[0])
+                           for i in range(pts.size))
+        probe = TestFunction(eval=lambda xs: h(xs, pts), support=w)
+        rhs[r], _ = measure.integrate(probe, w, tol=1e-9, max_segments=2000)
+    return lhs, rhs
+
+
+_SUITE_MECKE_H = (lambda xs, others: np.ones_like(xs),
+                  lambda xs, others: xs,
+                  lambda xs, others: xs * (others.size + 1))
+# a jump at 0.7 of height the count of the others: a replicate with two or
+# more points misses tol on its first pass and is integrated on its own
+_JUMP_H = lambda xs, others: np.where(xs > 0.7, float(others.size), 0.0) + xs
+
+
+@pytest.mark.parametrize("h, w, R, seed, fallbacks", [
+    *(pytest.param(h, window((0.0, 2.0)), 300, 43 + i, False, id=f"suite_h{i}")
+      for i, h in enumerate(_SUITE_MECKE_H)),
+    pytest.param(_JUMP_H, window((0.0, 2.0)), 300, 7, True, id="jump"),
+    pytest.param(_JUMP_H, window((0.0, 0.5), (0.6, 1.5)), 200, 8, True, id="jump_two_intervals"),
+    pytest.param(_SUITE_MECKE_H[2], window((0.0, 0.5), (3.0, 4.0)), 200, 9, False,
+                 id="two_intervals"),
+    pytest.param(_SUITE_MECKE_H[2], window((0.0, 2.0)), 1, 10, False, id="one_replicate"),
+    pytest.param(_JUMP_H, window((0.0, 1.5)), 1, 2, True, id="one_replicate_jump"),
+    pytest.param(_JUMP_H, window((0.65, 0.8)), 100, 11, True, id="mostly_empty"),
+])
+def test_mecke_sides_bit_equal_to_per_replicate_integrate(monkeypatch, h, w, R, seed,
+                                                          fallbacks):
+    want = _mecke_reference(h, w, R, seed)
+    calls = []
+    real = poisson.integrate
+    monkeypatch.setattr(poisson, "integrate", lambda *a, **k: calls.append(1) or real(*a, **k))
+    # the per-replicate values themselves, not their mean and standard error
+    monkeypatch.setattr(poisson, "_mc_estimate", lambda vals, seed: vals)
+    got = mecke_check(h, w, R, seed)
+    assert [side.tobytes() for side in got] == [side.tobytes() for side in want]
+    assert (0 < len(calls) <= R) if fallbacks else not calls
+    counts = [sample_process(w, seed, r).points.size for r in range(R)]
+    if R > 1:
+        assert 0 in counts  # replicates that draw no points are among them
 
 
 def test_mecke_refuses_a_seed_outside_the_philox_key():
