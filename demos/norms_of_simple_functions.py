@@ -4,10 +4,15 @@ Norms of simple functions
 
 A simple function is a finite list of (value, mass) atoms over disjoint
 finite-measure sets.  This demo prints all the norms the package knows for a
-few of them and shows the two bracket relations that hold in general:
+few of them and shows the bracket relations that hold in general:
 
     gauge <= orlicz <= 2 * gauge          (dual vs Luxemburg formulation)
+    orlicz <= amemiya <= 2 * orlicz       (dual balls of radius 1 and 2)
     0.125 * gauge <= star <= 2.125 * gauge  (Poisson-integral equivalence)
+
+Both Orlicz norms are dual forms sup{ int |f| g : 0 <= g <= 2, ||g||_2 <= r }:
+r = 1 for the paper's norm, r = 2 for Amemiya's, whose ball is that of the
+conjugate Phi*(y) = y^2/4.
 """
 
 from poisson_orlicz import (
@@ -37,10 +42,11 @@ for name, s in functions.items():
     print(name)
     print(f"  atoms      {s.atoms}")
     print(f"  gauge      {gauge:.10f}")
-    print(f"  orlicz     {orlicz:.10f}   (amemiya form {amemiya:.10f})")
+    print(f"  orlicz     {orlicz:.10f}   (amemiya, radius-2 dual form, {amemiya:.10f})")
     print(f"  star       {star:.10f}")
     print(f"  starstar   {starstar:.10f}   (l1 = {l1:.10f})")
     print(f"  brackets   orlicz/gauge = {orlicz / gauge:.6f},"
+          f" amemiya/orlicz = {amemiya / orlicz:.6f},"
           f" star/gauge = {star / gauge:.6f}")
     print()
 

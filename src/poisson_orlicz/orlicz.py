@@ -1,28 +1,29 @@
 """The fixed Young pair (Phi, Psi), the modular, the gauge (Luxemburg) norm,
-and two Orlicz-norm evaluators.
+and two Orlicz norms.
 
 Phi(x) = x^2 for x <= 1 and 2x - 1 for x > 1 (kink at 1, Delta_2-regular).
 Psi(y) = y^2 for y <= 2 and +inf beyond (kink at 2).
 
-Two Orlicz norms are shipped on purpose.  The duality form
+Both Orlicz norms are dual forms
 
-    ||f||_Phi = sup{ integral |f g| dmu : N_Psi(g) <= 1 },
-    N_Psi(g)  = max(||g||_2, ||g||_inf / 2),
+    sup{ integral |f| g dmu : 0 <= g <= 2, ||g||_2 <= r },
 
-is the primary evaluator; the constraint set is {0 <= g <= 2, ||g||_2 <= 1}
-and the maximizer is g = min(2, |f| / (2 theta)) with theta fixed by the L2
-constraint.  The canonical Amemiya form
+evaluated by one routine (``_dual_norm``): the maximizer is
+g = min(2, |f| / (2 theta)) with theta fixed by the L2 constraint.  The
+paper's norm takes r = 1, the ball N_Psi(g) = max(||g||_2, ||g||_inf / 2) <= 1.
+The canonical Amemiya form
 
     inf_{k>0} (1 + modular(k f)) / k
 
-is an independent cross-check; Psi above is *not* the Legendre conjugate of
-Phi (that would be y^2/4 on [0, 2]), so the two evaluators may disagree by a
-bounded factor, and the gap is surfaced rather than hidden.
+equals the Orlicz norm built on the Legendre conjugate Phi*(y) = y^2/4 on
+[0, 2] and +inf beyond (Hudzik & Maligranda, Indag. Math. 11, 2000), whose
+ball {integral Phi*(g) <= 1} is the set above with r = 2.  The balls nest as
+B_1 within B_2 within 2 B_1, so paper <= amemiya <= 2 paper.
 
 Each evaluator is written once, on L^1(mu): every integral it needs goes
 through ``measure.integral``, which is the exact atom sum on a SimpleFunction
-and adaptive quadrature on a TestFunction.  The gauge's lambda and the duality
-form's theta are each the root of a monotone residual, found by one ITP root
+and adaptive quadrature on a TestFunction.  The gauge's lambda and the dual
+forms' theta are each the root of a monotone residual, found by one ITP root
 finder (``_root``).  Inputs whose moments fall outside the float range the
 evaluators can represent raise ValueError.
 """
@@ -43,15 +44,12 @@ __all__ = [
     "gauge_norm",
     "orlicz_norm_paper",
     "orlicz_norm_amemiya",
-    "golden_section_min",
 ]
 
-_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0  # 1/phi
-
-# The evaluators square the values of f and rescale it by factors up to about
-# 1e3 / ||f|| (the Amemiya grid), so they run only when ||f||_1, ||f||_2^2 and
-# their ratio (an |f|-weighted mean of |f|, whose square must not underflow)
-# sit well inside the normal float range.
+# The evaluators square the values of f and divide them by norms of f, so
+# they run only when ||f||_1, ||f||_2^2 and their ratio (an |f|-weighted mean
+# of |f|, whose square must not underflow) sit well inside the normal float
+# range.
 _MOMENT_RANGE = (1e-300, 1e300)
 
 # The norms are found to relative accuracy _TOL, from integrals taken to
@@ -183,34 +181,30 @@ def gauge_norm(f: TestFunction | SimpleFunction) -> float:
     return _root(residual, lo, hi, _TOL, y_lo, residual(hi) if y_hi is None else y_hi)
 
 
-def _dual_l2(f, theta: float) -> float:
-    """||g_theta||_2^2 for the KKT candidate g = min(2, |f| / (2 theta)); a
-    ratio past the float range is clipped to 2 without a warning."""
-    with np.errstate(over="ignore"):
-        return integral(f, lambda v: np.minimum(2.0, np.abs(v) / (2.0 * theta)) ** 2,
-                        _QUAD_TOL)[0]
+def _dual_norm(f, radius: float) -> float:
+    """sup{ integral |f| g : 0 <= g <= 2, ||g||_2 <= radius }.
 
-
-def orlicz_norm_paper(f: TestFunction | SimpleFunction) -> float:
-    """Orlicz norm in the duality form sup{ integral |f g| : N_Psi(g) <= 1 }.
-
-    N_Psi(g) = max(||g||_2, ||g||_inf / 2) <= 1 constrains g to 0 <= g <= 2,
-    ||g||_2 <= 1.  The maximizer is g = min(2, |f| / (2 theta)); theta = 0
-    (g identically 2) whenever 4 mu(supp f) <= 1, otherwise theta solves
-    ||g_theta||_2 = 1, found by the ITP root finder ``_root`` on the residual
-    1 - ||g_theta||_2^2 from a bracket halved down from ||f||_2 / 2.
+    The maximizer is g = min(2, |f| / (2 theta)); theta = 0 (g identically 2)
+    whenever 4 mu(supp f) <= radius^2, otherwise theta solves
+    ||g_theta||_2 = radius, found by the ITP root finder ``_root`` on the
+    residual radius^2 - ||g_theta||_2^2 from a bracket halved down from
+    ||f||_2 / (2 radius), where g unclipped meets the constraint.  A ratio
+    |f| / theta past the float range is clipped to 2 without a warning.
     """
     if not f.total_mass:
         return 0.0
     l1, l2sq = _moments(f, _QUAD_TOL)
-    if 4.0 * f.total_mass <= 1.0:
+    if 4.0 * f.total_mass <= radius * radius:
         return 2.0 * l1
 
-    def residual(theta: float) -> float:
-        return 1.0 - _dual_l2(f, theta)
+    def g(v, theta: float):
+        return np.minimum(2.0, np.abs(v) / (2.0 * theta))
 
-    # bracket: g unclipped satisfies the constraint at theta_hi = ||f||_2 / 2
-    hi = math.sqrt(l2sq) / 2.0
+    def residual(theta: float) -> float:
+        with np.errstate(over="ignore"):
+            return radius * radius - integral(f, lambda v: g(v, theta) ** 2, _QUAD_TOL)[0]
+
+    hi = math.sqrt(l2sq) / (2.0 * radius)
     lo, y_lo = hi, residual(hi)
     y_hi = y_lo
     while y_lo > 0.0 and lo >= 1e-300:
@@ -219,51 +213,25 @@ def orlicz_norm_paper(f: TestFunction | SimpleFunction) -> float:
         y_lo = residual(lo)
     theta = _root(residual, lo, hi, 1e-13, y_lo, y_hi)
     with np.errstate(over="ignore"):
-        return integral(f, lambda u: np.abs(u) * np.minimum(2.0, np.abs(u) / (2.0 * theta)),
-                        _QUAD_TOL)[0]
+        return integral(f, lambda u: np.abs(u) * g(u, theta), _QUAD_TOL)[0]
 
 
-def golden_section_min(func, a: float, b: float, tol: float = 1e-12) -> tuple[float, float]:
-    """Golden-section search for the minimum of a unimodal func on [a, b],
-    until the bracket is narrower than tol * (|a| + |b|)."""
-    c = b - (b - a) * _GOLDEN
-    d = a + (b - a) * _GOLDEN
-    fc, fd = func(c), func(d)
-    while (b - a) > tol * (abs(a) + abs(b)):
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - (b - a) * _GOLDEN
-            fc = func(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + (b - a) * _GOLDEN
-            fd = func(d)
-    x = 0.5 * (a + b)
-    return x, func(x)
+def orlicz_norm_paper(f: TestFunction | SimpleFunction) -> float:
+    """Orlicz norm in the duality form sup{ integral |f g| : N_Psi(g) <= 1 }.
+
+    N_Psi(g) = max(||g||_2, ||g||_inf / 2) <= 1 constrains g to 0 <= g <= 2,
+    ||g||_2 <= 1: the dual form of radius 1 (``_dual_norm``).
+    """
+    return _dual_norm(f, 1.0)
 
 
 def orlicz_norm_amemiya(f: TestFunction | SimpleFunction) -> float:
     """Canonical Orlicz norm inf_{k>0} (1 + modular(k f)) / k.
 
-    The map is quasi-convex in k.  When the support mass exceeds 1 the
-    infimum is attained at finite k and found by grid bracketing plus
-    golden-section refinement; when the mass is <= 1 the map decreases
-    toward its k -> infinity asymptote 2 ||f||_1, which is then the exact
-    infimum, so the returned value is the smaller of the two.
+    It equals sup{ integral |f| g : integral Phi*(g) <= 1 } for the Legendre
+    conjugate Phi*(y) = y^2/4 on [0, 2] (+inf beyond), that is the dual form
+    of radius 2 (``_dual_norm``): 0 <= g <= 2, ||g||_2 <= 2.  The infimum is
+    attained at k = 1 / (4 theta), and is the asymptote 2 ||f||_1 of
+    k -> infinity when mu(supp f) <= 1.
     """
-    if not f.total_mass:
-        return 0.0
-    l1, _ = _moments(f, _QUAD_TOL)
-
-    def objective(k: float) -> float:
-        return (1.0 + modular(f, scale=k)) / k
-
-    n_upper = _norm_upper_bound(f)
-    k_center = 1.0 / n_upper
-    grid = k_center * np.logspace(-3, 3, 61)
-    obj = np.array([objective(k) for k in grid])
-    i = int(np.argmin(obj))
-    a = grid[max(i - 1, 0)]
-    b = grid[min(i + 1, len(grid) - 1)]
-    _, finite_min = golden_section_min(objective, a, b, tol=_TOL)
-    return min(finite_min, 2.0 * l1)
+    return _dual_norm(f, 2.0)

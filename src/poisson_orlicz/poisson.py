@@ -196,7 +196,7 @@ def _replicate_sums(w: Window, R: int, seed: int,
     same bits as one whole-array pass, so the sums do not depend on the
     block size."""
     if R < 1:
-        raise ValueError("need at least one replicate")
+        raise ValueError(f"need at least one replicate, got {R}")
     rng = _philox(seed)
     counts = (rng.poisson(w.measure, size=R).astype(np.int64) if w
               else np.zeros(R, dtype=np.int64))
@@ -243,8 +243,11 @@ def _truncation_bound(f: TestFunction, w: Window, quad_tol: float = _QUAD_TOL) -
 
 
 def _mc_estimate(vals: np.ndarray, seed: int, truncation_bound: float = 0.0) -> MCEstimate:
-    """Mean and standard error of the per-replicate values ``vals``."""
+    """Mean and standard error of the per-replicate values ``vals``; fewer
+    than two values leave the standard error undefined and raise ValueError."""
     R = vals.size
+    if R < 2:
+        raise ValueError(f"need at least two replicates for a standard error, got {R}")
     return MCEstimate(float(vals.mean()), float(vals.std(ddof=1) / math.sqrt(R)), R,
                       int(seed), truncation_bound)
 
@@ -853,10 +856,13 @@ def difference_check(
 def second_moment_check(
     f: TestFunction, w: Window, R: int, seed: int
 ) -> tuple[MCEstimate, float]:
-    """Sample variance of the centered integral against int_w f^2 dmu."""
+    """Sample variance of the centered integral against int_w f^2 dmu; it
+    divides by R - 1, so R < 2 raises ValueError."""
     R = int(R)
     comp, _ = integrate(f, w, tol=_QUAD_TOL)
     sums, = _replicate_sums(w, R, seed, lambda pts: (_eval_points(f, pts),))
+    if R < 2:
+        raise ValueError(f"need at least two replicates for a sample variance, got {R}")
     devs = sums - comp
     centered = devs - devs.mean()
     s2 = float(np.sum(centered * centered) / (R - 1))

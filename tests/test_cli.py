@@ -346,7 +346,7 @@ GOLDEN_NORM_LINES = {
     "bump": (["--function", "bump:0,1", "--seed", "3", "--replicates", "1000"], [
         "gauge 0.8138593383822342",
         "orlicz 0.816496580927725",
-        "amemiya 1.6249999999999976",
+        "amemiya 1.6249999999999973",
         "star 0.6460560356831708 se=0.016921031825083446 trunc=0.0",
         "starstar 0.9959653999425406 se=0.026535094331539052 trunc=0.0",
         "l1 0.9999999999999969",

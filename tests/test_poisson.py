@@ -1010,6 +1010,18 @@ def test_mecke_sides_bit_equal_to_per_replicate_integrate(monkeypatch, h, w, R, 
         assert 0 in counts  # replicates that draw no points are among them
 
 
+@pytest.mark.parametrize("R", [0, 1])
+def test_mecke_refuses_fewer_than_two_replicates(R):
+    # one replicate leaves the standard error undefined (ddof = 1)
+    with pytest.raises(ValueError, match=f"at least two replicates for a standard error, got {R}"):
+        mecke_check(lambda xs, o: xs, window((0, 1)), R, 3)
+
+
+def test_second_moment_check_refuses_one_replicate():
+    with pytest.raises(ValueError, match="at least two replicates for a sample variance, got 1"):
+        second_moment_check(indicator(0.0, 1.0), window((0.0, 1.0)), 1, seed=1)
+
+
 def test_mecke_refuses_a_seed_outside_the_philox_key():
     h = lambda xs, others: np.ones_like(xs)
     for seed in (2 ** 64, -1):
