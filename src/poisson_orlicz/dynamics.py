@@ -269,12 +269,9 @@ def circle_indicator(sys: DynamicalSystem, scale: float = 1.0) -> TestFunction:
 # branching system, where their number doubles with each level
 PULLBACK_CAP = 20000
 # the points an average may pull back, (depth + 1) per breakpoint on one
-# branch; a deeper average is refused before any per-exponent list is built
+# branch, and the orbit points a transfer iterate follows, (depth + 1) per
+# breakpoint or support end; a deeper one is refused before any list is built
 _MAX_PULLBACKS = 10 ** 6
-# a tabled average lays _CELL_BUCKETS buckets per narrowest cell over its
-# cut hull, at most _MAX_BUCKETS (see ``birkhoff``)
-_CELL_BUCKETS = 512
-_MAX_BUCKETS = 1 << 16
 # the unit roundoff and the smallest subnormal: a rounded result is within
 # _U |result| + _ETA of the exact one
 _U = 2.0 ** -53
@@ -299,88 +296,46 @@ def _pullback_breakpoints(sys: DynamicalSystem, pts,
 
 
 class _CellTable(NamedTuple):
-    """A Birkhoff average read from its bucket table (see ``birkhoff``):
+    """A Birkhoff average read from its cells (see ``birkhoff``):
     ``cells[i]`` is the average on the cell between ``cuts[i]`` and
     ``cuts[i + 1]``, NaN where the cell's midpoint lies within ``guard`` of
-    either, and ``table[j]`` the value of bucket j, the x with
-    t = (x - lo) scale + 1 in [j, j + 1), NaN where the bucket is flagged."""
+    either, and ``stepped`` the dense loop."""
     cuts: np.ndarray
     guard: float
     cells: np.ndarray
-    lo: float
-    hi: float
-    scale: float
-    table: np.ndarray
     stepped: Callable[[np.ndarray], np.ndarray]
-
-    def _bucket(self, flat):
-        # a NaN and a point beyond the hull land in a flagged end bucket.  t
-        # dies before the caller's gather allocates its result, which can
-        # then take t's block: with both alive an mc_decay unit took
-        # 35,000-44,000 minor page faults, with t freed first 350-13,000 as
-        # the heap's layout varies
-        t = np.fmax(flat, self.lo)
-        np.fmin(t, self.hi, out=t)
-        t -= self.lo
-        t *= self.scale
-        t += 1.0
-        return t.astype(np.intp)
 
     def __call__(self, x):
         x = np.asarray(x, dtype=float)
         flat = x.ravel()
-        out = self.table[self._bucket(flat)]
-        miss = np.flatnonzero(np.isnan(out))
-        if miss.size:
-            # the cell of each by search; stepped when within the guard of a
-            # cut, beyond the hull or not finite
-            cuts, guard = self.cuts, self.guard
-            y = np.clip(flat[miss], self.lo, self.hi)
-            i = np.clip(np.searchsorted(cuts, y, side="right"), 1, cuts.size - 1)
-            got = np.where((y - cuts[i - 1] > guard) & (cuts[i] - y > guard),
-                           self.cells[i - 1], np.nan)
-            rest = np.flatnonzero(np.isnan(got))
-            if rest.size:
-                got[rest] = self.stepped(flat[miss[rest]])
-            out[miss] = got
+        # the cell of each point by search; stepped when within the guard of
+        # a cut, beyond the hull or not finite
+        cuts, guard = self.cuts, self.guard
+        y = np.clip(flat, cuts[0], cuts[-1])
+        i = np.clip(np.searchsorted(cuts, y, side="right"), 1, cuts.size - 1)
+        out = np.where((y - cuts[i - 1] > guard) & (cuts[i] - y > guard),
+                       self.cells[i - 1], np.nan)
+        rest = np.flatnonzero(np.isnan(out))
+        if rest.size:
+            out[rest] = self.stepped(flat[rest])
         return out.reshape(x.shape)
 
 
 def _cell_table(f: TestFunction, sys: DynamicalSystem, kmax: int, stepped):
-    """The bucket table of ``stepped``, the depth-``kmax`` average of f on
-    a one-branch system, or ``stepped`` itself when the guard is not small
+    """The cell table of ``stepped``, the depth-``kmax`` average of f on a
+    one-branch system, or ``stepped`` itself when the guard is not small
     against the cuts (see ``birkhoff``)."""
     ends = [e for iv in f.support.intervals for e in iv]
     cuts = np.array(_pullback_breakpoints(
         sys, [*f.breakpoints, *ends, *sys.singularities], kmax)[0])
-    lo, hi = float(cuts[0]), float(cuts[-1])
-    big = max(-lo, hi) + kmax * sum(abs(p) for p in sys.params)
+    big = max(-float(cuts[0]), float(cuts[-1])) + kmax * sum(abs(p) for p in sys.params)
     guard = 16.0 * (kmax + 1) * (_U * big + _ETA)
     if not guard < 0.25 * big:
         return stepped
     a, b = cuts[:-1], cuts[1:]
     mid = 0.5 * a + 0.5 * b
     cells = np.where((mid - a > guard) & (b - mid > guard), stepped(mid), np.nan)
-    count = (hi - lo) / np.diff(cuts).min() * _CELL_BUCKETS
-    nb = _MAX_BUCKETS if not count < _MAX_BUCKETS else math.ceil(count)
-    scale = nb / (hi - lo)
-    # bucket j lies in the cell after the cuts whose t is below j + 1/2,
-    # and the buckets from one before to one after a cut's guarded t-range
-    # are flagged, which covers the rounding of t; both ends of those
-    # ranges grow with the cut, so the ranges merge where they meet
-    tc = (cuts - lo) * scale + 1.0
-    past = np.clip(np.floor(tc - 0.5) + 1.0, 0.0, nb + 2.0).astype(np.intp)
-    table = np.repeat(np.concatenate([[np.nan], cells, [np.nan]]),
-                      np.diff(past, prepend=0, append=nb + 2))
-    reach = guard * scale
-    first = np.clip(np.floor(tc - reach) - 1.0, 0.0, nb + 2.0).astype(np.intp)
-    stop = np.clip(np.floor(tc + reach) + 2.0, 0.0, nb + 2.0).astype(np.intp)
-    new = np.concatenate([[True], first[1:] > stop[:-1]])
-    ends = np.column_stack([first[new], stop[np.roll(new, -1)]]).ravel()
-    flagged = np.repeat(np.arange(ends.size + 1) % 2 == 1,
-                        np.diff(ends, prepend=0, append=nb + 2))
-    table[flagged] = np.nan
-    return _CellTable(cuts, guard, cells, lo, hi, scale, table, stepped)
+    return _CellTable(cuts, guard, cells, stepped)
 
 
 def birkhoff(f: TestFunction, sys: DynamicalSystem, n: int,
@@ -396,8 +351,9 @@ def birkhoff(f: TestFunction, sys: DynamicalSystem, n: int,
     added on each p_k, a NaN counted as 0, and the sum is divided by n.
     When f declares ``constant_cells`` and no tails, its support is
     nonempty, its breakpoints are complete and the system has one branch,
-    a bucket table built once caches the average's value on each cell, and
-    only the points rounding could move off that value are stepped.
+    a cell table built once caches the average's value on each cell between
+    its cuts, and only the points rounding could move off that value are
+    stepped.
 
     The cuts are the pullbacks, to depth K, of f's breakpoints and support
     ends and of ``sys.singularities``, where a step jumps: without the wrap
@@ -426,16 +382,12 @@ def birkhoff(f: TestFunction, sys: DynamicalSystem, n: int,
     f for every k, each term has the same bits, and so has the sum in its
     fixed order.
 
-    The table lays min(2^16, 512 (hull width)/(narrowest cell)) uniform
-    buckets over the cut hull and flags every bucket within one of a cut's
-    G-range; the bucket of slack covers the rounding of the index.  It
-    holds NaN in the flagged buckets and in both end slots.  ``eval`` clips
-    x to the hull, reads bucket (x - lo) scale + 1, and sends a NaN to a
-    search over the cuts: its cell's value when it is farther than G from
-    both ends, else the dense loop, which also takes every point beyond the
-    hull and every non-finite one.  Boole averages keep the loop: no
-    rounding argument bounds its expanding branches, and its cut count
-    doubles per level (PULLBACK_CAP).
+    ``eval`` clips x to the cut hull and finds its cell by a search over
+    the cuts: it reads the cell's value when x is farther than G from both
+    ends, and steps x by the dense loop otherwise, which also takes every
+    point beyond the hull and every non-finite one.  Boole averages keep the
+    loop: no rounding argument bounds its expanding branches, and its cut
+    count doubles per level (PULLBACK_CAP).
 
     An average whose (K + 1) max(1, #breakpoints) pulled-back points exceed
     _MAX_PULLBACKS is refused with ValueError before any per-exponent list is
@@ -759,6 +711,9 @@ def transfer_apply(f: TestFunction, sys: DynamicalSystem, n: int,
     Boole's inverse Jacobians sum to 1, so T-hat does not raise the sup
     norm and the error of level n is at most the sum of the levels' fit
     errors: the sum of their estimates is declared as ``fit_error``.
+
+    An iterate whose (n + 1) max(1, #breakpoints + #support ends) orbit
+    points exceed _MAX_PULLBACKS is refused before the orbit is built.
     """
     n = int(n)
     if n < 0:
@@ -766,6 +721,10 @@ def transfer_apply(f: TestFunction, sys: DynamicalSystem, n: int,
     if n == 0:
         return f
     edges = list(f.breakpoints) + [e for iv in f.support.intervals for e in iv]
+    followed = (n + 1) * max(1, len(edges))
+    if followed > _MAX_PULLBACKS:
+        raise ValueError(f"a transfer iterate to depth {n} follows {followed} orbit "
+                         f"points, over the limit of {_MAX_PULLBACKS}")
     orbit = _forward_orbit(sys, edges, n)
 
     if len(sys.preimages(0.0)) == 1:

@@ -108,7 +108,9 @@ _SUBSEQUENCES: dict[str, Callable[[int], int]] = {
     "2^k": lambda k: 2 ** k,
 }
 
-_SCAN_STREAM = 77001  # reserved replicate id for the urbanik sampler
+# the urbanik scan draws its functions on the Philox key (seed, _SCAN_STREAM);
+# every other stream of a run is keyed by ``_stream_key``
+_SCAN_STREAM = 77001
 
 # Fixed bands: Birkhoff averages keep their L1 column within _L1_BAND of the
 # first row's; Boole transfer iterates (window deficit below
@@ -217,6 +219,8 @@ class ExperimentConfig:
             raise ConfigError("seed is required; there is no entropy default")
         if _typed("seed", self.seed, int) < 0:
             raise ConfigError(f"seed must be nonnegative, got {self.seed}")
+        if self.seed >= 1 << 64:  # a Philox key word
+            raise ConfigError(f"seed must be at most {(1 << 64) - 1}, got {self.seed}")
         depths = _depths(self.depths)
         if not depths:
             raise ConfigError("depths must be non-empty")
@@ -251,14 +255,6 @@ class ExperimentConfig:
             if not run:
                 raise ConfigError(f"subsequence {self.subsequence} exceeds subsequence_cap "
                                   f"{self.subsequence_cap} at every depth of {depths}")
-        # every Philox key word the run derives from seed must fit 64 bits
-        if "depths" in scenario.reads:
-            offset, where = _row_seed(0, run[-1]), f" at depths {list(run)}"
-        else:
-            offset, where = scenario.seed_offset, ""
-        if self.seed + offset >= 1 << 64:
-            raise ConfigError(f"seed must be at most {(1 << 64) - 1 - offset} for "
-                              f"{self.scenario}{where}, got {self.seed}")
         stray = sorted(set(given["expected"]["star"]) - {str(n) for n in depths})
         if stray:
             raise ConfigError(f"expected.star keys {', '.join(stray)} name no depth of {depths}")
@@ -348,8 +344,12 @@ class ExperimentRow:
     norm_source: str = "simple"
 
 
-def _row_seed(seed: int, n: int) -> int:
-    return int(seed) + 1_000_003 * (int(n) + 1)
+def _stream_key(seed: int, scenario: str, index: int) -> int:
+    """The Philox key word of stream ``index`` (a row's depth, a check's
+    number) of a ``scenario`` run at ``seed``: the first 8 bytes, big-endian,
+    of the SHA-256 of "seed/scenario/index", so no two streams share a key."""
+    digest = hashlib.sha256(f"{int(seed)}/{scenario}/{int(index)}".encode()).digest()
+    return int.from_bytes(digest[:8], "big")
 
 
 # ---------------------------------------------------------------------------
@@ -605,7 +605,7 @@ def _depth_rows(cfg: ExperimentConfig, derive: Callable[[int], TestFunction],
     for n in cfg.depths:
         g = derive(n)
         w = g.support if window_of is None else window_of(g, n)
-        seed = _row_seed(cfg.seed, n)
+        seed = _stream_key(cfg.seed, cfg.scenario, n)
         if center is None:
             est = estimate_star_norm(g, w, cfg.replicates, seed, quad_tol=quad_tol)
         else:
@@ -704,7 +704,7 @@ def run_urbanik_scan(cfg: ExperimentConfig):
         gauge = float(gauge_norm(s))
         orl = float(orlicz_norm_paper(s))
         l1, l2sq, _ = simple_moments(s)
-        est = MCEstimate(star, 0.0, 1, _row_seed(cfg.seed, i), 1e-12)
+        est = MCEstimate(star, 0.0, 1, _stream_key(cfg.seed, cfg.scenario, i), 1e-12)
         ratios_gauge.append(star / gauge)
         ratios_orlicz.append(star / orl)
         verdicts = (
@@ -763,7 +763,8 @@ def run_identity_suite(cfg: ExperimentConfig):
     """One pass/fail check per distributional identity, with margins."""
     R = int(cfg.replicates)
     R_mecke = min(R, 2000)
-    seed = int(cfg.seed)
+    # check i draws on stream i, the difference check's points on stream 0
+    key = functools.partial(_stream_key, cfg.seed, cfg.scenario)
     checks: list[Verdict] = []
     w = window((0.0, 2.0))
 
@@ -773,7 +774,7 @@ def run_identity_suite(cfg: ExperimentConfig):
         ("mecke_position", lambda xs, others: xs),
         ("mecke_count_coupled", lambda xs, others: xs * (others.size + 1)),
     ), start=1):
-        lhs, rhs = mecke_check(h, w, R_mecke, seed + i)
+        lhs, rhs = mecke_check(h, w, R_mecke, key(i))
         checks.append(_band_verdict(name, lhs, rhs, 4.0))
 
     # difference operator: adding a point moves the integral by exactly f(x)
@@ -782,11 +783,11 @@ def run_identity_suite(cfg: ExperimentConfig):
         triangular_bump(1.0, 0.5, -2.0 / 7.0),
         piecewise_constant((0.0, 0.3, 1.1, 2.0), (0.7, -1.9, 0.25)),
     )
-    rng = _philox(seed, 905)
+    rng = _philox(key(0))
     worst = 0.0
     for t in range(30):
         fd = fns[t % len(fns)]
-        s = sample_process(w, seed + 4, t)
+        s = sample_process(w, key(4), t)
         comp, _ = integrate(fd, w, tol=1e-10)
         x = float(rng.uniform(0.0, 2.0))
         obs, expect = difference_check(fd, s, x, comp)
@@ -795,12 +796,12 @@ def run_identity_suite(cfg: ExperimentConfig):
 
     # second moment: Var I_1(f) = int f^2
     fb = triangular_bump(1.0, 1.0, 1.5)
-    est, l2sq = second_moment_check(fb, w, R, seed + 5)
+    est, l2sq = second_moment_check(fb, w, R, key(5))
     checks.append(_band_verdict("l2_isometry", est, l2sq, 4.0))
 
     # reduced second moment: E[N(g)N(h) - N(gh)] = int g int h
     est, target = reduced_moment_check(indicator(0.0, 1.0), indicator(0.5, 1.5),
-                                       w, R, seed + 6)
+                                       w, R, key(6))
     checks.append(_band_verdict("reduced_moment", est, target, 4.0))
 
     # equivariance and coboundary under both invertible-window setups
@@ -818,22 +819,22 @@ def run_identity_suite(cfg: ExperimentConfig):
                                             ("boole", boole, f_bo, win_b, 1e-7)):
             worst = 0.0
             for t in range(10):
-                s = sample_process(wins[0], seed + offset, t)
+                s = sample_process(wins[0], key(offset), t)
                 l, r = check(fd, sys_d, s, wins)
                 worst = max(worst, abs(l - r))
             checks.append(_verdict(f"{name}_{kind}", band - worst))
 
     # uncentered norm identities
     f_pos = piecewise_constant((0.0, 0.6, 1.4), (0.8, 1.3))
-    est = estimate_starstar_norm(f_pos, w, R, seed + 9)
+    est = estimate_starstar_norm(f_pos, w, R, key(9))
     checks.append(_band_verdict("starstar_eq_l1_nonneg", est, 0.6 * 0.8 + 0.8 * 1.3, 3.0))
     f_mix = piecewise_constant((0.0, 1.0, 2.0), (1.0, -1.0))
-    est = estimate_starstar_norm(f_mix, w, R, seed + 10)
+    est = estimate_starstar_norm(f_mix, w, R, key(10))
     checks.append(_verdict("starstar_gap_mixed",
                            2.0 - est.mean - 3.0 * est.std_error
                            - est.truncation_bound))
-    ss = estimate_starstar_norm(f_mix, w, R, seed + 11)
-    st = estimate_star_norm(f_mix, w, R, seed + 12)
+    ss = estimate_starstar_norm(f_mix, w, R, key(11))
+    st = estimate_star_norm(f_mix, w, R, key(12))
     checks.append(_band_verdict("starstar_eq_star_zero_integral", ss, st, 3.0))
 
     summary = _summarize(cfg, [])
@@ -881,8 +882,7 @@ class _Scenario(NamedTuple):
     and seed, its stock settings where they differ from _STOCK, the reduced
     settings `porlicz suite` runs it at, the system kinds it runs on (any,
     when it reads no system), its smallest depth and the table its function
-    shape is read from; a scenario that reads no depths adds at most
-    seed_offset to seed for its Philox keys."""
+    shape is read from."""
     run: Callable
     reads: tuple
     stock: dict
@@ -890,7 +890,6 @@ class _Scenario(NamedTuple):
     kinds: tuple = ()
     min_depth: int = 1
     shapes: dict = _SHAPES
-    seed_offset: int = 0
 
 
 _PER_DEPTH = ("system", "function", "depths", "replicates", "tolerances", "expected")
@@ -899,8 +898,7 @@ _LINE = ("translation", "boole")
 # in the order `porlicz suite` runs them
 _SCENARIOS = {
     "identity_suite": _Scenario(
-        run_identity_suite, ("replicates",), {"depths": (1,), "replicates": 4000}, {},
-        seed_offset=12),  # its checks draw from seed + 1 .. seed + 12
+        run_identity_suite, ("replicates",), {"depths": (1,), "replicates": 4000}, {}),
     "birkhoff_decay": _Scenario(
         run_birkhoff_decay, _PER_DEPTH, {"expected": {"slope": dict(_SLOPE, value=-0.5)}},
         {"depths": (1, 2, 4, 8), "replicates": 20_000}, _LINE),

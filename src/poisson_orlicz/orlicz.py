@@ -190,6 +190,11 @@ def _dual_norm(f, radius: float) -> float:
     residual radius^2 - ||g_theta||_2^2 from a bracket halved down from
     ||f||_2 / (2 radius), where g unclipped meets the constraint.  A ratio
     |f| / theta past the float range is clipped to 2 without a warning.
+
+    When f vanishes on part of its declared support, the residual stays
+    positive once g is 2 wherever f is not 0, and the halving stops at two
+    equal residuals.  A value of f whose share of ||g||_2^2 is below the
+    sum's last bit can also stop it; it then counts at that theta.
     """
     if not f.total_mass:
         return 0.0
@@ -211,6 +216,8 @@ def _dual_norm(f, radius: float) -> float:
         hi, y_hi = lo, y_lo
         lo *= 0.5
         y_lo = residual(lo)
+        if y_lo == y_hi:  # the plateau: g is 2 wherever f is not 0
+            break
     theta = _root(residual, lo, hi, 1e-13, y_lo, y_hi)
     with np.errstate(over="ignore"):
         return integral(f, lambda u: np.abs(u) * g(u, theta), _QUAD_TOL)[0]

@@ -239,7 +239,7 @@ def test_criterion_10_starstar_properties():
 
 
 # sha256 of `porlicz suite --seed 42` (CSV): every byte of the gate
-SUITE_CSV_SHA256 = "d6fa7138d127a2db2e463cea212c5fc74fbdccf63750962bf6286bc68f9f2742"
+SUITE_CSV_SHA256 = "eb9b1dc6eab3900c74f7ffa442a9b563f3a0eb6c74c91782bdbf1cda8de9f03e"
 
 
 def test_criterion_11_suite_determinism(tmp_path):

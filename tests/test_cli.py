@@ -314,6 +314,20 @@ def test_norm_birkhoff_past_the_pullback_limit_exits_1_at_once(capsys):
     assert "depth 100000000" in err and "200000002" in err
 
 
+@pytest.mark.parametrize("system", ["translation", "boole"])
+def test_norm_transfer_past_the_orbit_limit_exits_1_at_once(capsys, system):
+    # the forward orbit of the edges was built first, one point per edge and
+    # level: 0.25 s at depth 10^5 on translation, about 10^9 floats at 10^9
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, ["norm", "--function", "indicator:0,1",
+                                      "--apply", "transfer", "--system", system,
+                                      "--depth", "1000000000", "--which", "l1"])
+    assert time.perf_counter() - start < 1.0
+    assert code == 1
+    assert out == ""
+    assert "depth 1000000000" in err and "over the limit of 1000000" in err
+
+
 def test_norm_bump_needs_seed_for_star(capsys):
     code, out, err = run_cli(capsys, ["norm", "--function", "bump:0,1",
                                       "--which", "star"])
@@ -867,8 +881,57 @@ def test_run_missing_seed_in_config(capsys, tmp_path):
     assert "seed" in err
 
 
+# `porlicz run --config` on seven configs off the stock ones, each pinned by
+# its exit code and the sha256 of its CSV:
+# - decay, circle: deep Birkhoff averages read from their cell tables;
+# - boole, bump: averages stepped by the dense loop.  The Boole config exits 2
+#   because its depth-16 row misses l1_constant (l1 0.99934...): a
+#   discretized row's L1 is a quadrature value whose error is dropped, an
+#   open fault kept visible here;
+# - scan1, scan7: Urbanik scans whose every star value is the exact oracle's;
+# - mecke: an identity suite whose three Mecke checks take 2000 replicates.
+RUN_DIGESTS = {
+    "decay": ({"scenario": "birkhoff_decay", "seed": 6301, "depths": [64, 256],
+               "replicates": 20000, "system": {"kind": "translation"},
+               "function": {"shape": "indicator", "lo": 0.0, "hi": 1.0}}, 0,
+              "2bfa61ca4cb3a21f8f6659014ac7602b2fe7e4ab14948fd49b07c461a5761ae2"),
+    "circle": ({"scenario": "invariant_vector", "seed": 6401, "depths": [64, 256],
+                "replicates": 20000, "system": {"kind": "composite"},
+                "function": {"shape": "circle"}}, 0,
+               "44a7228da6445fceda62593c9024c4c4a1126f6f357dc40ebcf60802c1e147db"),
+    "boole": ({"scenario": "birkhoff_decay", "seed": 6701, "depths": [1, 4, 16],
+               "replicates": 20000, "system": {"kind": "boole"},
+               "function": {"shape": "indicator", "lo": 0.0, "hi": 1.0}}, 2,
+              "e42cf00b2dd7fb4ec228cf02c8c339874214c7f7d2438416c75206ed5ce66d91"),
+    "bump": ({"scenario": "birkhoff_decay", "seed": 6801, "depths": [1, 4, 16, 32],
+              "replicates": 20000, "system": {"kind": "translation"},
+              "function": {"shape": "bump", "center": 0.5, "halfwidth": 0.5}}, 0,
+             "0106550269628e4e3ffd6cf989247b57ca3da1e1403a7963321fe930420275d4"),
+    "scan1": ({"scenario": "urbanik_scan", "seed": 1, "system": {"kind": "translation"},
+               "function": {"shape": "random_atoms", "samples": 200, "max_atoms": 5}}, 0,
+              "c16ee866be9b895c131846c9968b747cc79cc5b7956309eb99841d5257091d1e"),
+    "scan7": ({"scenario": "urbanik_scan", "seed": 7, "system": {"kind": "translation"},
+               "function": {"shape": "random_atoms", "samples": 200, "max_atoms": 5,
+                            "value_range": [1e-3, 1e3], "mass_range": [0.001, 30.0]}}, 0,
+              "659fbc260f6149cc8e8e7fde8a6903ae4d9009292bad1dcb14fdae43e011f621"),
+    "mecke": ({"scenario": "identity_suite", "seed": 7001, "replicates": 20000,
+               "system": {"kind": "translation"},
+               "function": {"shape": "indicator", "lo": 0.0, "hi": 1.0}}, 0,
+              "534e88510d88a5a88dd88a2084b396b41c0f3e8b78bdf911c99e7b6a21edb3fb"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(RUN_DIGESTS))
+def test_run_config_keeps_its_exit_code_and_digest(capsys, tmp_path, name):
+    config, want, digest = RUN_DIGESTS[name]
+    code, out, err = run_cli(capsys, ["run", "--config",
+                                      write_config(tmp_path, f"{name}.json", config)])
+    assert code == want, err
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def test_run_refuses_a_seed_past_the_philox_key_range(capsys, tmp_path):
-    path = write_config(tmp_path, "bigseed.json", dict(BASE_CONFIG, seed=2 ** 64 - 1))
+    path = write_config(tmp_path, "bigseed.json", dict(BASE_CONFIG, seed=2 ** 64))
     code, out, err = run_cli(capsys, ["run", "--config", path])
     assert code == 1
     assert "seed must be at most" in err
@@ -970,6 +1033,42 @@ def test_sample_argv_exits_0_1_or_2(tmp_path_factory, case):
 def test_suite_argv_exits_0_1_or_2(tmp_path_factory, seed, fmt, output, drop, stray):
     argv = _argv("suite", [("--seed", str(seed)), ("--format", fmt)], drop, stray)
     _exit_code(_with_output(argv, output, str(tmp_path_factory.mktemp("suite"))))
+
+
+# `norm` over its sources, with every depth either at most 8 or refused at
+# once and at most 3000 replicates, so no example runs long or allocates
+# more than a few MB
+_NORM_SOURCES = [
+    ("--atoms", "(1,0.5);(-2,0.25)"),
+    ("--function", "bump:0,1"),
+    ("--function", "indicator:0,1", "--apply", "birkhoff", "--system", "translation:0.5"),
+    ("--function", "bump:0.5,0.5", "--apply", "birkhoff", "--system", "translation"),
+    ("--function", "indicator:0,1", "--apply", "birkhoff", "--system", "boole"),
+    ("--function", "circle", "--apply", "birkhoff", "--system", "composite"),
+    ("--function", "indicator:1,2", "--apply", "transfer", "--system", "boole"),
+    ("--function", "bump:0,1", "--apply", "transfer", "--system", "translation"),
+]
+_DEPTHS = st.integers(-2, 8) | st.sampled_from([10 ** 6, 10 ** 9, 2 ** 63, "", "x", "1.5", "--"])
+_REPLICATES = st.integers(-2, 3000) | st.sampled_from(["", "1e3", "x", "--"])
+_WHICH = st.one_of(
+    st.lists(st.sampled_from(cli.NORM_NAMES), min_size=1, max_size=3).map(",".join),
+    st.lists(st.sampled_from(list(cli.NORM_NAMES) + ["bogus", "", " star"]),
+             max_size=4).map(",".join),
+    st.text(max_size=6))
+
+
+@settings(max_examples=60)
+@given(case=st.tuples(st.sampled_from(_NORM_SOURCES), _DEPTHS, _REPLICATES,
+                      st.integers(0, 40) | _SEEDS, _WHICH, st.just(-1) | _DROP,
+                      st.just([]) | _STRAY))
+@example(case=(_NORM_SOURCES[6], 10 ** 9, 1000, 1, "star", -1, []))
+@example(case=(_NORM_SOURCES[3], 8, 1000, 2 ** 64, "star", -1, []))
+@example(case=(_NORM_SOURCES[1], 1, 999, 1, "starstar", -1, []))
+def test_norm_argv_exits_0_1_or_2(case):
+    source, depth, replicates, seed, which, drop, stray = case
+    pairs = [source, ("--depth", str(depth)), ("--replicates", str(replicates)),
+             ("--seed", str(seed)), ("--which", which)]
+    _exit_code(_argv("norm", pairs, drop, stray))
 
 
 # small JSON: no example reaches a long run

@@ -837,20 +837,18 @@ def test_circle_indicator_negative_scale_keeps_positive_zero():
 
 
 # ---------------------------------------------------------------------------
-# Birkhoff averages read from their bucket table
+# Birkhoff averages read from their cell table
 
 def _table_points(g):
-    """Every cut, bucket edge and flagged-bucket boundary of the table of
-    ``g``, each with the floats up to 3 ulps either side, and the floats up
-    to 64 ulps either side of each cut, where the float iterates of a
-    point can cross a breakpoint that the exact ones do not."""
+    """The floats up to 64 ulps either side of every cut of the table of
+    ``g``, where the float iterates of a point can cross a breakpoint that
+    the exact ones do not, and up to 3 ulps either side of both ends of
+    every cut's guard range, where a point goes from its cell's value to
+    the dense loop."""
     t = g.eval
     assert isinstance(t, dynamics._CellTable)
-    nb = t.table.size - 2
-    edges = t.lo + np.arange(nb + 1) / t.scale
-    flips = np.flatnonzero(np.diff(np.isnan(t.table))) + 1
-    return np.concatenate([_near(np.concatenate([edges, edges[np.clip(flips - 1, 0, nb)]])),
-                           _near(t.cuts, ulps=64)])
+    return np.concatenate([_near(t.cuts, ulps=64),
+                           _near(np.concatenate([t.cuts - t.guard, t.cuts + t.guard]))])
 
 
 def _assert_table_bits(g, f, sys, n, powers=None, extra=()):
@@ -879,11 +877,15 @@ TABLE_CASES = {
     "atoms_composite": (lambda: make_composite(0.5, -0.2, -1.5),
                         lambda s: build_function({"shape": "atoms",
                                                   "atoms": [[1.0, 0.5], [-2.0, 0.25]]})),
+    # a cell 1e-3 wide in a hull about 40 wide: at depth 40 it once capped
+    # the bucket layer the table had
+    "steps_golden_translation": (lambda: make_translation(GOLDEN),
+                                 lambda s: piecewise_constant([0.0, 1e-3, 1.0], [1.0, -1.0])),
 }
 
 
 @pytest.mark.parametrize("name", sorted(TABLE_CASES))
-@pytest.mark.parametrize("n", (1, 4, 33))
+@pytest.mark.parametrize("n", (1, 4, 33, 40))
 def test_table_bits_equal_the_reference_at_every_cut_and_bucket_edge(name, n):
     make_sys, make_f = TABLE_CASES[name]
     sys = make_sys()
@@ -917,14 +919,6 @@ def test_table_with_every_cut_inside_one_guard():
         t = g.eval
         assert np.ptp(t.cuts[t.cuts < 0.5]) <= t.guard
         _assert_table_bits(g, f, sys, n, extra=_near([0.0, 1.0, 1e-300, -1e-300], ulps=40))
-
-
-def test_table_bucket_cap_binds():
-    sys, f = make_translation(GOLDEN), piecewise_constant([0.0, 1e-3, 1.0], [1.0, -1.0])
-    n = 40
-    g = birkhoff(f, sys, n)
-    assert g.eval.table.size - 2 == dynamics._MAX_BUCKETS
-    _assert_table_bits(g, f, sys, n)
 
 
 def test_table_bits_on_the_k_squared_subsequence():

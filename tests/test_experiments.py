@@ -10,6 +10,7 @@ import warnings
 import numpy as np
 import pytest
 
+from poisson_orlicz import experiments
 from poisson_orlicz.experiments import (
     ConfigError,
     ExperimentConfig,
@@ -128,20 +129,33 @@ def test_bad_seed_is_refused(seed, names):
         default_config("birkhoff_decay", seed=seed)
 
 
-# the largest Philox key word a run derives from its seed is seed + 1_000_003
-# (n + 1) for its deepest row n, seed + 12 in the identity suite, and the seed
-# itself in the urbanik scan; the largest seed allowed still runs
-@pytest.mark.parametrize("scenario, seed, overrides, largest", [
-    ("birkhoff_decay", 2 ** 64 - 1, {"depths": (1,), "replicates": 1000},
-     2 ** 64 - 1 - 2_000_006),
-    ("identity_suite", 2 ** 64 - 5, {"replicates": 1000}, 2 ** 64 - 13),
-    ("urbanik_scan", 2 ** 64, {}, 2 ** 64 - 1),
+# a run's Philox keys are the seed itself (the urbanik scan) or hashes of
+# it (``_stream_key``), so every scenario takes every seed in [0, 2^64): the
+# largest runs, and the next is refused
+@pytest.mark.parametrize("scenario, seed, overrides", [
+    ("birkhoff_decay", 2 ** 64, {"depths": (1,), "replicates": 1000}),
+    ("identity_suite", 2 ** 64, {"replicates": 1000}),
+    ("urbanik_scan", 2 ** 64, {}),
 ])
-def test_seed_past_the_philox_key_range_is_refused_at_load(scenario, seed, overrides, largest):
-    with pytest.raises(ConfigError, match=f"seed must be at most {largest} for {scenario}"):
+def test_seed_past_the_philox_key_range_is_refused_at_load(scenario, seed, overrides):
+    with pytest.raises(ConfigError, match=f"seed must be at most {seed - 1}, got {seed}"):
         default_config(scenario, seed, **overrides)
-    _, summary = run_experiment(default_config(scenario, largest, **overrides))
+    _, summary = run_experiment(default_config(scenario, seed - 1, **overrides))
     assert summary["all_pass"] is True
+
+
+def test_every_row_and_check_draws_on_its_own_stream():
+    # rows of two scenarios at one depth, and (seed, depth) pairs that the
+    # old offset seed + 1_000_003 (n + 1) mapped to one key, now differ
+    keys = {experiments._stream_key(s, scenario, n)
+            for s, n in ((5, 1), (5 + 1_000_003, 0), (5, 2))
+            for scenario in ("birkhoff_decay", "starstar_ergodic", "identity_suite")}
+    assert len(keys) == 9 and all(0 <= k < 2 ** 64 for k in keys)
+    a = run_birkhoff_decay(default_config("birkhoff_decay", seed=5, depths=(1,),
+                                          replicates=1000))[0][0].star
+    b = run_starstar_ergodic(default_config("starstar_ergodic", seed=5, depths=(1,),
+                                            replicates=1000))[0][0].star
+    assert a.seed != b.seed
 
 
 def test_config_rejects_unknown_keys():
@@ -228,16 +242,21 @@ def test_birkhoff_decay_past_the_pullback_cap_is_discretized():
     assert deep.gauge > 0.0
 
 
-def test_blum_hanson_identity_subsequence_reduces_to_birkhoff():
+def test_blum_hanson_identity_subsequence_reduces_to_birkhoff(monkeypatch):
+    # each scenario draws on its own streams; drawn on birkhoff_decay's, the
+    # identity subsequence gives its rows bit for bit
     kwargs = dict(depths=(1, 2, 3), replicates=2000)
     cfg_b = default_config("birkhoff_decay", seed=17, **kwargs)
     cfg_s = dataclasses.replace(cfg_b, scenario="blum_hanson", subsequence="k",
                                 expected={})
     cfg_b = dataclasses.replace(cfg_b, expected={})
     rows_b, _ = run_birkhoff_decay(cfg_b)
+    key = experiments._stream_key
+    monkeypatch.setattr(experiments, "_stream_key",
+                        lambda seed, scenario, index: key(seed, "birkhoff_decay", index))
     rows_s, _ = run_blum_hanson(cfg_s)
     for rb, rs in zip(rows_b, rows_s):
-        assert rb.star.mean == rs.star.mean
+        assert rb.star == rs.star
         assert rb.gauge == rs.gauge
 
 
@@ -279,7 +298,7 @@ def test_blum_hanson_truncated_run_is_the_run_of_the_kept_depths():
     assert summary["config_hash"] == kept.config_hash() == "fcaa8825b44e0eb0"
     text = result_to_csv(rows, summary) + result_to_json(cfg, rows, summary)
     assert hashlib.sha256(text.encode()).hexdigest() == (
-        "ee0c3d22c1c98a1683dc0baf77914bd05ccef3867acc946070ddbbd459dbfe1e")
+        "26c182290cb40bb7235999d0b56d31e4bf847291ba86d59d2698e7095b306e03")
 
 
 def test_blum_hanson_verdicts_pass():
@@ -489,7 +508,7 @@ def test_stock_config_hash_is_pinned(scenario):
 
 
 # sha256 of `porlicz suite --seed 42 --format json`: every byte of the gate
-SUITE_JSON_SHA256 = "72f9e8fb27565b0d16d0b22ae0e5cc09f6adf46e6ef0664ab8e8496bccf9dc5a"
+SUITE_JSON_SHA256 = "c94e22cae54ac6f9c194e7c8b153a54c1043fcc5d4bb88a4546e4930b7096670"
 
 
 def test_suite_config_hashes_are_pinned(capsys):

@@ -12,10 +12,12 @@ from poisson_orlicz import orlicz
 
 from poisson_orlicz.measure import (
     SimpleFunction,
+    TestFunction,
     function_moments,
     indicator,
     simple_moments,
     simple_to_test,
+    window,
 )
 from poisson_orlicz.orlicz import (
     gauge_norm,
@@ -419,3 +421,17 @@ def test_paper_amemiya_bracket(f):
     # the dual balls nest: B_1 within B_2 within 2 B_1
     paper, amemiya = orlicz_norm_paper(f), orlicz_norm_amemiya(f)
     assert paper * (1.0 - 1e-12) <= amemiya <= 2.0 * paper * (1.0 + 1e-12)
+
+
+@pytest.mark.parametrize("norm, nonzero, want", [(orlicz_norm_amemiya, 1.0, 2.0),
+                                                  (orlicz_norm_paper, 0.2, 0.4)])
+def test_dual_norm_stops_halving_at_the_plateau(norm, nonzero, want):
+    # f = 1 on [0, nonzero) but declared on [0, 3): 4 mu(f != 0) <= radius^2,
+    # so the residual stays positive as theta falls to 0 and the norm is
+    # 2 ||f||_1.  The halving ran to theta < 1e-300, 997 integral calls
+    f = TestFunction(eval=lambda x: np.where(np.asarray(x) < nonzero, 1.0, 0.0),
+                     support=window((0.0, 3.0)), breakpoints=(nonzero,))
+    with mock.patch.object(orlicz, "integral", wraps=orlicz.integral) as calls:
+        got = norm(f)
+    assert got == pytest.approx(want, rel=1e-12)
+    assert calls.call_count <= 4

@@ -9,7 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import integrate, stats
 
-from poisson_orlicz import measure, poisson
+from poisson_orlicz import dynamics, measure, poisson
 from poisson_orlicz.dynamics import (
     CIRCLE_OFFSET,
     birkhoff,
@@ -776,6 +776,108 @@ def test_estimate_starstar():
     est = estimate_starstar_norm(mixed, window((0, 3)), 10 ** 4, seed=4)
     l1 = 3.0
     assert l1 - est.mean > 3 * est.std_error  # strict gap for mixed sign
+
+
+# ---------------------------------------------------------------------------
+# cell counts against points
+
+# tabled Birkhoff averages with a simple form: one atom on translation,
+# several for a step function and for the circle plus a line piece
+_COMPOSITE = make_composite(circumference=1.0, angle=0.3, step=1.0)
+_TABLED_ROWS = {
+    "indicator_depth_1": birkhoff(indicator(0.0, 1.0), make_translation(1.0), 1),
+    "indicator_depth_8": birkhoff(indicator(0.0, 1.0), make_translation(1.0), 8),
+    "steps_depth_4": birkhoff(piecewise_constant([-1.0, 0.3, 1.1, 2.5], [1.5, 0.0, -2.0]),
+                              make_translation(1.0), 4),
+    "circle_plus_indicator_depth_3": birkhoff(
+        build_function({"shape": "circle_plus_indicator", "lo": CIRCLE_OFFSET - 2.5,
+                        "hi": CIRCLE_OFFSET - 1.0, "scale": 2.0}, _COMPOSITE), _COMPOSITE, 3),
+}
+# the number of standard errors within which the two samplers must agree:
+# each comparison has a false-fail chance of about 6e-7
+_AGREE_SE = 5.0
+
+
+def _stats(sums: np.ndarray, c: float) -> list[tuple[float, float]]:
+    """(estimate, standard error) of the mean, the variance and E|N - c|."""
+    R = sums.size
+    dev = sums - sums.mean()
+    s2 = float(dev @ dev) / (R - 1)
+    var_s2 = max(float(np.mean(dev ** 4)) - s2 * s2, 0.0) / R
+    a = np.abs(sums - c)
+    return [(float(sums.mean()), math.sqrt(s2 / R)), (s2, math.sqrt(var_s2)),
+            (float(a.mean()), float(a.std(ddof=1)) / math.sqrt(R))]
+
+
+@pytest.mark.parametrize("name", sorted(_TABLED_ROWS))
+def test_cell_counts_and_points_agree_in_law(name):
+    # N(g) by cell counts and by points: mean, variance and E|N - c| within
+    # _AGREE_SE standard errors of each other, at R = 10^5, over three seeds
+    g = _TABLED_ROWS[name]
+    assert isinstance(g.eval, dynamics._CellTable)
+    atoms = measure.piecewise_to_simple(g).atoms
+    c = simple_moments(SimpleFunction(atoms)).integral
+    R = 10 ** 5
+    for seed in (1, 2, 3):
+        counts = poisson._count_sums(atoms, R, seed)
+        points, = poisson._replicate_sums(g.support, R, seed + 100,
+                                          lambda pts: (poisson._eval_points(g, pts),))
+        for (x, sx), (y, sy) in zip(_stats(counts, c), _stats(points, c)):
+            assert abs(x - y) <= _AGREE_SE * math.hypot(sx, sy), (name, seed, x, y)
+
+
+@pytest.mark.parametrize("depth", [1, 2, 5, 16])
+def test_one_atom_rows_by_counts_match_the_exact_oracle(depth):
+    # a translation average of 1_[0,1] is the one atom (1/n, n): counted,
+    # its star norm lies within 4 se of the oracle at each of three seeds
+    g = birkhoff(indicator(0.0, 1.0), make_translation(1.0), depth)
+    s = measure.piecewise_to_simple(g)
+    assert len(s.atoms) == 1
+    exact = star_norm_exact(s)
+    for seed in (11, 12, 13):
+        est = estimate_star_norm(g, g.support, 20_000, seed)
+        assert abs(est.mean - exact) <= 4.0 * est.std_error, (depth, seed)
+
+
+def test_points_stay_for_non_simple_rows_and_the_identity_checks(monkeypatch):
+    # the count route takes simple functions whose window covers their
+    # support; everything else, and every identity check, samples points
+    calls = []
+
+    def spy(name):
+        original = getattr(poisson, name)
+
+        def recorded(*args, **kwargs):
+            calls.append(name)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(poisson, name, recorded)
+
+    for name in ("_replicate_sums", "_replicate_draws", "_count_sums"):
+        spy(name)
+
+    def route(run):
+        calls.clear()
+        run()
+        return calls[:]
+
+    one = indicator(0.0, 1.0)
+    assert route(lambda: estimate_star_norm(one, one.support, 1000, 1)) == ["_count_sums"]
+    assert route(lambda: estimate_starstar_norm(one, window((-1.0, 2.0)), 1000, 1)) == [
+        "_count_sums"]
+    bump = triangular_bump(0.5, 0.5)
+    assert route(lambda: estimate_star_norm(bump, bump.support, 1000, 1)) == [
+        "_replicate_sums"]
+    stepped = birkhoff(bump, make_translation(1.0), 3)
+    assert route(lambda: estimate_star_norm(stepped, stepped.support, 1000, 1)) == [
+        "_replicate_sums"]
+    cut = indicator(0.0, 2.0)  # its window leaves half of it out
+    assert route(lambda: estimate_star_norm(cut, window((0.0, 1.0)), 1000, 1)) == [
+        "_replicate_sums"]
+    w = window((0.0, 2.0))
+    assert route(lambda: second_moment_check(one, w, 1000, 1)) == ["_replicate_sums"]
+    assert route(lambda: reduced_moment_check(one, one, w, 1000, 1)) == ["_replicate_sums"]
+    assert route(lambda: mecke_check(lambda xs, o: xs, w, 10, 1)) == ["_replicate_draws"]
 
 
 # ---------------------------------------------------------------------------
