@@ -198,17 +198,24 @@ def make_composite(circumference: float = 1.0, angle: float = GOLDEN,
         u = u + delta
         return np.where(u >= c0, u + length, u)
 
+    last = np.nextafter(c1, c0)  # the circle's last float
+
+    def _rotate(x, by):
+        # np.mod can round up to length, and c0 + r up to c1, a line point:
+        # the clamp keeps the circle invariant in floats
+        return np.minimum(c0 + np.mod(x - c0 + by, length), last)
+
     def fwd(x):
         # the line shift, then the rotation of only the points on the circle:
         # np.mod of a non-finite point would warn
         x = np.asarray(x, dtype=float)
         on = _in_circle(x)
         out = _line_shift(x, step)
-        out[on] = c0 + np.mod(x[on] - c0 + angle, length)
+        out[on] = _rotate(x[on], angle)
         return out
 
     def branches(x):
-        rotated = c0 + np.mod(x - c0 - angle, length)
+        rotated = _rotate(x, -angle)
         return ((np.where(_in_circle(x), rotated, _line_shift(x, -step)),
                  np.ones(x.shape)),)
 
@@ -356,9 +363,8 @@ def birkhoff(f: TestFunction, sys: DynamicalSystem, n: int,
     stepped.
 
     The cuts are the pullbacks, to depth K, of f's breakpoints and support
-    ends and of ``sys.singularities``, where a step jumps: without the wrap
-    point's, a circle point that rounds off the circle at c1, and then
-    moves on along the line into f's support, would get its cell's value.
+    ends and of ``sys.singularities``, where a step jumps: at the wrap
+    point, the rotation jumps from the circle's end back to c0.
     Let u = 2^-53, R be the largest |cut|, M = R + K sum|sys.params|,
     eta = 2^-1074 and G = 16 (K + 1)(u M + eta); the table is built only
     when G < M/4.  For x in the cut hull, every float iterate c_k of x,
@@ -366,7 +372,8 @@ def birkhoff(f: TestFunction, sys: DynamicalSystem, n: int,
     within 2M.  A step rounds at most four times, each by at most
     2uM + eta: once on translation, three times on a composite line step
     (x - length, + step, + length), up to four times on a rotation
-    (x - c0, + angle, mod's + length, c0 + r).  The wrap point, computed in
+    (x - c0, + angle, mod's + length, c0 + r), the last with the clamp that
+    moves a sum rounded up to c1 one ulp down.  The wrap point, computed in
     floats, adds one step to its cuts.  So for k <= K, c_k and q_k are
     together within 4 (2k + 1)(2uM + eta) < G of exact.
 

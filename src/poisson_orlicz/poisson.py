@@ -11,6 +11,10 @@ independent routes to E|I_1(f)|:
   closed-form characteristic function by Gauss-Legendre panels, with a
   certified bound (Bernstein-ellipse remainder, rounding and tail) <= tol.
 
+``sample_process`` draws one replicate on the Philox key (seed, replicate);
+every batched estimate and check draws all its replicates on the one key
+(seed, _BATCH_STREAM), as points (``_replicate_blocks``) or cell counts.
+
 Also: the uncentered norm E|N(f)|, and numerical checks of the reduced
 (Slivnyak-)Mecke equation (Last & Penrose, Lectures on the Poisson Process,
 CUP 2017, Thm 4.1), the add-one-point difference identity, the L2 isometry,
@@ -90,12 +94,8 @@ class PoissonSample:
     def __post_init__(self):
         pts = np.atleast_1d(np.asarray(self.points, dtype=float))
         object.__setattr__(self, "points", pts)
-        _check_inside(self.window, pts)
-
-
-def _check_inside(w: Window, pts: np.ndarray) -> None:
-    if pts.size and not np.all(w.contains(pts)):
-        raise ValueError("sample points must lie inside the window")
+        if pts.size and not np.all(self.window.contains(pts)):
+            raise ValueError("sample points must lie inside the window")
 
 
 @dataclass(frozen=True)
@@ -113,9 +113,9 @@ class MCEstimate:
     truncation_bound: float
 
 
-# second key word reserved for the batched single-stream estimators, so they
-# never collide with a per-replicate stream: the word in use, which is
-# 0x9E3779B97F4A7C15 rounded to float64 as numpy once converted the key
+# second key word of the batch stream, never a ``sample_process`` key: the
+# word in use, which is 0x9E3779B97F4A7C15 rounded to float64 as numpy once
+# converted the key
 _BATCH_STREAM = 0x9E3779B97F4A8000
 
 
@@ -128,38 +128,17 @@ def _philox(seed: int, replicate: int | None = None) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=np.array(key, dtype=np.uint64)))
 
 
-_PHILOX_ZEROS = np.zeros(4, dtype=np.uint64)  # read, not kept, by the state setter
-
-
-def _replicate_uniforms(rng: np.random.Generator, mass: float, seed: int,
-                        replicate: int) -> np.ndarray:
-    """The uniforms of replicate ``replicate``: rng's Philox is rekeyed to
-    (seed, replicate) at counter 0 with an empty buffer, the state of a fresh
-    ``Philox(key=(seed, replicate))``, then draws a Poisson(mass) count and
-    that many uniforms in [0, 1); a window of measure ``mass`` places them
-    by ``window_position``.  Rekeying skips the entropy draw a fresh
-    generator makes; the key words are checked by ``_philox``."""
-    rng.bit_generator.state = {
-        "bit_generator": "Philox",
-        "state": {"counter": _PHILOX_ZEROS,
-                  "key": np.array((seed, replicate), dtype=np.uint64)},
-        "buffer": _PHILOX_ZEROS,
-        "buffer_pos": 4,
-        "has_uint32": 0,
-        "uinteger": 0,
-    }
-    return rng.random(int(rng.poisson(mass))) if mass else np.empty(0)
-
-
 def sample_process(w: Window, rng_seed: int, replicate: int = 0) -> PoissonSample:
-    """One Poisson(measure(w)) sample; points uniform via the inverse CDF.
+    """One Poisson(measure(w)) sample: a fresh ``Philox(key=(seed,
+    replicate))`` draws the count, then that many uniforms in [0, 1), which
+    ``window_position`` places in w.
 
     Each (seed, replicate) pair addresses an independent counter-based
     stream, so replicates may be drawn in any order.
     """
     rng = _philox(rng_seed, replicate)
-    u = _replicate_uniforms(rng, w.measure, int(rng_seed), int(replicate))
-    return PoissonSample(w, window_position(w, u) if u.size else np.empty(0))
+    n = int(rng.poisson(w.measure)) if w else 0
+    return PoissonSample(w, window_position(w, rng.random(n)) if n else np.empty(0))
 
 
 def integral_centered(f: TestFunction, s: PoissonSample, compensator: float) -> float:
@@ -182,38 +161,44 @@ def _eval_points(f: TestFunction, pts: np.ndarray) -> np.ndarray:
     return out
 
 
-def _replicate_sums(w: Window, R: int, seed: int,
-                    values: Callable[[np.ndarray], tuple[np.ndarray, ...]]) -> np.ndarray:
-    """Per-replicate sums for R replicates drawn as one stream: row i of the
-    result sums, over each replicate's points, the i-th array that
-    ``values(points)`` returns.
-
-    All R counts are drawn first.  Then the points of one block of whole
-    replicates, at most ``_CHUNK`` points or a single replicate, are drawn,
-    valued and summed at a time, so memory does not grow with the total
-    number of points.  The cumulative sum carries its last value into the
-    next block.  Split draws of one stream and a carried cumsum give the
-    same bits as one whole-array pass, so the sums do not depend on the
-    block size."""
+def _replicate_blocks(w: Window, R: int, seed: int):
+    """R replicates on the one stream of ``seed``, as (counts, points) per
+    block of whole replicates, in order.  All R counts are drawn first, then
+    the uniforms of one block, at most ``_CHUNK`` points or one replicate, at
+    a time: split draws of one stream give the bits of one whole-array draw,
+    so the points do not depend on the block size."""
     if R < 1:
         raise ValueError(f"need at least one replicate, got {R}")
     rng = _philox(seed)
     counts = (rng.poisson(w.measure, size=R).astype(np.int64) if w
               else np.zeros(R, dtype=np.int64))
     ends = np.cumsum(counts)
-    sums = carry = None
     r0 = 0
     while r0 < R:
         first = int(ends[r0] - counts[r0])
         r1 = max(r0 + 1, int(np.searchsorted(ends, first + _CHUNK, side="right")))
         n = int(ends[r1 - 1]) - first
-        rows = values(window_position(w, rng.random(n)) if n else np.empty(0))
+        yield counts[r0:r1], (window_position(w, rng.random(n)) if n else np.empty(0))
+        r0 = r1
+
+
+def _replicate_sums(w: Window, R: int, seed: int,
+                    values: Callable[[np.ndarray], tuple[np.ndarray, ...]]) -> np.ndarray:
+    """Per-replicate sums for R replicates of ``_replicate_blocks``: row i of
+    the result sums, over each replicate's points, the i-th array that
+    ``values(points)`` returns.  The cumulative sum carries its last value
+    into the next block, which keeps the bits of one whole-array cumsum."""
+    sums = carry = None
+    r0 = 0
+    for counts, pts in _replicate_blocks(w, R, seed):
+        rows = values(pts)
         if sums is None:
             sums = np.empty((len(rows), R))
             # -0.0 + v is v for every v, so the first cumsum starts at v[0]
             carry = np.full(len(rows), -0.0)
-        stop = ends[r0:r1] - first
-        start = stop - counts[r0:r1]
+        stop = np.cumsum(counts)
+        start = stop - counts
+        r1 = r0 + counts.size
         for i, v in enumerate(rows):
             csum = np.cumsum(np.concatenate(([carry[i]], v)))
             carry[i] = csum[-1]
@@ -796,23 +781,6 @@ def hsu_error_floor(f: SimpleFunction, max_panels: int = _HSU_MAX_PANELS) -> flo
 # ---------------------------------------------------------------------------
 # Identity checks
 
-def _replicate_draws(w: Window, R: int, seed: int) -> tuple[np.ndarray, list[int]]:
-    """The points of ``sample_process(w, seed, r)`` for r = 0..R-1 in one
-    array, replicate r's at [cuts[r], cuts[r + 1]), and the list ``cuts``.
-
-    One generator is rekeyed per replicate; the uniforms of all replicates
-    go through ``window_position`` at once, which is pointwise, and all
-    points are checked to lie in w at once."""
-    rng = _philox(seed, max(R - 1, 0))
-    mass = w.measure
-    uniforms = [_replicate_uniforms(rng, mass, int(seed), r) for r in range(R)]
-    cuts = np.cumsum([0] + [u.size for u in uniforms]).tolist()
-    pts = np.concatenate(uniforms) if uniforms else np.empty(0)
-    pts = window_position(w, pts) if pts.size else pts
-    _check_inside(w, pts)
-    return pts, cuts
-
-
 def mecke_check(
     h: Callable[[np.ndarray, np.ndarray], np.ndarray],
     w: Window,
@@ -822,42 +790,56 @@ def mecke_check(
     """Both sides of the reduced Mecke equation E sum_{x in omega}
     h(x, omega - delta_x) = int_w E h(x, omega) dx (Last & Penrose, Lectures
     on the Poisson Process, CUP 2017, Thm 4.1), each as a Monte Carlo estimate
-    over the samples of replicates 0..R-1.  h(xs, others) is vectorized over
+    over R replicates (``_mecke_sides``).  h(xs, others) is vectorized over
     the positions xs; the left side calls it at each point with that point
     removed, the right side integrates h(., points) over w by quadrature.
-
-    Replicate r draws the points of ``sample_process(w, seed, r)``, all
-    replicates in one pass (``_replicate_draws``).
-
-    The right side is ``integrate``'s first pass (tol 1e-9) for all
-    replicates at once: h(nodes, points) once per replicate at the Kronrod
-    nodes of w's intervals, then one row-by-row reduction.  A replicate
-    whose summed error estimate is above tol, or not finite, goes through
-    ``integrate`` itself.  Rows reduce alone, so each value is bit for bit
-    that replicate's ``integrate`` call."""
+    R < 2 is refused before anything is drawn or evaluated."""
     R = int(R)
+    if R < 2:
+        raise ValueError(f"need at least two replicates for a standard error, got {R}")
+    lhs, rhs = _mecke_sides(h, w, R, seed)
+    return _mc_estimate(lhs, seed), _mc_estimate(rhs, seed)
+
+
+def _mecke_sides(h, w: Window, R: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """The per-replicate sides of ``mecke_check``, replicate by replicate
+    through the blocks of ``_replicate_blocks``, the stream every batched
+    estimator draws on.
+
+    The left side sums h at each point against the others by fsum.  The
+    right side is ``integrate``'s first pass (tol 1e-9) for a whole block at
+    once: h(nodes, points) once per replicate at the Kronrod nodes of w's
+    intervals, then one row-by-row reduction.  A replicate whose summed
+    error estimate is above tol, or not finite, goes through ``integrate``
+    itself.  Rows reduce alone, so each value is bit for bit that
+    replicate's ``integrate`` call, whatever the block size."""
     tol = 1e-9
-    pts, cuts = _replicate_draws(w, R, seed)
 
     def probe(pts):
         return TestFunction(eval=lambda xs: h(xs, pts), support=w)
 
-    los, his = _first_segments(probe(pts), w)  # those of every replicate's probe
+    los, his = _first_segments(probe(np.empty(0)), w)  # the same for every probe
     half = 0.5 * (his - los)
     nodes = _gk_nodes(0.5 * (his + los), half)
-    y = np.empty((R,) + nodes.shape)
-    lhs = np.empty(R)
-    for r in range(R):
-        own = pts[cuts[r]:cuts[r + 1]]
-        lhs[r] = math.fsum(float(h(own[i:i + 1], np.concatenate((own[:i], own[i + 1:])))[0])
-                           for i in range(own.size))
-        if nodes.size:
-            y[r] = np.asarray(h(nodes.ravel(), own), dtype=float).reshape(nodes.shape)
-    k15, err = _gk_reduce(y, half)
-    rhs, errs = k15.sum(axis=1), err.sum(axis=1)
-    for r in np.flatnonzero(~(errs <= tol)):
-        rhs[r], _ = integrate(probe(pts[cuts[r]:cuts[r + 1]]), w, tol=tol, max_segments=2000)
-    return _mc_estimate(lhs, seed), _mc_estimate(rhs, seed)
+    lhs, rhs = np.empty(R), np.empty(R)
+    r0 = 0
+    for counts, pts in _replicate_blocks(w, R, seed):
+        cuts = [0, *np.cumsum(counts).tolist()]
+        y = np.empty((counts.size,) + nodes.shape)
+        for j in range(counts.size):
+            own = pts[cuts[j]:cuts[j + 1]]
+            lhs[r0 + j] = math.fsum(
+                float(h(own[i:i + 1], np.concatenate((own[:i], own[i + 1:])))[0])
+                for i in range(own.size))
+            if nodes.size:
+                y[j] = np.asarray(h(nodes.ravel(), own), dtype=float).reshape(nodes.shape)
+        k15, err = _gk_reduce(y, half)
+        rhs[r0:r0 + counts.size] = k15.sum(axis=1)
+        for j in np.flatnonzero(~(err.sum(axis=1) <= tol)):
+            rhs[r0 + j], _ = integrate(probe(pts[cuts[j]:cuts[j + 1]]), w, tol=tol,
+                                       max_segments=2000)
+        r0 += counts.size
+    return lhs, rhs
 
 
 def difference_check(
@@ -882,12 +864,13 @@ def second_moment_check(
     f: TestFunction, w: Window, R: int, seed: int
 ) -> tuple[MCEstimate, float]:
     """Sample variance of the centered integral against int_w f^2 dmu; it
-    divides by R - 1, so R < 2 raises ValueError."""
+    divides by R - 1, so R < 2 is refused before anything is drawn or
+    evaluated."""
     R = int(R)
-    comp, _ = integrate(f, w, tol=_QUAD_TOL)
-    sums, = _replicate_sums(w, R, seed, lambda pts: (_eval_points(f, pts),))
     if R < 2:
         raise ValueError(f"need at least two replicates for a sample variance, got {R}")
+    comp, _ = integrate(f, w, tol=_QUAD_TOL)
+    sums, = _replicate_sums(w, R, seed, lambda pts: (_eval_points(f, pts),))
     devs = sums - comp
     centered = devs - devs.mean()
     s2 = float(np.sum(centered * centered) / (R - 1))

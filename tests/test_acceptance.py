@@ -239,7 +239,7 @@ def test_criterion_10_starstar_properties():
 
 
 # sha256 of `porlicz suite --seed 42` (CSV): every byte of the gate
-SUITE_CSV_SHA256 = "eb9b1dc6eab3900c74f7ffa442a9b563f3a0eb6c74c91782bdbf1cda8de9f03e"
+SUITE_CSV_SHA256 = "712a12101c7ca4fdcd9e1f7a1aa32446c3a87ee118768858431923fb404d49d2"
 
 
 def test_criterion_11_suite_determinism(tmp_path):

@@ -733,16 +733,32 @@ def test_kernels_bit_equal_to_where_reference(kind, name):
 
 def test_birkhoff_follows_a_circle_point_that_rounds_off_the_circle():
     # with angle 0.3 the rotation of the wrap point rounds up to the circle's
-    # end c1, a line point, which the line then carries into f's support
+    # end c1, a line point: the clamp keeps it on the circle, at the float
+    # below c1, so the line never carries it into f's support
     sys = make_composite(circumference=1.0, angle=0.3, step=1.0)
     c1 = CIRCLE_OFFSET + 1.0
     wrap = np.array([sys.singularities[1]])
-    assert sys.forward(wrap)[0] == c1
-    f = indicator(c1 + 0.5, c1 + 1.5)
-    xs = np.concatenate([wrap, _edge_points(f, sys, 3)])
-    got = birkhoff(f, sys, 3).eval(xs)
-    assert got.tobytes() == _birkhoff_reference(f, sys, 3, xs).tobytes()
-    assert got[0] == 1.0 / 3.0
+    assert sys.forward(wrap)[0] == np.nextafter(c1, 0.0)
+    for f, want in ((indicator(c1 + 0.5, c1 + 1.5), 0.0), (circle_indicator(sys), 1.0)):
+        xs = np.concatenate([wrap, _edge_points(f, sys, 3)])
+        got = birkhoff(f, sys, 3).eval(xs)
+        assert got.tobytes() == _birkhoff_reference(f, sys, 3, xs).tobytes()
+        assert got[0] == want
+
+
+def test_composite_keeps_every_circle_point_on_the_circle():
+    # c0 + mod(x - c0 +- angle, length) can round up to c1, a line point;
+    # forward and the preimage branch clamp it to the circle's last float
+    rng = np.random.default_rng(5)
+    for length in (1.0, 0.37):
+        c0, c1 = CIRCLE_OFFSET, CIRCLE_OFFSET + length
+        for angle in rng.uniform(0.0, length, 40):
+            sys = make_composite(length, angle, 1.0)
+            xs = np.concatenate([_near([c0 + angle, c1 - angle], ulps=20), [c0]])
+            xs = xs[(xs >= c0) & (xs < c1)]
+            (pre, _), = sys.branches(xs)
+            for ys in (sys.forward(xs), pre):
+                assert np.all((ys >= c0) & (ys < c1)), (length, angle)
 
 
 def test_composite_forward_rotates_only_circle_points_without_a_warning():
@@ -896,8 +912,9 @@ def test_table_bits_equal_the_reference_at_every_cut_and_bucket_edge(name, n):
 
 
 def test_table_bits_equal_the_reference_at_the_wrap_singularity():
-    # with angle 0.3 the wrap point 1048576.7 rotates to the circle's end in
-    # floats and moves on along the line: it is stepped, its neighbours not
+    # with angle 0.3 the rotation jumps from the circle's end back to c0 at
+    # the wrap point 1048576.7, which rotates to the circle's last float: it
+    # is stepped, its neighbours not
     sys = make_composite(circumference=1.0, angle=0.3, step=1.0)
     wrap = sys.singularities[1]
     assert wrap == 1048576.7
@@ -907,7 +924,8 @@ def test_table_bits_equal_the_reference_at_the_wrap_singularity():
             g = birkhoff(f, sys, n)
             _assert_table_bits(g, f, sys, n, extra=_near([wrap], ulps=50))
     g = birkhoff(indicator(c1 + 0.5, c1 + 1.5), sys, 3)
-    assert g.eval(np.array([wrap]))[0] == 1.0 / 3.0
+    assert g.eval(np.array([wrap]))[0] == 0.0
+    assert birkhoff(circle_indicator(sys), sys, 4).eval(np.array([wrap]))[0] == 1.0
 
 
 def test_table_with_every_cut_inside_one_guard():

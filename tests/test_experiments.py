@@ -508,7 +508,7 @@ def test_stock_config_hash_is_pinned(scenario):
 
 
 # sha256 of `porlicz suite --seed 42 --format json`: every byte of the gate
-SUITE_JSON_SHA256 = "c94e22cae54ac6f9c194e7c8b153a54c1043fcc5d4bb88a4546e4930b7096670"
+SUITE_JSON_SHA256 = "276f1e46592a23923b4b937b213e5ef3bd7b05918e291c1adabfc15d92970a51"
 
 
 def test_suite_config_hashes_are_pinned(capsys):

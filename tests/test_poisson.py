@@ -83,6 +83,18 @@ def test_sample_determinism():
     assert not np.array_equal(a.points, c.points)
 
 
+@pytest.mark.parametrize("w, seed, replicate", [(window((0, 2), (5, 6)), 123, 4),
+                                                (window((0, 0.5)), 2 ** 64 - 1, 0),
+                                                (window((-3, 40)), 7, 2 ** 64 - 1)])
+def test_sample_process_is_a_fresh_philox_draw(w, seed, replicate):
+    # the count, then that many uniforms, on a fresh Philox(key=(seed, replicate))
+    rng = np.random.Generator(np.random.Philox(key=np.array((seed, replicate),
+                                                            dtype=np.uint64)))
+    u = rng.random(int(rng.poisson(w.measure)))
+    got = sample_process(w, seed, replicate).points
+    assert got.tobytes() == window_position(w, u).tobytes()
+
+
 def test_sample_empty_window():
     s = sample_process(Window(), 1)
     assert s.points.size == 0
@@ -853,7 +865,7 @@ def test_points_stay_for_non_simple_rows_and_the_identity_checks(monkeypatch):
 
         monkeypatch.setattr(poisson, name, recorded)
 
-    for name in ("_replicate_sums", "_replicate_draws", "_count_sums"):
+    for name in ("_replicate_sums", "_replicate_blocks", "_count_sums"):
         spy(name)
 
     def route(run):
@@ -866,18 +878,16 @@ def test_points_stay_for_non_simple_rows_and_the_identity_checks(monkeypatch):
     assert route(lambda: estimate_starstar_norm(one, window((-1.0, 2.0)), 1000, 1)) == [
         "_count_sums"]
     bump = triangular_bump(0.5, 0.5)
-    assert route(lambda: estimate_star_norm(bump, bump.support, 1000, 1)) == [
-        "_replicate_sums"]
+    points = ["_replicate_sums", "_replicate_blocks"]  # one sampler under the sums
+    assert route(lambda: estimate_star_norm(bump, bump.support, 1000, 1)) == points
     stepped = birkhoff(bump, make_translation(1.0), 3)
-    assert route(lambda: estimate_star_norm(stepped, stepped.support, 1000, 1)) == [
-        "_replicate_sums"]
+    assert route(lambda: estimate_star_norm(stepped, stepped.support, 1000, 1)) == points
     cut = indicator(0.0, 2.0)  # its window leaves half of it out
-    assert route(lambda: estimate_star_norm(cut, window((0.0, 1.0)), 1000, 1)) == [
-        "_replicate_sums"]
+    assert route(lambda: estimate_star_norm(cut, window((0.0, 1.0)), 1000, 1)) == points
     w = window((0.0, 2.0))
-    assert route(lambda: second_moment_check(one, w, 1000, 1)) == ["_replicate_sums"]
-    assert route(lambda: reduced_moment_check(one, one, w, 1000, 1)) == ["_replicate_sums"]
-    assert route(lambda: mecke_check(lambda xs, o: xs, w, 10, 1)) == ["_replicate_draws"]
+    assert route(lambda: second_moment_check(one, w, 1000, 1)) == points
+    assert route(lambda: reduced_moment_check(one, one, w, 1000, 1)) == points
+    assert route(lambda: mecke_check(lambda xs, o: xs, w, 10, 1)) == ["_replicate_blocks"]
 
 
 # ---------------------------------------------------------------------------
@@ -950,7 +960,8 @@ def test_estimators_do_not_depend_on_the_block_size(monkeypatch):
         return (estimate_star_norm(f, w, 1000, seed=3),
                 estimate_starstar_norm(f, w, 1000, seed=4),
                 second_moment_check(g, w, 1000, seed=5),
-                reduced_moment_check(g, h, w, 1000, seed=6))
+                reduced_moment_check(g, h, w, 1000, seed=6),
+                mecke_check(_JUMP_H, w, 300, seed=7))
 
     whole = results()
     monkeypatch.setattr(poisson, "_CHUNK", 7)
@@ -983,12 +994,19 @@ def test_replicate_sums_bit_equal_to_whole_array(monkeypatch, chunk):
         assert got.tobytes() == _replicate_sums_reference(w, 1000, 8, f).tobytes()
 
 
+def _never(*args):
+    raise AssertionError("evaluated after the refusal")
+
+
+# an f whose evaluation fails the test: a refusal comes before any eval
+_UNEVALUATED = TestFunction(eval=_never, support=window((0.0, 1.0)))
+
+
 def test_replicate_checks_refuse_zero_replicates():
-    g = indicator(0.0, 1.0)
+    with pytest.raises(ValueError, match="at least two replicates for a sample variance, got 0"):
+        second_moment_check(_UNEVALUATED, window((0.0, 1.0)), 0, seed=1)
     with pytest.raises(ValueError, match="at least one replicate"):
-        second_moment_check(g, window((0.0, 1.0)), 0, seed=1)
-    with pytest.raises(ValueError, match="at least one replicate"):
-        reduced_moment_check(g, g, window((0.0, 1.0)), 0, seed=1)
+        reduced_moment_check(_UNEVALUATED, _UNEVALUATED, window((0.0, 1.0)), 0, seed=1)
 
 
 # ---------------------------------------------------------------------------
@@ -1026,20 +1044,30 @@ def test_mecke_position_coupled():
         assert abs(side.mean - 0.25) <= 3 * side.std_error
 
 
+def _batch_stream_points(w, R, seed):
+    """The points of R replicates from one whole-array draw on the batch
+    stream, as ``_replicate_sums_reference`` draws them: the counts first,
+    then all the uniforms; one array per replicate."""
+    rng = poisson._philox(seed)
+    counts = rng.poisson(w.measure, size=R).astype(np.int64)
+    pts = window_position(w, rng.random(int(counts.sum())))
+    return np.split(pts, np.cumsum(counts)[:-1])
+
+
 def test_mecke_left_side_removes_each_point():
     # with h the number of other points, replicate r contributes N(N - 1) on
     # the left and 2N on the right
     w = window((0, 2))
     lhs, rhs = mecke_check(lambda xs, others: np.full(xs.shape, float(others.size)),
                            w, 50, seed=3)
-    counts = np.array([sample_process(w, 3, r).points.size for r in range(50)], dtype=float)
+    counts = np.array([pts.size for pts in _batch_stream_points(w, 50, 3)], dtype=float)
     assert lhs.mean == float(np.mean(counts * (counts - 1.0)))
     assert rhs.mean == pytest.approx(2.0 * counts.mean(), abs=1e-9)
 
 
 @pytest.mark.parametrize("w, seed", [(window((0, 0.5)), 11),
                                      (window((0, 0.5), (3, 4)), 12)])
-def test_mecke_hands_h_the_points_of_sample_process(w, seed):
+def test_mecke_hands_h_the_points_of_the_batch_stream(w, seed):
     seen = []
 
     def h(xs, others):
@@ -1050,8 +1078,7 @@ def test_mecke_hands_h_the_points_of_sample_process(w, seed):
     mecke_check(h, w, R, seed)
     calls = iter(seen)
     empty = 0
-    for r in range(R):
-        pts = sample_process(w, seed, r).points
+    for pts in _batch_stream_points(w, R, seed):
         empty += pts.size == 0
         for i in range(pts.size):  # the left side: each point, the others without it
             xs, others = next(calls)
@@ -1065,11 +1092,10 @@ def test_mecke_hands_h_the_points_of_sample_process(w, seed):
 
 def _mecke_reference(h, w, R, seed):
     """The per-replicate sides of the Mecke check, one replicate at a time:
-    the points of ``sample_process``, each point's h against the others
-    summed by fsum, and one ``integrate`` call for the right side."""
+    the points of ``_batch_stream_points``, each point's h against the
+    others summed by fsum, and one ``integrate`` call for the right side."""
     lhs, rhs = np.empty(R), np.empty(R)
-    for r in range(R):
-        pts = sample_process(w, seed, r).points
+    for r, pts in enumerate(_batch_stream_points(w, R, seed)):
         lhs[r] = math.fsum(float(h(pts[i:i + 1], np.delete(pts, i))[0])
                            for i in range(pts.size))
         probe = TestFunction(eval=lambda xs: h(xs, pts), support=w)
@@ -1102,26 +1128,31 @@ def test_mecke_sides_bit_equal_to_per_replicate_integrate(monkeypatch, h, w, R, 
     calls = []
     real = poisson.integrate
     monkeypatch.setattr(poisson, "integrate", lambda *a, **k: calls.append(1) or real(*a, **k))
-    # the per-replicate values themselves, not their mean and standard error
-    monkeypatch.setattr(poisson, "_mc_estimate", lambda vals, seed: vals)
-    got = mecke_check(h, w, R, seed)
-    assert [side.tobytes() for side in got] == [side.tobytes() for side in want]
-    assert (0 < len(calls) <= R) if fallbacks else not calls
-    counts = [sample_process(w, seed, r).points.size for r in range(R)]
+    for chunk in (poisson._CHUNK, 7):
+        monkeypatch.setattr(poisson, "_CHUNK", chunk)
+        calls.clear()
+        # the per-replicate values themselves, not their mean and standard error
+        got = poisson._mecke_sides(h, w, R, seed)
+        assert [side.tobytes() for side in got] == [side.tobytes() for side in want]
+        assert (0 < len(calls) <= R) if fallbacks else not calls
+    counts = [pts.size for pts in _batch_stream_points(w, R, seed)]
     if R > 1:
         assert 0 in counts  # replicates that draw no points are among them
 
 
 @pytest.mark.parametrize("R", [0, 1])
-def test_mecke_refuses_fewer_than_two_replicates(R):
-    # one replicate leaves the standard error undefined (ddof = 1)
+def test_mecke_refuses_fewer_than_two_replicates(monkeypatch, R):
+    # one replicate leaves the standard error undefined (ddof = 1); nothing
+    # is drawn and h is never called
+    monkeypatch.setattr(poisson, "_philox", _never)
     with pytest.raises(ValueError, match=f"at least two replicates for a standard error, got {R}"):
-        mecke_check(lambda xs, o: xs, window((0, 1)), R, 3)
+        mecke_check(_never, window((0, 1)), R, 3)
 
 
-def test_second_moment_check_refuses_one_replicate():
+def test_second_moment_check_refuses_one_replicate(monkeypatch):
+    monkeypatch.setattr(poisson, "_philox", _never)
     with pytest.raises(ValueError, match="at least two replicates for a sample variance, got 1"):
-        second_moment_check(indicator(0.0, 1.0), window((0.0, 1.0)), 1, seed=1)
+        second_moment_check(_UNEVALUATED, window((0.0, 1.0)), 1, seed=1)
 
 
 def test_mecke_refuses_a_seed_outside_the_philox_key():
