@@ -69,8 +69,8 @@ class DynamicalSystem:
 
     ``forward`` maps a float array to T of each point, and is pointwise:
     its value at x depends on x alone, so mapping any slice of an array
-    gives the same bits as slicing the mapped array (``birkhoff``'s cell
-    table steps only the part of a block it cannot read).
+    gives the same bits as slicing the mapped array (a Birkhoff average
+    evaluated in blocks has the bits of one call).
     ``branches`` maps a float array x to one (y, jac) pair of arrays per
     branch of T^{-1}: T(y) = x and jac = 1/|T'(y)|, the jacs summing to 1
     wherever defined.  It computes every branch in one pass.  Callers go
@@ -265,7 +265,6 @@ def circle_indicator(sys: DynamicalSystem, scale: float = 1.0) -> TestFunction:
         support=window((c0, c1)),
         sup_bound=abs(float(scale)),
         breakpoints=(c0, c1),
-        constant_cells=True,
     )
 
 
@@ -279,10 +278,6 @@ PULLBACK_CAP = 20000
 # branch, and the orbit points a transfer iterate follows, (depth + 1) per
 # breakpoint or support end; a deeper one is refused before any list is built
 _MAX_PULLBACKS = 10 ** 6
-# the unit roundoff and the smallest subnormal: a rounded result is within
-# _U |result| + _ETA of the exact one
-_U = 2.0 ** -53
-_ETA = 2.0 ** -1074
 
 
 def _pullback_breakpoints(sys: DynamicalSystem, pts,
@@ -302,49 +297,6 @@ def _pullback_breakpoints(sys: DynamicalSystem, pts,
     return tuple(sorted(out)), True
 
 
-class _CellTable(NamedTuple):
-    """A Birkhoff average read from its cells (see ``birkhoff``):
-    ``cells[i]`` is the average on the cell between ``cuts[i]`` and
-    ``cuts[i + 1]``, NaN where the cell's midpoint lies within ``guard`` of
-    either, and ``stepped`` the dense loop."""
-    cuts: np.ndarray
-    guard: float
-    cells: np.ndarray
-    stepped: Callable[[np.ndarray], np.ndarray]
-
-    def __call__(self, x):
-        x = np.asarray(x, dtype=float)
-        flat = x.ravel()
-        # the cell of each point by search; stepped when within the guard of
-        # a cut, beyond the hull or not finite
-        cuts, guard = self.cuts, self.guard
-        y = np.clip(flat, cuts[0], cuts[-1])
-        i = np.clip(np.searchsorted(cuts, y, side="right"), 1, cuts.size - 1)
-        out = np.where((y - cuts[i - 1] > guard) & (cuts[i] - y > guard),
-                       self.cells[i - 1], np.nan)
-        rest = np.flatnonzero(np.isnan(out))
-        if rest.size:
-            out[rest] = self.stepped(flat[rest])
-        return out.reshape(x.shape)
-
-
-def _cell_table(f: TestFunction, sys: DynamicalSystem, kmax: int, stepped):
-    """The cell table of ``stepped``, the depth-``kmax`` average of f on a
-    one-branch system, or ``stepped`` itself when the guard is not small
-    against the cuts (see ``birkhoff``)."""
-    ends = [e for iv in f.support.intervals for e in iv]
-    cuts = np.array(_pullback_breakpoints(
-        sys, [*f.breakpoints, *ends, *sys.singularities], kmax)[0])
-    big = max(-float(cuts[0]), float(cuts[-1])) + kmax * sum(abs(p) for p in sys.params)
-    guard = 16.0 * (kmax + 1) * (_U * big + _ETA)
-    if not guard < 0.25 * big:
-        return stepped
-    a, b = cuts[:-1], cuts[1:]
-    mid = 0.5 * a + 0.5 * b
-    cells = np.where((mid - a > guard) & (b - mid > guard), stepped(mid), np.nan)
-    return _CellTable(cuts, guard, cells, stepped)
-
-
 def birkhoff(f: TestFunction, sys: DynamicalSystem, n: int,
              subsequence=None) -> TestFunction:
     """The depth-n Birkhoff average (1/n) sum_k f(T^{p_k} x) as a
@@ -356,45 +308,9 @@ def birkhoff(f: TestFunction, sys: DynamicalSystem, n: int,
     The average is defined by a dense loop: every point is stepped by
     ``forward`` through every exponent up to K = max p_k, f's value is
     added on each p_k, a NaN counted as 0, and the sum is divided by n.
-    When f declares ``constant_cells`` and no tails, its support is
-    nonempty, its breakpoints are complete and the system has one branch,
-    a cell table built once caches the average's value on each cell between
-    its cuts, and only the points rounding could move off that value are
-    stepped.
-
-    The cuts are the pullbacks, to depth K, of f's breakpoints and support
-    ends and of ``sys.singularities``, where a step jumps: at the wrap
-    point, the rotation jumps from the circle's end back to c0.
-    Let u = 2^-53, R be the largest |cut|, M = R + K sum|sys.params|,
-    eta = 2^-1074 and G = 16 (K + 1)(u M + eta); the table is built only
-    when G < M/4.  For x in the cut hull, every float iterate c_k of x,
-    every pulled-back cut q_k and every value rounded on the way lies
-    within 2M.  A step rounds at most four times, each by at most
-    2uM + eta: once on translation, three times on a composite line step
-    (x - length, + step, + length), up to four times on a rotation
-    (x - c0, + angle, mod's + length, c0 + r), the last with the clamp that
-    moves a sum rounded up to c1 one ulp down.  The wrap point, computed in
-    floats, adds one step to its cuts.  So for k <= K, c_k and q_k are
-    together within 4 (2k + 1)(2uM + eta) < G of exact.
-
-    Take x farther than G from every cut; a float difference beyond the
-    float G is beyond it exactly, rounding being monotone.  Then, by
-    induction on k, every c_k lies strictly on the side of every
-    breakpoint, support end and singularity that the exact T^k x lies on:
-    the branch a step takes (circle or line, either side of the skipped
-    segment, either side of the rotation's wrap) is decided by such sides,
-    so it is the exact one and the errors add up as on a translation.  The
-    midpoint m of x's cell is also farther than G from both its cuts, or
-    the cell's value is NaN.  So c_k(x) and c_k(m) lie in one open cell of
-    f for every k, each term has the same bits, and so has the sum in its
-    fixed order.
-
-    ``eval`` clips x to the cut hull and finds its cell by a search over
-    the cuts: it reads the cell's value when x is farther than G from both
-    ends, and steps x by the dense loop otherwise, which also takes every
-    point beyond the hull and every non-finite one.  Boole averages keep the
-    loop: no rounding argument bounds its expanding branches, and its cut
-    count doubles per level (PULLBACK_CAP).
+    Its breakpoints are the pullbacks of f's to depth K
+    (``_pullback_breakpoints``), complete when f's are and, on a branching
+    system, the tree stays within PULLBACK_CAP.
 
     An average whose (K + 1) max(1, #breakpoints) pulled-back points exceed
     _MAX_PULLBACKS is refused with ValueError before any per-exponent list is
@@ -430,12 +346,9 @@ def birkhoff(f: TestFunction, sys: DynamicalSystem, n: int,
         acc /= n
         return acc.reshape(x.shape)
 
-    tabled = (f.constant_cells and f.breakpoints_complete and bool(f.support)
-              and not (f.l1_tail_bound or f.l2_tail_bound)
-              and len(sys.preimages(0.0)) == 1)
     bps, complete = _pullback_breakpoints(sys, f.breakpoints, kmax)
     return TestFunction(
-        eval=_cell_table(f, sys, kmax, _eval) if tabled else _eval,
+        eval=_eval,
         support=support,
         sup_bound=f.sup_bound,
         l1_tail_bound=f.l1_tail_bound,

@@ -384,7 +384,6 @@ def _circle_plus_indicator(sys: DynamicalSystem, lo: float, hi: float,
         support=window(*(circ.support.intervals + line.support.intervals)),
         sup_bound=max(circ.sup_bound, line.sup_bound),
         breakpoints=tuple(sorted(circ.breakpoints + line.breakpoints)),
-        constant_cells=True,
     )
 
 

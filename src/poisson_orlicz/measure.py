@@ -165,10 +165,7 @@ class TestFunction:
     the cells between them are not the function's pieces.  ``fit_error`` is
     None when ``eval`` computes the function itself; an interpolant standing
     for it sets the estimated sup-norm error of the fit over the support, a
-    heuristic estimate and not a bound.  ``constant_cells`` declares ``eval``
-    constant, bit for bit, on every open cell between the breakpoints and the
-    support ends (Birkhoff averages of such a function read their values
-    from a table, see ``birkhoff``).
+    heuristic estimate and not a bound.
     """
 
     eval: Callable[[np.ndarray], np.ndarray]
@@ -179,7 +176,6 @@ class TestFunction:
     breakpoints: tuple[float, ...] = ()
     breakpoints_complete: bool = True
     fit_error: float | None = None
-    constant_cells: bool = False
 
     __test__ = False  # keep pytest from collecting the class
 
@@ -259,7 +255,6 @@ def indicator(lo: float, hi: float, scale: float = 1.0) -> TestFunction:
         support=window((lo, hi)),
         sup_bound=abs(scale),
         breakpoints=(float(lo), float(hi)),
-        constant_cells=True,
     )
 
 
@@ -291,7 +286,6 @@ def piecewise_constant(breaks: Sequence[float], values: Sequence[float]) -> Test
         support=support,
         sup_bound=float(np.max(np.abs(values))) if len(values) else 0.0,
         breakpoints=tuple(float(b) for b in breaks),
-        constant_cells=True,
     )
 
 
@@ -322,7 +316,7 @@ def simple_to_test(f: SimpleFunction) -> TestFunction:
     """
     if not f.atoms:
         return TestFunction(eval=lambda x: np.zeros_like(np.asarray(x, dtype=float)),
-                            support=Window(), sup_bound=0.0, constant_cells=True)
+                            support=Window(), sup_bound=0.0)
     breaks, values = [], []
     x = 0.0
     for v, m in f.atoms:

@@ -884,8 +884,11 @@ def second_moment_check(
 def reduced_moment_check(
     g: TestFunction, h: TestFunction, w: Window, R: int, seed: int
 ) -> tuple[MCEstimate, float]:
-    """MC mean of N(g)N(h) - N(gh) against (int_w g)(int_w h)."""
+    """MC mean of N(g)N(h) - N(gh) against (int_w g)(int_w h); R < 2 is
+    refused before anything is drawn or evaluated."""
     R = int(R)
+    if R < 2:
+        raise ValueError(f"need at least two replicates for a standard error, got {R}")
 
     def values(pts):
         gv, hv = _eval_points(g, pts), _eval_points(h, pts)

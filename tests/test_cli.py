@@ -883,8 +883,8 @@ def test_run_missing_seed_in_config(capsys, tmp_path):
 
 # `porlicz run --config` on seven configs off the stock ones, each pinned by
 # its exit code and the sha256 of its CSV:
-# - decay, circle: deep Birkhoff averages read from their cell tables;
-# - boole, bump: averages stepped by the dense loop.  The Boole config exits 2
+# - decay, circle: deep Birkhoff averages whose rows are each one atom;
+# - boole, bump: averages with no simple form.  The Boole config exits 2
 #   because its depth-16 row misses l1_constant (l1 0.99934...): a
 #   discretized row's L1 is a quadrature value whose error is dropped, an
 #   open fault kept visible here;

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from poisson_orlicz import dynamics, experiments
+from poisson_orlicz import dynamics, experiments, poisson
 from poisson_orlicz.dynamics import (
     CIRCLE_OFFSET,
     GOLDEN,
@@ -853,31 +853,21 @@ def test_circle_indicator_negative_scale_keeps_positive_zero():
 
 
 # ---------------------------------------------------------------------------
-# Birkhoff averages read from their cell table
+# Birkhoff averages at their pulled-back breakpoints
 
-def _table_points(g):
-    """The floats up to 64 ulps either side of every cut of the table of
-    ``g``, where the float iterates of a point can cross a breakpoint that
-    the exact ones do not, and up to 3 ulps either side of both ends of
-    every cut's guard range, where a point goes from its cell's value to
-    the dense loop."""
-    t = g.eval
-    assert isinstance(t, dynamics._CellTable)
-    return np.concatenate([_near(t.cuts, ulps=64),
-                           _near(np.concatenate([t.cuts - t.guard, t.cuts + t.guard]))])
-
-
-def _assert_table_bits(g, f, sys, n, powers=None, extra=()):
-    """g.eval on its support, its table points and ``extra`` against the
-    dense reference, bit for bit."""
+def _assert_loop_bits(g, f, sys, n, powers=None, extra=()):
+    """g.eval against the dense reference, bit for bit: on g's support, at
+    the floats up to 64 ulps either side of every pulled-back breakpoint,
+    where the float iterates of a point can cross a breakpoint that the
+    exact ones do not, and at ``extra``."""
     rng = np.random.default_rng(n)
     xs = np.concatenate([window_position(g.support, rng.random(2 ** 12)),
-                         _table_points(g), np.asarray(extra, dtype=float)])
+                         _near(g.breakpoints, ulps=64), np.asarray(extra, dtype=float)])
     got = g.eval(xs)
     assert got.tobytes() == _birkhoff_reference(f, sys, n, xs, powers).tobytes(), n
 
 
-TABLE_CASES = {
+CUT_CASES = {
     "indicator_translation": (lambda: make_translation(1.0), lambda s: indicator(0.0, 1.0)),
     "steps_translation": (lambda: make_translation(0.7),
                           lambda s: piecewise_constant([-1.0, 0.2, 0.9, 2.5], [1.5, 0.0, -2.0])),
@@ -893,28 +883,26 @@ TABLE_CASES = {
     "atoms_composite": (lambda: make_composite(0.5, -0.2, -1.5),
                         lambda s: build_function({"shape": "atoms",
                                                   "atoms": [[1.0, 0.5], [-2.0, 0.25]]})),
-    # a cell 1e-3 wide in a hull about 40 wide: at depth 40 it once capped
-    # the bucket layer the table had
+    # a cell 1e-3 wide among cuts spread over about 40
     "steps_golden_translation": (lambda: make_translation(GOLDEN),
                                  lambda s: piecewise_constant([0.0, 1e-3, 1.0], [1.0, -1.0])),
 }
 
 
-@pytest.mark.parametrize("name", sorted(TABLE_CASES))
+@pytest.mark.parametrize("name", sorted(CUT_CASES))
 @pytest.mark.parametrize("n", (1, 4, 33, 40))
 def test_table_bits_equal_the_reference_at_every_cut_and_bucket_edge(name, n):
-    make_sys, make_f = TABLE_CASES[name]
+    # the cuts are the average's pulled-back breakpoints
+    make_sys, make_f = CUT_CASES[name]
     sys = make_sys()
     f = make_f(sys)
-    assert f.constant_cells
     g = birkhoff(f, sys, n)
-    _assert_table_bits(g, f, sys, n, extra=sys.singularities)
+    _assert_loop_bits(g, f, sys, n, extra=sys.singularities)
 
 
 def test_table_bits_equal_the_reference_at_the_wrap_singularity():
     # with angle 0.3 the rotation jumps from the circle's end back to c0 at
-    # the wrap point 1048576.7, which rotates to the circle's last float: it
-    # is stepped, its neighbours not
+    # the wrap point 1048576.7, which rotates to the circle's last float
     sys = make_composite(circumference=1.0, angle=0.3, step=1.0)
     wrap = sys.singularities[1]
     assert wrap == 1048576.7
@@ -922,21 +910,10 @@ def test_table_bits_equal_the_reference_at_the_wrap_singularity():
     for f in (indicator(c1 + 0.5, c1 + 1.5), circle_indicator(sys), indicator(c1, c1 + 3.0)):
         for n in (1, 3, 32):
             g = birkhoff(f, sys, n)
-            _assert_table_bits(g, f, sys, n, extra=_near([wrap], ulps=50))
+            _assert_loop_bits(g, f, sys, n, extra=_near([wrap], ulps=50))
     g = birkhoff(indicator(c1 + 0.5, c1 + 1.5), sys, 3)
     assert g.eval(np.array([wrap]))[0] == 0.0
     assert birkhoff(circle_indicator(sys), sys, 4).eval(np.array([wrap]))[0] == 1.0
-
-
-def test_table_with_every_cut_inside_one_guard():
-    # a step of 1e-300 leaves every pulled-back cut on its breakpoint: the
-    # points near one go to stepping, the rest read their cell
-    sys, f = make_translation(1e-300), indicator(0.0, 1.0, 2.0)
-    for n in (1, 20):
-        g = birkhoff(f, sys, n)
-        t = g.eval
-        assert np.ptp(t.cuts[t.cuts < 0.5]) <= t.guard
-        _assert_table_bits(g, f, sys, n, extra=_near([0.0, 1.0, 1e-300, -1e-300], ulps=40))
 
 
 def test_table_bits_on_the_k_squared_subsequence():
@@ -944,8 +921,7 @@ def test_table_bits_on_the_k_squared_subsequence():
     for sys, f in ((make_translation(1.0), indicator(0.0, 1.0)),
                    (make_composite(), circle_indicator(make_composite()))):
         g = birkhoff(f, sys, 8, subsequence=powers)
-        assert isinstance(g.eval, dynamics._CellTable)
-        _assert_table_bits(g, f, sys, 8, powers)
+        _assert_loop_bits(g, f, sys, 8, powers)
 
 
 def test_table_takes_non_finite_points_without_a_warning():
@@ -962,37 +938,39 @@ def test_table_takes_non_finite_points_without_a_warning():
 
 
 def test_empty_support_boole_and_undeclared_functions_keep_stepping():
+    # an empty support, a branching system, a kink and declared tails: each
+    # average is the dense loop
     empty = build_function({"shape": "steps", "breaks": [0.0, 1.0], "values": [0.0]})
-    assert empty.constant_cells and not empty.support
-    g = birkhoff(empty, make_translation(1.0), 3)
-    assert not isinstance(g.eval, dynamics._CellTable)
-    xs = np.linspace(-4.0, 2.0, 61)
-    assert g.eval(xs).tobytes() == _birkhoff_reference(empty, make_translation(1.0), 3,
-                                                        xs).tobytes()
-    assert not isinstance(birkhoff(indicator(0.0, 1.0), make_boole(), 3).eval,
-                          dynamics._CellTable)
-    bump = triangular_bump(0.5, 0.5)
-    assert not bump.constant_cells
-    assert not isinstance(birkhoff(bump, make_translation(1.0), 3).eval, dynamics._CellTable)
+    assert not empty.support
     tails = TestFunction(eval=indicator(0.0, 1.0).eval, support=window((0.0, 1.0)),
-                         l1_tail_bound=1e-3, breakpoints=(0.0, 1.0), constant_cells=True)
-    assert not isinstance(birkhoff(tails, make_translation(1.0), 3).eval, dynamics._CellTable)
+                         l1_tail_bound=1e-3, breakpoints=(0.0, 1.0))
+    xs = np.linspace(-4.0, 2.0, 61)
+    for f, sys in ((empty, make_translation(1.0)), (indicator(0.0, 1.0), make_boole()),
+                   (triangular_bump(0.5, 0.5), make_translation(1.0)),
+                   (tails, make_translation(1.0))):
+        got = birkhoff(f, sys, 3).eval(xs)
+        assert got.tobytes() == _birkhoff_reference(f, sys, 3, xs).tobytes(), sys.kind
 
 
 @pytest.mark.parametrize("scenario", ["birkhoff_decay", "starstar_ergodic",
                                       "invariant_vector", "blum_hanson"])
-def test_stock_row_averages_are_tabled_bit_for_bit(scenario):
-    # the stock rows, and the suite's rows for blum_hanson, each on 2^15
-    # points of its support
+def test_stock_rows_are_simple_and_drawn_by_cell_counts(scenario, monkeypatch):
+    # the stock rows, and the suite's rows for blum_hanson: each average
+    # reduces to atoms by piecewise_to_simple, so its norm columns are
+    # exact and its Monte Carlo sums are Poisson cell counts, with no
+    # sample point drawn or evaluated
+    calls = []
+    for name in ("_replicate_sums", "_replicate_blocks", "_count_sums"):
+        original = getattr(poisson, name)
+
+        def recorded(*args, name=name, original=original, **kwargs):
+            calls.append(name)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(poisson, name, recorded)
     suite = experiments._SCENARIOS[scenario].suite if scenario == "blum_hanson" else {}
     cfg = experiments.default_config(scenario, seed=42, **suite)
-    sys, f = cfg._built.system, cfg._built.function
-    assert f.constant_cells
-    formula = None if cfg.subsequence is None else experiments._SUBSEQUENCES[cfg.subsequence]
-    rng = np.random.default_rng(21)
-    for n in cfg._built.depths:
-        powers = None if formula is None else tuple(formula(k) for k in range(1, n + 1))
-        g = birkhoff(f, sys, n, subsequence=powers)
-        assert isinstance(g.eval, dynamics._CellTable), n
-        xs = window_position(g.support, rng.random(2 ** 15))
-        assert g.eval(xs).tobytes() == _birkhoff_reference(f, sys, n, xs, powers).tobytes(), n
+    rows, _ = experiments.run_experiment(cfg)
+    assert [r.n for r in rows] == list(cfg._built.depths)
+    assert [r.norm_source for r in rows] == ["simple"] * len(rows)
+    assert calls == ["_count_sums"] * len(rows)

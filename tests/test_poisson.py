@@ -9,7 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import integrate, stats
 
-from poisson_orlicz import dynamics, measure, poisson
+from poisson_orlicz import measure, poisson
 from poisson_orlicz.dynamics import (
     CIRCLE_OFFSET,
     birkhoff,
@@ -793,10 +793,10 @@ def test_estimate_starstar():
 # ---------------------------------------------------------------------------
 # cell counts against points
 
-# tabled Birkhoff averages with a simple form: one atom on translation,
-# several for a step function and for the circle plus a line piece
+# Birkhoff averages with a simple form: one atom on translation, several
+# for a step function and for the circle plus a line piece
 _COMPOSITE = make_composite(circumference=1.0, angle=0.3, step=1.0)
-_TABLED_ROWS = {
+_SIMPLE_ROWS = {
     "indicator_depth_1": birkhoff(indicator(0.0, 1.0), make_translation(1.0), 1),
     "indicator_depth_8": birkhoff(indicator(0.0, 1.0), make_translation(1.0), 8),
     "steps_depth_4": birkhoff(piecewise_constant([-1.0, 0.3, 1.1, 2.5], [1.5, 0.0, -2.0]),
@@ -821,12 +821,11 @@ def _stats(sums: np.ndarray, c: float) -> list[tuple[float, float]]:
             (float(a.mean()), float(a.std(ddof=1)) / math.sqrt(R))]
 
 
-@pytest.mark.parametrize("name", sorted(_TABLED_ROWS))
+@pytest.mark.parametrize("name", sorted(_SIMPLE_ROWS))
 def test_cell_counts_and_points_agree_in_law(name):
     # N(g) by cell counts and by points: mean, variance and E|N - c| within
     # _AGREE_SE standard errors of each other, at R = 10^5, over three seeds
-    g = _TABLED_ROWS[name]
-    assert isinstance(g.eval, dynamics._CellTable)
+    g = _SIMPLE_ROWS[name]
     atoms = measure.piecewise_to_simple(g).atoms
     c = simple_moments(SimpleFunction(atoms)).integral
     R = 10 ** 5
@@ -1005,7 +1004,7 @@ _UNEVALUATED = TestFunction(eval=_never, support=window((0.0, 1.0)))
 def test_replicate_checks_refuse_zero_replicates():
     with pytest.raises(ValueError, match="at least two replicates for a sample variance, got 0"):
         second_moment_check(_UNEVALUATED, window((0.0, 1.0)), 0, seed=1)
-    with pytest.raises(ValueError, match="at least one replicate"):
+    with pytest.raises(ValueError, match="at least two replicates for a standard error, got 0"):
         reduced_moment_check(_UNEVALUATED, _UNEVALUATED, window((0.0, 1.0)), 0, seed=1)
 
 
@@ -1153,6 +1152,12 @@ def test_second_moment_check_refuses_one_replicate(monkeypatch):
     monkeypatch.setattr(poisson, "_philox", _never)
     with pytest.raises(ValueError, match="at least two replicates for a sample variance, got 1"):
         second_moment_check(_UNEVALUATED, window((0.0, 1.0)), 1, seed=1)
+
+
+def test_reduced_moment_check_refuses_one_replicate(monkeypatch):
+    monkeypatch.setattr(poisson, "_philox", _never)
+    with pytest.raises(ValueError, match="at least two replicates for a standard error, got 1"):
+        reduced_moment_check(_UNEVALUATED, _UNEVALUATED, window((0.0, 1.0)), 1, seed=1)
 
 
 def test_mecke_refuses_a_seed_outside_the_philox_key():
