@@ -65,9 +65,11 @@ from .measure import (
 )
 from .orlicz import gauge_norm, orlicz_norm_paper
 from .poisson import (
+    _MAX_MASS,
     _QUAD_TOL,
     MCEstimate,
     _estimate_abs,
+    _exact_abs_moments,
     _philox,
     abs_moment_exact,
     coboundary_check,
@@ -406,6 +408,9 @@ def _random_atoms(samples: int = 200, max_atoms: int = 5,
             raise ConfigError(f"function.{key} must be a positive, finite, ordered "
                               f"[lo, hi] pair, got {list(lo_hi)!r}")
         ranges.append(lo_hi)
+    if ranges[1][1] > _MAX_MASS:
+        raise ConfigError(f"function.mass_range must end at most {_MAX_MASS}, the exact "
+                          f"oracle's largest mass, got {list(ranges[1])!r}")
     return samples, max_atoms, *ranges, homogeneity_scale
 
 
@@ -682,24 +687,34 @@ def run_transfer_decay(cfg: ExperimentConfig):
 
 def run_urbanik_scan(cfg: ExperimentConfig):
     """Exact star norms of random simple functions against the gauge and
-    Orlicz columns; every sample checks the two-sided gauge comparison."""
+    Orlicz columns; every sample checks the two-sided gauge comparison.
+
+    Every sample s is drawn first, then the exact star norms of s, |s| and
+    scale * s for all samples come from one batched exact call
+    (``poisson._exact_abs_moments``), bit for bit those of
+    ``star_norm_exact``."""
     samples, max_atoms, (v_lo, v_hi), (m_lo, m_hi), scale = cfg._built.function
     rng = _philox(cfg.seed, _SCAN_STREAM)
+    drawn = []
+    for _ in range(samples):
+        k = int(rng.integers(1, max_atoms + 1))
+        signs = rng.integers(0, 2, k) * 2 - 1
+        vals = signs * rng.uniform(v_lo, v_hi, k)
+        # exp of a draw at log(m_hi) can round past m_hi (to 30.000000000000004
+        # at 30), so masses are capped at m_hi, inside the exact oracle's domain
+        masses = np.minimum(np.exp(rng.uniform(math.log(m_lo), math.log(m_hi), k)), m_hi)
+        drawn.append(SimpleFunction(tuple(zip(map(float, vals), map(float, masses)))))
+    stars = _exact_abs_moments(
+        (t, None) for s in drawn
+        for t in (s, SimpleFunction(tuple((abs(v), m) for v, m in s.atoms)),
+                  SimpleFunction(tuple((scale * v, m) for v, m in s.atoms))))
     chash = cfg.config_hash()
     rows: list[ExperimentRow] = []
     ratios_gauge: list[float] = []
     ratios_orlicz: list[float] = []
     for i in range(1, samples + 1):
-        k = int(rng.integers(1, max_atoms + 1))
-        signs = rng.integers(0, 2, k) * 2 - 1
-        vals = signs * rng.uniform(v_lo, v_hi, k)
-        masses = np.exp(rng.uniform(math.log(m_lo), math.log(m_hi), k))
-        s = SimpleFunction(tuple(zip(map(float, vals), map(float, masses))))
-        star = star_norm_exact(s)
-        s_abs = SimpleFunction(tuple((abs(v), m) for v, m in s.atoms))
-        star_abs = star_norm_exact(s_abs)
-        s_scaled = SimpleFunction(tuple((scale * v, m) for v, m in s.atoms))
-        star_scaled = star_norm_exact(s_scaled)
+        s = drawn[i - 1]
+        star, star_abs, star_scaled = stars[3 * i - 3:3 * i]
         gauge = float(gauge_norm(s))
         orl = float(orlicz_norm_paper(s))
         l1, l2sq, _ = simple_moments(s)

@@ -24,10 +24,11 @@ under measure-preserving maps.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, NamedTuple
+from typing import Callable, Iterable, NamedTuple
 
 import numpy as np
 
@@ -339,26 +340,32 @@ def _tail_bounds(table: np.ndarray, m: np.ndarray, first: np.ndarray,
     return p[:, :size], terms[:, ::-1].cumsum(axis=1)[:, :-size - 1:-1]
 
 
-def _cutoffs(v: np.ndarray, m: np.ndarray, other: np.ndarray, budget: float,
-             centered: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _cutoffs(v: np.ndarray, m: np.ndarray, other: np.ndarray, budget: np.ndarray,
+             centered: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Per atom, the smallest K among the _CUTOFF_SCAN integers from
-    ceil(m_i) with the certified dropped-tail bound <= budget, that bound,
+    ceil(m_i) with the certified dropped-tail bound <= budget_i, that bound,
     and a ``_poisson_table`` of the masses reaching every such K.
 
     The bound on E[|S| 1_{N_i > K}] uses P(N_i > K) against ``other``, the
-    weight of the other atoms, and the exact partial-moment identities
-    E[(N-m)1_{N>K}] = m pmf(K) and E[N 1_{N>K}] = m (pmf(K) + P(N > K)),
-    with P(N > K) replaced by the upper bound of ``_tail_bounds``.  The K
-    are tried in blocks of _CUTOFF_BLOCK for all atoms at once, each atom
-    keeping the first block that holds its K; the search stops at the first
-    block after which every atom has one.  The table holds k <= ceil(max m)
-    + _CUTOFF_BLOCK + _TAIL_TERMS, what the first block reads, and is
-    rebuilt wider when a later block reads past it.
+    weight of the other atoms of its function, and the exact partial-moment
+    identities E[(N-m)1_{N>K}] = m pmf(K) (where ``centered``) and E[N
+    1_{N>K}] = m (pmf(K) + P(N > K)) (elsewhere), with P(N > K) replaced by
+    the upper bound of ``_tail_bounds``.  Every step is elementwise per
+    atom, so the atoms of many functions can be searched together, each
+    with the bits of its own search.  The K are tried in blocks of
+    _CUTOFF_BLOCK for all atoms at once, each atom keeping the first block
+    that holds its K; the search stops at the first block after which every
+    atom has one.  The table holds k <= ceil(max m) + _CUTOFF_BLOCK +
+    _TAIL_TERMS, what the first block reads, and is rebuilt wider when a
+    later block reads past it.
     """
     start = np.ceil(m).astype(np.int64)
     scale = (np.abs(v) * m)[:, None]
     other = other[:, None]
-    caps = np.full(m.size, -1)
+    uncentered = None if centered.all() else ~centered[:, None]
+    limit = budget[:, None]
+    caps = np.empty(m.size, dtype=np.int64)
+    caps.fill(-1)
     bounds = np.empty(m.size)
     rows = np.arange(m.size)
     table = np.empty((m.size, 0))
@@ -369,8 +376,10 @@ def _cutoffs(v: np.ndarray, m: np.ndarray, other: np.ndarray, budget: float,
         if table.shape[1] < width:
             table = _poisson_table(m, width)
         pmf, sf = _tail_bounds(table, m, first, size)
-        b = sf * other + scale * (pmf if centered else pmf + sf)
-        j = (b <= budget).argmax(axis=1)  # the first K within budget, else 0
+        if uncentered is not None:  # pmf(K) + P(N > K) where uncentered
+            np.add(pmf, sf, out=pmf, where=uncentered)
+        b = sf * other + scale * pmf
+        j = (b <= limit).argmax(axis=1)  # the first K within budget, else 0
         bj = b[rows, j]
         new = (bj <= budget) & (caps < 0)
         caps = np.where(new, first + j, caps)
@@ -395,16 +404,174 @@ def _merge_lattice(vals: np.ndarray, probs: np.ndarray) -> tuple[np.ndarray, np.
     return grid[np.concatenate(([True], new))] * _LATTICE_RES, np.bincount(run, weights=probs)
 
 
-def _enumerate_block(block: list[tuple[float, np.ndarray]]) -> tuple[np.ndarray, np.ndarray]:
-    """The sorted lattice of sum v N over the block's atoms, each given by
-    its value and its pmf row at k = 0 .. cap, and its probabilities."""
-    vals = np.zeros(1)
-    probs = np.ones(1)
+def _first_lattices(v: np.ndarray, caps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Row i: the grid ``_merge_lattice`` rounds 0 + v_i k to, at k = 0 ..
+    max caps, for every atom in one array pass; and whether two of its
+    first caps_i + 1 entries tie.
+
+    One atom's grid rint(v_i k / _LATTICE_RES) is monotone in k, increasing
+    for v_i > 0 and decreasing for v_i < 0, so it is sorted by reading k
+    upward or downward, without a sort.  Without ties that order is the one
+    ``_merge_lattice``'s sort finds, so the bits are its own; with ties its
+    ``bincount`` adds in input order, and the caller merges as it does.
+    """
+    grid = v[:, None] * _KS[:int(caps.max()) + 1]
+    grid += 0.0  # the merge adds v k to the lattice {0}: -0.0 becomes 0.0
+    grid /= _LATTICE_RES
+    np.rint(grid, out=grid)
+    tied = grid[:, 1:] == grid[:, :-1]
+    if tied.any():  # a tie past caps_i does not count
+        tied &= _KS[:grid.shape[1] - 1] < caps[:, None]
+    grid *= _LATTICE_RES
+    return grid, tied.any(axis=1)
+
+
+def _enumerate_block(block: list[tuple[float, np.ndarray]], vals: np.ndarray,
+                     probs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The sorted lattice ``vals`` with probabilities ``probs`` after the
+    block's atoms, each given by its value v and its pmf row at k = 0 ..
+    cap, are added to it one by one as v N, and its probabilities."""
     for v, pk in block:
         vals = (vals[:, None] + v * _KS[:pk.size]).ravel()
         probs = (probs[:, None] * pk).ravel()
         vals, probs = _merge_lattice(vals, probs)
     return vals, probs
+
+
+# pairs whose cutoff search and first-atom lattices are built together
+_EXACT_GROUP = 16
+# the lattice {0} of an empty block; and for a function of n atoms, each
+# atom's share _TAIL_EPS / n of the tail budget, and centering flags
+_ORIGIN = (np.zeros(1), np.ones(1))
+_BUDGETS = tuple(np.full(n, _TAIL_EPS / max(n, 1)) for n in range(_MAX_ATOMS + 1))
+_FLAGS = (np.zeros(_MAX_ATOMS, dtype=bool), np.ones(_MAX_ATOMS, dtype=bool))
+for _a in (*_ORIGIN, *_BUDGETS, *_FLAGS):
+    _a.flags.writeable = False
+
+
+def _exact_setup(f: SimpleFunction, center: float | None):
+    """One pair's refusals, rescaling and tail weights: its moment when f
+    has no atom, else ((values rescaled by 2^-e, masses, the weight of the
+    other atoms, tail budget, centered) per atom, e, the shift -c rescaled)."""
+    atoms = f.atoms
+    if center is not None and not math.isfinite(center):
+        raise ValueError(f"exact oracle needs a finite center, got {center}")
+    if len(atoms) > _MAX_ATOMS:
+        raise ValueError(f"exact oracle handles at most {_MAX_ATOMS} atoms, got {len(atoms)}")
+    if any(m > _MAX_MASS for _, m in atoms):
+        raise ValueError(f"exact oracle handles masses up to {_MAX_MASS}")
+    if not atoms:
+        return 0.0 if center is None else abs(center)
+    v, m = f.values_masses()
+    # the lattice merges on an absolute grid and sums up to 6 * 630 values,
+    # so tiny and huge values are first put at unit scale by a power of two
+    # 2^e: exact, and E|sum v_i N_i - c| is 1-homogeneous in (v, c)
+    abs_v = np.abs(v)
+    top = max(float(abs_v.max()), 0.0 if center is None else abs(center))
+    e = math.frexp(top)[1] if not _TINY_VALUE <= top <= _HUGE_VALUE else 0
+    if e:
+        v = np.ldexp(v, -e)
+        abs_v = np.abs(v)
+        if center is not None:
+            center = math.ldexp(center, -e)
+    centered = center is None
+    extra = 0.0 if centered else abs(center)
+    shift = -float((v * m).sum()) if centered else -center
+    weights = abs_v * (np.sqrt(m) if centered else m)
+    other = weights.sum() - weights + extra
+    return (v, m, other, _BUDGETS[len(atoms)], _FLAGS[centered][:len(atoms)]), e, shift
+
+
+def _exact_abs_moments(pairs: Iterable[tuple[SimpleFunction, float | None]]) -> list[float]:
+    """``_abs_moment_exact`` of every (f, center) pair, bit for bit, or the
+    error the first failing pair raises, in groups of _EXACT_GROUP pairs:
+    one ``_cutoffs`` search and Poisson table for every atom of a group,
+    and one ``_first_lattices`` pass that gives every block its first
+    atom's lattice without a sort.  The later merges and the reduction are
+    per pair, each pair reduced as soon as its lattices are built."""
+    out: list[float] = []
+    pairs = iter(pairs)
+    while group := list(itertools.islice(pairs, _EXACT_GROUP)):
+        setups, refusal = [], None
+        for f, center in group:
+            try:
+                setups.append(_exact_setup(f, center))
+            except ValueError as exc:
+                refusal = exc
+                break
+        # the pairs before a refusal run first, as a loop of single calls would
+        out += _exact_group(setups)
+        if refusal is not None:
+            raise refusal
+    return out
+
+
+def _exact_group(setups: list) -> list[float]:
+    """The moments of one group of ``_exact_setup`` results."""
+    live = [s for s in setups if type(s) is tuple]
+    if not live:
+        return setups
+    v, m, other, budget, centered = (c[0] if len(c) == 1 else np.concatenate(c)
+                                     for c in zip(*(s[0] for s in live)))
+    caps, bounds, table = _cutoffs(v, m, other, budget, centered)
+    grid, tied = _first_lattices(v, caps)
+    caps, bounds, v, tied = caps.tolist(), bounds.tolist(), v.tolist(), tied.tolist()
+
+    def lattice(block):
+        """The sorted lattice of sums v N over the block's atoms (indices)."""
+        if not block:
+            return _ORIGIN
+        rest = [(v[i], table[i, :caps[i] + 1]) for i in block[1:]]
+        i, c = block[0], caps[block[0]]
+        if tied[i]:
+            return _enumerate_block([(v[i], table[i, :c + 1])] + rest, *_ORIGIN)
+        if v[i] > 0:
+            return _enumerate_block(rest, grid[i, :c + 1], table[i, :c + 1])
+        return _enumerate_block(rest, grid[i, c::-1], table[i, c::-1])  # k read downward
+
+    out = []
+    lo = 0
+    for s in setups:
+        if type(s) is not tuple:
+            out.append(s)
+            continue
+        cols, e, shift = s
+        n = cols[0].size
+        tail_bound = 0.0
+        for b in bounds[lo:lo + n]:
+            tail_bound += b
+        # meet in the middle: split the atoms into two blocks of balanced
+        # lattice size, largest cutoff first
+        blocks: tuple[list, list] = ([], [])
+        log_size = [0.0, 0.0]
+        for i in sorted(range(lo, lo + n), key=lambda j: -caps[j]):
+            side = 0 if log_size[0] <= log_size[1] else 1
+            blocks[side].append(i)
+            log_size[side] += math.log(caps[i] + 1)
+        lo += n
+        out.append(_lattice_moment(lattice(blocks[0]), lattice(blocks[1]), shift, tail_bound, e))
+    return out
+
+
+def _lattice_moment(a: tuple[np.ndarray, np.ndarray], b: tuple[np.ndarray, np.ndarray],
+                    shift: float, tail_bound: float, e: int) -> float:
+    """2^e (E|A + B + shift| + tail_bound / 2) for independent A and B on
+    their sorted lattices, by a prefix-sum reduction over A; inf beyond the
+    float range."""
+    (va, pa), (vb, pb) = a, b
+    cum_p, cum_pv = np.zeros((2, pa.size + 1))
+    pa.cumsum(out=cum_p[1:])
+    (pa * va).cumsum(out=cum_pv[1:])
+    tot_p, tot_pv = cum_p[-1], cum_pv[-1]
+    vb = vb + shift
+    idx = va.searchsorted(-vb)
+    # E_a |a + b| with the split at a = -b, via prefix sums over block A
+    per_b = tot_pv + vb * tot_p - 2.0 * (cum_pv.take(idx) + vb * cum_p.take(idx))
+    value = float((pb * per_b).sum())
+    try:
+        return math.ldexp(value + 0.5 * tail_bound, e)
+    except OverflowError:  # the moment is beyond the float range
+        return math.inf
 
 
 def _abs_moment_exact(f: SimpleFunction, center: float | None) -> float:
@@ -419,66 +586,16 @@ def _abs_moment_exact(f: SimpleFunction, center: float | None) -> float:
     top comes the floating-point rounding of the pmf terms and the sums,
     an estimate, not a proven bound: 1e-13 (sum |v_i| m_i + |c|).
 
-    One ``_cutoffs`` pass finds every atom's cutoff K_i and builds one
-    Poisson table, a row per atom, from which the enumeration slices the
-    pmf at k = 0 .. K_i.  The atoms are split into two blocks of balanced
-    lattice size (meet in the middle); each block's lattice of sums is
-    merged atom by atom onto the grid, which leaves it sorted, and the
-    moment is a prefix-sum reduction of one block against the other.
+    A batch of one pair (``_exact_abs_moments``).  One ``_cutoffs`` pass
+    finds every atom's cutoff K_i, each within the budget _TAIL_EPS / J,
+    and builds one Poisson table, a row per atom, from which the
+    enumeration slices the pmf at k = 0 .. K_i.  The atoms are split into
+    two blocks of balanced lattice size (meet in the middle); each block's
+    lattice of sums is merged atom by atom onto the grid, which leaves it
+    sorted, and the moment is a prefix-sum reduction of one block against
+    the other.
     """
-    atoms = f.atoms
-    if center is not None and not math.isfinite(center):
-        raise ValueError(f"exact oracle needs a finite center, got {center}")
-    if len(atoms) > _MAX_ATOMS:
-        raise ValueError(f"exact oracle handles at most {_MAX_ATOMS} atoms, got {len(atoms)}")
-    if any(m > _MAX_MASS for _, m in atoms):
-        raise ValueError(f"exact oracle handles masses up to {_MAX_MASS}")
-    if not atoms:
-        return 0.0 if center is None else abs(center)
-    v, m = f.values_masses()
-    # the lattice merges on an absolute grid and sums up to 6 * 630 values,
-    # so tiny and huge values are first put at unit scale by a power of two
-    # 2^e: exact, and E|sum v_i N_i - c| is 1-homogeneous in (v, c)
-    top = max(float(np.abs(v).max()), 0.0 if center is None else abs(center))
-    e = math.frexp(top)[1] if not _TINY_VALUE <= top <= _HUGE_VALUE else 0
-    if e:
-        v = np.ldexp(v, -e)
-        if center is not None:
-            center = math.ldexp(center, -e)
-    centered = center is None
-    extra = 0.0 if centered else abs(center)
-    shift = -float((v * m).sum()) if centered else -center
-    weights = np.abs(v) * (np.sqrt(m) if centered else m)
-    other = weights.sum() - weights + extra
-    caps, bounds, table = _cutoffs(v, m, other, _TAIL_EPS / len(atoms), centered)
-    caps = caps.tolist()
-    tail_bound = 0.0
-    for b in bounds.tolist():
-        tail_bound += b
-
-    # meet in the middle: split atoms into two blocks of balanced lattice size
-    blocks: tuple[list, list] = ([], [])
-    log_size = [0.0, 0.0]
-    for i in sorted(range(len(atoms)), key=lambda j: -caps[j]):
-        side = 0 if log_size[0] <= log_size[1] else 1
-        blocks[side].append((float(v[i]), table[i, :caps[i] + 1]))
-        log_size[side] += math.log(caps[i] + 1)
-    va, pa = _enumerate_block(blocks[0])
-    vb, pb = _enumerate_block(blocks[1])
-
-    cum_p, cum_pv = np.zeros((2, pa.size + 1))
-    pa.cumsum(out=cum_p[1:])
-    (pa * va).cumsum(out=cum_pv[1:])
-    tot_p, tot_pv = cum_p[-1], cum_pv[-1]
-    vb = vb + shift
-    idx = np.searchsorted(va, -vb, side="left")
-    # E_a |a + b| with the split at a = -b, via prefix sums over block A
-    per_b = tot_pv + vb * tot_p - 2.0 * (cum_pv.take(idx) + vb * cum_p.take(idx))
-    value = float((pb * per_b).sum())
-    try:
-        return math.ldexp(value + 0.5 * tail_bound, e)
-    except OverflowError:  # the moment is beyond the float range
-        return math.inf
+    return _exact_group([_exact_setup(f, center)])[0]
 
 
 def star_norm_exact(f: SimpleFunction) -> float:

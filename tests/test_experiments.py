@@ -374,6 +374,42 @@ def test_urbanik_scan_requires_generator_spec():
         dataclasses.replace(cfg, function={"shape": "indicator", "lo": 0, "hi": 1})
 
 
+@pytest.mark.parametrize("mass_range", [[0.01, 40], [31, 40], [0.01, 30.000000000000004]])
+def test_urbanik_scan_refuses_masses_past_the_exact_oracle_when_checked(mass_range):
+    # refused when the config is built, whatever the seed, not after drawing
+    cfg = default_config("urbanik_scan", seed=3)
+    with pytest.raises(ConfigError, match=r"function\.mass_range must end at most 30\.0"):
+        dataclasses.replace(cfg, function=dict(cfg.function, samples=5, mass_range=mass_range))
+
+
+def test_urbanik_scan_masses_stay_inside_their_range(monkeypatch):
+    # a generator that always draws the top of each range: exp(log 30) is
+    # 30.000000000000004, and every mass is capped at 30.0
+    class Top:
+        def integers(self, lo, hi, size=None):
+            return hi - 1 if size is None else np.full(size, hi - 1)
+
+        def uniform(self, lo, hi, size):
+            return np.full(size, hi)
+
+    masses = []
+
+    def exact(pairs):
+        pairs = list(pairs)
+        masses.extend(m for f, _ in pairs for _, m in f.atoms)
+        return real(pairs)
+
+    real = experiments._exact_abs_moments
+    monkeypatch.setattr(experiments, "_philox", lambda *key: Top())
+    monkeypatch.setattr(experiments, "_exact_abs_moments", exact)
+    cfg = default_config("urbanik_scan", seed=3)
+    cfg = dataclasses.replace(cfg, function=dict(cfg.function, samples=2, max_atoms=2,
+                                                 mass_range=[0.001, 30.0]))
+    rows, _ = run_urbanik_scan(cfg)
+    assert len(rows) == 2 and len(masses) == 12
+    assert set(masses) == {30.0}
+
+
 # ---------------------------------------------------------------------------
 # starstar ergodic
 

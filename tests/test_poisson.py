@@ -396,7 +396,8 @@ def _cutoffs(atoms, budget, centered):
     of (K, bound) pairs; its table must hold the pmf of every mass at every
     k <= K."""
     v, m, other = (np.array(c, dtype=float) for c in zip(*atoms))
-    caps, bounds, table = poisson._cutoffs(v, m, other, budget, centered)
+    caps, bounds, table = poisson._cutoffs(v, m, other, np.full(m.size, budget),
+                                           np.full(m.size, centered))
     for mass, cap, row in zip(m, caps, table):
         assert np.array_equal(row[:cap + 1], poisson._poisson_table(np.array([mass]), cap + 1)[0])
     return [(int(k), float(b)) for k, b in zip(caps, bounds)]
@@ -427,6 +428,29 @@ def test_cutoffs_of_several_atoms_are_each_the_whole_table(atoms, budget, center
             _cutoffs(atoms, budget, centered)
     else:
         assert _cutoffs(atoms, budget, centered) == want
+
+
+@settings(max_examples=200)
+@given(atoms=st.lists(st.tuples(
+    _CUTOFF_ATOM, st.one_of(_log_uniform(1e-300, 1e-3), st.sampled_from([0.0, -1e-12])),
+    st.booleans()).map(lambda a: (*a[0], a[1], a[2])), min_size=1, max_size=12))
+@example(atoms=[(0.0, _EDGE_M, 1.0, float(_EDGE_TAIL[100]), True),
+                (1.0, 29.0, 1e6, 1e-12, False), (-2.0, 0.5, 0.0, 1e-13, True)])
+def test_cutoffs_with_per_atom_budgets_and_centerings_are_each_their_own(atoms):
+    # the atoms of many functions, each with its own budget and centering,
+    # searched together: each keeps the cutoff of its own whole-table search
+    want = [_cutoff_whole_table(v, m, other, budget, centered)
+            for v, m, other, budget, centered in atoms]
+    v, m, other, budget = (np.array(c, dtype=float) for c in list(zip(*atoms))[:4])
+    centered = np.array([a[4] for a in atoms])
+    if None in want:
+        with pytest.raises(ValueError, match="cannot certify the tail bound"):
+            poisson._cutoffs(v, m, other, budget, centered)
+        return
+    caps, bounds, table = poisson._cutoffs(v, m, other, budget, centered)
+    assert [(int(k), float(b)) for k, b in zip(caps, bounds)] == want
+    for mass, cap, row in zip(m, caps, table):
+        assert np.array_equal(row[:cap + 1], poisson._poisson_table(np.array([mass]), cap + 1)[0])
 
 
 @pytest.mark.parametrize("center", [math.inf, -math.inf, math.nan])
@@ -626,6 +650,98 @@ def test_exact_oracle_is_bit_equal_to_the_frozen_reference(inputs):
     atoms, center = inputs
     f = SimpleFunction(tuple(atoms))
     assert _outcome(poisson._abs_moment_exact, f, center) == _outcome(_ref_abs_moment, f, center)
+
+
+# ---------------------------------------------------------------------------
+# the batched exact oracle: every pair's bits and the loop's first refusal
+
+def _loop_outcome(pairs):
+    """What a loop of single calls gives: every repr, or its first error."""
+    try:
+        return [repr(poisson._abs_moment_exact(f, c)) for f, c in pairs]
+    except ValueError as exc:
+        return f"ValueError: {exc}"
+
+
+def _batch_outcome(pairs):
+    try:
+        return [repr(x) for x in poisson._exact_abs_moments(pairs)]
+    except ValueError as exc:
+        return f"ValueError: {exc}"
+
+
+def _pairs(batch):
+    return [(SimpleFunction(tuple(atoms)), center) for atoms, center in batch]
+
+
+# tiny values tie on the first atom's grid and take the sorting merge
+_TIED_BATCH = [([(1.0, 2.0), (1e-13, 3.0)], None), ([(-3e-13, 4.0)], 0.0),
+               ([(1e-300, 30.0), (-1e300, 1e-12)], 1e-300),
+               ([(2.5, 0.7), (-1.5, 12.0), (1e-14, 0.2)], 0.3)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(batch=st.lists(_oracle_inputs(), min_size=1, max_size=12))
+@example(batch=_TIED_BATCH)
+@example(batch=[(((3.0, 29.9),) * 6, 0.0), (((1.0, 0.25), (-1.0, 0.25)), None),
+                (((1.0, 0.1),), 5.0), ((), None), ((), -2.0)])
+def test_exact_batch_is_bit_equal_to_its_single_calls(batch):
+    # each pair of a batch mixing centres, atom counts (so budgets) and
+    # refusals gives the bits of its own single call, or the batch raises
+    # what the loop of single calls raises first
+    pairs = _pairs(batch)
+    assert _batch_outcome(pairs) == _loop_outcome(pairs)
+
+
+@pytest.mark.parametrize("group", [1, 2, 1000])
+def test_exact_batch_bits_do_not_depend_on_the_group_size(monkeypatch, group):
+    rng = np.random.default_rng(5)
+    pairs = []
+    for i in range(40):
+        k = int(rng.integers(1, 7))
+        atoms = tuple(zip((rng.choice([-1.0, 1.0], k) * rng.uniform(0.05, 5.0, k)).tolist(),
+                          np.exp(rng.uniform(math.log(1e-3), math.log(30.0), k)).tolist()))
+        pairs.append((SimpleFunction(atoms), [None, 0.0, float(rng.normal())][i % 3]))
+    pairs += _pairs(_TIED_BATCH)
+    want = _loop_outcome(pairs)
+    monkeypatch.setattr(poisson, "_EXACT_GROUP", group)
+    assert _batch_outcome(pairs) == want
+
+
+_OK = ([(1.0, 2.0), (-0.5, 3.0)], None)
+_MASS_REFUSED = ([(1.0, 30.5)], None)
+_ATOMS_REFUSED = ([(1.0, 0.1)] * 7, 0.0)
+_CENTER_REFUSED = ([(1.0, 0.1)], math.nan)
+
+
+@pytest.mark.parametrize("group", [1, 3, 64])
+@pytest.mark.parametrize("batch, first", [
+    ([_OK, _MASS_REFUSED, _ATOMS_REFUSED], "masses up to 30.0"),
+    ([_ATOMS_REFUSED, _OK, _MASS_REFUSED], "at most 6 atoms, got 7"),
+    ([_OK, _OK, _OK, _CENTER_REFUSED, _MASS_REFUSED], "finite center, got nan"),
+], ids=["mass", "atoms", "center"])
+def test_exact_batch_raises_the_first_refusal(monkeypatch, group, batch, first):
+    monkeypatch.setattr(poisson, "_EXACT_GROUP", group)
+    pairs = _pairs(batch)
+    want = _loop_outcome(pairs)
+    assert want.startswith("ValueError: exact oracle") and first in want
+    assert _batch_outcome(pairs) == want
+
+
+@pytest.mark.parametrize("group", [1, 64])
+def test_exact_batch_raises_an_uncertified_tail_before_a_later_refusal(monkeypatch, group):
+    # with one candidate K = ceil(m), a mass of 29.5 cannot meet its budget:
+    # the loop raises that before it reaches the refused pair, and so does
+    # the batch; put after the refusal, the refusal comes first
+    monkeypatch.setattr(poisson, "_CUTOFF_SCAN", 1)
+    monkeypatch.setattr(poisson, "_EXACT_GROUP", group)
+    tiny, uncertified = ([(1.0, 1e-9)], 0.0), ([(1.0, 29.5)], None)
+    pairs = _pairs([tiny, uncertified, _MASS_REFUSED])
+    assert _loop_outcome(pairs) == _batch_outcome(pairs) == \
+        "ValueError: cannot certify the tail bound"
+    pairs = _pairs([tiny, _MASS_REFUSED, uncertified])
+    assert _loop_outcome(pairs) == _batch_outcome(pairs) == \
+        "ValueError: exact oracle handles masses up to 30.0"
 
 
 # ---------------------------------------------------------------------------
