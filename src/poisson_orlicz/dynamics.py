@@ -13,6 +13,9 @@ power-of-two offset, so one real-valued evaluation signature serves both
 parts and coordinates subtract exactly.  The translated part skips over the
 segment, so the two parts never exchange points.
 
+Each system gives its inverse branches through one array-only interface,
+``preimages``: one (y, 1/|T'(y)|) pair of arrays per branch.
+
 Each system maps windows as well as points: ``image(w, k)`` is a window
 containing T^k(w) for an integer k, the union over all preimage branches
 when k < 0.  The Boole map refuses k > 0, since the forward image of a
@@ -71,10 +74,11 @@ class DynamicalSystem:
     its value at x depends on x alone, so mapping any slice of an array
     gives the same bits as slicing the mapped array (a Birkhoff average
     evaluated in blocks has the bits of one call).
-    ``branches`` maps a float array x to one (y, jac) pair of arrays per
+    ``preimages`` maps a float array x to one (y, jac) pair of arrays per
     branch of T^{-1}: T(y) = x and jac = 1/|T'(y)|, the jacs summing to 1
-    wherever defined.  It computes every branch in one pass.  Callers go
-    through ``preimages``, which also takes scalars.
+    wherever defined.  It computes every branch in one pass, and it takes
+    arrays only: the number of branches is the length of what it returns
+    for a one-element array.
     ``image(w, k)`` returns a window containing T^k(w) for an integer k;
     for k < 0 that is the preimage T^{-|k|}(w) over every branch.  The
     Boole map raises ValueError for k > 0: the forward image of a window
@@ -85,17 +89,9 @@ class DynamicalSystem:
     kind: str
     params: tuple[float, ...]
     forward: Callable[[np.ndarray], np.ndarray]
-    branches: Callable[[np.ndarray], tuple[tuple[np.ndarray, np.ndarray], ...]]
+    preimages: Callable[[np.ndarray], tuple[tuple[np.ndarray, np.ndarray], ...]]
     image: Callable[[Window, int], Window]
     singularities: tuple[float, ...] = ()
-
-    def preimages(self, x):
-        """The points y with T(y) = x, each with 1/|T'(y)|, one pair per
-        branch: arrays for array x, plain floats for scalar x."""
-        if np.ndim(x) == 0:
-            return tuple((float(y[0]), float(j[0]))
-                         for y, j in self.branches(np.array([float(x)])))
-        return self.branches(np.asarray(x, dtype=float))
 
 
 def make_translation(step: float = 1.0) -> DynamicalSystem:
@@ -108,7 +104,7 @@ def make_translation(step: float = 1.0) -> DynamicalSystem:
     def fwd(x):
         return np.asarray(x, dtype=float) + step
 
-    def branches(x):
+    def preimages(x):
         return ((x - step, np.ones(x.shape)),)
 
     def image(w: Window, k: int) -> Window:
@@ -118,7 +114,7 @@ def make_translation(step: float = 1.0) -> DynamicalSystem:
         kind="translation",
         params=(step,),
         forward=fwd,
-        branches=branches,
+        preimages=preimages,
         image=image,
     )
 
@@ -146,7 +142,7 @@ def make_boole() -> DynamicalSystem:
         yy = np.square(np.minimum(np.abs(y), 1e154))
         return yy / (1.0 + yy)
 
-    def branches(x):
+    def preimages(x):
         s = 0.5 * np.hypot(x, 2.0) + 0.5 * np.abs(x)
         pos = x >= 0.0
         y_plus = np.where(pos, s, 1.0 / s)
@@ -167,7 +163,7 @@ def make_boole() -> DynamicalSystem:
         kind="boole",
         params=(),
         forward=fwd,
-        branches=branches,
+        preimages=preimages,
         image=image,
         singularities=(0.0,),
     )
@@ -214,7 +210,7 @@ def make_composite(circumference: float = 1.0, angle: float = GOLDEN,
         out[on] = _rotate(x[on], angle)
         return out
 
-    def branches(x):
+    def preimages(x):
         rotated = _rotate(x, -angle)
         return ((np.where(_in_circle(x), rotated, _line_shift(x, -step)),
                  np.ones(x.shape)),)
@@ -240,7 +236,7 @@ def make_composite(circumference: float = 1.0, angle: float = GOLDEN,
         kind="composite",
         params=(length, angle, step),
         forward=fwd,
-        branches=branches,
+        preimages=preimages,
         image=image,
         singularities=(c0, wrap, c1),
     )
@@ -286,7 +282,7 @@ def _pullback_breakpoints(sys: DynamicalSystem, pts,
     that is all of them.  A one-branch system keeps every one, their number
     growing linearly with depth; on a branching system, where it doubles,
     none are listed once the tree passes PULLBACK_CAP points."""
-    branching = len(sys.preimages(0.0)) > 1
+    branching = len(sys.preimages(np.zeros(1))) > 1
     level = np.asarray(pts, dtype=float)
     out = set(level.tolist())
     for _ in range(int(depth)):
@@ -615,18 +611,18 @@ def _mass(fit: _Fit, abs_eval, q_tol: float) -> tuple[list[float], list[float]]:
     return mass, err
 
 
-def transfer_apply(f: TestFunction, sys: DynamicalSystem, n: int,
-                   tail_tol: float = TRANSFER_TAIL_TOL) -> TestFunction:
+def transfer_apply(f: TestFunction, sys: DynamicalSystem, n: int) -> TestFunction:
     """T-hat^n f: the Jacobian-weighted sum of f over depth-n preimages.
 
     For the two-branch Boole map the support of the image is unbounded, so
     a finite window is grown until the mass it misses, measured through the
-    conservation identity int T-hat^n |f| = int |f|, is below ``tail_tol``
-    times max(1, int |f|); the remaining deficit is declared as the L1 tail
-    bound.  The image is built level by level, one preimage step each, as a
-    chain of piecewise Chebyshev interpolants (``_Chain``); each growth step
-    of the window extends every level by its new outer pieces only and reads
-    their mass from level n's coefficients.  T-hat^n |f| reuses the chain
+    conservation identity int T-hat^n |f| = int |f|, is below
+    TRANSFER_TAIL_TOL, read at call time, times max(1, int |f|); the
+    remaining deficit is declared as the L1 tail bound.  The image is built
+    level by level, one preimage step each, as a chain of piecewise
+    Chebyshev interpolants (``_Chain``); each growth step of the window
+    extends every level by its new outer pieces only and reads their mass
+    from level n's coefficients.  T-hat^n |f| reuses the chain
     when f has one sign (``_one_signed``) and runs as its own chain otherwise.
     Boole's inverse Jacobians sum to 1, so T-hat does not raise the sup
     norm and the error of level n is at most the sum of the levels' fit
@@ -647,7 +643,7 @@ def transfer_apply(f: TestFunction, sys: DynamicalSystem, n: int,
                          f"points, over the limit of {_MAX_PULLBACKS}")
     orbit = _forward_orbit(sys, edges, n)
 
-    if len(sys.preimages(0.0)) == 1:
+    if len(sys.preimages(np.zeros(1))) == 1:
         return TestFunction(
             eval=_branch_sum(f.eval, sys, n),
             support=sys.image(f.support, n),
@@ -672,7 +668,7 @@ def transfer_apply(f: TestFunction, sys: DynamicalSystem, n: int,
         total_mass, mass_err = integrate(f, f.support, transform=np.abs, tol=1e-10)
     # the window's tolerances are relative to the mass once it exceeds 1
     unit = max(1.0, total_mass)
-    target, q_tol = tail_tol * unit, max(1e-9, 0.02 * tail_tol) * unit
+    target, q_tol = TRANSFER_TAIL_TOL * unit, max(1e-9, 0.02 * TRANSFER_TAIL_TOL) * unit
     hull = max(max(abs(lo), abs(hi)) for lo, hi in f.support.intervals)
     radius = hull + n + 1.0
     masses, errs = [], []
@@ -715,7 +711,7 @@ def sampling_window(g: TestFunction, sys: DynamicalSystem, n: int) -> Window:
     """Where the Monte Carlo norms of g = T-hat^n f sample: on a branching
     system, the part of g's grown window within _MC_RADIUS + n of 0, the
     truncation bound covering the rest; on any other system, g's support."""
-    if len(sys.preimages(0.0)) == 1:
+    if len(sys.preimages(np.zeros(1))) == 1:
         return g.support
     r = _MC_RADIUS + n
     return window_intersect(g.support, window((-r, r)))

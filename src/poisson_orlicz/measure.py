@@ -127,6 +127,8 @@ def window_position(w: Window, u) -> np.ndarray:
         raise ValueError("empty window has no uniform law")
     u = np.asarray(u, dtype=float)
     if len(w.intervals) == 1:
+        # the bits of the general path (cum = [0, hi - lo], idx = 0) without
+        # its per-point binary search, which costs about 30 times as much
         lo, hi = w.intervals[0]
         return lo + u * (hi - lo)
     lengths = np.array([hi - lo for lo, hi in w.intervals])
@@ -421,17 +423,6 @@ def _gk_batch(func, mid: np.ndarray, half) -> tuple[np.ndarray, np.ndarray]:
     return _gk_reduce(y, half)
 
 
-def _initial_segments(w: Window, points: Sequence[float]) -> tuple[np.ndarray, np.ndarray]:
-    pts = sorted(set(float(p) for p in points))
-    los, his = [], []
-    for lo, hi in w.intervals:
-        cuts = [lo] + [p for p in pts if lo < p < hi] + [hi]
-        for a, b in zip(cuts, cuts[1:]):
-            los.append(a)
-            his.append(b)
-    return np.array(los), np.array(his)
-
-
 def _first_segments(f: TestFunction, w: Window) -> tuple[np.ndarray, np.ndarray]:
     """The (lo, hi) ends of ``integrate``'s first-pass segments of f over w:
     the intervals of w cut at the declared breakpoints of f and the ends of
@@ -439,7 +430,14 @@ def _first_segments(f: TestFunction, w: Window) -> tuple[np.ndarray, np.ndarray]
     forced = list(f.breakpoints)
     for lo, hi in f.support.intervals:
         forced += [lo, hi]
-    return _initial_segments(w, forced)
+    pts = sorted(set(float(p) for p in forced))
+    los, his = [], []
+    for lo, hi in w.intervals:
+        cuts = [lo] + [p for p in pts if lo < p < hi] + [hi]
+        for a, b in zip(cuts, cuts[1:]):
+            los.append(a)
+            his.append(b)
+    return np.array(los), np.array(his)
 
 
 def integrate(

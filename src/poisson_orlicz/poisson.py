@@ -152,16 +152,6 @@ def integral_centered(f: TestFunction, s: PoissonSample, compensator: float) -> 
 # ---------------------------------------------------------------------------
 # Vectorized replicate machinery
 
-def _eval_points(f: TestFunction, pts: np.ndarray) -> np.ndarray:
-    """f.eval over the sample points in blocks of ``_CHUNK``, written into one
-    float array.  ``eval`` is pointwise (see TestFunction), so the result is
-    bit-identical to a single call on the whole array."""
-    out = np.empty(pts.shape)
-    for i in range(0, pts.size, _CHUNK):
-        out[i:i + _CHUNK] = f.eval(pts[i:i + _CHUNK])
-    return out
-
-
 def _replicate_blocks(w: Window, R: int, seed: int):
     """R replicates on the one stream of ``seed``, as (counts, points) per
     block of whole replicates, in order.  All R counts are drawn first, then
@@ -270,7 +260,7 @@ def _estimate_abs(f: TestFunction, w: Window, R: int, seed: int, center: float,
     except ValueError:
         atoms = None
     if atoms is None:
-        sums, = _replicate_sums(w, R, seed, lambda pts: (_eval_points(f, pts),))
+        sums, = _replicate_sums(w, R, seed, lambda pts: (np.asarray(f.eval(pts), dtype=float),))
     else:
         sums = _count_sums(atoms, R, seed)
     devs = np.abs(sums - center)
@@ -483,12 +473,31 @@ def _exact_setup(f: SimpleFunction, center: float | None):
 
 
 def _exact_abs_moments(pairs: Iterable[tuple[SimpleFunction, float | None]]) -> list[float]:
-    """``_abs_moment_exact`` of every (f, center) pair, bit for bit, or the
-    error the first failing pair raises, in groups of _EXACT_GROUP pairs:
-    one ``_cutoffs`` search and Poisson table for every atom of a group,
-    and one ``_first_lattices`` pass that gives every block its first
-    atom's lattice without a sort.  The later merges and the reduction are
-    per pair, each pair reduced as soon as its lattices are built."""
+    """E|sum v_i N_i - c| of every (f, center) pair, or the error the first
+    failing pair raises once the pairs before it are evaluated: c = sum v_i
+    m_i with the centered tail bounds when ``center`` is None, else c =
+    center with the uncentered tail bounds plus |center|.  inf when a
+    moment is beyond the float range.  The single-function oracles are
+    batches of one.
+
+    The error is at most 2^e (_TAIL_EPS / 2 + J _LATTICE_RES / 2) for J
+    atoms, the rescaling 2^e (e = 0 unless a value or c lies outside
+    [_TINY_VALUE, _HUGE_VALUE]): the dropped tails, whose bound is halved by
+    adding its midpoint, and the grid the J lattice merges round to.  On
+    top comes the floating-point rounding of the pmf terms and the sums,
+    an estimate, not a proven bound: 1e-13 (sum |v_i| m_i + |c|).
+
+    The pairs run in groups of _EXACT_GROUP, and a pair's bits do not
+    depend on its group.  One ``_cutoffs`` pass per group finds every
+    atom's cutoff K_i, each within the budget _TAIL_EPS / J of its pair,
+    and builds one Poisson table, a row per atom, from which the
+    enumeration slices the pmf at k = 0 .. K_i; one ``_first_lattices``
+    pass gives every block its first atom's lattice without a sort.  A
+    pair's atoms are split into two blocks of balanced lattice size (meet
+    in the middle); each block's lattice of sums is merged atom by atom
+    onto the grid, which leaves it sorted, and the moment is a prefix-sum
+    reduction of one block against the other, each pair reduced as soon
+    as its lattices are built."""
     out: list[float] = []
     pairs = iter(pairs)
     while group := list(itertools.islice(pairs, _EXACT_GROUP)):
@@ -574,44 +583,20 @@ def _lattice_moment(a: tuple[np.ndarray, np.ndarray], b: tuple[np.ndarray, np.nd
         return math.inf
 
 
-def _abs_moment_exact(f: SimpleFunction, center: float | None) -> float:
-    """E|sum v_i N_i - c|: c = sum v_i m_i with the centered tail bounds
-    when ``center`` is None, else c = center with the uncentered tail bounds
-    plus |center|.  inf when the moment is beyond the float range.
-
-    The error is at most 2^e (_TAIL_EPS / 2 + J _LATTICE_RES / 2) for J
-    atoms, the rescaling 2^e (e = 0 unless a value or c lies outside
-    [_TINY_VALUE, _HUGE_VALUE]): the dropped tails, whose bound is halved by
-    adding its midpoint, and the grid the J lattice merges round to.  On
-    top comes the floating-point rounding of the pmf terms and the sums,
-    an estimate, not a proven bound: 1e-13 (sum |v_i| m_i + |c|).
-
-    A batch of one pair (``_exact_abs_moments``).  One ``_cutoffs`` pass
-    finds every atom's cutoff K_i, each within the budget _TAIL_EPS / J,
-    and builds one Poisson table, a row per atom, from which the
-    enumeration slices the pmf at k = 0 .. K_i.  The atoms are split into
-    two blocks of balanced lattice size (meet in the middle); each block's
-    lattice of sums is merged atom by atom onto the grid, which leaves it
-    sorted, and the moment is a prefix-sum reduction of one block against
-    the other.
-    """
-    return _exact_group([_exact_setup(f, center)])[0]
-
-
 def star_norm_exact(f: SimpleFunction) -> float:
     """E|sum v_i (N_i - m_i)| by direct enumeration; inf beyond the float
     range.  Error at most (1 + J) 5e-13 for J atoms from the tails and the
     grid, times 2 max |v_i| when that exceeds 2^512, plus rounding
-    estimated, not proven, at 2e-13 sum |v_i| m_i (``_abs_moment_exact``)."""
-    return _abs_moment_exact(f, None)
+    estimated, not proven, at 2e-13 sum |v_i| m_i (``_exact_abs_moments``)."""
+    return _exact_abs_moments([(f, None)])[0]
 
 
 def starstar_norm_exact(f: SimpleFunction) -> float:
     """E|sum v_i N_i| by direct enumeration; inf beyond the float range.
     Error at most (1 + J) 5e-13 for J atoms from the tails and the grid,
     times 2 max |v_i| when that exceeds 2^512, plus rounding estimated, not
-    proven, at 1e-13 sum |v_i| m_i (``_abs_moment_exact``)."""
-    return _abs_moment_exact(f, 0.0)
+    proven, at 1e-13 sum |v_i| m_i (``_exact_abs_moments``)."""
+    return _exact_abs_moments([(f, 0.0)])[0]
 
 
 def abs_moment_exact(f: SimpleFunction, center: float = 0.0) -> float:
@@ -619,8 +604,8 @@ def abs_moment_exact(f: SimpleFunction, center: float = 0.0) -> float:
     range, and a non-finite center is refused.  Error at most (1 + J) 5e-13
     for J atoms from the tails and the grid, times 2 max(|center|, |v_i|)
     when that exceeds 2^512, plus rounding estimated, not proven, at
-    1e-13 (sum |v_i| m_i + |center|) (``_abs_moment_exact``)."""
-    return _abs_moment_exact(f, float(center))
+    1e-13 (sum |v_i| m_i + |center|) (``_exact_abs_moments``)."""
+    return _exact_abs_moments([(f, float(center))])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -745,8 +730,6 @@ def _hsu_plan(v: np.ndarray, m: np.ndarray, tol: float, max_panels: int) -> _Hsu
     rounding + 1/T); the scan over the widths only picks a cheap one, and
     stops at the first that does no better than the best so far.
     """
-    if max_panels < 1:
-        raise ValueError("max_panels must be positive")
     omega = 2.0 * float(m @ np.abs(v)) + float(np.abs(v).max())
     n_fine = min(max_panels, _FINE_PANELS)
     best_key, best = None, None
@@ -849,7 +832,7 @@ def _hsu_sweep(v: np.ndarray, m: np.ndarray, lo: float, h: float, n: int) -> flo
     return total
 
 
-def star_norm_hsu(f, tol: float = 1e-6, max_panels: int = _HSU_MAX_PANELS) -> float:
+def star_norm_hsu(f, tol: float = 1e-6) -> float:
     """E|I_1(f)| via the absolute-moment integral of the characteristic
     function, with a certified error <= tol.
 
@@ -859,9 +842,10 @@ def star_norm_hsu(f, tol: float = 1e-6, max_panels: int = _HSU_MAX_PANELS) -> fl
     Bernstein-ellipse remainder of every panel (``_panel_bounds``), the
     rounding of the sum (``_rounding_bound``), and the tail beyond T, which
     lies in [0, 2/T] and whose midpoint 1/T is added, leaving (2/pi)/T.
-    When no sweep of at most ``max_panels`` panels meets tol, the capped
-    sweep with the smallest bound runs and QuadratureError carries its value
-    and bound; ``hsu_error_floor`` gives that bound without sweeping.
+    When no sweep of at most _HSU_MAX_PANELS panels (read at call time)
+    meets tol, the capped sweep with the smallest bound runs and
+    QuadratureError carries its value and bound; ``hsu_error_floor`` gives
+    that bound without sweeping, under the same cap.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
@@ -870,7 +854,7 @@ def star_norm_hsu(f, tol: float = 1e-6, max_panels: int = _HSU_MAX_PANELS) -> fl
     if not f.atoms:
         return 0.0
     v, m, scale = _unit_scale(f)
-    plan = _hsu_plan(v, m, tol / scale, max_panels)
+    plan = _hsu_plan(v, m, tol / scale, _HSU_MAX_PANELS)
     fine_h = plan.h / _FINE_SPLIT
     total = (_hsu_sweep(v, m, 0.0, fine_h, plan.n_fine)
              + _hsu_sweep(v, m, plan.n_fine * fine_h, plan.h, plan.n_coarse))
@@ -879,20 +863,21 @@ def star_norm_hsu(f, tol: float = 1e-6, max_panels: int = _HSU_MAX_PANELS) -> fl
     if bound > tol:
         raise QuadratureError(
             value, bound,
-            f"the proven error bound within {max_panels} panels is "
+            f"the proven error bound within {_HSU_MAX_PANELS} panels is "
             f"{bound:g}, above tol={tol:g}",
         )
     return value
 
 
-def hsu_error_floor(f: SimpleFunction, max_panels: int = _HSU_MAX_PANELS) -> float:
+def hsu_error_floor(f: SimpleFunction) -> float:
     """The smallest error bound ``star_norm_hsu`` can prove for f within
-    ``max_panels`` panels, from the same plan and without sweeping: a tol
-    below it raises QuadratureError."""
+    _HSU_MAX_PANELS panels, read at call time, from the same plan and
+    without sweeping: a tol below it raises QuadratureError, and a tol at
+    or above it is met."""
     if not f.atoms:
         return 0.0
     v, m, scale = _unit_scale(f)
-    return scale * _hsu_plan(v, m, 0.0, max_panels).bound
+    return scale * _hsu_plan(v, m, 0.0, _HSU_MAX_PANELS).bound
 
 
 # ---------------------------------------------------------------------------
@@ -987,7 +972,7 @@ def second_moment_check(
     if R < 2:
         raise ValueError(f"need at least two replicates for a sample variance, got {R}")
     comp, _ = integrate(f, w, tol=_QUAD_TOL)
-    sums, = _replicate_sums(w, R, seed, lambda pts: (_eval_points(f, pts),))
+    sums, = _replicate_sums(w, R, seed, lambda pts: (np.asarray(f.eval(pts), dtype=float),))
     devs = sums - comp
     centered = devs - devs.mean()
     s2 = float(np.sum(centered * centered) / (R - 1))
@@ -1008,7 +993,7 @@ def reduced_moment_check(
         raise ValueError(f"need at least two replicates for a standard error, got {R}")
 
     def values(pts):
-        gv, hv = _eval_points(g, pts), _eval_points(h, pts)
+        gv, hv = np.asarray(g.eval(pts), dtype=float), np.asarray(h.eval(pts), dtype=float)
         return gv, hv, gv * hv
 
     ng, nh, ngh = _replicate_sums(w, R, seed, values)

@@ -473,10 +473,14 @@ def test_norm_star_fallback_matches_merged_atoms(capsys):
 
 
 def test_norm_star_fallback_failure_reports_estimate(capsys, monkeypatch):
-    # a ten-panel cap makes the reachable fallback fail in the sweep
-    real_hsu = poisson.star_norm_hsu
-    monkeypatch.setattr(cli, "star_norm_hsu",
-                        lambda s, tol: real_hsu(s, tol=tol, max_panels=10))
+    # the floor and the sweep share one panel cap, so a sweep past the
+    # up-front floor check always meets tol; a stand-in that fails anyway
+    # must still exit 1 with its message
+    def failing_hsu(s, tol):
+        raise poisson.QuadratureError(0.5, 1e-3,
+                                      "the proven error bound within 10 panels is 0.001")
+
+    monkeypatch.setattr(cli, "star_norm_hsu", failing_hsu)
     code, out, err = run_cli(capsys, ["norm", "--atoms", SMALL_SEVEN, "--which", "star"])
     assert code == 1
     assert out == ""

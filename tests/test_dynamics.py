@@ -41,10 +41,10 @@ from poisson_orlicz.measure import (
 
 def test_translation_preimages():
     sys = make_translation(1.0)
-    pre = sys.preimages(5.0)
+    pre = sys.preimages(np.array([5.0]))
     assert len(pre) == 1
     y, j = pre[0]
-    assert y == 4.0 and j == 1.0
+    assert y[0] == 4.0 and j[0] == 1.0
 
 
 def test_translation_forward_and_inflate():
@@ -83,7 +83,7 @@ def test_boole_forward_values():
 
 def test_boole_preimages_of_zero():
     sys = make_boole()
-    pre = sorted(sys.preimages(0.0))
+    pre = sorted((float(y[0]), float(j[0])) for y, j in sys.preimages(np.zeros(1)))
     assert pre[0][0] == pytest.approx(-1.0, abs=1e-14)
     assert pre[1][0] == pytest.approx(1.0, abs=1e-14)
     assert pre[0][1] == pytest.approx(0.5, abs=1e-14)
@@ -92,7 +92,7 @@ def test_boole_preimages_of_zero():
 
 def test_boole_jacobians_sum_to_one_at_example_point():
     sys = make_boole()
-    total = sum(j for _, j in sys.preimages(3.7))
+    total = sum(float(j[0]) for _, j in sys.preimages(np.array([3.7])))
     assert abs(total - 1.0) < 1e-12
 
 
@@ -216,8 +216,8 @@ def test_composite_line_part_skips_circle():
     x = np.array([CIRCLE_OFFSET - 0.25])
     out = float(sys.forward(x)[0])
     assert out == CIRCLE_OFFSET + 1.0 + 0.75
-    [(back, _)] = sys.preimages(out)
-    assert back == x[0]
+    [(back, _)] = sys.preimages(np.array([out]))
+    assert back[0] == x[0]
 
 
 def test_composite_preimage_round_trip():
@@ -275,15 +275,18 @@ def test_preimages_array_round_trip_and_jacobian_sum(kind):
 
 
 @pytest.mark.parametrize("kind", sorted(SYSTEMS))
-def test_preimages_scalar_returns_floats(kind):
+def test_preimages_of_one_point_count_the_branches_pointwise(kind):
+    # a one-element array is how the callers count the branches, and each
+    # point's preimages are those it gets inside a longer array
     sys = SYSTEMS[kind]()
-    for x in (0.0, -2.5, np.float64(3.75), CIRCLE_OFFSET + 0.5):
-        pre = sys.preimages(x)
-        arr = sys.preimages(np.array([x]))
-        assert len(pre) == len(arr) == (2 if kind == "boole" else 1)
-        for (y, j), (ya, ja) in zip(pre, arr):
-            assert type(y) is float and type(j) is float
-            assert y == ya[0] and j == ja[0]
+    xs = np.array([0.0, -2.5, 3.75, CIRCLE_OFFSET + 0.5])
+    whole = sys.preimages(xs)
+    assert len(sys.preimages(np.zeros(1))) == (2 if kind == "boole" else 1)
+    for i, x in enumerate(xs):
+        one = sys.preimages(np.array([x]))
+        assert len(one) == len(whole)
+        for (y, j), (ya, ja) in zip(one, whole):
+            assert y.tobytes() == ya[i:i + 1].tobytes() and j.tobytes() == ja[i:i + 1].tobytes()
 
 
 @pytest.mark.parametrize("kind", sorted(SYSTEMS))
@@ -372,29 +375,32 @@ def test_transfer_depth_zero_returns_function():
     assert transfer_apply(f, sys, 0) is f
 
 
-def test_transfer_boole_of_wide_indicator_is_one_inside():
+def test_transfer_boole_of_wide_indicator_is_one_inside(monkeypatch):
+    monkeypatch.setattr(dynamics, "TRANSFER_TAIL_TOL", 0.5)
     sys = make_boole()
     f = indicator(-60.0, 60.0)
-    g = transfer_apply(f, sys, 1, tail_tol=0.5)
+    g = transfer_apply(f, sys, 1)
     xs = np.linspace(-3.0, 3.0, 41)
     assert np.max(np.abs(g.eval(xs) - 1.0)) < 1e-12
 
 
-def test_transfer_boole_conserves_mass():
+def test_transfer_boole_conserves_mass(monkeypatch):
+    monkeypatch.setattr(dynamics, "TRANSFER_TAIL_TOL", 1e-4)
     sys = make_boole()
     f = indicator(1.0, 2.0)
-    g = transfer_apply(f, sys, 3, tail_tol=1e-4)
+    g = transfer_apply(f, sys, 3)
     moments, err = function_moments(g, tol=1e-9)
     assert abs(moments.l1 - 1.0) < 2e-4 + err
     assert g.l1_tail_bound <= 1e-4
 
 
-def test_transfer_boole_duality():
+def test_transfer_boole_duality(monkeypatch):
+    monkeypatch.setattr(dynamics, "TRANSFER_TAIL_TOL", 1e-6)
     sys = make_boole()
     f = indicator(1.0, 2.0)
     g = triangular_bump(0.5, 1.5, 1.0)
     for n in (1, 2, 3):
-        tf = transfer_apply(f, sys, n, tail_tol=1e-6)
+        tf = transfer_apply(f, sys, n)
 
         def _prod(x, tf=tf, g=g):
             return tf.eval(x) * g.eval(x)
@@ -423,18 +429,19 @@ def _pullback_kinks(sys, pts, depth):
     for _ in range(depth):
         nxt = []
         for p in level:
-            for y, _ in sys.preimages(p):
-                if math.isfinite(y):
-                    nxt.append(y)
+            for y, _ in sys.preimages(np.array([p])):
+                if math.isfinite(y[0]):
+                    nxt.append(float(y[0]))
         out.update(nxt)
         level = nxt
     return sorted(out)
 
 
-def test_transfer_boole_positivity():
+def test_transfer_boole_positivity(monkeypatch):
+    monkeypatch.setattr(dynamics, "TRANSFER_TAIL_TOL", 1e-3)
     sys = make_boole()
     f = indicator(1.0, 2.0)
-    g = transfer_apply(f, sys, 2, tail_tol=1e-3)
+    g = transfer_apply(f, sys, 2)
     rng = np.random.default_rng(17)
     xs = rng.uniform(-10.0, 10.0, 400)
     assert np.min(g.eval(xs)) >= 0.0
@@ -534,7 +541,7 @@ def _boole_transfer_brute(f_exact, x, n):
         return float(rec(Decimal(float(x)), n))
 
 
-def test_transfer_boole_matches_closed_form_recursion():
+def test_transfer_boole_matches_closed_form_recursion(monkeypatch):
     # f = 1 - (y/20)^2 on [-20, 20]: continuous, and above 0.43 at every
     # depth-10 preimage of [-5, 5] (each branch moves |y| by at most 1).  f
     # declares no breakpoints, so the interpolant's pieces must end at the
@@ -548,10 +555,11 @@ def test_transfer_boole_matches_closed_form_recursion():
 
     f = TestFunction(eval=_eval, support=window((-20.0, 20.0)), sup_bound=1.0)
     sys = make_boole()
+    # the tail tolerance only sizes the declared support, not the pointwise values
+    monkeypatch.setattr(dynamics, "TRANSFER_TAIL_TOL", 1.0)
     xs = np.random.default_rng(37).uniform(-5.0, 5.0, 12)
     for n in range(11):
-        # tail_tol only sizes the declared support, not the pointwise values
-        g = transfer_apply(f, sys, n, tail_tol=1.0)
+        g = transfer_apply(f, sys, n)
         assert set(_forward_orbit(sys, (-20.0, 20.0), n)) <= set(g.breakpoints), n
         want = np.array([_boole_transfer_brute(f_exact, x, n) for x in xs])
         assert np.max(np.abs(g.eval(xs) - want) / np.abs(want)) < 1e-13, n
@@ -756,7 +764,7 @@ def test_composite_keeps_every_circle_point_on_the_circle():
             sys = make_composite(length, angle, 1.0)
             xs = np.concatenate([_near([c0 + angle, c1 - angle], ulps=20), [c0]])
             xs = xs[(xs >= c0) & (xs < c1)]
-            (pre, _), = sys.branches(xs)
+            (pre, _), = sys.preimages(xs)
             for ys in (sys.forward(xs), pre):
                 assert np.all((ys >= c0) & (ys < c1)), (length, angle)
 

@@ -2,6 +2,7 @@
 
 import math
 from collections import defaultdict
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -617,6 +618,12 @@ def _outcome(oracle, f, center):
         return f"ValueError: {exc}"
 
 
+def _public_exact(f, center):
+    """The public exact oracle of one (f, center) pair: a None center is
+    the mean (``star_norm_exact``), any other is ``abs_moment_exact``'s."""
+    return star_norm_exact(f) if center is None else abs_moment_exact(f, center)
+
+
 _SIGNED = _log_uniform(1e-300, 1e300).flatmap(lambda x: st.sampled_from([x, -x]))
 # one mass in twenty is past the oracle's domain, so refusals are compared too
 _MASS = st.integers(0, 19).flatmap(
@@ -649,7 +656,7 @@ def _oracle_inputs(draw):
 def test_exact_oracle_is_bit_equal_to_the_frozen_reference(inputs):
     atoms, center = inputs
     f = SimpleFunction(tuple(atoms))
-    assert _outcome(poisson._abs_moment_exact, f, center) == _outcome(_ref_abs_moment, f, center)
+    assert _outcome(_public_exact, f, center) == _outcome(_ref_abs_moment, f, center)
 
 
 # ---------------------------------------------------------------------------
@@ -658,7 +665,7 @@ def test_exact_oracle_is_bit_equal_to_the_frozen_reference(inputs):
 def _loop_outcome(pairs):
     """What a loop of single calls gives: every repr, or its first error."""
     try:
-        return [repr(poisson._abs_moment_exact(f, c)) for f, c in pairs]
+        return [repr(_public_exact(f, c)) for f, c in pairs]
     except ValueError as exc:
         return f"ValueError: {exc}"
 
@@ -763,14 +770,15 @@ def test_hsu_zero_and_testfunction_route():
     assert abs(got - 2 * math.exp(-1)) < 1e-5
 
 
-def test_hsu_nonconvergence_reports_partial():
+def test_hsu_nonconvergence_reports_partial(monkeypatch):
+    monkeypatch.setattr(poisson, "_HSU_MAX_PANELS", 100)
     f = SimpleFunction(((1.0, 0.5),))
     with pytest.raises(QuadratureError) as info:
-        star_norm_hsu(f, tol=1e-6, max_panels=100)
+        star_norm_hsu(f, tol=1e-6)
     assert info.value.err_bound > 1e-6
     assert abs(info.value.partial - poisson_mad(0.5)) < 0.05
     assert abs(info.value.partial - poisson_mad(0.5)) <= info.value.err_bound
-    assert info.value.err_bound == hsu_error_floor(f, max_panels=100)
+    assert info.value.err_bound == hsu_error_floor(f)
 
 
 def test_hsu_incommensurate_atoms_vs_exact():
@@ -829,10 +837,32 @@ def test_hsu_within_its_proven_bound(atoms, cap):
     # the value is within tol, or the capped sweep within the bound it reports
     f = SimpleFunction(tuple(atoms))
     try:
-        value, bound = star_norm_hsu(f, tol=1e-6, max_panels=cap), 1e-6
+        with mock.patch.object(poisson, "_HSU_MAX_PANELS", cap):
+            value, bound = star_norm_hsu(f, tol=1e-6), 1e-6
     except QuadratureError as exc:
         value, bound = exc.partial, exc.err_bound
     assert abs(value - star_norm_exact(f)) <= bound + 1e-12
+
+
+@settings(max_examples=40)
+@given(atoms=st.lists(_HSU_ATOM, min_size=1, max_size=4),
+       cap=st.sampled_from([300, 3000]),
+       ratio=st.sampled_from([0.5, 1.0, 2.0]) | st.floats(0.25, 4.0))
+def test_hsu_meets_tol_exactly_when_its_floor_does(atoms, cap, ratio):
+    # the sweep and the floor read one panel cap: a tol at or above the
+    # floor is met, and a tol below it fails with the floor as its bound
+    f = SimpleFunction(tuple(atoms))
+    with mock.patch.object(poisson, "_HSU_MAX_PANELS", cap):
+        floor = hsu_error_floor(f)
+        tol = ratio * floor
+        try:
+            star_norm_hsu(f, tol=tol)
+        except QuadratureError as exc:
+            assert floor > tol
+            assert exc.err_bound == floor
+            assert abs(exc.partial - star_norm_exact(f)) <= exc.err_bound
+        else:
+            assert floor <= tol
 
 
 # ---------------------------------------------------------------------------
@@ -948,7 +978,7 @@ def test_cell_counts_and_points_agree_in_law(name):
     for seed in (1, 2, 3):
         counts = poisson._count_sums(atoms, R, seed)
         points, = poisson._replicate_sums(g.support, R, seed + 100,
-                                          lambda pts: (poisson._eval_points(g, pts),))
+                                          lambda pts: (g.eval(pts),))
         for (x, sx), (y, sy) in zip(_stats(counts, c), _stats(points, c)):
             assert abs(x - y) <= _AGREE_SE * math.hypot(sx, sy), (name, seed, x, y)
 
@@ -1105,7 +1135,7 @@ def test_replicate_sums_bit_equal_to_whole_array(monkeypatch, chunk):
     for f, w in ((triangular_bump(1.0, 0.5, -1.5), window((-2.0, 3.0))),
                  (minus_zero, window((-2.0, 3.0))),
                  (indicator(0.0, 1.0), window((-5.0, -1.0), (0.5, 40.0)))):
-        got, = poisson._replicate_sums(w, 1000, 8, lambda pts: (poisson._eval_points(f, pts),))
+        got, = poisson._replicate_sums(w, 1000, 8, lambda pts: (f.eval(pts),))
         assert got.tobytes() == _replicate_sums_reference(w, 1000, 8, f).tobytes()
 
 
