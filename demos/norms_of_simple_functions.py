@@ -38,7 +38,7 @@ for name, s in functions.items():
     amemiya = orlicz_norm_amemiya(s)
     star = star_norm_exact(s)
     starstar = starstar_norm_exact(s)
-    l1, l2sq, _ = simple_moments(s)
+    l1, l2sq = simple_moments(s)
     print(name)
     print(f"  atoms      {s.atoms}")
     print(f"  gauge      {gauge:.10f}")

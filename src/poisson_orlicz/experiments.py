@@ -717,7 +717,7 @@ def run_urbanik_scan(cfg: ExperimentConfig):
         star, star_abs, star_scaled = stars[3 * i - 3:3 * i]
         gauge = float(gauge_norm(s))
         orl = float(orlicz_norm_paper(s))
-        l1, l2sq, _ = simple_moments(s)
+        l1, l2sq = simple_moments(s)
         est = MCEstimate(star, 0.0, 1, _stream_key(cfg.seed, cfg.scenario, i), 1e-12)
         ratios_gauge.append(star / gauge)
         ratios_orlicz.append(star / orl)

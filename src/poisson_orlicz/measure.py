@@ -15,7 +15,6 @@ representations:
 from __future__ import annotations
 
 import functools
-import heapq
 import math
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Sequence
@@ -225,18 +224,16 @@ class SimpleFunction:
 class Moments(NamedTuple):
     l1: float
     l2sq: float
-    integral: float
 
 
 def simple_moments(f: SimpleFunction) -> Moments:
-    """Exact (l1, l2sq, integral) = (sum|v|m, sum v^2 m, sum v m); a sum
-    beyond the float range is inf, without a warning."""
+    """Exact (l1, l2sq) = (sum|v|m, sum v^2 m); a sum beyond the float
+    range is inf, without a warning."""
     v, m = f.values_masses()
     with np.errstate(over="ignore"):
         return Moments(
             float(np.abs(v) @ m) if len(v) else 0.0,
             float((v * v) @ m) if len(v) else 0.0,
-            float(v @ m) if len(v) else 0.0,
         )
 
 
@@ -472,35 +469,26 @@ def integrate(
         return 0.0, 0.0
 
     vals, errs = _gk_batch(func, 0.5 * (his + los), 0.5 * (his - los))
-    total_val = float(vals.sum())
-    total_err = float(errs.sum())
-    if total_err <= tol:
+    err = float(errs.sum())
+    if err <= tol:
         # a finite err needs every segment's value finite: one pass was enough
-        return total_val, total_err
-    heap = [(-errs[i], los[i], his[i], vals[i], errs[i]) for i in range(len(los))]
-    heapq.heapify(heap)
-
-    while total_err > tol and len(heap) < max_segments:
-        # split the biggest contributors in one batched evaluation
-        batch = []
-        budget = max(1, len(heap) // 8)
-        while heap and len(batch) < budget and -heap[0][0] > tol / (2 * max(len(heap), 1)):
-            batch.append(heapq.heappop(heap))
-        if not batch:
-            batch.append(heapq.heappop(heap))
-        mids = [0.5 * (b[1] + b[2]) for b in batch]
-        new_lo = np.array([b[1] for b in batch] + mids)
-        new_hi = np.array(mids + [b[2] for b in batch])
-        for _, _, _, v, e in batch:
-            total_val -= v
-            total_err -= e
+        return float(vals.sum()), err
+    while err > tol and len(errs) < max_segments:
+        # bisect, in one batched evaluation, the largest estimates: at most an
+        # eighth of the segments, those above tol / (2N), else the largest one
+        top = np.argsort(errs)[-max(1, len(errs) // 8):]
+        split = np.zeros(len(errs), dtype=bool)
+        split[top[errs[top] > tol / (2 * len(errs))]] = True
+        split[top[-1]] = True
+        mids = 0.5 * (los[split] + his[split])
+        new_lo = np.concatenate((los[split], mids))
+        new_hi = np.concatenate((mids, his[split]))
         nv, ne = _gk_batch(func, 0.5 * (new_hi + new_lo), 0.5 * (new_hi - new_lo))
-        for i in range(len(new_lo)):
-            heapq.heappush(heap, (-ne[i], new_lo[i], new_hi[i], nv[i], ne[i]))
-        total_val += float(nv.sum())
-        total_err += float(ne.sum())
-
-    return total_val, max(total_err, 0.0)
+        keep = ~split
+        los, his = np.concatenate((los[keep], new_lo)), np.concatenate((his[keep], new_hi))
+        vals, errs = np.concatenate((vals[keep], nv)), np.concatenate((errs[keep], ne))
+        err = float(errs.sum())
+    return float(vals.sum()), err
 
 
 def integral(f: TestFunction | SimpleFunction,
@@ -516,7 +504,7 @@ def integral(f: TestFunction | SimpleFunction,
 
 def function_moments(f: TestFunction | SimpleFunction,
                      tol: float = 1e-9) -> tuple[Moments, float]:
-    """(l1, l2sq, integral) of f: exact on a SimpleFunction, by quadrature
+    """(l1, l2sq) of f: exact on a SimpleFunction, by quadrature
     over the support of a TestFunction.
 
     Declared tail bounds are added to l1 (and l2sq via the square of the L2
@@ -528,10 +516,4 @@ def function_moments(f: TestFunction | SimpleFunction,
     with np.errstate(over="ignore", invalid="ignore"):
         l1, e1 = integrate(f, transform=np.abs, tol=tol)
         l2sq, e2 = integrate(f, transform=np.square, tol=tol)
-        mean, e3 = integrate(f, tol=tol)
-    m = Moments(
-        l1 + f.l1_tail_bound,
-        l2sq + f.l2_tail_bound**2,
-        mean,
-    )
-    return m, e1 + e2 + e3
+    return Moments(l1 + f.l1_tail_bound, l2sq + f.l2_tail_bound**2), e1 + e2

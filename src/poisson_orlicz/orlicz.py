@@ -88,7 +88,7 @@ def modular(f: TestFunction | SimpleFunction, scale: float = 1.0) -> float:
 def _moments(f, tol: float) -> tuple[float, float]:
     """(||f||_1, ||f||_2^2); ValueError unless both lie in _MOMENT_RANGE and
     their ratio in its square root."""
-    (l1, l2sq, _), _ = function_moments(f, tol=tol)
+    (l1, l2sq), _ = function_moments(f, tol=tol)
     lo, hi = _MOMENT_RANGE
     if not (lo <= l1 <= hi and lo <= l2sq <= hi
             and math.sqrt(lo) <= l2sq / l1 <= math.sqrt(hi)):

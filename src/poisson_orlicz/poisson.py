@@ -177,25 +177,18 @@ def _replicate_sums(w: Window, R: int, seed: int,
                     values: Callable[[np.ndarray], tuple[np.ndarray, ...]]) -> np.ndarray:
     """Per-replicate sums for R replicates of ``_replicate_blocks``: row i of
     the result sums, over each replicate's points, the i-th array that
-    ``values(points)`` returns.  The cumulative sum carries its last value
-    into the next block, which keeps the bits of one whole-array cumsum."""
-    sums = carry = None
+    ``values(points)`` returns.  Each sum adds its replicate's values in
+    point order from 0.0, so its bits do not depend on the block size."""
+    sums = None
     r0 = 0
     for counts, pts in _replicate_blocks(w, R, seed):
         rows = values(pts)
         if sums is None:
             sums = np.empty((len(rows), R))
-            # -0.0 + v is v for every v, so the first cumsum starts at v[0]
-            carry = np.full(len(rows), -0.0)
-        stop = np.cumsum(counts)
-        start = stop - counts
+        ids = np.repeat(np.arange(counts.size), counts)
         r1 = r0 + counts.size
         for i, v in enumerate(rows):
-            csum = np.cumsum(np.concatenate(([carry[i]], v)))
-            carry[i] = csum[-1]
-            if r0 == 0:
-                csum[0] = 0.0  # a replicate's sum starts from +0.0
-            sums[i, r0:r1] = csum[stop] - csum[start]
+            sums[i, r0:r1] = np.bincount(ids, weights=v, minlength=counts.size)
         r0 = r1
     return sums
 

@@ -239,7 +239,7 @@ def test_criterion_10_starstar_properties():
 
 
 # sha256 of `porlicz suite --seed 42` (CSV): every byte of the gate
-SUITE_CSV_SHA256 = "712a12101c7ca4fdcd9e1f7a1aa32446c3a87ee118768858431923fb404d49d2"
+SUITE_CSV_SHA256 = "bb758e3a8df94aa8ce1436d31d6135d9f227a278f5445a122f1398b10c07405c"
 
 
 def test_criterion_11_suite_determinism(tmp_path):

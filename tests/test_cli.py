@@ -358,11 +358,11 @@ GOLDEN_NORM_LINES = {
         "l2 1.224744871391589",
     ]),
     "bump": (["--function", "bump:0,1", "--seed", "3", "--replicates", "1000"], [
-        "gauge 0.8138593383822342",
+        "gauge 0.8138593383822341",
         "orlicz 0.816496580927725",
         "amemiya 1.6249999999999973",
-        "star 0.6460560356831708 se=0.016921031825083446 trunc=0.0",
-        "starstar 0.9959653999425406 se=0.026535094331539052 trunc=0.0",
+        "star 0.6460560356831697 se=0.016921031825083435 trunc=0.0",
+        "starstar 0.9959653999425411 se=0.026535094331539017 trunc=0.0",
         "l1 0.9999999999999969",
         "l2 0.8164965809277247",
     ]),
@@ -906,11 +906,11 @@ RUN_DIGESTS = {
     "boole": ({"scenario": "birkhoff_decay", "seed": 6701, "depths": [1, 4, 16],
                "replicates": 20000, "system": {"kind": "boole"},
                "function": {"shape": "indicator", "lo": 0.0, "hi": 1.0}}, 2,
-              "e42cf00b2dd7fb4ec228cf02c8c339874214c7f7d2438416c75206ed5ce66d91"),
+              "2a4ca68e053c936753a77d9d48b8802cb76f83450de2fea17b87e1eedff05a3c"),
     "bump": ({"scenario": "birkhoff_decay", "seed": 6801, "depths": [1, 4, 16, 32],
               "replicates": 20000, "system": {"kind": "translation"},
               "function": {"shape": "bump", "center": 0.5, "halfwidth": 0.5}}, 0,
-             "0106550269628e4e3ffd6cf989247b57ca3da1e1403a7963321fe930420275d4"),
+             "561d1a199b86f31134f3144b94c3e10ef6ac23bef003d64f88744b46034f02b6"),
     "scan1": ({"scenario": "urbanik_scan", "seed": 1, "system": {"kind": "translation"},
                "function": {"shape": "random_atoms", "samples": 200, "max_atoms": 5}}, 0,
               "c16ee866be9b895c131846c9968b747cc79cc5b7956309eb99841d5257091d1e"),
@@ -921,7 +921,7 @@ RUN_DIGESTS = {
     "mecke": ({"scenario": "identity_suite", "seed": 7001, "replicates": 20000,
                "system": {"kind": "translation"},
                "function": {"shape": "indicator", "lo": 0.0, "hi": 1.0}}, 0,
-              "02c2df0565b2a4a9f12dc6a46fe29817e21bf014e09a929c870849167243b02e"),
+              "6f81d1df4f48fd3ba138e5ea5b9aee9198348b766c4f29724bd006b218f731d0"),
 }
 
 

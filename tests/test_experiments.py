@@ -544,7 +544,7 @@ def test_stock_config_hash_is_pinned(scenario):
 
 
 # sha256 of `porlicz suite --seed 42 --format json`: every byte of the gate
-SUITE_JSON_SHA256 = "276f1e46592a23923b4b937b213e5ef3bd7b05918e291c1adabfc15d92970a51"
+SUITE_JSON_SHA256 = "98cc2bf62f753a1f4c2ea7214f08a58c3aca93394b3a2e529e604bde834baa93"
 
 
 def test_suite_config_hashes_are_pinned(capsys):
