@@ -885,10 +885,12 @@ def mecke_check(
     """Both sides of the reduced Mecke equation E sum_{x in omega}
     h(x, omega - delta_x) = int_w E h(x, omega) dx (Last & Penrose, Lectures
     on the Poisson Process, CUP 2017, Thm 4.1), each as a Monte Carlo estimate
-    over R replicates (``_mecke_sides``).  h(xs, others) is vectorized over
-    the positions xs; the left side calls it at each point with that point
-    removed, the right side integrates h(., points) over w by quadrature.
-    R < 2 is refused before anything is drawn or evaluated."""
+    over R replicates (``_mecke_sides``).  h(xs, others) reads others[..., j]
+    as the j-th other point; the batch shape others.shape[:-1] broadcasts
+    against xs, and h's values are broadcast to that shape.  The left side
+    calls it at each point with that point removed, the right side
+    integrates h(., points) over w by quadrature.  R < 2 is refused before
+    anything is drawn or evaluated."""
     R = int(R)
     if R < 2:
         raise ValueError(f"need at least two replicates for a standard error, got {R}")
@@ -897,21 +899,32 @@ def mecke_check(
 
 
 def _mecke_sides(h, w: Window, R: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
-    """The per-replicate sides of ``mecke_check``, replicate by replicate
-    through the blocks of ``_replicate_blocks``, the stream every batched
-    estimator draws on.
+    """The per-replicate sides of ``mecke_check`` through the blocks of
+    ``_replicate_blocks``, the stream every batched estimator draws on.  The
+    r replicates of a block that hold n points make one call of h per side.
 
-    The left side sums h at each point against the others by fsum.  The
-    right side is ``integrate``'s first pass (tol 1e-9) for a whole block at
-    once: h(nodes, points) once per replicate at the Kronrod nodes of w's
-    intervals, then one row-by-row reduction.  A replicate whose summed
-    error estimate is above tol, or not finite, goes through ``integrate``
-    itself.  Rows reduce alone, so each value is bit for bit that
-    replicate's ``integrate`` call, whatever the block size."""
+    h(xs, others) reads others[..., j] as the j-th other point; the batch
+    shape others.shape[:-1] broadcasts against xs, and h's values are
+    ``np.broadcast_to`` that shape.  The left side calls h at the points,
+    xs (r, n), against each point's replicate without it, others
+    (r, n, n - 1), sliced so that others holds at most ``_CHUNK`` values or
+    one point's n - 1; each replicate's values are summed by fsum.  The
+    right side is ``integrate``'s first pass (tol 1e-9): h at the Kronrod
+    nodes of w's intervals, xs (1, q), against the points, others
+    (r, 1, n), then one row-by-row reduction per block.  A replicate whose
+    summed error estimate is above tol, or not finite, goes through
+    ``integrate`` itself, with others (n,).  fsum is correctly rounded and
+    rows reduce alone, so for an h that is pointwise in xs each value is
+    bit for bit that of one point, or one replicate, at a time, whatever
+    the block size."""
     tol = 1e-9
 
+    def call(xs, others):
+        return np.broadcast_to(np.asarray(h(xs, others), dtype=float),
+                               np.broadcast_shapes(xs.shape, others.shape[:-1]))
+
     def probe(pts):
-        return TestFunction(eval=lambda xs: h(xs, pts), support=w)
+        return TestFunction(eval=lambda xs: call(xs, pts), support=w)
 
     los, his = _first_segments(probe(np.empty(0)), w)  # the same for every probe
     half = 0.5 * (his - los)
@@ -919,20 +932,32 @@ def _mecke_sides(h, w: Window, R: int, seed: int) -> tuple[np.ndarray, np.ndarra
     lhs, rhs = np.empty(R), np.empty(R)
     r0 = 0
     for counts, pts in _replicate_blocks(w, R, seed):
-        cuts = [0, *np.cumsum(counts).tolist()]
+        starts = np.cumsum(counts) - counts
         y = np.empty((counts.size,) + nodes.shape)
-        for j in range(counts.size):
-            own = pts[cuts[j]:cuts[j + 1]]
-            lhs[r0 + j] = math.fsum(
-                float(h(own[i:i + 1], np.concatenate((own[:i], own[i + 1:])))[0])
-                for i in range(own.size))
+        for n in np.flatnonzero(np.bincount(counts)).tolist():
+            sel = np.flatnonzero(counts == n)
+            own = pts[starts[sel, None] + np.arange(n)]
+            # tiles of rows replicates by cols points: others holds at most
+            # _CHUNK values, or one point's n - 1
+            m = max(n - 1, 1)
+            cols = max(1, min(n, _CHUNK // m))
+            rows = max(1, _CHUNK // (cols * m))
+            k = np.arange(n - 1)
+            vals = np.empty(own.shape)
+            for a in range(0, sel.size, rows):
+                for c in range(0, n, cols):
+                    i = np.arange(c, min(c + cols, n))[:, None]
+                    vals[a:a + rows, c:c + cols] = call(own[a:a + rows, c:c + cols],
+                                                        own[a:a + rows, k + (k >= i)])
+            lhs[r0 + sel] = [math.fsum(v) for v in vals.tolist()]
             if nodes.size:
-                y[j] = np.asarray(h(nodes.ravel(), own), dtype=float).reshape(nodes.shape)
+                y[sel] = call(nodes.reshape(1, -1), own[:, None, :]).reshape(
+                    (sel.size,) + nodes.shape)
         k15, err = _gk_reduce(y, half)
         rhs[r0:r0 + counts.size] = k15.sum(axis=1)
         for j in np.flatnonzero(~(err.sum(axis=1) <= tol)):
-            rhs[r0 + j], _ = integrate(probe(pts[cuts[j]:cuts[j + 1]]), w, tol=tol,
-                                       max_segments=2000)
+            rhs[r0 + j], _ = integrate(probe(pts[starts[j]:starts[j] + counts[j]]), w,
+                                       tol=tol, max_segments=2000)
         r0 += counts.size
     return lhs, rhs
 

@@ -1162,3 +1162,16 @@ def test_suite_runs_with_scipy_blocked():
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True)
     assert proc.returncode == 0, proc.stderr.decode()
     assert hashlib.sha256(proc.stdout).hexdigest() == SUITE_CSV_SHA256
+
+
+def test_suite_does_not_import_numpy_ma():
+    # np.unique imports numpy.ma, about 1.2 MB of RSS on top of numpy; the
+    # Mecke checks find their point counts by np.bincount instead
+    code = ("import contextlib, io, sys\n"
+            "from poisson_orlicz.cli import main\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    code = main(['suite', '--seed', '42'])\n"
+            "print(code, 'numpy.ma' in sys.modules)\n")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["0", "False"]

@@ -1,7 +1,7 @@
 """Sampling, centered integrals, the three norm oracles, and identity checks."""
 
 import math
-from collections import defaultdict
+from collections import Counter, defaultdict
 from unittest import mock
 
 import numpy as np
@@ -1176,7 +1176,7 @@ def test_mecke_campbell():
 def test_mecke_count_coupled():
     w = window((0, 1))
     # the count of the configuration the point belongs to
-    lhs, rhs = mecke_check(lambda xs, others: xs * (others.size + 1), w, 600, seed=8)
+    lhs, rhs = mecke_check(lambda xs, others: xs * (others.shape[-1] + 1), w, 600, seed=8)
     assert abs(lhs.mean - rhs.mean) <= 3 * (lhs.std_error + rhs.std_error)
     # rhs per sample is (N+1) * int g, so its mean is (measure + 1) * 1/2
     assert abs(rhs.mean - 1.0) <= 3 * rhs.std_error
@@ -1185,7 +1185,7 @@ def test_mecke_count_coupled():
 def test_mecke_position_coupled():
     # h reads where the other points are: both sides are (int_w x dx)^2
     w = window((0, 1))
-    lhs, rhs = mecke_check(lambda xs, others: xs * others.sum(), w, 2000, seed=9)
+    lhs, rhs = mecke_check(lambda xs, others: xs * others.sum(axis=-1), w, 2000, seed=9)
     for side in (lhs, rhs):
         assert abs(side.mean - 0.25) <= 3 * side.std_error
 
@@ -1204,8 +1204,10 @@ def test_mecke_left_side_removes_each_point():
     # with h the number of other points, replicate r contributes N(N - 1) on
     # the left and 2N on the right
     w = window((0, 2))
-    lhs, rhs = mecke_check(lambda xs, others: np.full(xs.shape, float(others.size)),
-                           w, 50, seed=3)
+    lhs, rhs = mecke_check(
+        lambda xs, others: np.full(np.broadcast_shapes(xs.shape, others.shape[:-1]),
+                                   float(others.shape[-1])),
+        w, 50, seed=3)
     counts = np.array([pts.size for pts in _batch_stream_points(w, 50, 3)], dtype=float)
     assert lhs.mean == float(np.mean(counts * (counts - 1.0)))
     assert rhs.mean == pytest.approx(2.0 * counts.mean(), abs=1e-9)
@@ -1214,26 +1216,39 @@ def test_mecke_left_side_removes_each_point():
 @pytest.mark.parametrize("w, seed", [(window((0, 0.5)), 11),
                                      (window((0, 0.5), (3, 4)), 12)])
 def test_mecke_hands_h_the_points_of_the_batch_stream(w, seed):
-    seen = []
+    left, right = [], []
 
     def h(xs, others):
-        seen.append((xs.copy(), others.copy()))
+        # a left call pairs each point xs[..., i] with its others[..., i, :];
+        # a right call pairs the nodes (1, q) with whole replicates (r, 1, n)
+        (left if others.shape[:-1] == xs.shape else right).append((xs.copy(), others.copy()))
         return np.ones_like(xs)
 
     R = 40
     mecke_check(h, w, R, seed)
-    calls = iter(seen)
-    empty = 0
-    for pts in _batch_stream_points(w, R, seed):
-        empty += pts.size == 0
-        for i in range(pts.size):  # the left side: each point, the others without it
-            xs, others = next(calls)
-            assert np.array_equal(xs, pts[i:i + 1])
-            assert np.array_equal(others, np.delete(pts, i))
-        xs, others = next(calls)  # the right side: h(., points) at the quadrature nodes
-        assert xs.size == 15 * len(w.intervals) and np.array_equal(others, pts)
-    assert next(calls, None) is None
-    assert empty  # a replicate with no points is among them
+    replicates = _batch_stream_points(w, R, seed)
+    counts = {pts.size for pts in replicates}
+    # the left side: every point of every replicate once, the others without it
+    want = Counter((float(pts[i]), tuple(np.delete(pts, i).tolist()))
+                   for pts in replicates for i in range(pts.size))
+    got = Counter((x, tuple(o)) for xs, others in left
+                  for x, o in zip(xs.ravel().tolist(),
+                                  others.reshape(xs.size, others.shape[-1]).tolist()))
+    assert got == want
+    # the right side: each replicate's points once, at the Kronrod nodes
+    mids = np.array([0.5 * (lo + hi) for lo, hi in w.intervals])
+    halves = np.array([0.5 * (hi - lo) for lo, hi in w.intervals])
+    nodes = measure._gk_nodes(mids, halves).reshape(1, -1)
+    assert nodes.size == 15 * len(w.intervals)
+    assert all(np.array_equal(xs, nodes) for xs, _ in right)
+    got = Counter(tuple(o) for _, others in right
+                  for o in others.reshape(others.shape[0], others.shape[-1]).tolist())
+    assert got == Counter(tuple(pts.tolist()) for pts in replicates)
+    # one block: one call per side for each point count (none on the left for 0),
+    # the left one with all the replicates' points
+    assert all(xs.shape[1] == others.shape[-1] + 1 for xs, others in left)
+    assert len(left) == len(counts - {0}) and len(right) == len(counts)
+    assert 0 in counts  # a replicate with no points is among them
 
 
 def _mecke_reference(h, w, R, seed):
@@ -1251,10 +1266,10 @@ def _mecke_reference(h, w, R, seed):
 
 _SUITE_MECKE_H = (lambda xs, others: np.ones_like(xs),
                   lambda xs, others: xs,
-                  lambda xs, others: xs * (others.size + 1))
+                  lambda xs, others: xs * (others.shape[-1] + 1))
 # a jump at 0.7 of height the count of the others: a replicate with two or
 # more points misses tol on its first pass and is integrated on its own
-_JUMP_H = lambda xs, others: np.where(xs > 0.7, float(others.size), 0.0) + xs
+_JUMP_H = lambda xs, others: np.where(xs > 0.7, float(others.shape[-1]), 0.0) + xs
 
 
 @pytest.mark.parametrize("h, w, R, seed, fallbacks", [
@@ -1284,6 +1299,55 @@ def test_mecke_sides_bit_equal_to_per_replicate_integrate(monkeypatch, h, w, R, 
     counts = [pts.size for pts in _batch_stream_points(w, R, seed)]
     if R > 1:
         assert 0 in counts  # replicates that draw no points are among them
+
+
+# pointwise ufuncs, finite on the windows below
+_MECKE_UFUNCS = (np.sin, np.cos, np.tanh, np.arctan, np.sqrt)
+# mean count 185: at the default _CHUNK a replicate's n (n - 1) others take
+# more than one left call
+_CROWDED = ((0.0, 100.0), (110.0, 170.0), (175.0, 200.0))
+
+
+def _mecke_pairs(gaps_lengths):
+    pairs, lo = [], 0.0
+    for gap, length in gaps_lengths:
+        lo += gap
+        pairs.append((lo, lo + length))
+        lo += length
+    return tuple(pairs)
+
+
+@pytest.mark.parametrize("chunk", [7, poisson._CHUNK])
+@settings(max_examples=20)
+@example(weight=(0, 1, 1.5, -0.5), pairs=_CROWDED, R=3, seed=1)
+@given(weight=st.tuples(st.integers(0, len(_MECKE_UFUNCS) - 1),
+                        st.integers(0, len(_MECKE_UFUNCS) - 1), _NUM, _NUM),
+       pairs=st.one_of(st.just(_CROWDED),
+                       st.lists(st.tuples(st.floats(0.1, 1.0), st.floats(0.1, 2.0)),
+                                min_size=1, max_size=3).map(_mecke_pairs)),
+       R=st.integers(1, 5), seed=st.integers(0, 2 ** 64 - 1))
+def test_mecke_sides_bit_equal_to_a_per_point_loop(chunk, weight, pairs, R, seed):
+    # the grouped calls of any block size give the per-point loop's bits, and
+    # no call hands h more than _CHUNK others or one configuration's
+    f, g, a, b = weight
+
+    def h(xs, others):
+        k = others.shape[-1]
+        first = np.cos(others[..., 0]) if k else 0.0  # reads the first other point
+        return a * _MECKE_UFUNCS[f](xs) + b * (k + 1) * _MECKE_UFUNCS[g](xs) + first
+
+    excess = []
+
+    def spy(xs, others):
+        excess.append(others.size - max(chunk, others.shape[-1]))
+        return h(xs, others)
+
+    w = window(*pairs)
+    want = _mecke_reference(h, w, R, seed)
+    with mock.patch.object(poisson, "_CHUNK", chunk):
+        got = poisson._mecke_sides(spy, w, R, seed)
+    assert [side.tobytes() for side in got] == [side.tobytes() for side in want]
+    assert max(excess) <= 0
 
 
 @pytest.mark.parametrize("R", [0, 1])
