@@ -34,6 +34,7 @@ import numpy as np
 from .measure import (
     TestFunction,
     Window,
+    _cells,
     _finite,
     integrate,
     window,
@@ -517,16 +518,6 @@ def _fit_pieces(func, a: np.ndarray, b: np.ndarray, tol: float) -> _Fit:
     return _join(done)
 
 
-def _regions(regions, cuts) -> tuple[np.ndarray, np.ndarray]:
-    """The pieces of each region (lo, hi) between the cuts inside it."""
-    a, b = [], []
-    for lo, hi in regions:
-        edges = [lo] + [c for c in cuts if lo < c < hi] + [hi]
-        a += edges[:-1]
-        b += edges[1:]
-    return np.array(a), np.array(b)
-
-
 def _interpolant(fit: _Fit, func):
     """The pointwise evaluator of the fitted pieces: the piece by
     searchsorted, its coefficients gathered, then Clenshaw; a point outside
@@ -580,7 +571,7 @@ class _Chain:
             seams = np.asarray(self.sys.forward(edges), dtype=float)
             cuts = sorted(set(seams[np.isfinite(seams)].tolist()) | set(self.sys.singularities))
             step = _step(self.evals[k - 1], self.sys)
-            pieces = _regions([(-hi, -lo), (lo, hi)] if old else [(-hi, hi)], cuts)
+            pieces = _cells([(-hi, -lo), (lo, hi)] if old else [(-hi, hi)], cuts)
             self.fits[k - 1].append(_fit_pieces(step, *pieces, self.tol))
             fit = _join(self.fits[k - 1])
             self.evals[k], edges = _interpolant(fit, step), np.concatenate([fit.a, fit.b])
@@ -592,7 +583,7 @@ def _one_signed(f: TestFunction) -> bool:
     """Whether f keeps one sign on 63 points inside each cell between its
     breakpoints and support ends: exact for the piecewise-linear shapes, a
     heuristic for a general f."""
-    cells = _regions(f.support.intervals, sorted(f.breakpoints))
+    cells = _cells(f.support.intervals, sorted(f.breakpoints))
     x = cells[0][:, None] + (cells[1] - cells[0])[:, None] * np.linspace(0.0, 1.0, 65)[1:-1]
     v = np.asarray(f.eval(x.ravel()), dtype=float)
     return not ((v > 0).any() and (v < 0).any())

@@ -51,6 +51,7 @@ from .dynamics import (
 from .measure import (
     SimpleFunction,
     TestFunction,
+    _cells,
     _finite,
     function_moments,
     indicator,
@@ -488,17 +489,15 @@ def _discretize(g: TestFunction) -> SimpleFunction:
     if not core:
         core = g.support
     total = core.measure
-    bps = sorted(set(g.breakpoints))
+    a, b = _cells(core.intervals, sorted(set(g.breakpoints)))
     atoms = []
-    for lo, hi in core.intervals:
-        edges = [lo] + [b for b in bps if lo < b < hi] + [hi]
-        for a, b in zip(edges, edges[1:]):
-            k = max(1, int(round(1200 * (b - a) / total)))
-            grid = np.linspace(a, b, k + 1)
-            vals = np.asarray(g.eval(0.5 * (grid[:-1] + grid[1:])), dtype=float)
-            for v, m in zip(vals, np.diff(grid)):
-                if abs(v) > 1e-15 and m > 0:
-                    atoms.append((float(v), float(m)))
+    for lo, hi in zip(a.tolist(), b.tolist()):
+        k = max(1, int(round(1200 * (hi - lo) / total)))
+        grid = np.linspace(lo, hi, k + 1)
+        vals = np.asarray(g.eval(0.5 * (grid[:-1] + grid[1:])), dtype=float)
+        for v, m in zip(vals, np.diff(grid)):
+            if abs(v) > 1e-15 and m > 0:
+                atoms.append((float(v), float(m)))
     return SimpleFunction(tuple(atoms))
 
 

@@ -325,6 +325,17 @@ def simple_to_test(f: SimpleFunction) -> TestFunction:
     return piecewise_constant(breaks, values[:-1])
 
 
+def _cells(intervals, cuts) -> tuple[np.ndarray, np.ndarray]:
+    """The (lo, hi) ends of the cells of each interval (lo, hi) between the
+    sorted ``cuts`` inside it."""
+    a, b = [], []
+    for lo, hi in intervals:
+        edges = [lo] + [c for c in cuts if lo < c < hi] + [hi]
+        a += edges[:-1]
+        b += edges[1:]
+    return np.array(a), np.array(b)
+
+
 def piecewise_to_simple(f: TestFunction) -> SimpleFunction:
     """Exact atom representation of a piecewise-constant TestFunction,
     with atoms merged by value and sorted.
@@ -338,22 +349,17 @@ def piecewise_to_simple(f: TestFunction) -> SimpleFunction:
         raise ValueError("tail-bounded functions have no exact atom form")
     if not f.breakpoints_complete:
         raise ValueError("the breakpoints are incomplete, so the cells are unknown")
-    cells = []
-    for lo, hi in f.support.intervals:
-        cuts = sorted({lo, hi, *(b for b in f.breakpoints if lo < b < hi)})
-        cells += zip(cuts, cuts[1:])
-    if not cells:
+    a, b = _cells(f.support.intervals, sorted(set(f.breakpoints)))
+    if not a.size:
         return SimpleFunction()
-    a, b = np.array(cells).T
     # np.linspace's arithmetic: start + j * ((stop - start) / 4)
     probes = np.arange(1.0, 4.0) * ((b - a) / 4.0)[:, None] + a[:, None]
     vals = np.asarray(f.eval(probes.ravel()), dtype=float).reshape(probes.shape)
     bad = np.flatnonzero((vals != vals[:, :1]).any(axis=1))
     if bad.size:
-        lo, hi = cells[bad[0]]
-        raise ValueError(f"cell ({lo}, {hi}) is not constant")
+        raise ValueError(f"cell ({a[bad[0]].item()}, {b[bad[0]].item()}) is not constant")
     atoms: dict[float, float] = {}
-    for v, (lo, hi) in zip(vals[:, 0].tolist(), cells):
+    for v, lo, hi in zip(vals[:, 0].tolist(), a.tolist(), b.tolist()):
         if v != 0.0:
             atoms[v] = atoms.get(v, 0.0) + (hi - lo)
     return SimpleFunction(tuple(sorted(atoms.items())))
@@ -427,14 +433,7 @@ def _first_segments(f: TestFunction, w: Window) -> tuple[np.ndarray, np.ndarray]
     forced = list(f.breakpoints)
     for lo, hi in f.support.intervals:
         forced += [lo, hi]
-    pts = sorted(set(float(p) for p in forced))
-    los, his = [], []
-    for lo, hi in w.intervals:
-        cuts = [lo] + [p for p in pts if lo < p < hi] + [hi]
-        for a, b in zip(cuts, cuts[1:]):
-            los.append(a)
-            his.append(b)
-    return np.array(los), np.array(his)
+    return _cells(w.intervals, sorted(set(float(p) for p in forced)))
 
 
 def integrate(
@@ -470,9 +469,6 @@ def integrate(
 
     vals, errs = _gk_batch(func, 0.5 * (his + los), 0.5 * (his - los))
     err = float(errs.sum())
-    if err <= tol:
-        # a finite err needs every segment's value finite: one pass was enough
-        return float(vals.sum()), err
     while err > tol and len(errs) < max_segments:
         # bisect, in one batched evaluation, the largest estimates: at most an
         # eighth of the segments, those above tol / (2N), else the largest one

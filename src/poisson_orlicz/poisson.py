@@ -1023,7 +1023,7 @@ def reduced_moment_check(
 
 def _compose_forward(f: TestFunction, sys, w_in: Window) -> TestFunction:
     """f after the forward map, as a TestFunction on the input window."""
-    bps = {float(b) for b in getattr(sys, "singularities", ())}
+    bps = {float(b) for b in sys.singularities}
     for ys, _ in sys.preimages(np.asarray(f.breakpoints, dtype=float)):
         bps.update(ys.tolist())
 
@@ -1034,20 +1034,19 @@ def _compose_forward(f: TestFunction, sys, w_in: Window) -> TestFunction:
     return TestFunction(eval=_eval, support=w_in, breakpoints=tuple(sorted(bps)))
 
 
-def _check_pair_preconditions(f: TestFunction, sys, windows, quad_tol: float):
+def _check_pair_preconditions(f: TestFunction, sys, windows):
     w_in, w_out = windows
     if not _covers(w_out, f.support):
         raise ValueError("support of f must lie inside the output window")
-    f_t = _compose_forward(f, sys, w_in)
-    comp_in, e_in = integrate(f_t, w_in, tol=quad_tol)
-    total, e_tot = integrate(f, f.support, tol=quad_tol)
+    comp_in, e_in = integrate(_compose_forward(f, sys, w_in), w_in, tol=_QUAD_TOL)
+    total, e_tot = integrate(f, f.support, tol=_QUAD_TOL)
     slack = 100.0 * (e_in + e_tot) + 1e-8
     if abs(comp_in - total) > slack:
         raise ValueError(
             "input window does not capture the preimage mass: "
             f"int f.T = {comp_in:.6g} vs int f = {total:.6g}"
         )
-    return w_in, w_out, f_t, comp_in
+    return w_in, w_out, comp_in
 
 
 def equivariance_check(
@@ -1055,7 +1054,7 @@ def equivariance_check(
 ) -> tuple[float, float]:
     """I_1(f) on the pushed-forward sample vs I_1(f composed with T) on the
     original sample; equal up to the two compensator quadratures."""
-    w_in, w_out, f_t, comp_in = _check_pair_preconditions(f, sys, windows, _QUAD_TOL)
+    w_in, w_out, comp_in = _check_pair_preconditions(f, sys, windows)
     comp_out, _ = integrate(f, w_out, tol=_QUAD_TOL)
     pushed = np.asarray(sys.forward(s.points), dtype=float)
     point_sum = math.fsum(np.asarray(f.eval(pushed), dtype=float))
@@ -1066,7 +1065,7 @@ def coboundary_check(
     f: TestFunction, sys, s: PoissonSample, windows
 ) -> tuple[float, float]:
     """I_1(f.T - f) against I_1(f) pushed forward minus I_1(f)."""
-    w_in, w_out, f_t, comp_in_ft = _check_pair_preconditions(f, sys, windows, _QUAD_TOL)
+    w_in, w_out, comp_in_ft = _check_pair_preconditions(f, sys, windows)
     comp_out, _ = integrate(f, w_out, tol=_QUAD_TOL)
     comp_in_f, _ = integrate(f, w_in, tol=_QUAD_TOL)
     pushed = np.asarray(sys.forward(s.points), dtype=float)

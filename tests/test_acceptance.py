@@ -4,7 +4,6 @@ Each criterion is a separate test so a failure pinpoints the broken claim.
 Run with ``pytest -s tests/test_acceptance.py`` to see every line.
 """
 
-import hashlib
 import json
 import math
 import os
@@ -32,6 +31,7 @@ from poisson_orlicz.poisson import (
     star_norm_hsu,
 )
 from poisson_orlicz.experiments import _MASS_BAND, default_config, run_experiment
+from test_scripts import GOLDEN, golden
 
 
 def report(num, label, ok):
@@ -238,10 +238,6 @@ def test_criterion_10_starstar_properties():
     report(10, "starstar equals L1 for signs, star for zero integral", ok)
 
 
-# sha256 of `porlicz suite --seed 42` (CSV): every byte of the gate
-SUITE_CSV_SHA256 = "bb758e3a8df94aa8ce1436d31d6135d9f227a278f5445a122f1398b10c07405c"
-
-
 def test_criterion_11_suite_determinism(tmp_path):
     outputs = []
     for threads, name in (("1", "a.csv"), ("4", "b.csv")):
@@ -254,5 +250,4 @@ def test_criterion_11_suite_determinism(tmp_path):
         assert proc.returncode == 0, proc.stderr.decode()
         outputs.append(path.read_bytes())
     report(11, "suite output byte-identical across thread counts and pinned",
-           outputs[0] == outputs[1]
-           and hashlib.sha256(outputs[0]).hexdigest() == SUITE_CSV_SHA256)
+           outputs[0] == outputs[1] == golden.text(GOLDEN["suite_csv"]).encode())

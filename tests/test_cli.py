@@ -1,5 +1,4 @@
 import contextlib
-import hashlib
 import io
 import json
 import math
@@ -22,7 +21,7 @@ from poisson_orlicz.cli import (
 )
 from poisson_orlicz.experiments import ConfigError, ExperimentConfig
 from poisson_orlicz.measure import SimpleFunction
-from test_acceptance import SUITE_CSV_SHA256
+from test_scripts import GOLDEN, golden
 
 
 def run_cli(capsys, argv):
@@ -342,39 +341,6 @@ def test_norm_bump_star_estimate(capsys):
     assert code == 0
     assert out.startswith("star ")
     assert "se=" in out
-
-
-# Every output line of `porlicz norm` for one simple and one non-simple
-# input, pinned byte for byte: the simple route through the exact oracles,
-# the non-simple one through quadrature and seeded Monte Carlo.
-GOLDEN_NORM_LINES = {
-    "atoms": (["--atoms", "(1,0.5);(-2,0.25)"], [
-        "gauge 1.1483314773695616",
-        "orlicz 1.2247448713915892",
-        "amemiya 2.0",
-        "star 0.7851675102377504",
-        "starstar 0.7851675102377511",
-        "l1 1.0",
-        "l2 1.224744871391589",
-    ]),
-    "bump": (["--function", "bump:0,1", "--seed", "3", "--replicates", "1000"], [
-        "gauge 0.8138593383822341",
-        "orlicz 0.816496580927725",
-        "amemiya 1.6249999999999973",
-        "star 0.6460560356831697 se=0.016921031825083435 trunc=0.0",
-        "starstar 0.9959653999425411 se=0.026535094331539017 trunc=0.0",
-        "l1 0.9999999999999969",
-        "l2 0.8164965809277247",
-    ]),
-}
-
-
-@pytest.mark.parametrize("case", sorted(GOLDEN_NORM_LINES))
-def test_norm_golden_lines(capsys, case):
-    argv, lines = GOLDEN_NORM_LINES[case]
-    code, out, err = run_cli(capsys, ["norm"] + argv)
-    assert code == 0
-    assert out.splitlines() == lines
 
 
 def test_norm_non_finite_atom_is_usage_error(capsys):
@@ -885,55 +851,6 @@ def test_run_missing_seed_in_config(capsys, tmp_path):
     assert "seed" in err
 
 
-# `porlicz run --config` on seven configs off the stock ones, each pinned by
-# its exit code and the sha256 of its CSV:
-# - decay, circle: deep Birkhoff averages whose rows are each one atom;
-# - boole, bump: averages with no simple form.  The Boole config exits 2
-#   because its depth-16 row misses l1_constant (l1 0.99934...): a
-#   discretized row's L1 is a quadrature value whose error is dropped, an
-#   open fault kept visible here;
-# - scan1, scan7: Urbanik scans whose every star value is the exact oracle's;
-# - mecke: an identity suite whose three Mecke checks take 2000 replicates.
-RUN_DIGESTS = {
-    "decay": ({"scenario": "birkhoff_decay", "seed": 6301, "depths": [64, 256],
-               "replicates": 20000, "system": {"kind": "translation"},
-               "function": {"shape": "indicator", "lo": 0.0, "hi": 1.0}}, 0,
-              "2bfa61ca4cb3a21f8f6659014ac7602b2fe7e4ab14948fd49b07c461a5761ae2"),
-    "circle": ({"scenario": "invariant_vector", "seed": 6401, "depths": [64, 256],
-                "replicates": 20000, "system": {"kind": "composite"},
-                "function": {"shape": "circle"}}, 0,
-               "44a7228da6445fceda62593c9024c4c4a1126f6f357dc40ebcf60802c1e147db"),
-    "boole": ({"scenario": "birkhoff_decay", "seed": 6701, "depths": [1, 4, 16],
-               "replicates": 20000, "system": {"kind": "boole"},
-               "function": {"shape": "indicator", "lo": 0.0, "hi": 1.0}}, 2,
-              "2a4ca68e053c936753a77d9d48b8802cb76f83450de2fea17b87e1eedff05a3c"),
-    "bump": ({"scenario": "birkhoff_decay", "seed": 6801, "depths": [1, 4, 16, 32],
-              "replicates": 20000, "system": {"kind": "translation"},
-              "function": {"shape": "bump", "center": 0.5, "halfwidth": 0.5}}, 0,
-             "561d1a199b86f31134f3144b94c3e10ef6ac23bef003d64f88744b46034f02b6"),
-    "scan1": ({"scenario": "urbanik_scan", "seed": 1, "system": {"kind": "translation"},
-               "function": {"shape": "random_atoms", "samples": 200, "max_atoms": 5}}, 0,
-              "c16ee866be9b895c131846c9968b747cc79cc5b7956309eb99841d5257091d1e"),
-    "scan7": ({"scenario": "urbanik_scan", "seed": 7, "system": {"kind": "translation"},
-               "function": {"shape": "random_atoms", "samples": 200, "max_atoms": 5,
-                            "value_range": [1e-3, 1e3], "mass_range": [0.001, 30.0]}}, 0,
-              "659fbc260f6149cc8e8e7fde8a6903ae4d9009292bad1dcb14fdae43e011f621"),
-    "mecke": ({"scenario": "identity_suite", "seed": 7001, "replicates": 20000,
-               "system": {"kind": "translation"},
-               "function": {"shape": "indicator", "lo": 0.0, "hi": 1.0}}, 0,
-              "6f81d1df4f48fd3ba138e5ea5b9aee9198348b766c4f29724bd006b218f731d0"),
-}
-
-
-@pytest.mark.parametrize("name", sorted(RUN_DIGESTS))
-def test_run_config_keeps_its_exit_code_and_digest(capsys, tmp_path, name):
-    config, want, digest = RUN_DIGESTS[name]
-    code, out, err = run_cli(capsys, ["run", "--config",
-                                      write_config(tmp_path, f"{name}.json", config)])
-    assert code == want, err
-    assert hashlib.sha256(out.encode()).hexdigest() == digest
-
-
 def test_run_refuses_a_seed_past_the_philox_key_range(capsys, tmp_path):
     path = write_config(tmp_path, "bigseed.json", dict(BASE_CONFIG, seed=2 ** 64))
     code, out, err = run_cli(capsys, ["run", "--config", path])
@@ -1159,9 +1076,9 @@ def test_suite_runs_with_scipy_blocked():
             "sys.modules['scipy'] = None\n"
             "from poisson_orlicz.cli import main\n"
             "sys.exit(main(['suite', '--seed', '42']))\n")
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True)
-    assert proc.returncode == 0, proc.stderr.decode()
-    assert hashlib.sha256(proc.stdout).hexdigest() == SUITE_CSV_SHA256
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == golden.text(GOLDEN["suite_csv"])
 
 
 def test_suite_does_not_import_numpy_ma():

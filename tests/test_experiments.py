@@ -1,7 +1,6 @@
 """Tests for the experiment drivers, verdicts, and canonical writers."""
 
 import dataclasses
-import hashlib
 import json
 import math
 import re
@@ -26,6 +25,7 @@ from poisson_orlicz.experiments import (
     run_transfer_decay,
     run_urbanik_scan,
 )
+from test_scripts import GOLDEN, golden
 
 
 def poisson_mad(c):
@@ -287,7 +287,7 @@ def test_blum_hanson_truncation_drops_expectations_at_dropped_depths():
 
 def test_blum_hanson_truncated_run_is_the_run_of_the_kept_depths():
     # a truncated run is the run of the config that lists only the kept depths;
-    # its CSV and JSON digest is the one the runner has always written
+    # its CSV and JSON are pinned by the blum_hanson entries of tests/golden.json
     kwargs = dict(replicates=2000, subsequence="2^k", subsequence_cap=8,
                   expected={"star": {"2": 0.5413}})
     cfg = default_config("blum_hanson", seed=9, depths=(1, 2, 3, 4, 5), **kwargs)
@@ -296,9 +296,6 @@ def test_blum_hanson_truncated_run_is_the_run_of_the_kept_depths():
     kept = default_config("blum_hanson", seed=9, depths=(1, 2, 3), **kwargs)
     assert (rows, summary) == run_blum_hanson(kept)
     assert summary["config_hash"] == kept.config_hash() == "fcaa8825b44e0eb0"
-    text = result_to_csv(rows, summary) + result_to_json(cfg, rows, summary)
-    assert hashlib.sha256(text.encode()).hexdigest() == (
-        "26c182290cb40bb7235999d0b56d31e4bf847291ba86d59d2698e7095b306e03")
 
 
 def test_blum_hanson_verdicts_pass():
@@ -543,15 +540,11 @@ def test_stock_config_hash_is_pinned(scenario):
     _assert_round_trip(cfg)
 
 
-# sha256 of `porlicz suite --seed 42 --format json`: every byte of the gate
-SUITE_JSON_SHA256 = "98cc2bf62f753a1f4c2ea7214f08a58c3aca93394b3a2e529e604bde834baa93"
-
-
-def test_suite_config_hashes_are_pinned(capsys):
-    from poisson_orlicz.cli import main
-    assert main(["suite", "--seed", "42", "--format", "json"]) == 0
-    out = capsys.readouterr().out
-    assert hashlib.sha256(out.encode()).hexdigest() == SUITE_JSON_SHA256
+def test_suite_config_hashes_are_pinned():
+    # the round trips of the pinned `porlicz suite --seed 42 --format json`
+    entry = GOLDEN["suite_json"]
+    code, out = golden.run(entry)
+    assert golden.record(entry, code, out) == entry
     docs = json.loads(out)["scenarios"]
     assert sorted(docs) == sorted(SUITE_HASHES)
     for scenario, doc in docs.items():
