@@ -67,7 +67,6 @@ from .measure import (
 from .orlicz import gauge_norm, orlicz_norm_paper
 from .poisson import (
     _MAX_MASS,
-    _QUAD_TOL,
     MCEstimate,
     _estimate_abs,
     _exact_abs_moments,
@@ -119,10 +118,9 @@ _SCAN_STREAM = 77001
 # first row's; Boole transfer iterates (window deficit below
 # TRANSFER_TAIL_TOL times max(1, mass)) keep their mass within _MASS_BAND
 # times max(1, the first row's L1), and are sampled on
-# dynamics.sampling_window with quadrature tolerance _MC_QUAD.
+# dynamics.sampling_window.
 _L1_BAND = 1e-6
 _MASS_BAND = 2.0 * TRANSFER_TAIL_TOL + 1e-5
-_MC_QUAD = 1e-6
 
 CSV_COLUMNS = ("n", "star_mean", "star_se", "star_trunc", "gauge",
                "orlicz_paper", "l1", "l2")
@@ -592,8 +590,7 @@ def _slope_verdict(rows: list[ExperimentRow], spec: dict) -> Verdict | None:
 # the per-depth row builder
 
 def _depth_rows(cfg: ExperimentConfig, derive: Callable[[int], TestFunction],
-                checks, window_of=None, center: float | None = None,
-                quad_tol: float = _QUAD_TOL):
+                checks, window_of=None, center: float | None = None):
     """Rows and summary of a per-depth scenario.
 
     For each depth n: g = derive(n); the Monte Carlo estimate over
@@ -610,10 +607,9 @@ def _depth_rows(cfg: ExperimentConfig, derive: Callable[[int], TestFunction],
         w = g.support if window_of is None else window_of(g, n)
         seed = _stream_key(cfg.seed, cfg.scenario, n)
         if center is None:
-            est = estimate_star_norm(g, w, cfg.replicates, seed, quad_tol=quad_tol)
+            est = estimate_star_norm(g, w, cfg.replicates, seed)
         else:
-            est = _estimate_abs(g, w, cfg.replicates, seed, center=center,
-                                quad_tol=quad_tol)
+            est = _estimate_abs(g, w, cfg.replicates, seed, center=center)
         gauge, orl, l1, l2, source, s = _norm_columns(g)
         row = ExperimentRow(n, est, gauge, orl, l1, l2, (), cfg.seed, chash, source)
         target = cfg.expected.get("star", {}).get(str(n))
@@ -680,7 +676,7 @@ def run_transfer_decay(cfg: ExperimentConfig):
             _constant_l1_verdict("mass_conserved", _MASS_BAND, rows, row, relative=True),
             _nonincreasing_verdict(rows, row.star),
             _oracle_verdict("exact_oracle", row.star, star_norm_exact, s, sigma)),
-        window_of=lambda g, n: sampling_window(g, sys, n), quad_tol=_MC_QUAD)
+        window_of=lambda g, n: sampling_window(g, sys, n))
     return rows, dict(summary, fit_error_estimate=fit_error)
 
 
@@ -830,11 +826,8 @@ def run_identity_suite(cfg: ExperimentConfig):
                                 ("coboundary", coboundary_check, 8)):
         for kind, sys_d, fd, wins, band in (("translation", trans, f_eq, win_t, 1e-8),
                                             ("boole", boole, f_bo, win_b, 1e-7)):
-            worst = 0.0
-            for t in range(10):
-                s = sample_process(wins[0], key(offset), t)
-                l, r = check(fd, sys_d, s, wins)
-                worst = max(worst, abs(l - r))
+            samples = [sample_process(wins[0], key(offset), t) for t in range(10)]
+            worst = max(abs(l - r) for l, r in check(fd, sys_d, samples, wins))
             checks.append(_verdict(f"{name}_{kind}", band - worst))
 
     # uncentered norm identities

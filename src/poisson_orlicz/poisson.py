@@ -68,7 +68,8 @@ __all__ = [
     "abs_moment_exact",
 ]
 
-_QUAD_TOL = 1e-10
+_QUAD_TOL = 1e-10  # the identity checks' compensators and exact targets
+_MC_QUAD_TOL = 1e-6  # the compensator and truncation bound of a Monte Carlo estimate
 
 
 class QuadratureError(RuntimeError):
@@ -197,15 +198,16 @@ def _covers(outer: Window, inner: Window, tol: float = 1e-9) -> bool:
     return window_intersect(outer, inner).measure >= inner.measure - tol
 
 
-def _truncation_bound(f: TestFunction, w: Window, quad_tol: float = _QUAD_TOL) -> float:
-    """min(2 * L1-tail, L2-tail) of f relative to the sampling window."""
+def _truncation_bound(f: TestFunction, w: Window) -> float:
+    """min(2 * L1-tail, L2-tail) of f outside w: the declared tails if w covers
+    the support exactly, else by quadrature to _MC_QUAD_TOL, errors added."""
     declared = min(2.0 * f.l1_tail_bound, f.l2_tail_bound)
-    if _covers(w, f.support, tol=1e-12):
+    if _covers(w, f.support, tol=0.0):
         return float(declared)
     inter = window_intersect(f.support, w)
-    mom, merr = function_moments(f, tol=quad_tol)
-    l1_in, e1 = integrate(f, inter, transform=np.abs, tol=quad_tol)
-    l2sq_in, e2 = integrate(f, inter, transform=np.square, tol=quad_tol)
+    mom, merr = function_moments(f, tol=_MC_QUAD_TOL)
+    l1_in, e1 = integrate(f, inter, transform=np.abs, tol=_MC_QUAD_TOL)
+    l2sq_in, e2 = integrate(f, inter, transform=np.square, tol=_MC_QUAD_TOL)
     l1_out = max(0.0, mom.l1 - l1_in + merr + e1)
     l2sq_out = max(0.0, mom.l2sq - l2sq_in + merr + e2)
     return float(min(2.0 * l1_out, math.sqrt(l2sq_out)))
@@ -232,8 +234,7 @@ def _count_sums(atoms, R: int, seed: int) -> np.ndarray:
     return sums
 
 
-def _estimate_abs(f: TestFunction, w: Window, R: int, seed: int, center: float,
-                  quad_tol: float = _QUAD_TOL) -> MCEstimate:
+def _estimate_abs(f: TestFunction, w: Window, R: int, seed: int, center: float) -> MCEstimate:
     """E|N(f 1_w) - center| from R replicates drawn on the one stream of
     ``seed``.
 
@@ -244,7 +245,8 @@ def _estimate_abs(f: TestFunction, w: Window, R: int, seed: int, center: float,
     Thm 5.2), so N(f) = sum_j v_j N(A_j) in law (``_count_sums``): memory
     O(R) whatever the number of atoms, and no BLAS call, so the bits do not
     depend on the thread count.  Any other function is sampled as points,
-    evaluated block by block (``_replicate_sums``)."""
+    evaluated block by block (``_replicate_sums``).  The same exact cover
+    test gives the truncation bound (``_truncation_bound``)."""
     R = int(R)
     if R < 1000:
         raise ValueError("need at least 10^3 replicates")
@@ -257,21 +259,21 @@ def _estimate_abs(f: TestFunction, w: Window, R: int, seed: int, center: float,
     else:
         sums = _count_sums(atoms, R, seed)
     devs = np.abs(sums - center)
-    return _mc_estimate(devs, seed, _truncation_bound(f, w, quad_tol))
+    return _mc_estimate(devs, seed, _truncation_bound(f, w))
 
 
-def estimate_star_norm(f: TestFunction, w: Window, R: int, seed: int,
-                       quad_tol: float = _QUAD_TOL) -> MCEstimate:
+def estimate_star_norm(f: TestFunction, w: Window, R: int, seed: int) -> MCEstimate:
     """Monte Carlo E|N(f 1_w) - int_w f|, the windowed centered L1 norm,
-    drawn as cell counts or points (``_estimate_abs``)."""
-    comp, _ = integrate(f, w, tol=quad_tol)
-    return _estimate_abs(f, w, R, seed, comp, quad_tol)
+    drawn as cell counts or points (``_estimate_abs``); the compensator
+    int_w f is integrated to _MC_QUAD_TOL."""
+    comp, _ = integrate(f, w, tol=_MC_QUAD_TOL)
+    return _estimate_abs(f, w, R, seed, comp)
 
 
-def estimate_starstar_norm(f: TestFunction, w: Window, R: int, seed: int,
-                           quad_tol: float = _QUAD_TOL) -> MCEstimate:
-    """Monte Carlo E|N(f 1_w)|, the uncentered L1 norm."""
-    return _estimate_abs(f, w, R, seed, 0.0, quad_tol)
+def estimate_starstar_norm(f: TestFunction, w: Window, R: int, seed: int) -> MCEstimate:
+    """Monte Carlo E|N(f 1_w)|, the uncentered L1 norm; only its truncation
+    bound is a quadrature, to _MC_QUAD_TOL."""
+    return _estimate_abs(f, w, R, seed, 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -825,9 +827,9 @@ def _hsu_sweep(v: np.ndarray, m: np.ndarray, lo: float, h: float, n: int) -> flo
     return total
 
 
-def star_norm_hsu(f, tol: float = 1e-6) -> float:
-    """E|I_1(f)| via the absolute-moment integral of the characteristic
-    function, with a certified error <= tol.
+def star_norm_hsu(f: SimpleFunction, tol: float = 1e-6) -> float:
+    """E|I_1(f)| of a SimpleFunction via the absolute-moment integral of its
+    characteristic function, with a certified error <= tol.
 
     E|Z| = (2/pi) int_0^inf (1 - Re phi(t)) / t^2 dt.  [0, T] is covered by
     7-point Gauss-Legendre panels, width h / 8 on [0, 32 h) and h beyond;
@@ -842,8 +844,6 @@ def star_norm_hsu(f, tol: float = 1e-6) -> float:
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
-    if isinstance(f, TestFunction):
-        f = piecewise_to_simple(f)
     if not f.atoms:
         return 0.0
     v, m, scale = _unit_scale(f)
@@ -1035,6 +1035,8 @@ def _compose_forward(f: TestFunction, sys, w_in: Window) -> TestFunction:
 
 
 def _check_pair_preconditions(f: TestFunction, sys, windows):
+    """w_out must cover f's support and int_{w_in} f.T match int f; returns
+    (int_{w_out} f, int_{w_in} f.T), each integral to _QUAD_TOL."""
     w_in, w_out = windows
     if not _covers(w_out, f.support):
         raise ValueError("support of f must lie inside the output window")
@@ -1046,31 +1048,35 @@ def _check_pair_preconditions(f: TestFunction, sys, windows):
             "input window does not capture the preimage mass: "
             f"int f.T = {comp_in:.6g} vs int f = {total:.6g}"
         )
-    return w_in, w_out, comp_in
+    comp_out, _ = integrate(f, w_out, tol=_QUAD_TOL)
+    return comp_out, comp_in
 
 
 def equivariance_check(
-    f: TestFunction, sys, s: PoissonSample, windows
-) -> tuple[float, float]:
+    f: TestFunction, sys, samples: Iterable[PoissonSample], windows
+) -> list[tuple[float, float]]:
     """I_1(f) on the pushed-forward sample vs I_1(f composed with T) on the
-    original sample; equal up to the two compensator quadratures."""
-    w_in, w_out, comp_in = _check_pair_preconditions(f, sys, windows)
-    comp_out, _ = integrate(f, w_out, tol=_QUAD_TOL)
-    pushed = np.asarray(sys.forward(s.points), dtype=float)
-    point_sum = math.fsum(np.asarray(f.eval(pushed), dtype=float))
-    return point_sum - comp_out, point_sum - comp_in
+    original sample, one (lhs, rhs) per sample; equal up to the two
+    compensator quadratures, which are integrated once for all the samples."""
+    comp_out, comp_in = _check_pair_preconditions(f, sys, windows)
+    pushed = (np.asarray(sys.forward(s.points), dtype=float) for s in samples)
+    sums = [math.fsum(np.asarray(f.eval(p), dtype=float)) for p in pushed]
+    return [(x - comp_out, x - comp_in) for x in sums]
 
 
 def coboundary_check(
-    f: TestFunction, sys, s: PoissonSample, windows
-) -> tuple[float, float]:
-    """I_1(f.T - f) against I_1(f) pushed forward minus I_1(f)."""
-    w_in, w_out, comp_in_ft = _check_pair_preconditions(f, sys, windows)
-    comp_out, _ = integrate(f, w_out, tol=_QUAD_TOL)
-    comp_in_f, _ = integrate(f, w_in, tol=_QUAD_TOL)
-    pushed = np.asarray(sys.forward(s.points), dtype=float)
-    fv = np.asarray(f.eval(s.points), dtype=float)
-    ftv = np.asarray(f.eval(pushed), dtype=float)
-    lhs = math.fsum(ftv - fv) - (comp_in_ft - comp_in_f)
-    rhs = (math.fsum(ftv) - comp_out) - (math.fsum(fv) - comp_in_f)
-    return lhs, rhs
+    f: TestFunction, sys, samples: Iterable[PoissonSample], windows
+) -> list[tuple[float, float]]:
+    """I_1(f.T - f) against I_1(f) pushed forward minus I_1(f), one
+    (lhs, rhs) per sample; the three compensators are integrated once for
+    all the samples."""
+    comp_out, comp_in_ft = _check_pair_preconditions(f, sys, windows)
+    comp_in_f, _ = integrate(f, windows[0], tol=_QUAD_TOL)
+    out = []
+    for s in samples:
+        pushed = np.asarray(sys.forward(s.points), dtype=float)
+        fv = np.asarray(f.eval(s.points), dtype=float)
+        ftv = np.asarray(f.eval(pushed), dtype=float)
+        out.append((math.fsum(ftv - fv) - (comp_in_ft - comp_in_f),
+                    (math.fsum(ftv) - comp_out) - (math.fsum(fv) - comp_in_f)))
+    return out

@@ -9,7 +9,7 @@ import warnings
 import numpy as np
 import pytest
 
-from poisson_orlicz import experiments
+from poisson_orlicz import experiments, poisson
 from poisson_orlicz.experiments import (
     ConfigError,
     ExperimentConfig,
@@ -462,6 +462,34 @@ def test_identity_suite_passes_and_difference_margin_is_zero():
     by_id = {c["id"]: c for c in summary["checks"]}
     assert by_id["difference_exact"]["margin"] == 0.0
     assert len(summary["checks"]) == 13
+
+
+def test_identity_suite_pair_checks_make_seven_integrate_calls_per_system(monkeypatch):
+    # each pair check takes its ten samples in one call and integrates f.T on
+    # w_in, f on its support and f on w_out once; coboundary adds f on w_in
+    calls = {}
+    active = []
+    integrate = poisson.integrate
+
+    def counted(*args, **kwargs):
+        if active:
+            calls[active[-1]] = calls.get(active[-1], 0) + 1
+        return integrate(*args, **kwargs)
+
+    def tracked(check):
+        def run(f, sys, samples, windows):
+            active.append(sys.kind)
+            try:
+                return check(f, sys, samples, windows)
+            finally:
+                active.pop()
+        return run
+
+    monkeypatch.setattr(poisson, "integrate", counted)
+    for name in ("equivariance_check", "coboundary_check"):
+        monkeypatch.setattr(experiments, name, tracked(getattr(experiments, name)))
+    run_identity_suite(default_config("identity_suite", seed=42))
+    assert calls == {"translation": 7, "boole": 7}
 
 
 # ---------------------------------------------------------------------------

@@ -764,9 +764,9 @@ def test_hsu_vs_exact_skellam():
     assert abs(star_norm_hsu(f, tol=1e-6) - star_norm_exact(f)) < 1e-6 + 1e-12
 
 
-def test_hsu_zero_and_testfunction_route():
+def test_hsu_zero_and_piecewise_atoms():
     assert star_norm_hsu(SimpleFunction()) == 0.0
-    got = star_norm_hsu(indicator(0, 1, scale=-1.0), tol=1e-5)
+    got = star_norm_hsu(measure.piecewise_to_simple(indicator(0, 1, scale=-1.0)), tol=1e-5)
     assert abs(got - 2 * math.exp(-1)) < 1e-5
 
 
@@ -915,6 +915,15 @@ def test_estimate_star_truncated_window():
     assert abs(est.mean - full) <= 3 * est.std_error + est.truncation_bound
     windowed = star_norm_exact(SimpleFunction(((1.0, 1.0),)))
     assert abs(est.mean - windowed) <= 3 * est.std_error
+
+
+def test_estimate_star_declares_a_sliver_the_window_misses():
+    # the window leaves out [1, 1 + 5e-13], which carries L1 mass 0.5: the
+    # sampler and the truncation bound share one exact cover test, so the
+    # points drawn on [0, 1] report that mass as truncation
+    f = piecewise_constant([0.0, 1.0, 1.0 + 5e-13], [1.0, 1e12])
+    est = estimate_star_norm(f, window((0, 1)), 1000, 3)
+    assert est.truncation_bound >= 0.5
 
 
 def test_estimate_starstar():
@@ -1449,7 +1458,7 @@ def test_equivariance_translation():
     w_in = window((-1, 1))
     w_out = window((-0.5, 1.5))
     s = sample_process(w_in, 17)
-    lhs, rhs = equivariance_check(f, _Shift(), s, (w_in, w_out))
+    [(lhs, rhs)] = equivariance_check(f, _Shift(), [s], (w_in, w_out))
     assert abs(lhs - rhs) < 1e-9
 
 
@@ -1458,7 +1467,7 @@ def test_equivariance_rejects_bad_window():
     w_in = window((0.5, 1.0))  # misses the preimage [-1, 0]
     s = sample_process(w_in, 1)
     with pytest.raises(ValueError):
-        equivariance_check(f, _Shift(), s, (w_in, window((-0.5, 1.5))))
+        equivariance_check(f, _Shift(), [s], (w_in, window((-0.5, 1.5))))
 
 
 def test_coboundary_translation():
@@ -1466,9 +1475,46 @@ def test_coboundary_translation():
     w_in = window((-1, 1))
     w_out = window((0, 1))
     s = sample_process(w_in, 19)
-    lhs, rhs = coboundary_check(f, _Shift(), s, (w_in, w_out))
+    [(lhs, rhs)] = coboundary_check(f, _Shift(), [s], (w_in, w_out))
     assert abs(lhs - rhs) < 1e-9
     # both sides are the count difference of two unit intervals
     n_left = int(np.sum((s.points >= -1) & (s.points <= 0)))
     n_mid = int(np.sum((s.points >= 0) & (s.points <= 1)))
     assert lhs == pytest.approx(n_left - n_mid, abs=1e-9)
+
+
+def _suite_pair_setups():
+    """The identity suite's two pair-check setups: (system, f, windows)."""
+    boole = make_boole()
+    (y_plus, _), (y_minus, _) = boole.preimages(np.array([-1.0, 1.0]))
+    return {
+        "translation": (make_translation(1.0), triangular_bump(0.5, 0.5, 1.0),
+                        (window((-1.0, 1.0)), window((0.0, 2.0)))),
+        "boole": (boole, triangular_bump(0.0, 0.5, 1.0),
+                  (window(tuple(y_plus), tuple(y_minus)), window((-1.0, 1.0)))),
+    }
+
+
+def _pair_reference(f, sys, s, windows):
+    """Both pair checks of one sample, each compensator integrated afresh."""
+    w_in, w_out = windows
+    comp_ft, _ = measure.integrate(poisson._compose_forward(f, sys, w_in), w_in, tol=1e-10)
+    comp_out, _ = measure.integrate(f, w_out, tol=1e-10)
+    comp_f, _ = measure.integrate(f, w_in, tol=1e-10)
+    fv = np.asarray(f.eval(s.points), dtype=float)
+    ftv = np.asarray(f.eval(np.asarray(sys.forward(s.points), dtype=float)), dtype=float)
+    point_sum = math.fsum(ftv)
+    equivariance = (point_sum - comp_out, point_sum - comp_ft)
+    coboundary = (math.fsum(ftv - fv) - (comp_ft - comp_f),
+                  (point_sum - comp_out) - (math.fsum(fv) - comp_f))
+    return equivariance, coboundary
+
+
+@pytest.mark.parametrize("kind", ["translation", "boole"])
+@pytest.mark.parametrize("n", [0, 1, 10])
+def test_pair_checks_are_bit_equal_to_their_single_sample_reference(kind, n):
+    sys, f, windows = _suite_pair_setups()[kind]
+    samples = [sample_process(windows[0], 31, t) for t in range(n)]
+    refs = [_pair_reference(f, sys, s, windows) for s in samples]
+    assert equivariance_check(f, sys, samples, windows) == [e for e, _ in refs]
+    assert coboundary_check(f, sys, samples, windows) == [c for _, c in refs]
