@@ -4,13 +4,17 @@ Each entry, under its name, is one run: ``argv`` for ``cli.main``, the
 expected ``exit`` code, and the expected stdout.  A CSV or ``norm`` output is
 stored as its text, ``lines`` (the text split at each newline); a JSON output
 as its ``sha256`` only.  A ``run`` entry carries its ``config``, which the
-runner writes to a temporary file and passes as ``--config``.
+runner writes to a temporary file and passes as ``--config``.  The key
+``versions`` records the numpy and Python versions the manifest was pinned
+with: numpy promises stable streams for its bit generators only, not for
+the ``Generator`` methods the samplers call.
 
     PYTHONPATH=src python scripts/golden.py
 
-reruns every entry, rewrites the manifest, and prints each moved exit code
-and each moved cell (``entry: line L, column C: old -> new``, a column being
-a comma-separated field) or digest, or ``no entry moved``.
+reruns every entry, rewrites the manifest, and prints each version that
+differs from the pinned one, then each moved exit code and each moved cell
+(``entry: line L, column C: old -> new``, a column being a comma-separated
+field) or digest, or ``no entry moved``.
 """
 
 import contextlib
@@ -18,18 +22,37 @@ import hashlib
 import io
 import json
 import os
+import platform
 import tempfile
 from itertools import zip_longest
 from pathlib import Path
 
+import numpy as np
+
 from poisson_orlicz.cli import main as cli_main
 
 MANIFEST = Path(__file__).resolve().parent.parent / "tests" / "golden.json"
+VERSIONS = "versions"
 
 
 def load() -> dict:
     """The manifest's entries by name."""
-    return json.loads(MANIFEST.read_text())
+    manifest = json.loads(MANIFEST.read_text())
+    del manifest[VERSIONS]
+    return manifest
+
+
+def running() -> dict:
+    """The numpy and Python versions of this process."""
+    return {"numpy": np.__version__, "python": platform.python_version()}
+
+
+def mismatch() -> list[str]:
+    """One line per version of this process that differs from the one the
+    manifest was pinned with."""
+    pinned, now = json.loads(MANIFEST.read_text())[VERSIONS], running()
+    return [f"pinned with {name} {pinned[name]}, running {now[name]}"
+            for name in pinned if pinned[name] != now[name]]
 
 
 def text(entry: dict) -> str:
@@ -86,8 +109,8 @@ def main() -> int:
     manifest = load()
     fresh = {name: record(entry, *run(entry)) for name, entry in manifest.items()}
     moved = [line for name in manifest for line in diff(name, manifest[name], fresh[name])]
-    print("\n".join(moved) if moved else "no entry moved")
-    MANIFEST.write_text(json.dumps(fresh, indent=2) + "\n")
+    print("\n".join(mismatch() + (moved or ["no entry moved"])))
+    MANIFEST.write_text(json.dumps({VERSIONS: running(), **fresh}, indent=2) + "\n")
     return 0
 
 

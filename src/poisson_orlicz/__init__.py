@@ -43,7 +43,6 @@ from .poisson import (
     equivariance_check,
     estimate_star_norm,
     estimate_starstar_norm,
-    hsu_error_floor,
     integral_centered,
     mecke_check,
     reduced_moment_check,

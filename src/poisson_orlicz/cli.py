@@ -33,7 +33,6 @@ from .poisson import (
     QuadratureError,
     estimate_star_norm,
     estimate_starstar_norm,
-    hsu_error_floor,
     sample_process,
     star_norm_exact,
     star_norm_hsu,
@@ -279,20 +278,20 @@ def _finite(name: str, x: float) -> float:
 
 def _poisson_norm(name: str, g, args) -> str:
     """star or starstar: the exact oracle on a SimpleFunction (star falls
-    back to Hsu beyond its reach, or refuses at once when Hsu cannot prove
-    _HSU_FALLBACK_TOL), a seeded Monte Carlo estimate otherwise."""
+    back to Hsu beyond its reach, and a refusal names both reasons when Hsu
+    cannot prove _HSU_FALLBACK_TOL), a seeded Monte Carlo estimate otherwise."""
     if isinstance(g, SimpleFunction):
         if name == "starstar":
             return repr(_finite(name, starstar_norm_exact(g)))
         try:
             return repr(_finite(name, star_norm_exact(g)))
         except ValueError as exc:
-            floor = hsu_error_floor(g)
-            if floor > _HSU_FALLBACK_TOL:
+            try:
+                return repr(_finite(name, star_norm_hsu(g, tol=_HSU_FALLBACK_TOL)))
+            except QuadratureError as hsu:
                 raise UsageError(
                     f"star: {exc}, and the Hsu fallback can prove no error bound "
-                    f"below {floor:g} (needs {_HSU_FALLBACK_TOL:g})") from None
-            return repr(_finite(name, star_norm_hsu(g, tol=_HSU_FALLBACK_TOL)))
+                    f"below {hsu.err_bound:g} (needs {_HSU_FALLBACK_TOL:g})") from None
     if args.seed is None:
         raise UsageError(f"{name} of a non-simple function is a Monte Carlo "
                          "estimate and needs --seed")
@@ -458,7 +457,7 @@ def main(argv=None) -> int:
         if args.output:
             _check_output(args.output)
         return args.func(args)
-    except (UsageError, ValueError, QuadratureError) as exc:
+    except (UsageError, ValueError) as exc:
         # ConfigError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 1

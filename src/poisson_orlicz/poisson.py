@@ -58,7 +58,6 @@ __all__ = [
     "star_norm_exact",
     "starstar_norm_exact",
     "star_norm_hsu",
-    "hsu_error_floor",
     "mecke_check",
     "difference_check",
     "second_moment_check",
@@ -73,16 +72,15 @@ _MC_QUAD_TOL = 1e-6  # the compensator and truncation bound of a Monte Carlo est
 
 
 class QuadratureError(RuntimeError):
-    """Raised when ``star_norm_hsu`` cannot certify the requested tolerance
-    within its panel cap.
+    """Raised, before any sweep, when ``star_norm_hsu`` cannot certify the
+    requested tolerance within its panel cap.
 
-    Carries the capped sweep's value and its certified error bound: the
-    proven quadrature, rounding and tail terms, |partial - E|Z|| <= err_bound.
+    Carries ``err_bound``, the smallest error bound (quadrature, rounding
+    and tail) that the oracle can prove for the function within the cap.
     """
 
-    def __init__(self, partial: float, err_bound: float, message: str):
+    def __init__(self, err_bound: float, message: str):
         super().__init__(message)
-        self.partial = partial
         self.err_bound = err_bound
 
 
@@ -283,7 +281,7 @@ _MAX_ATOMS = 6
 _MAX_MASS = 30.0
 _LATTICE_RES = 1e-12
 _TINY_VALUE = 2.0 ** -20  # values below it are rescaled before the lattice merge
-_HUGE_VALUE = 2.0 ** 512  # and values above it, so that no sum overflows
+_HUGE_VALUE = 2.0 ** 20  # and values above it, so the cutoffs do not grow with them
 _TAIL_EPS = 1e-12  # budget for the dropped tails of the exact oracles
 _CUTOFF_SCAN = 600  # values of K the cutoff search tries, from ceil(m)
 _CUTOFF_BLOCK = 64  # of them evaluated at a time
@@ -448,7 +446,7 @@ def _exact_setup(f: SimpleFunction, center: float | None):
     if not atoms:
         return 0.0 if center is None else abs(center)
     v, m = f.values_masses()
-    # the lattice merges on an absolute grid and sums up to 6 * 630 values,
+    # the lattice merges on an absolute grid against an absolute tail budget,
     # so tiny and huge values are first put at unit scale by a power of two
     # 2^e: exact, and E|sum v_i N_i - c| is 1-homogeneous in (v, c)
     abs_v = np.abs(v)
@@ -581,7 +579,7 @@ def _lattice_moment(a: tuple[np.ndarray, np.ndarray], b: tuple[np.ndarray, np.nd
 def star_norm_exact(f: SimpleFunction) -> float:
     """E|sum v_i (N_i - m_i)| by direct enumeration; inf beyond the float
     range.  Error at most (1 + J) 5e-13 for J atoms from the tails and the
-    grid, times 2 max |v_i| when that exceeds 2^512, plus rounding
+    grid, times 2 max |v_i| when that exceeds 2^20, plus rounding
     estimated, not proven, at 2e-13 sum |v_i| m_i (``_exact_abs_moments``)."""
     return _exact_abs_moments([(f, None)])[0]
 
@@ -589,7 +587,7 @@ def star_norm_exact(f: SimpleFunction) -> float:
 def starstar_norm_exact(f: SimpleFunction) -> float:
     """E|sum v_i N_i| by direct enumeration; inf beyond the float range.
     Error at most (1 + J) 5e-13 for J atoms from the tails and the grid,
-    times 2 max |v_i| when that exceeds 2^512, plus rounding estimated, not
+    times 2 max |v_i| when that exceeds 2^20, plus rounding estimated, not
     proven, at 1e-13 sum |v_i| m_i (``_exact_abs_moments``)."""
     return _exact_abs_moments([(f, 0.0)])[0]
 
@@ -598,7 +596,7 @@ def abs_moment_exact(f: SimpleFunction, center: float = 0.0) -> float:
     """E|sum v_i N_i - center| by direct enumeration; inf beyond the float
     range, and a non-finite center is refused.  Error at most (1 + J) 5e-13
     for J atoms from the tails and the grid, times 2 max(|center|, |v_i|)
-    when that exceeds 2^512, plus rounding estimated, not proven, at
+    when that exceeds 2^20, plus rounding estimated, not proven, at
     1e-13 (sum |v_i| m_i + |center|) (``_exact_abs_moments``)."""
     return _exact_abs_moments([(f, float(center))])[0]
 
@@ -717,14 +715,16 @@ class _HsuPlan(NamedTuple):
     bound: float     # proven bound on |value - E|Z||
 
 
-def _hsu_plan(v: np.ndarray, m: np.ndarray, tol: float, max_panels: int) -> _HsuPlan:
+def _hsu_plan(v: np.ndarray, m: np.ndarray, tol: float) -> _HsuPlan:
     """The sweep that meets ``tol`` with the fewest panels or, when none fits
-    in ``max_panels``, the capped sweep with the smallest bound.
+    in _HSU_MAX_PANELS panels (read at call time), the capped sweep with the
+    smallest bound, which is then the floor of every tol it misses.
 
     Every candidate width carries a proven bound, (2/pi) (quadrature +
     rounding + 1/T); the scan over the widths only picks a cheap one, and
     stops at the first that does no better than the best so far.
     """
+    max_panels = _HSU_MAX_PANELS
     omega = 2.0 * float(m @ np.abs(v)) + float(np.abs(v).max())
     n_fine = min(max_panels, _FINE_PANELS)
     best_key, best = None, None
@@ -838,39 +838,23 @@ def star_norm_hsu(f: SimpleFunction, tol: float = 1e-6) -> float:
     rounding of the sum (``_rounding_bound``), and the tail beyond T, which
     lies in [0, 2/T] and whose midpoint 1/T is added, leaving (2/pi)/T.
     When no sweep of at most _HSU_MAX_PANELS panels (read at call time)
-    meets tol, the capped sweep with the smallest bound runs and
-    QuadratureError carries its value and bound; ``hsu_error_floor`` gives
-    that bound without sweeping, under the same cap.
+    meets tol, it sweeps nothing and raises QuadratureError carrying the
+    smallest bound it can prove; a tol at or above that bound is met.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
     if not f.atoms:
         return 0.0
     v, m, scale = _unit_scale(f)
-    plan = _hsu_plan(v, m, tol / scale, _HSU_MAX_PANELS)
+    plan = _hsu_plan(v, m, tol / scale)
+    bound = scale * plan.bound
+    if bound > tol:
+        raise QuadratureError(bound, f"the proven error bound within {_HSU_MAX_PANELS} "
+                                     f"panels is {bound:g}, above tol={tol:g}")
     fine_h = plan.h / _FINE_SPLIT
     total = (_hsu_sweep(v, m, 0.0, fine_h, plan.n_fine)
              + _hsu_sweep(v, m, plan.n_fine * fine_h, plan.h, plan.n_coarse))
-    value = scale * (2.0 / math.pi) * (total + 1.0 / plan.t_end)
-    bound = scale * plan.bound
-    if bound > tol:
-        raise QuadratureError(
-            value, bound,
-            f"the proven error bound within {_HSU_MAX_PANELS} panels is "
-            f"{bound:g}, above tol={tol:g}",
-        )
-    return value
-
-
-def hsu_error_floor(f: SimpleFunction) -> float:
-    """The smallest error bound ``star_norm_hsu`` can prove for f within
-    _HSU_MAX_PANELS panels, read at call time, from the same plan and
-    without sweeping: a tol below it raises QuadratureError, and a tol at
-    or above it is met."""
-    if not f.atoms:
-        return 0.0
-    v, m, scale = _unit_scale(f)
-    return scale * _hsu_plan(v, m, 0.0, _HSU_MAX_PANELS).bound
+    return scale * (2.0 / math.pi) * (total + 1.0 / plan.t_end)
 
 
 # ---------------------------------------------------------------------------

@@ -439,25 +439,24 @@ def test_norm_star_fallback_matches_merged_atoms(capsys):
 
 
 def test_norm_star_fallback_failure_reports_estimate(capsys, monkeypatch):
-    # the floor and the sweep share one panel cap, so a sweep past the
-    # up-front floor check always meets tol; a stand-in that fails anyway
-    # must still exit 1 with its message
+    # a Hsu refusal ends the fallback: exit 1, naming its bound
     def failing_hsu(s, tol):
-        raise poisson.QuadratureError(0.5, 1e-3,
-                                      "the proven error bound within 10 panels is 0.001")
+        raise poisson.QuadratureError(1e-3, "the proven error bound within 10 panels is 0.001")
 
     monkeypatch.setattr(cli, "star_norm_hsu", failing_hsu)
     code, out, err = run_cli(capsys, ["norm", "--atoms", SMALL_SEVEN, "--which", "star"])
     assert code == 1
     assert out == ""
-    assert "proven error bound within 10 panels" in err
+    assert "no error bound below 0.001 (needs 1e-08)" in err
     assert "Traceback" not in err
 
 
 def test_norm_star_fallback_refuses_up_front(capsys):
     # at this scale the panel cap cannot prove 1e-8: refused before any sweep
     atoms = ";".join(f"({k},1)" for k in range(1, 8))
-    floor = poisson.hsu_error_floor(SimpleFunction(parse_atoms(atoms)))
+    with pytest.raises(poisson.QuadratureError) as info:
+        poisson.star_norm_hsu(SimpleFunction(parse_atoms(atoms)), tol=1e-8)
+    floor = info.value.err_bound
     assert floor > 1e-8
     t0 = time.monotonic()
     code, out, err = run_cli(capsys, ["norm", "--atoms", atoms, "--which", "star"])

@@ -599,6 +599,65 @@ def test_stock_transfer_fit_estimates_are_small():
         assert 0.0 <= transfer_apply(f, sys, n).fit_error <= 1e-13, n
 
 
+def _many_steps(cells):
+    # alternating signs, so T-hat^n |f| runs as its own chain
+    return piecewise_constant(np.linspace(-5.0, 5.0, cells + 1).tolist(),
+                              [(-1.0) ** i * (1.0 + (i % 7) / 7.0) for i in range(cells)])
+
+
+@pytest.mark.parametrize("cells", [300, 2500])
+def test_transfer_of_many_steps_conserves_its_mass_past_unfitted_slivers(monkeypatch, cells):
+    # near-coincident orbit cuts leave pieces about 1e-15 wide that cannot
+    # be split: they are left unfitted, and their mass is integrated by
+    # quadrature; at 2500 cells the level chain passes _MAX_PIECES
+    fits, quadratures = [], []
+    fit_pieces, quadrature = dynamics._fit_pieces, dynamics.integrate
+
+    def spy_fit(*args):
+        fits.append(fit_pieces(*args))
+        return fits[-1]
+
+    def spy_integrate(*args, **kwargs):
+        quadratures.append(args)
+        return quadrature(*args, **kwargs)
+
+    monkeypatch.setattr(dynamics, "_fit_pieces", spy_fit)
+    monkeypatch.setattr(dynamics, "integrate", spy_integrate)
+    f = _many_steps(cells)
+    g = transfer_apply(f, make_boole(), 3)
+    assert any(fit.fallback.any() for fit in fits)
+    assert len(quadratures) > 1  # the total mass, then the unfitted pieces
+    assert (max(fit.a.size for fit in fits) > dynamics._MAX_PIECES) == (cells == 2500)
+    mass, _ = integrate(f, f.support, tol=1e-12)
+    got, err = integrate(g, g.support, tol=1e-9)
+    assert abs(got - mass) <= g.l1_tail_bound + g.fit_error + err
+
+
+@pytest.mark.parametrize("cells", [300, 2500])
+def test_transfer_of_many_steps_matches_the_branch_sum_off_its_slivers(cells):
+    # away from the 1e-15 slivers, which the breakpoints bracket, the
+    # interpolant is within its fit estimate of the branch sum
+    f, sys = _many_steps(cells), make_boole()
+    g = transfer_apply(f, sys, 3)
+    rng = np.random.default_rng(3)
+    xs = np.concatenate([rng.uniform(-60.0, 60.0, 3000), rng.uniform(-8.0, 8.0, 3000)])
+    cuts = np.array(g.breakpoints)
+    i = np.clip(np.searchsorted(cuts, xs), 1, cuts.size - 1)
+    xs = xs[np.minimum(xs - cuts[i - 1], cuts[i] - xs) >= 1e-9]
+    miss = np.abs(g.eval(xs) - _branch_sum_reference(f, sys, 3, xs))
+    assert miss.max() <= g.fit_error + 8 * np.spacing(f.sup_bound)
+
+
+def test_transfer_window_that_stops_short_warns_and_declares_its_deficit(monkeypatch):
+    # at 1e-9 the missed mass of indicator(1, 2) stalls near 7.9e-7: the
+    # growth loop gives up with a warning, and the deficit is the L1 tail
+    monkeypatch.setattr(dynamics, "TRANSFER_TAIL_TOL", 1e-9)
+    with pytest.warns(UserWarning) as caught:
+        g = transfer_apply(indicator(1.0, 2.0), make_boole(), 2)
+    assert [str(w.message).startswith("transfer window stopped") for w in caught] == [True]
+    assert g.l1_tail_bound > 1e-9
+
+
 def test_transfer_composite_with_breakpoints_matches_recursion():
     length, angle, step = 1.0, GOLDEN, 1.0
     c0, c1 = CIRCLE_OFFSET, CIRCLE_OFFSET + length

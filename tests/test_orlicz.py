@@ -119,6 +119,14 @@ def test_gauge_norm_zero():
     assert gauge_norm(SimpleFunction()) == 0.0
 
 
+def test_gauge_norm_of_a_function_zero_on_its_support_is_zero():
+    # the declared tails keep its moments in range, but the modular over the
+    # support stays 0 as lambda halves toward 0
+    zero = TestFunction(eval=lambda x: np.zeros(np.asarray(x, dtype=float).shape),
+                        support=window((0.0, 2.0)), l1_tail_bound=1e-3, l2_tail_bound=1e-3)
+    assert gauge_norm(zero) == 0.0
+
+
 def test_orlicz_paper_corner_case():
     # 4*mass <= 1: the dual element g = 2 is feasible, norm = 2*l1
     assert abs(orlicz_norm_paper(SimpleFunction(((1, 0.2),))) - 0.4) < 1e-10

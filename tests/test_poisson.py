@@ -42,7 +42,6 @@ from poisson_orlicz.poisson import (
     equivariance_check,
     estimate_star_norm,
     estimate_starstar_norm,
-    hsu_error_floor,
     integral_centered,
     mecke_check,
     reduced_moment_check,
@@ -238,7 +237,7 @@ def test_starstar_exact_values():
 
 
 def test_exact_huge_atom_is_one_homogeneous():
-    # values above 2^512 are put at unit scale by a power of two first, so
+    # values above 2^20 are put at unit scale by a power of two first, so
     # no lattice sum overflows: E|N - 1| = 2/e for N ~ Poisson(1)
     assert star_norm_exact(SimpleFunction(((1e308, 1.0),))) == pytest.approx(
         2.0 * math.exp(-1.0) * 1e308, rel=1e-12)
@@ -252,6 +251,29 @@ def test_exact_huge_atom_is_one_homogeneous():
             == abs_moment_exact(SimpleFunction(atoms), center=0.5) * 2.0 ** 1000)
     # a moment beyond the float range is inf, without a warning
     assert star_norm_exact(SimpleFunction(((1.7e308, 30.0), (1.7e308, 30.0)))) == math.inf
+
+
+_UNIT_VALUE = st.floats(0.001, 0.999).flatmap(lambda x: st.sampled_from([x, -x]))
+
+
+@settings(max_examples=30, deadline=None)
+@given(atoms=st.lists(st.tuples(_UNIT_VALUE, st.floats(0.01, 30.0)), min_size=1, max_size=4),
+       top=st.floats(0.5, 0.999, exclude_min=True), frac=st.floats(-0.999, 0.999))
+@example(atoms=[(1.0, 30.0), (0.137, 30.0), (0.029, 30.0), (-0.0077, 30.0),
+                (0.00051, 30.0), (0.000033, 30.0)], top=0.9, frac=0.3)
+def test_exact_oracles_scale_by_powers_of_two_bit_for_bit(atoms, top, frac):
+    # 2^k f has its largest |v| in (2^(k-1), 2^k), above 2^20 for every k
+    # here, and is put at unit scale first: its cutoffs and lattice are
+    # those of f, and its moments 2^k times f's
+    peak = max(abs(v) for v, _ in atoms)
+    atoms = [(v * top / peak, m) for v, m in atoms]  # the largest |v| is top
+    f = SimpleFunction(tuple(atoms))
+    c = frac * top
+    star, moment = star_norm_exact(f), abs_moment_exact(f, center=c)
+    for k in (21, 100, 400, 511):
+        g = SimpleFunction(tuple((math.ldexp(v, k), m) for v, m in atoms))
+        assert star_norm_exact(g) == math.ldexp(star, k)
+        assert abs_moment_exact(g, center=math.ldexp(c, k)) == math.ldexp(moment, k)
 
 
 def _log_uniform(lo, hi):
@@ -574,7 +596,7 @@ def _ref_abs_moment(f, center):
     v = np.array([a[0] for a in atoms])
     m = np.array([a[1] for a in atoms])
     top = max(float(np.abs(v).max()), 0.0 if center is None else abs(center))
-    e = math.frexp(top)[1] if not 2.0 ** -20 <= top <= 2.0 ** 512 else 0
+    e = math.frexp(top)[1] if not 2.0 ** -20 <= top <= 2.0 ** 20 else 0
     if e:
         v = np.ldexp(v, -e)
         if center is not None:
@@ -770,15 +792,27 @@ def test_hsu_zero_and_piecewise_atoms():
     assert abs(got - 2 * math.exp(-1)) < 1e-5
 
 
+def _hsu_floor(f):
+    """The smallest error bound star_norm_hsu proves for f: the bound it
+    refuses the least positive tol with."""
+    with pytest.raises(QuadratureError) as info:
+        star_norm_hsu(f, tol=5e-324)
+    return info.value.err_bound
+
+
 def test_hsu_nonconvergence_reports_partial(monkeypatch):
+    # a tol the capped plan cannot prove is refused before any sweep, with
+    # the floor as its bound
     monkeypatch.setattr(poisson, "_HSU_MAX_PANELS", 100)
+    sweeps = []
+    sweep = poisson._hsu_sweep
+    monkeypatch.setattr(poisson, "_hsu_sweep", lambda *args: sweeps.append(args) or sweep(*args))
     f = SimpleFunction(((1.0, 0.5),))
     with pytest.raises(QuadratureError) as info:
         star_norm_hsu(f, tol=1e-6)
     assert info.value.err_bound > 1e-6
-    assert abs(info.value.partial - poisson_mad(0.5)) < 0.05
-    assert abs(info.value.partial - poisson_mad(0.5)) <= info.value.err_bound
-    assert info.value.err_bound == hsu_error_floor(f)
+    assert info.value.err_bound == _hsu_floor(f)
+    assert sweeps == []
 
 
 def test_hsu_incommensurate_atoms_vs_exact():
@@ -794,7 +828,7 @@ def test_hsu_scales_exactly(scale):
     f = SimpleFunction(((1.0, 0.5), (-math.sqrt(2.0), 0.3)))
     g = SimpleFunction(tuple((v * scale, m) for v, m in f.atoms))
     assert star_norm_hsu(g, tol=1e-6 * scale) == scale * star_norm_hsu(f, tol=1e-6)
-    assert hsu_error_floor(g) == scale * hsu_error_floor(f)
+    assert _hsu_floor(g) == scale * _hsu_floor(f)
 
 
 def _hsu_reference(t, v, m):
@@ -809,7 +843,7 @@ def test_hsu_panel_bounds_cover_the_g7_error(atoms):
     # at four times the planned width the G7 errors are visible; each stays
     # within its panel's proven bound
     v, m = SimpleFunction(atoms).values_masses()
-    h = 4.0 * poisson._hsu_plan(v, m, 2e-7, 6_000_000).h
+    h = 4.0 * poisson._hsu_plan(v, m, 2e-7).h
     fine, coarse = poisson._panel_bounds(v, m, h)
     fine_h = h / poisson._FINE_SPLIT
     for k in (5, 40, 80, 160, 255):
@@ -834,13 +868,15 @@ _HSU_ATOM = st.tuples(
 @given(atoms=st.lists(_HSU_ATOM, min_size=1, max_size=4),
        cap=st.sampled_from([300, 3000, 6_000_000]))
 def test_hsu_within_its_proven_bound(atoms, cap):
-    # the value is within tol, or the capped sweep within the bound it reports
+    # the value is within tol, or, when the cap cannot prove tol, the capped
+    # sweep within the floor its refusal reports
     f = SimpleFunction(tuple(atoms))
-    try:
-        with mock.patch.object(poisson, "_HSU_MAX_PANELS", cap):
+    with mock.patch.object(poisson, "_HSU_MAX_PANELS", cap):
+        try:
             value, bound = star_norm_hsu(f, tol=1e-6), 1e-6
-    except QuadratureError as exc:
-        value, bound = exc.partial, exc.err_bound
+        except QuadratureError as exc:
+            bound = exc.err_bound
+            value = star_norm_hsu(f, tol=bound)
     assert abs(value - star_norm_exact(f)) <= bound + 1e-12
 
 
@@ -849,20 +885,21 @@ def test_hsu_within_its_proven_bound(atoms, cap):
        cap=st.sampled_from([300, 3000]),
        ratio=st.sampled_from([0.5, 1.0, 2.0]) | st.floats(0.25, 4.0))
 def test_hsu_meets_tol_exactly_when_its_floor_does(atoms, cap, ratio):
-    # the sweep and the floor read one panel cap: a tol at or above the
-    # floor is met, and a tol below it fails with the floor as its bound
+    # every refusal reads one plan under one panel cap: a tol at or above
+    # the floor is met, and a tol below it is refused with the floor as its
+    # bound
     f = SimpleFunction(tuple(atoms))
     with mock.patch.object(poisson, "_HSU_MAX_PANELS", cap):
-        floor = hsu_error_floor(f)
+        floor = _hsu_floor(f)
         tol = ratio * floor
         try:
-            star_norm_hsu(f, tol=tol)
+            value = star_norm_hsu(f, tol=tol)
         except QuadratureError as exc:
             assert floor > tol
             assert exc.err_bound == floor
-            assert abs(exc.partial - star_norm_exact(f)) <= exc.err_bound
         else:
             assert floor <= tol
+            assert abs(value - star_norm_exact(f)) <= tol + 1e-12
 
 
 # ---------------------------------------------------------------------------
