@@ -299,8 +299,8 @@ def birkhoff(f: TestFunction, sys: DynamicalSystem, n: int,
     """The depth-n Birkhoff average (1/n) sum_k f(T^{p_k} x) as a
     TestFunction.  The exponents p_k are (1, ..., n) by default; a strictly
     increasing ``subsequence`` of n exponents gives subsequence averages.
-    The support is the union of ``sys.image(f.support, -k)`` over
-    k = 0..max p_k.
+    The support is the union of ``sys.image(f.support, -p_k)`` over the
+    exponents p_k averaged, outside which every term is 0.
 
     The average is defined by a dense loop: every point is stepped by
     ``forward`` through every exponent up to K = max p_k, f's value is
@@ -328,8 +328,7 @@ def birkhoff(f: TestFunction, sys: DynamicalSystem, n: int,
     if subsequence is None:
         powers = tuple(range(1, n + 1))
     wanted = frozenset(powers)
-    support = window(*(iv for k in range(kmax + 1)
-                       for iv in sys.image(f.support, -k).intervals))
+    support = window(*(iv for p in powers for iv in sys.image(f.support, -p).intervals))
 
     def _eval(x, f=f, fwd=sys.forward):
         x = np.asarray(x, dtype=float)
@@ -617,7 +616,10 @@ def transfer_apply(f: TestFunction, sys: DynamicalSystem, n: int) -> TestFunctio
     when f has one sign (``_one_signed``) and runs as its own chain otherwise.
     Boole's inverse Jacobians sum to 1, so T-hat does not raise the sup
     norm and the error of level n is at most the sum of the levels' fit
-    errors: the sum of their estimates is declared as ``fit_error``.
+    errors: the sum of their estimates is declared as ``fit_error``.  The
+    breakpoints are the orbit points inside the window, the singularities
+    and the edges of level n's pieces, so quadrature of the iterate starts
+    on its degree-16 pieces.
 
     An iterate whose (n + 1) max(1, #breakpoints + #support ends) orbit
     points exceed _MAX_PULLBACKS is refused before the orbit is built.
@@ -685,6 +687,7 @@ def transfer_apply(f: TestFunction, sys: DynamicalSystem, n: int) -> TestFunctio
         # the missing mass falls off like c / radius: jump toward the target
         radius = max(radius * 1.6, 1.3 * deficit * radius / target)
 
+    last = _join(chain.fits[-1])
     return TestFunction(
         eval=chain.evals[-1],
         support=window((-radius, radius)),
@@ -692,7 +695,8 @@ def transfer_apply(f: TestFunction, sys: DynamicalSystem, n: int) -> TestFunctio
         l1_tail_bound=deficit,
         l2_tail_bound=math.sqrt(deficit * f.sup_bound),
         breakpoints=tuple(sorted({b for b in orbit if -radius < b < radius}
-                                 | set(sys.singularities))),
+                                 | set(sys.singularities)
+                                 | set(np.concatenate([last.a, last.b]).tolist()))),
         breakpoints_complete=f.breakpoints_complete,
         fit_error=math.fsum(max(float(fit.est.max()) for fit in level) for level in chain.fits),
     )

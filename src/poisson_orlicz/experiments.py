@@ -51,7 +51,6 @@ from .dynamics import (
 from .measure import (
     SimpleFunction,
     TestFunction,
-    _cells,
     _finite,
     function_moments,
     indicator,
@@ -62,7 +61,6 @@ from .measure import (
     simple_to_test,
     triangular_bump,
     window,
-    window_intersect,
 )
 from .orlicz import gauge_norm, orlicz_norm_paper
 from .poisson import (
@@ -472,43 +470,19 @@ def build_function(spec: dict, sys: DynamicalSystem | None = None) -> TestFuncti
 # ---------------------------------------------------------------------------
 # norm columns
 
-def _discretize(g: TestFunction) -> SimpleFunction:
-    """Midpoint piecewise-constant surrogate on a breakpoint-aligned grid of
-    about 1200 cells.
-
-    The grid covers the part of the support within a core radius around the
-    breakpoint hull; far tails are left out, so norms of the surrogate are
-    approximations and rows built from them are flagged as discretized.
-    """
-    hull = 10.0
-    if g.breakpoints:
-        hull = max(hull, max(abs(b) for b in g.breakpoints) + 10.0)
-    core = window_intersect(g.support, window((-max(60.0, hull), max(60.0, hull))))
-    if not core:
-        core = g.support
-    total = core.measure
-    a, b = _cells(core.intervals, sorted(set(g.breakpoints)))
-    atoms = []
-    for lo, hi in zip(a.tolist(), b.tolist()):
-        k = max(1, int(round(1200 * (hi - lo) / total)))
-        grid = np.linspace(lo, hi, k + 1)
-        vals = np.asarray(g.eval(0.5 * (grid[:-1] + grid[1:])), dtype=float)
-        for v, m in zip(vals, np.diff(grid)):
-            if abs(v) > 1e-15 and m > 0:
-                atoms.append((float(v), float(m)))
-    return SimpleFunction(tuple(atoms))
-
-
 def _norm_columns(g: TestFunction):
-    """(gauge, orlicz, l1, l2, source, simple-or-None) for a row function."""
+    """(gauge, orlicz, l1, l2, source, simple-or-None) for a row function:
+    from its exact atom form when it has one (source ``simple``), else from
+    g itself by quadrature (source ``quadrature``).  Either way the gauge
+    and Orlicz values are those ``porlicz norm`` prints for the function."""
     try:
         s = piecewise_to_simple(g)
     except ValueError:
         s = None
-    d = _discretize(g) if s is None else s
-    mom, _ = function_moments(g if s is None else s, tol=1e-7)
+    d = g if s is None else s
+    mom, _ = function_moments(d, tol=1e-7)
     return (float(gauge_norm(d)), float(orlicz_norm_paper(d)), float(mom.l1),
-            math.sqrt(mom.l2sq), "discretized" if s is None else "simple", s)
+            math.sqrt(mom.l2sq), "quadrature" if s is None else "simple", s)
 
 
 # ---------------------------------------------------------------------------

@@ -53,7 +53,7 @@ def test_translation_forward_and_inflate():
     w = window((0.0, 1.0))
     assert sys.image(w, -3).intervals == ((-3.0, -2.0),)
     assert sys.image(w, 2).intervals == ((2.0, 3.0),)
-    assert birkhoff(indicator(0.0, 1.0), sys, 3).support.intervals == ((-3.0, 1.0),)
+    assert birkhoff(indicator(0.0, 1.0), sys, 3).support.intervals == ((-3.0, 0.0),)
 
 
 def test_translation_rejects_zero_step():
@@ -320,7 +320,7 @@ def test_birkhoff_translation_depth_two_plateau():
     sys = make_translation(1.0)
     f = indicator(0.0, 1.0)
     g = birkhoff(f, sys, 2)
-    assert g.support.intervals == ((-2.0, 1.0),)
+    assert g.support.intervals == ((-2.0, 0.0),)
     xs = np.linspace(-1.95, -0.05, 20)
     assert np.max(np.abs(g.eval(xs) - 0.5)) == 0.0
     assert g.eval(np.array([0.5]))[0] == 0.0

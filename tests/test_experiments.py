@@ -9,7 +9,7 @@ import warnings
 import numpy as np
 import pytest
 
-from poisson_orlicz import experiments, poisson
+from poisson_orlicz import cli, experiments, poisson
 from poisson_orlicz.experiments import (
     ConfigError,
     ExperimentConfig,
@@ -194,6 +194,26 @@ def test_birkhoff_decay_matches_closed_form():
         assert r.norm_source == "simple"
 
 
+# the unit tent on [0, 1]
+_BUMP = {"shape": "bump", "center": 0.5, "halfwidth": 0.5}
+
+
+def test_translation_bump_average_norm_columns_in_closed_form():
+    # the depth-n average of the unit tent on [0, 1] is n disjoint tents of
+    # height 1/n, so ||g||_2 = (3n)^(-1/2); the dual maximizer |g| / ||g||_2
+    # <= sqrt(3/n) <= 2 never clips, and for n >= 4, 1/n <= ||g||_2 keeps Phi
+    # quadratic at the gauge
+    cfg = default_config("birkhoff_decay", seed=6801, depths=(1, 4, 16, 32), replicates=1000,
+                         function=_BUMP)
+    rows, _ = run_birkhoff_decay(cfg)
+    for r in rows:
+        want = (3.0 * r.n) ** -0.5
+        assert r.norm_source == "quadrature"
+        assert abs(r.orlicz_paper - want) <= 1e-12 * want
+        if r.n >= 4:
+            assert abs(r.gauge - want) <= 1e-10 * want
+
+
 def test_birkhoff_decay_rejects_composite():
     cfg = default_config("birkhoff_decay", seed=3, depths=(1, 2), replicates=2000)
     with pytest.raises(ConfigError):
@@ -229,13 +249,13 @@ def test_birkhoff_slope_verdict():
 # ---------------------------------------------------------------------------
 # blum-hanson subsequences
 
-def test_birkhoff_decay_past_the_pullback_cap_is_discretized():
+def test_birkhoff_decay_past_the_pullback_cap_is_by_quadrature():
     # at depth 16 the Boole average has more breakpoints than the cap; its
     # row once read l1 0.0 and gauge 0.0 from a one-cell spot check
     cfg = default_config("birkhoff_decay", seed=3, system={"kind": "boole"},
                          depths=(12, 16), replicates=2000)
     rows, _ = run_experiment(cfg)
-    assert [r.norm_source for r in rows] == ["simple", "discretized"]
+    assert [r.norm_source for r in rows] == ["simple", "quadrature"]
     deep = rows[1]
     assert "exact_oracle" not in {v.id for v in deep.verdicts}
     assert abs(deep.l1 - 1.0) < 1e-3
@@ -343,7 +363,33 @@ def test_transfer_decay_small_depths():
     fit = summary["fit_error_estimate"]
     assert sorted(fit) == ["0", "1", "2", "3"] and fit["0"] == 0.0
     assert all(0.0 <= v <= 1e-13 for v in fit.values())
-    assert rows[1].norm_source == "discretized"
+    assert rows[1].norm_source == "quadrature"
+
+
+def test_depth_one_boole_iterate_gauge_and_orlicz_are_its_l2():
+    # T-hat 1_[1,2] <= 4/5 < ||T-hat 1_[1,2]||_2: Phi is quadratic at the
+    # gauge and the dual maximizer never clips, so both norms are the L2 norm
+    cfg = default_config("transfer_decay", seed=29, depths=(1,), replicates=1000)
+    (row,), _ = run_transfer_decay(cfg)
+    assert row.norm_source == "quadrature"
+    assert abs(row.gauge - row.l2) <= 1e-10 * row.l2
+    assert abs(row.orlicz_paper - row.l2) <= 1e-10 * row.l2
+
+
+@pytest.mark.parametrize("scenario, depth, overrides, argv", [
+    ("transfer_decay", 2, {}, ["--function", "indicator:1,2", "--apply", "transfer",
+                               "--system", "boole"]),
+    ("birkhoff_decay", 4, {"function": _BUMP}, ["--function", "bump:0.5,0.5",
+                                                "--apply", "birkhoff", "--system", "translation"]),
+])
+def test_row_norm_columns_are_what_porlicz_norm_prints(capsys, scenario, depth, overrides, argv):
+    # a row without an atom form takes its gauge and Orlicz columns by the
+    # calls `porlicz norm` makes, so both print the same bits
+    cfg = default_config(scenario, seed=7, depths=(depth,), replicates=1000, **overrides)
+    (row,), _ = run_experiment(cfg)
+    assert row.norm_source == "quadrature"
+    assert cli.main(["norm", *argv, "--depth", str(depth), "--which", "gauge,orlicz"]) == 0
+    assert capsys.readouterr().out == f"gauge {row.gauge!r}\norlicz {row.orlicz_paper!r}\n"
 
 
 # ---------------------------------------------------------------------------

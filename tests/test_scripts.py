@@ -55,10 +55,11 @@ def test_false_fail_scan_refuses_no_seeds(false_fail_scan, capsys):
 #   exact oracles, and one non-simple input, through quadrature and seeded
 #   Monte Carlo;
 # - run_decay, run_circle: deep Birkhoff averages whose rows are each one atom;
-# - run_boole, run_bump: averages with no simple form.  run_boole exits 2
-#   because its depth-16 row misses l1_constant (l1 0.99934...): a
-#   discretized row's L1 is a quadrature value whose error is dropped, an
-#   open fault kept visible here;
+# - run_boole, run_bump: averages with no simple form, whose norm columns are
+#   quadrature.  run_boole exits 2 because its depth-16 row misses
+#   l1_constant (l1 0.99934...): past the breakpoint cap the average lists
+#   none, its L1 quadrature stops at the segment cap and the error it
+#   returns is dropped, an open fault kept visible here;
 # - run_scan1, run_scan7: Urbanik scans whose every star value is the exact
 #   oracle's;
 # - run_mecke: an identity suite whose three Mecke checks take 2000 replicates;
