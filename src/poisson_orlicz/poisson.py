@@ -13,7 +13,8 @@ independent routes to E|I_1(f)|:
 
 ``sample_process`` draws one replicate on the Philox key (seed, replicate);
 every batched estimate and check draws all its replicates on the one key
-(seed, _BATCH_STREAM), as points (``_replicate_blocks``) or cell counts.
+(seed, _BATCH_STREAM), as points (``_replicate_blocks``) or a histogram of
+cell counts (``_count_cells``).
 
 Also: the uncentered norm E|N(f)|, and numerical checks of the reduced
 (Slivnyak-)Mecke equation (Last & Penrose, Lectures on the Poisson Process,
@@ -211,25 +212,144 @@ def _truncation_bound(f: TestFunction, w: Window) -> float:
     return float(min(2.0 * l1_out, math.sqrt(l2sq_out)))
 
 
-def _mc_estimate(vals: np.ndarray, seed: int, truncation_bound: float = 0.0) -> MCEstimate:
-    """Mean and standard error of the per-replicate values ``vals``; fewer
-    than two values leave the standard error undefined and raise ValueError."""
-    R = vals.size
+def _mc_estimate(vals: np.ndarray, seed: int, truncation_bound: float = 0.0,
+                 counts: np.ndarray | None = None) -> MCEstimate:
+    """Mean and standard error of per-replicate values ``vals``, or of the
+    histogram in which ``counts[i]`` replicates hold ``vals[i]``: the mean
+    sum n_i x_i / R, then the ddof=1 variance sum n_i (x_i - mean)^2 / (R - 1)
+    from a second pass.  Fewer than two replicates leave the standard error
+    undefined and raise ValueError."""
+    R = vals.size if counts is None else int(counts.sum())
     if R < 2:
         raise ValueError(f"need at least two replicates for a standard error, got {R}")
-    return MCEstimate(float(vals.mean()), float(vals.std(ddof=1) / math.sqrt(R)), R,
-                      int(seed), truncation_bound)
+    if counts is None:  # the same two passes, without unit weights
+        mean, var = float(vals.mean()), float(vals.var(ddof=1))
+    else:
+        n = counts.astype(float)
+        mean = float(np.sum(n * vals)) / R
+        dev = vals - mean
+        var = float(np.sum(n * (dev * dev))) / (R - 1)
+    return MCEstimate(mean, math.sqrt(var) / math.sqrt(R), R, int(seed), truncation_bound)
 
 
-def _count_sums(atoms, R: int, seed: int) -> np.ndarray:
-    """N(f) for R replicates of f = sum_j v_j 1_{A_j}, given by its atoms
-    (v_j, mu(A_j)) on disjoint sets: for each atom in turn, R Poisson(mu(A_j))
-    counts from the one stream of ``seed``, times v_j, added to the sums."""
+# The count histogram of one atom is split over a window of k, the values whose
+# Poisson pmf is at least e^-_WINDOW_LOG of the mode's, and two tail leaves; the
+# pmf table runs to e^-_TABLE_LOG, so what lies past it is below the rounding
+# of the tail masses it sums
+_WINDOW_LOG = 40.0
+_TABLE_LOG = 100.0
+# numpy's largest Poisson mean, int64 max - 10 sqrt(int64 max)
+_MAX_DRAWN_MASS = float(np.iinfo(np.int64).max) - 10.0 * math.sqrt(np.iinfo(np.int64).max)
+
+
+def _half_width(m: float, s: float) -> int:
+    """The smallest integer x with x(x - 1) >= 2 s (m + x): past the mode by x
+    either way the Poisson(m) pmf is below e^-s of the mode's, as
+    p_{mode +- x} / p_mode <= exp(-x (x - 1) / (2 (m + x)))."""
+    b = 1.0 + 2.0 * s
+    return math.ceil((b + math.sqrt(b * b + 8.0 * s * m)) / 2.0)
+
+
+def _drawn_directly(m: float, R: int) -> bool:
+    """Whether an atom of mass m takes R direct Poisson draws: when its
+    window, bounded by 2 _half_width(m, _WINDOW_LOG) + 1 values of k, could
+    hold more values than there are replicates to split over them."""
+    return 2 * _half_width(m, _WINDOW_LOG) + 1 > R
+
+
+def _pmf_table(m: float) -> tuple[int, np.ndarray]:
+    """(k0, w): weights w_i proportional to the Poisson(m) pmf at k = k0 + i,
+    from the recurrence p_k = p_{k-1} m / k run out both ways from the mode,
+    whose weight is 1, so no factor exp(-m) can underflow.  The table
+    ends _half_width(m, _TABLE_LOG) past the mode, or at 0."""
+    mode = math.floor(m)
+    h = _half_width(m, _TABLE_LOG)
+    k0 = max(0, mode - h)
+    up = np.cumprod(m / np.arange(mode + 1, mode + h + 1, dtype=float))
+    down = np.cumprod(np.arange(mode, k0, -1, dtype=float) / m)  # k = mode - 1 .. k0
+    return k0, np.concatenate((down[::-1], [1.0], up))
+
+
+def _cells_by_count(cell: np.ndarray, k: np.ndarray, n: np.ndarray):
+    """The (cell, k, replicates) triples with equal (cell, k) merged, in
+    (cell, k) order."""
+    order = np.lexsort((k, cell))
+    cell, k, n = cell[order], k[order], n[order]
+    first = np.ones(cell.size, dtype=bool)
+    first[1:] = (cell[1:] != cell[:-1]) | (k[1:] != k[:-1])
+    return cell[first], k[first], np.add.reduceat(n, np.flatnonzero(first))
+
+
+def _split_by_count(n: np.ndarray, m: float, rng: np.random.Generator):
+    """Split the n_c replicates of each cell c by one more Poisson(m) count:
+    (cell, k, replicates) for every occupied pair, in (cell, k) order.
+
+    Given its total, a cell's histogram of n_c iid counts is multinomial, drawn
+    down a binary tree over the window's values and the two tail leaves:
+    each node's replicates go left ~ Binomial(n, P(left) / P(node)), one
+    ``binomial`` call per level, where every node mass is a sum of table
+    weights (the conditional-binomial method; Devroye, Non-Uniform Random
+    Variate Generation, Springer 1986, ch. XI).  A tail leaf's replicates
+    are drawn by inversion over the table past the window.  An atom whose
+    window could hold more values than there are replicates
+    (``_drawn_directly``) takes one direct Poisson draw per replicate
+    instead, with the same law."""
+    if _drawn_directly(m, int(n.sum())):
+        if m > _MAX_DRAWN_MASS:
+            raise ValueError(f"Poisson mass {m:g} of an atom exceeds {_MAX_DRAWN_MASS:.6g}, "
+                             "the largest mean numpy's sampler draws")
+        cell = np.repeat(np.arange(n.size), n)
+        return _cells_by_count(cell, rng.poisson(m, cell.size), np.ones(cell.size, np.int64))
+    k0, w = _pmf_table(m)
+    inside = np.flatnonzero(w >= math.exp(-_WINDOW_LOG))
+    lo, hi = int(inside[0]), int(inside[-1]) + 1
+    leaves = np.concatenate(([w[:lo].sum()], w[lo:hi], [w[hi:].sum()]))
+    depth = (leaves.size - 1).bit_length()
+    masses = [np.zeros(1 << depth)]
+    masses[0][:leaves.size] = leaves
+    while masses[-1].size > 1:
+        masses.append(masses[-1][0::2] + masses[-1][1::2])
+    cell, node = np.arange(n.size), np.zeros(n.size, dtype=np.int64)
+    for level in range(depth):
+        node_mass, child_mass = masses[depth - level], masses[depth - level - 1]
+        left = rng.binomial(n, child_mass[2 * node] / node_mass[node])
+        n = np.column_stack((left, n - left)).ravel()
+        node = np.column_stack((2 * node, 2 * node + 1)).ravel()
+        cell = np.repeat(cell, 2)
+        keep = n > 0
+        cell, node, n = cell[keep], node[keep], n[keep]
+    k = k0 + lo - 1 + node
+    below, above = node == 0, node == hi - lo + 1
+    if not (below.any() or above.any()):
+        return cell, k, n
+    inner = ~(below | above)
+    parts = [(cell[inner], k[inner], n[inner])]
+    for tail, weights, first in ((below, w[:lo], k0), (above, w[hi:], k0 + hi)):
+        if tail.any():
+            cum = np.cumsum(weights)
+            u = rng.random(int(n[tail].sum()))
+            i = np.minimum(np.searchsorted(cum, u * cum[-1], side="right"), cum.size - 1)
+            parts.append((np.repeat(cell[tail], n[tail]), first + i,
+                          np.ones(i.size, dtype=np.int64)))
+    return _cells_by_count(*(np.concatenate(p) for p in zip(*parts)))
+
+
+def _count_cells(atoms, R: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """N(f) of f = sum_j v_j 1_{A_j}, given by its atoms (v_j, mu(A_j)) on
+    disjoint sets, over R replicates from the one stream of ``seed``, as a
+    histogram: (values, replicates), one entry per occupied cell of the
+    count vector (N(A_1), N(A_2), ...).  The histograms are nested: each
+    occupied cell of the first j atoms is split by the count of atom j + 1
+    (``_split_by_count``), so there are at most min(R, prod_j K_j) cells,
+    K_j the number of distinct counts of atom j.
+    A cell's value adds v_j k_j in atom order from 0.0, the bits of one
+    replicate with those counts summed term by term."""
     rng = _philox(seed)
-    sums = np.zeros(R)
+    vals, n = np.zeros(1), np.array([R], dtype=np.int64)
     for v, m in atoms:
-        sums += v * rng.poisson(m, R)
-    return sums
+        cell, k, n = _split_by_count(n, m, rng)
+        vals = vals[cell] + v * k
+    return vals, n
 
 
 def _estimate_abs(f: TestFunction, w: Window, R: int, seed: int, center: float) -> MCEstimate:
@@ -240,11 +360,13 @@ def _estimate_abs(f: TestFunction, w: Window, R: int, seed: int, center: float) 
     window covers its support is drawn as cell counts.  The counts of a
     Poisson process on disjoint sets are independent Poisson(mu(A_j))
     variables (Last & Penrose, Lectures on the Poisson Process, CUP 2017,
-    Thm 5.2), so N(f) = sum_j v_j N(A_j) in law (``_count_sums``): memory
-    O(R) whatever the number of atoms, and no BLAS call, so the bits do not
-    depend on the thread count.  Any other function is sampled as points,
-    evaluated block by block (``_replicate_sums``).  The same exact cover
-    test gives the truncation bound (``_truncation_bound``)."""
+    Thm 5.2), so N(f) = sum_j v_j N(A_j) in law, and the mean and standard
+    error of |N(f) - center| depend only on the histogram of N(f) over the
+    replicates, which is drawn directly (``_count_cells``): memory O(cells),
+    not O(R), unless an atom's window is wider than R, and no BLAS call, so
+    the bits do not depend on the thread count.  Any other function is
+    sampled as points, evaluated block by block (``_replicate_sums``).  The
+    same exact cover test gives the truncation bound (``_truncation_bound``)."""
     R = int(R)
     if R < 1000:
         raise ValueError("need at least 10^3 replicates")
@@ -254,10 +376,10 @@ def _estimate_abs(f: TestFunction, w: Window, R: int, seed: int, center: float) 
         atoms = None
     if atoms is None:
         sums, = _replicate_sums(w, R, seed, lambda pts: (np.asarray(f.eval(pts), dtype=float),))
+        counts = None
     else:
-        sums = _count_sums(atoms, R, seed)
-    devs = np.abs(sums - center)
-    return _mc_estimate(devs, seed, _truncation_bound(f, w))
+        sums, counts = _count_cells(atoms, R, seed)
+    return _mc_estimate(np.abs(sums - center), seed, _truncation_bound(f, w), counts)
 
 
 def estimate_star_norm(f: TestFunction, w: Window, R: int, seed: int) -> MCEstimate:

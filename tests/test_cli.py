@@ -858,6 +858,21 @@ def test_run_refuses_a_seed_past_the_philox_key_range(capsys, tmp_path):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("hi, code", [(1e12, 0), (1e20, 1)])
+def test_run_draws_a_huge_mass_or_refuses_it_by_name(capsys, tmp_path, hi, code):
+    # one atom of mass 10^12 is drawn directly, 1000 counts; mass 10^20 is
+    # past the largest Poisson mean numpy draws, and the error names both
+    doc = dict(BASE_CONFIG, scenario="starstar_ergodic", depths=[1], replicates=1000,
+               function={"shape": "indicator", "lo": 0.0, "hi": hi, "scale": 1.0})
+    got, out, err = run_cli(capsys, ["run", "--config", write_config(tmp_path, "huge.json", doc)])
+    assert got == code, err
+    if code:
+        assert "mass 1e+20" in err and "9.22337e+18" in err
+        assert "Traceback" not in err
+    else:
+        assert out.splitlines()[1].startswith("1,")
+
+
 # ---------------------------------------------------------------------------
 # suite command
 

@@ -1027,7 +1027,7 @@ def test_stock_rows_are_simple_and_drawn_by_cell_counts(scenario, monkeypatch):
     # exact and its Monte Carlo sums are Poisson cell counts, with no
     # sample point drawn or evaluated
     calls = []
-    for name in ("_replicate_sums", "_replicate_blocks", "_count_sums"):
+    for name in ("_replicate_sums", "_replicate_blocks", "_count_cells"):
         original = getattr(poisson, name)
 
         def recorded(*args, name=name, original=original, **kwargs):
@@ -1040,4 +1040,4 @@ def test_stock_rows_are_simple_and_drawn_by_cell_counts(scenario, monkeypatch):
     rows, _ = experiments.run_experiment(cfg)
     assert [r.n for r in rows] == list(cfg._built.depths)
     assert [r.norm_source for r in rows] == ["simple"] * len(rows)
-    assert calls == ["_count_sums"] * len(rows)
+    assert calls == ["_count_cells"] * len(rows)

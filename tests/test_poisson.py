@@ -1002,30 +1002,38 @@ _SIMPLE_ROWS = {
 _AGREE_SE = 5.0
 
 
-def _stats(sums: np.ndarray, c: float) -> list[tuple[float, float]]:
-    """(estimate, standard error) of the mean, the variance and E|N - c|."""
-    R = sums.size
-    dev = sums - sums.mean()
-    s2 = float(dev @ dev) / (R - 1)
-    var_s2 = max(float(np.mean(dev ** 4)) - s2 * s2, 0.0) / R
+def _stats(sums: np.ndarray, c: float,
+           counts: np.ndarray | None = None) -> list[tuple[float, float]]:
+    """(estimate, standard error) of the mean, the variance and E|N - c|,
+    over per-replicate sums or a histogram: counts[i] replicates hold sums[i]."""
+    n = np.ones(sums.size) if counts is None else counts.astype(float)
+    R = float(n.sum())
+    mean = float(n @ sums) / R
+    dev = sums - mean
+    s2 = float(n @ dev ** 2) / (R - 1)
+    var_s2 = max(float(n @ dev ** 4) / R - s2 * s2, 0.0) / R
     a = np.abs(sums - c)
-    return [(float(sums.mean()), math.sqrt(s2 / R)), (s2, math.sqrt(var_s2)),
-            (float(a.mean()), float(a.std(ddof=1)) / math.sqrt(R))]
+    a_mean = float(n @ a) / R
+    a_s2 = float(n @ (a - a_mean) ** 2) / (R - 1)
+    return [(mean, math.sqrt(s2 / R)), (s2, math.sqrt(var_s2)),
+            (a_mean, math.sqrt(a_s2 / R))]
 
 
 @pytest.mark.parametrize("name", sorted(_SIMPLE_ROWS))
 def test_cell_counts_and_points_agree_in_law(name):
-    # N(g) by cell counts and by points: mean, variance and E|N - c| within
-    # _AGREE_SE standard errors of each other, at R = 10^5, over three seeds
+    # N(g) by its histogram of cell counts and by points: mean, variance and
+    # E|N - c| within _AGREE_SE standard errors of each other, at R = 10^5,
+    # over three seeds
     g = _SIMPLE_ROWS[name]
     atoms = measure.piecewise_to_simple(g).atoms
     c = sum(v * m for v, m in atoms)
     R = 10 ** 5
     for seed in (1, 2, 3):
-        counts = poisson._count_sums(atoms, R, seed)
+        values, counts = poisson._count_cells(atoms, R, seed)
+        assert int(counts.sum()) == R
         points, = poisson._replicate_sums(g.support, R, seed + 100,
                                           lambda pts: (g.eval(pts),))
-        for (x, sx), (y, sy) in zip(_stats(counts, c), _stats(points, c)):
+        for (x, sx), (y, sy) in zip(_stats(values, c, counts), _stats(points, c)):
             assert abs(x - y) <= _AGREE_SE * math.hypot(sx, sy), (name, seed, x, y)
 
 
@@ -1042,6 +1050,168 @@ def test_one_atom_rows_by_counts_match_the_exact_oracle(depth):
         assert abs(est.mean - exact) <= 4.0 * est.std_error, (depth, seed)
 
 
+def _chi_square_p(values: np.ndarray, counts: np.ndarray, m: float) -> float:
+    """p-value of a one-atom histogram (value k held by counts replicates)
+    against Poisson(m): at most 20 bins cut near the pmf's quantiles (those
+    of its normal approximation, which scipy computes at any m), the outer
+    two open-ended."""
+    R = int(counts.sum())
+    quantiles = stats.norm.ppf(np.arange(1, 20) / 20.0, m, math.sqrt(m))
+    edges = np.unique(np.maximum(np.floor(quantiles), 0.0)).astype(np.int64)
+    cdf = np.concatenate(([0.0], stats.poisson.cdf(edges, m), [1.0]))
+    expected = R * np.diff(cdf)
+    observed = np.bincount(np.searchsorted(edges, values.astype(np.int64)),
+                           weights=counts, minlength=expected.size)
+    chi2 = float(np.sum((observed - expected) ** 2 / expected))
+    return float(stats.chi2.sf(chi2, expected.size - 1))
+
+
+class _Recorded:
+    """A Generator that records the name of each method it is asked for."""
+
+    def __init__(self, rng, calls):
+        self._rng, self._calls = rng, calls
+
+    def __getattr__(self, name):
+        self._calls.append(name)
+        return getattr(self._rng, name)
+
+
+def _record_draws(monkeypatch) -> list:
+    calls = []
+    philox = poisson._philox
+    monkeypatch.setattr(poisson, "_philox", lambda *key: _Recorded(philox(*key), calls))
+    return calls
+
+
+@pytest.mark.parametrize("m, R", [(0.01, 10 ** 5), (1.0, 10 ** 5), (32.0, 10 ** 5),
+                                  (2000.0, 1000), (4000.0, 1000), (1e12, 1000)])
+def test_one_atom_histogram_has_the_poisson_law(m, R, monkeypatch):
+    # the histogram of R counts against the Poisson(m) pmf at three seeds;
+    # a window of 2 _half_width + 1 values that fits in R is split by
+    # binomials, a wider one (m = 4000 and 10^12 at R = 1000) is R direct draws
+    direct = m >= 4000.0
+    assert poisson._drawn_directly(m, R) is direct
+    calls = _record_draws(monkeypatch)
+    for seed in (1, 2, 3):
+        calls.clear()
+        values, counts = poisson._count_cells(((1.0, m),), R, seed)
+        assert int(counts.sum()) == R and counts.min() >= 1
+        assert set(calls) == ({"poisson"} if direct else {"binomial"}), calls
+        assert _chi_square_p(values, counts, m) > 1e-3, (m, seed)
+
+
+@pytest.mark.parametrize("m", [1.0, 32.0])
+def test_replicates_past_the_window_are_drawn_from_the_tails(m, monkeypatch):
+    # a window of the values within e^-1 of the mode's pmf leaves about a
+    # fifth of the replicates in the two tails, drawn by inversion: the
+    # histogram keeps the Poisson law
+    monkeypatch.setattr(poisson, "_WINDOW_LOG", 1.0)
+    calls = _record_draws(monkeypatch)
+    for seed in (1, 2, 3):
+        values, counts = poisson._count_cells(((1.0, m),), 10 ** 5, seed)
+        assert _chi_square_p(values, counts, m) > 1e-3, (m, seed)
+    assert "random" in calls
+
+
+def _crow(v: float, m: float) -> float:
+    """E|v (N - m)| for N ~ Poisson(m) (Crow, Biometrika 45, 1958):
+    2 |v| e^-m m^(floor(m) + 1) / floor(m)!."""
+    k = math.floor(m)
+    return 2.0 * abs(v) * math.exp(-m + (k + 1) * math.log(m) - math.lgamma(k + 1.0))
+
+
+def _z_scores(atoms, exact: float, R: int, seeds) -> list[float]:
+    c = sum(v * m for v, m in atoms)
+    z = []
+    for seed in seeds:
+        values, counts = poisson._count_cells(atoms, R, seed)
+        est = poisson._mc_estimate(np.abs(values - c), seed, counts=counts)
+        z.append((est.mean - exact) / est.std_error)
+    return z
+
+
+@pytest.mark.parametrize("v, m", [(1.0 / 32.0, 32.0), (1.0, 1.0), (-2.5, 0.3)])
+def test_one_atom_mean_and_se_match_crows_closed_form(v, m):
+    # over 200 seeds at R = 10^4 the z-scores against Crow's closed form have
+    # mean 0 and SD 1, each within about 3.5 of its own standard errors, and
+    # the standard errors estimate sqrt(Var |v (N - m)| / R) within 1%
+    R = 10 ** 4
+    exact = _crow(v, m)
+    sd = math.sqrt(v * v * m - exact * exact)
+    z = np.array(_z_scores(((v, m),), exact, R, range(1, 201)))
+    assert abs(z.mean()) <= 0.25 and 0.85 <= z.std(ddof=1) <= 1.15, (z.mean(), z.std(ddof=1))
+    values, counts = poisson._count_cells(((v, m),), R, 1)
+    se = poisson._mc_estimate(np.abs(values - v * m), 1, counts=counts).std_error
+    assert abs(se * math.sqrt(R) / sd - 1.0) <= 0.01
+
+
+@pytest.mark.parametrize("atoms", [((1.0, 1.0), (-1.0, 1.0)),
+                                   ((0.5, 2.0), (-0.3, 0.7), (1.2, 0.2), (-2.0, 0.05))])
+def test_nested_rows_match_the_exact_oracle_over_seeds(atoms):
+    # nested histograms of two and four atoms: z-scores against
+    # star_norm_exact over 200 seeds have mean 0 and SD 1
+    z = np.array(_z_scores(atoms, star_norm_exact(SimpleFunction(atoms)), 10 ** 4,
+                           range(1, 201)))
+    assert abs(z.mean()) <= 0.25 and 0.85 <= z.std(ddof=1) <= 1.15, (z.mean(), z.std(ddof=1))
+
+
+def _count_vectors(values: np.ndarray, atoms: int) -> np.ndarray:
+    """The counts of cells whose atom values are 1, 10^3, 10^6, ...: the
+    base-1000 digits of each value."""
+    return (values.astype(np.int64)[:, None] // 1000 ** np.arange(atoms)) % 1000
+
+
+@pytest.mark.parametrize("masses, R", [((3.0, 0.5, 2.0, 0.1), 10 ** 5),
+                                       ((30.0, 20.0, 25.0, 30.0), 1000)])
+def test_histogram_sums_to_R_in_at_most_min_R_prod_K_cells(masses, R):
+    # each cell is one count vector, held by at least one replicate; the
+    # second case has more count vectors than replicates
+    atoms = tuple(zip((1.0, 1e3, 1e6, 1e9), masses))
+    values, counts = poisson._count_cells(atoms, R, 5)
+    assert int(counts.sum()) == R and counts.min() >= 1
+    cells = _count_vectors(values, len(atoms))
+    assert len({tuple(c) for c in cells.tolist()}) == len(values)
+    K = [np.unique(cells[:, j]).size for j in range(len(atoms))]
+    assert len(values) <= min(R, math.prod(K))
+
+
+def test_cell_values_have_the_bits_of_one_replicate_summed_in_atom_order():
+    # the draws do not depend on the atom values, so values 1, 10^3, 10^6
+    # spell the count vector of each cell; with other values the cell holds
+    # 0.0 + v_1 k_1 + v_2 k_2 + v_3 k_3, bit for bit
+    masses, v, R = (3.0, 0.5, 2.0), (0.1, -0.37, 2.2), 10 ** 4
+    coded, coded_counts = poisson._count_cells(tuple(zip((1.0, 1e3, 1e6), masses)), R, 9)
+    values, counts = poisson._count_cells(tuple(zip(v, masses)), R, 9)
+    assert counts.tolist() == coded_counts.tolist()
+    k = _count_vectors(coded, 3)
+    want = np.zeros(values.size)
+    for j in range(3):
+        want = want + v[j] * k[:, j]
+    assert want.tobytes() == values.tobytes()
+
+
+def test_histogram_reduction_is_the_reduction_of_its_replicates():
+    # per-replicate values reduce to the bits of mean and std(ddof=1) / sqrt(R);
+    # a histogram to the same mean and standard error as its expansion
+    rng = np.random.default_rng(4)
+    x = rng.standard_normal(4321) * 3.0 + 1.0
+    est = poisson._mc_estimate(x, 1)
+    assert (est.mean, est.std_error, est.replicates) == (
+        float(x.mean()), float(x.std(ddof=1)) / math.sqrt(x.size), x.size)
+    values, counts = np.array([0.5, 2.0, -1.25, 7.0]), np.array([3, 1000, 27, 1])
+    hist = poisson._mc_estimate(values, 1, counts=counts)
+    flat = poisson._mc_estimate(np.repeat(values, counts), 1)
+    assert hist.replicates == flat.replicates == 1031
+    assert hist.mean == pytest.approx(flat.mean, rel=1e-14)
+    assert hist.std_error == pytest.approx(flat.std_error, rel=1e-12)
+
+
+def test_a_mass_past_numpys_largest_poisson_mean_names_itself():
+    with pytest.raises(ValueError, match=r"mass 1e\+20 .*exceeds 9\.22337e\+18"):
+        poisson._count_cells(((1.0, 1e20),), 1000, 3)
+
+
 def test_points_stay_for_non_simple_rows_and_the_identity_checks(monkeypatch):
     # the count route takes simple functions whose window covers their
     # support; everything else, and every identity check, samples points
@@ -1056,7 +1226,7 @@ def test_points_stay_for_non_simple_rows_and_the_identity_checks(monkeypatch):
 
         monkeypatch.setattr(poisson, name, recorded)
 
-    for name in ("_replicate_sums", "_replicate_blocks", "_count_sums"):
+    for name in ("_replicate_sums", "_replicate_blocks", "_count_cells"):
         spy(name)
 
     def route(run):
@@ -1065,9 +1235,9 @@ def test_points_stay_for_non_simple_rows_and_the_identity_checks(monkeypatch):
         return calls[:]
 
     one = indicator(0.0, 1.0)
-    assert route(lambda: estimate_star_norm(one, one.support, 1000, 1)) == ["_count_sums"]
+    assert route(lambda: estimate_star_norm(one, one.support, 1000, 1)) == ["_count_cells"]
     assert route(lambda: estimate_starstar_norm(one, window((-1.0, 2.0)), 1000, 1)) == [
-        "_count_sums"]
+        "_count_cells"]
     bump = triangular_bump(0.5, 0.5)
     points = ["_replicate_sums", "_replicate_blocks"]  # one sampler under the sums
     assert route(lambda: estimate_star_norm(bump, bump.support, 1000, 1)) == points
